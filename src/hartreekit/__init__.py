@@ -4,11 +4,12 @@
 
 Ground states, sharp interpolation constants, blow-up/global-existence
 threshold classification, and adaptive split-step dynamics on periodic
-spectral grids.
+spectral grids.  The integrator is not re-exported here, so that
+`hartreekit.evolve` stays the module: use `from hartreekit.evolve import evolve`.
 """
 
 from .config import ConfigError, RunConfig, parse_config, preset_names, preset_path
-from .evolve import EvolveConfig, TrajectoryRecord, detect_blowup, evolve, strang_step
+from .evolve import EvolveConfig, TrajectoryRecord, detect_blowup, strang_step
 from .fieldio import dump_field, load_field
 from .functionals import FunctionalSnapshot, energy, hv_norm_sq, mass, take_snapshot, weinstein
 from .ground_state import GroundState, pohozaev_residuals, solve_ground_state
@@ -45,7 +46,6 @@ __all__ = [
     "emit_plot_data",
     "energy",
     "eval_potential",
-    "evolve",
     "gradient",
     "hv_norm_sq",
     "integrate",

@@ -300,7 +300,8 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             try:
                 evolve_cfg = EvolveConfig(grid=grid, gamma=gamma, **ekw)
             except ValueError as exc:
-                violations.append(f"[evolve]: {exc}")
+                # EvolveConfig joins all of its problems with "; "
+                violations.extend(f"[evolve]: {problem}" for problem in str(exc).split("; "))
 
     seed = get("run", "seed")
     threads = get("run", "threads")

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .functionals import CSV_COLUMNS, FunctionalSnapshot, take_snapshot
+from .functionals import CSV_COLUMNS, _grad_sq, take_snapshot
 from .potentials import PotentialSpec, eval_potential, eval_virial_weight
-from .spectral import Field, Grid, fftn, ifftn
+from .spectral import Field, Grid, abs_sq, fftn, ifftn, shell_fraction
 
 
 @dataclass
@@ -35,16 +35,20 @@ class EvolveConfig:
     linear: bool = False  # drop the nonlinear phase (diagnostic runs)
 
     def __post_init__(self):
-        if self.dt0 <= 0:
-            raise ValueError(f"dt0 must be positive, got {self.dt0}")
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.blowup_grad_factor <= 1:
-            raise ValueError(f"blowup_grad_factor must exceed 1, got {self.blowup_grad_factor}")
+        # written as `not x > 0` so that NaN fails too; every problem is reported
+        problems = [
+            f"{name} must be positive, got {getattr(self, name)}"
+            for name in ("dt0", "t_max", "tol_step")
+            if not getattr(self, name) > 0
+        ]
+        if not self.blowup_grad_factor > 1:
+            problems.append(f"blowup_grad_factor must exceed 1, got {self.blowup_grad_factor}")
         if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
+            problems.append(f"record_stride must be >= 1, got {self.record_stride}")
         if not 0 < self.blowup_tail_frac <= 1:
-            raise ValueError(f"blowup_tail_frac must lie in (0, 1], got {self.blowup_tail_frac}")
+            problems.append(f"blowup_tail_frac must lie in (0, 1], got {self.blowup_tail_frac}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def to_dict(self) -> dict:
         return {
@@ -108,56 +112,36 @@ def _phase_step(grid: Grid, u, dt: float, vvals, gamma: float, linear: bool):
     return u * np.exp(1j * dt * phase)
 
 
+def _strang(grid: Grid, u, dt: float, vvals, gamma: float, linear: bool, kin_cache: dict):
+    """The one kinetic(dt/2) - phase(dt) - kinetic(dt/2) step, on a sample array.
+
+    kin_cache maps dt/2 to exp(-i dt/2 |k|^2); it is cleared before it would
+    hold an 18th factor, since adaptive dt rarely repeats a value."""
+    tau = 0.5 * dt
+    kin = kin_cache.get(tau)
+    if kin is None:
+        if len(kin_cache) > 16:
+            kin_cache.clear()
+        kin = kin_cache[tau] = np.exp(-1j * tau * grid.k_sq)
+    w = ifftn(kin * fftn(u))
+    w = _phase_step(grid, w, dt, vvals, gamma, linear)
+    return ifftn(kin * fftn(w))
+
+
 def strang_step(u: Field, dt: float, potential: PotentialSpec, gamma: float, linear: bool = False) -> Field:
     """One kinetic-phase-kinetic step of size dt (dt < 0 runs time backward)."""
     grid = u.grid
     vvals = None if potential.is_zero else eval_potential(potential, grid).values
-    kin = np.exp(-0.5j * dt * grid.k_sq)
-    w = ifftn(kin * fftn(u.values))
-    w = _phase_step(grid, w, dt, vvals, gamma, linear)
-    w = ifftn(kin * fftn(w))
-    return Field(grid, w)
-
-
-def spectral_tail_fraction(u: Field) -> float:
-    """Share of |u-hat|^2 carried by the top 20% frequency band (max-norm)."""
-    grid = u.grid
-    uhat = fftn(u.values)
-    power = (uhat * uhat.conj()).real
-    total = float(power.sum())
-    if total == 0.0:
-        return 0.0
-    return float(power[_tail_mask(grid)].sum()) / total
-
-
-def _tail_mask(grid: Grid):
-    cached = grid._cache.get("tail_mask")
-    if cached is None:
-        n = grid.points
-        idx = np.abs(np.fft.fftfreq(n) * n)
-        cut = 0.8 * (n // 2)
-        mask = np.zeros(grid.shape, dtype=bool)
-        for ax in range(grid.dim):
-            shape = [1] * grid.dim
-            shape[ax] = n
-            mask |= idx.reshape(shape) >= cut
-        cached = grid._cache["tail_mask"] = mask
-    return cached
+    return Field(grid, _strang(grid, u.values, dt, vvals, gamma, linear, {}))
 
 
 def detect_blowup(u: Field, grad_sq_initial: float, cfg: EvolveConfig) -> bool:
-    """Gradient growth beyond the factor, or the upper band filling up."""
+    """Gradient growth beyond the factor, or the top 20% frequency band (max-norm) filling up."""
     grid = u.grid
-    uhat = fftn(u.values)
-    power = (uhat * uhat.conj()).real
-    norm = grid.cell_volume / grid.points**grid.dim
-    gsq = float((grid.k_sq * power).sum() * norm)
-    if grad_sq_initial > 0 and gsq / grad_sq_initial >= cfg.blowup_grad_factor**2:
+    power = abs_sq(fftn(u.values))
+    if grad_sq_initial > 0 and _grad_sq(grid, power) / grad_sq_initial >= cfg.blowup_grad_factor**2:
         return True
-    total = float(power.sum())
-    if total == 0.0:
-        return False
-    return float(power[_tail_mask(grid)].sum()) / total >= cfg.blowup_tail_frac
+    return shell_fraction(grid, power, 0.8 * (grid.points // 2), spectral=True) >= cfg.blowup_tail_frac
 
 
 def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> TrajectoryRecord:
@@ -176,19 +160,8 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
 
     kin_cache: dict = {}
 
-    def kinetic(u, tau):
-        # exact kinetic flow over a duration tau (callers pass dt/2)
-        fac = kin_cache.get(tau)
-        if fac is None:
-            if len(kin_cache) > 16:
-                kin_cache.clear()
-            fac = kin_cache[tau] = np.exp(-1j * tau * grid.k_sq)
-        return ifftn(fac * fftn(u))
-
     def full_step(u, dt):
-        w = kinetic(u, 0.5 * dt)
-        w = _phase_step(grid, w, dt, vvals, cfg.gamma, cfg.linear)
-        return kinetic(w, 0.5 * dt)
+        return _strang(grid, u, dt, vvals, cfg.gamma, cfg.linear, kin_cache)
 
     u = np.array(u0.values, dtype=complex, copy=True)
     t = 0.0
@@ -357,23 +330,3 @@ def monotonicity_probe(record: TrajectoryRecord, verdict: str | None = None, f_x
         if f_x0 is not None:
             out["z1_floor"] = 2.0 * math.sqrt(max(f_x0, 0.0))
     return out
-
-
-def free_gaussian_reference(grid: Grid, a: float, k, t: float) -> Field:
-    """Closed-form free-flow Gaussian: width a, carrier wave vector k, time t.
-
-    u(0) = exp(i k.x) exp(-a |x|^2); the envelope spreads by 1 + 4 i a t and
-    the packet translates at group velocity 2k."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (grid.dim,):
-        raise ValueError(f"k must have {grid.dim} components, got shape {k.shape}")
-    s = 1.0 + 4.0j * a * t
-    ksq = float(k @ k)
-    vals = np.zeros(grid.shape, dtype=complex)
-    phase = np.zeros(grid.shape, dtype=float)
-    shift_sq = np.zeros(grid.shape, dtype=float)
-    for ax, x in enumerate(grid.coords):
-        phase = phase + k[ax] * x
-        shift_sq = shift_sq + (x - 2.0 * k[ax] * t) ** 2
-    vals = s ** (-grid.dim / 2.0) * np.exp(1j * (phase - ksq * t)) * np.exp(-a * shift_sq / s)
-    return Field(grid, vals)

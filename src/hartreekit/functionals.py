@@ -5,6 +5,24 @@ form norm ||u||_{HV}^2 = ||grad u||^2 + int V|u|^2; energy
 E = 1/2 ||u||_{HV}^2 - 1/4 P; variance I = int |x|^2 |u|^2 with
 I' = 4 Im int conj(u) x.grad u and
 I'' = 8 ||u||_{HV}^2 - 2g P - e,   e = 4 int (2V + x.grad V)|u|^2.
+
+Each quantity is computed by one function, which takes the shared inputs
+rho = |u|^2 and u-hat = fftn(u) rather than recomputing them:
+
+    M, int V|u|^2, I    _integral(grid, rho, weight)   weight none, V, |x|^2
+    e                   _e_term(grid, rho, 2V + x.grad V)
+    ||grad u||^2        _grad_sq(grid, |u-hat|^2)
+    P                   _p(grid, rho, gamma)
+    I'                  _virial_first(u, u-hat)
+    E, I''              take_snapshot
+    Weinstein quotient  FunctionalSnapshot.weinstein
+    Cauchy-Schwarz gap  FunctionalSnapshot.cauchy_schwarz_gap
+
+take_snapshot evaluates all of them from one rho and one fftn(u).  The
+single-quantity calls (mass, grad_norm_sq, hv_norm_sq, p_functional,
+variance, virial_first, e_term) build the one input they need and call the
+same function; energy, weinstein, virial_second and cauchy_schwarz_gap read
+a snapshot.
 """
 
 from __future__ import annotations
@@ -14,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, abs_sq, fftn, ifftn, integrate, riesz_convolve
+from .spectral import Field, Grid, abs_sq, fftn, ifftn, riesz_convolve
 
 CSV_COLUMNS = (
     "t",
@@ -31,70 +49,81 @@ CSV_COLUMNS = (
 )
 
 
-def mass(u: Field) -> float:
-    return float(integrate(abs_sq(u)))
+def _integral(grid: Grid, rho, weight=None) -> float:
+    """int weight |u|^2 by box quadrature; no weight gives the mass."""
+    return float((rho if weight is None else weight * rho).sum() * grid.cell_volume)
 
 
-def grad_norm_sq(u: Field) -> float:
-    """||grad u||^2 via Parseval."""
+def _e_term(grid: Grid, rho, virial_weight) -> float:
+    return 4.0 * _integral(grid, rho, virial_weight)
+
+
+def _grad_sq(grid: Grid, power) -> float:
+    """||grad u||^2 via Parseval from the power spectrum |u-hat|^2."""
+    return float((grid.k_sq * power).sum() * (grid.cell_volume / grid.points**grid.dim))
+
+
+def _p(grid: Grid, rho, gamma: float) -> float:
+    return _integral(grid, rho, riesz_convolve(Field(grid, rho), gamma).values)
+
+
+def _virial_first(u: Field, uhat) -> float:
     g = u.grid
-    uhat = fftn(u.values)
-    return float((g.k_sq * (uhat * uhat.conj()).real).sum() * g.cell_volume / g.points**g.dim)
-
-
-def potential_term(u: Field, v: Field) -> float:
-    """int V |u|^2."""
-    return float((v.values * (u.values * u.values.conj()).real).sum() * u.grid.cell_volume)
-
-
-def hv_norm_sq(u: Field, v: Field | None = None) -> float:
-    out = grad_norm_sq(u)
-    if v is not None:
-        out += potential_term(u, v)
-    return out
-
-
-def p_functional(u: Field, gamma: float) -> float:
-    w = abs_sq(u)
-    pot = riesz_convolve(w, gamma)
-    return float((pot.values * w.values).sum() * u.grid.cell_volume)
-
-
-def energy(u: Field, v: Field | None, gamma: float) -> float:
-    return 0.5 * hv_norm_sq(u, v) - 0.25 * p_functional(u, gamma)
-
-
-def weinstein(u: Field, v: Field | None, gamma: float) -> float:
-    """W(u) = P(u) / (||u||_{HV}^gamma ||u||_{L2}^{4-gamma}); scale and phase invariant."""
-    m = mass(u)
-    hv = hv_norm_sq(u, v)
-    if m <= 0 or hv <= 0:
-        raise ValueError("weinstein quotient needs positive mass and form norm")
-    return p_functional(u, gamma) / (hv ** (gamma / 2.0) * m ** ((4.0 - gamma) / 2.0))
-
-
-def variance(u: Field) -> float:
-    """I = int |x|^2 |u|^2."""
-    return float((u.grid.r_sq * (u.values * u.values.conj()).real).sum() * u.grid.cell_volume)
-
-
-def virial_first(u: Field) -> float:
-    """I' = 4 Im int conj(u) x.grad u."""
-    g = u.grid
-    uhat = fftn(u.values)
     acc = 0.0
     uc = u.values.conj()
     for x, xi in zip(g.coords, g.freqs):
         du = ifftn(1j * xi * uhat)
         acc += float((uc * x * du).imag.sum())
-    return 4.0 * acc * g.cell_volume
+    return acc * (4.0 * g.cell_volume)
+
+
+def mass(u: Field) -> float:
+    return _integral(u.grid, abs_sq(u.values))
+
+
+def grad_norm_sq(u: Field) -> float:
+    """||grad u||^2 via Parseval."""
+    return _grad_sq(u.grid, abs_sq(fftn(u.values)))
+
+
+def hv_norm_sq(u: Field, v: Field | None = None) -> float:
+    out = grad_norm_sq(u)
+    if v is not None:
+        out += _integral(u.grid, abs_sq(u.values), v.values)
+    return out
+
+
+def p_functional(u: Field, gamma: float) -> float:
+    return _p(u.grid, abs_sq(u.values), gamma)
+
+
+def variance(u: Field) -> float:
+    """I = int |x|^2 |u|^2."""
+    return _integral(u.grid, abs_sq(u.values), u.grid.r_sq)
+
+
+def virial_first(u: Field) -> float:
+    """I' = 4 Im int conj(u) x.grad u."""
+    return _virial_first(u, fftn(u.values))
 
 
 def e_term(u: Field, virial_weight: Field) -> float:
     """e = 4 int (2V + x.grad V) |u|^2."""
-    return 4.0 * float(
-        (virial_weight.values * (u.values * u.values.conj()).real).sum() * u.grid.cell_volume
-    )
+    return _e_term(u.grid, abs_sq(u.values), virial_weight.values)
+
+
+def energy(u: Field, v: Field | None, gamma: float) -> float:
+    return take_snapshot(u, 0.0, v, None, gamma).energy
+
+
+def weinstein(u: Field, v: Field | None, gamma: float) -> float:
+    """Weinstein quotient of u; see FunctionalSnapshot.weinstein."""
+    return take_snapshot(u, 0.0, v, None, gamma).weinstein(gamma)
+
+
+def cauchy_schwarz_gap(u: Field, v: Field | None, gamma: float, c_q: float) -> float:
+    """Interpolation gap of u; see FunctionalSnapshot.cauchy_schwarz_gap."""
+    return take_snapshot(u, 0.0, v, None, gamma).cauchy_schwarz_gap(gamma, c_q)
 
 
 def virial_second(
@@ -113,25 +142,23 @@ def virial_second(
     (sharp-interface potentials carry a surface term the sampled weight
     deliberately omits).
     """
-    gs = grad_norm_sq(u)
-    p = p_functional(u, gamma)
-    vt = potential_term(u, v) if v is not None else 0.0
-    e = e_term(u, virial_weight) if virial_weight is not None else 0.0
+    snap = take_snapshot(u, 0.0, v, virial_weight, gamma)
     if rtol_consistency is not None and v is not None and virial_weight is not None:
         g = u.grid
-        rho = (u.values * u.values.conj()).real
+        rho = abs_sq(u.values)
         rhohat = fftn(rho)
         xgrad_rho = np.zeros(g.shape)
         for x, xi in zip(g.coords, g.freqs):
             xgrad_rho += x * ifftn(1j * xi * rhohat).real
-        xgrad_v_term = -float((v.values * (g.dim * rho + xgrad_rho)).sum() * g.cell_volume)
-        e_ibp = 8.0 * vt + 4.0 * xgrad_v_term
-        scale = abs(e) + abs(e_ibp) + 8.0 * abs(vt) + 8.0 * gs
+        vt = _integral(g, rho, v.values)
+        e = snap.e_term
+        e_ibp = 8.0 * vt - 4.0 * _integral(g, g.dim * rho + xgrad_rho, v.values)
+        scale = abs(e) + abs(e_ibp) + 8.0 * abs(vt) + 8.0 * snap.grad_sq
         if abs(e - e_ibp) > rtol_consistency * max(scale, 1e-300):
             raise AssertionError(
                 f"virial weight inconsistent with potential: e={e!r} vs ibp {e_ibp!r}"
             )
-    return 8.0 * (gs + vt) - 2.0 * gamma * p - e
+    return snap.virial_I2
 
 
 @dataclass
@@ -185,6 +212,25 @@ class FunctionalSnapshot:
             "z": self.z,
         }
 
+    def weinstein(self, gamma: float) -> float:
+        """W = P / (||u||_{HV}^gamma ||u||_{L2}^{4-gamma}); scale and phase invariant."""
+        if self.mass <= 0 or self.hv_sq <= 0:
+            raise ValueError("weinstein quotient needs positive mass and form norm")
+        return self.p_value / (self.hv_sq ** (gamma / 2.0) * self.mass ** ((4.0 - gamma) / 2.0))
+
+    def cauchy_schwarz_gap(self, gamma: float, c_q: float) -> float:
+        """I * (||u||_{HV}^2 - P^{2/g} / (c_q M^{(4-g)/g})) - (I'/4)^2, nonnegative by interpolation.
+
+        c_q is the sharp constant C_Q = C_GN^{2/gamma} built from the ground
+        state; the middle factor is nonnegative by the sharp inequality, and
+        the whole expression is the discriminant-type gap behind the variance
+        convexity estimates.
+        """
+        m, p = self.mass, self.p_value
+        return self.variance_I * (
+            self.hv_sq - p ** (2.0 / gamma) / (c_q * m ** ((4.0 - gamma) / gamma))
+        ) - (self.virial_I1 / 4.0) ** 2
+
 
 def take_snapshot(
     u: Field,
@@ -194,60 +240,26 @@ def take_snapshot(
     gamma: float,
     e_term_approximate: bool = False,
 ) -> FunctionalSnapshot:
-    """Evaluate every monitored functional, sharing transforms where possible."""
+    """Evaluate every monitored functional from one |u|^2 and one fftn(u)."""
     g = u.grid
-    h_d = g.cell_volume
-    w2 = (u.values * u.values.conj()).real
-    m = float(w2.sum() * h_d)
-    var = float((g.r_sq * w2).sum() * h_d)
-
+    rho = abs_sq(u.values)
     uhat = fftn(u.values)
-    nrm = h_d / g.points**g.dim
-    gs = float((g.k_sq * (uhat * uhat.conj()).real).sum() * nrm)
-
-    i1 = 0.0
-    uc = u.values.conj()
-    for x, xi in zip(g.coords, g.freqs):
-        du = ifftn(1j * xi * uhat)
-        i1 += float((uc * x * du).imag.sum())
-    i1 *= 4.0 * h_d
-
-    pot = riesz_convolve(Field(g, w2), gamma)
-    p = float((pot.values * w2).sum() * h_d)
-
-    vt = float((v.values * w2).sum() * h_d) if v is not None else 0.0
-    e = (
-        4.0 * float((virial_weight.values * w2).sum() * h_d)
-        if virial_weight is not None
-        else 0.0
-    )
+    gs = _grad_sq(g, abs_sq(uhat))
+    i1 = _virial_first(u, uhat)
+    p = _p(g, rho, gamma)
+    vt = _integral(g, rho, v.values) if v is not None else 0.0
+    e = _e_term(g, rho, virial_weight.values) if virial_weight is not None else 0.0
     hv = gs + vt
     return FunctionalSnapshot(
         time=t,
-        mass=m,
+        mass=_integral(g, rho),
         energy=0.5 * hv - 0.25 * p,
         grad_sq=gs,
         hv_sq=hv,
         p_value=p,
-        variance_I=var,
+        variance_I=_integral(g, rho, g.r_sq),
         virial_I1=i1,
         virial_I2=8.0 * hv - 2.0 * gamma * p - e,
         e_term=e,
         e_term_approximate=e_term_approximate,
     )
-
-
-def cauchy_schwarz_gap(u: Field, v: Field | None, gamma: float, c_q: float) -> float:
-    """I * (||u||_{HV}^2 - P^{2/g} / (c_q M^{(4-g)/g})) - (I'/4)^2, nonnegative by interpolation.
-
-    c_q is the sharp constant C_Q = C_GN^{2/gamma} built from the ground
-    state; the middle factor is nonnegative by the sharp inequality, and the
-    whole expression is the discriminant-type gap behind the variance
-    convexity estimates.
-    """
-    m = mass(u)
-    hv = hv_norm_sq(u, v)
-    p = p_functional(u, gamma)
-    i = variance(u)
-    i1 = virial_first(u)
-    return i * (hv - p ** (2.0 / gamma) / (c_q * m ** ((4.0 - gamma) / gamma))) - (i1 / 4.0) ** 2

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldio import dump_field, load_field
-from .functionals import FunctionalSnapshot, take_snapshot, weinstein
+from .functionals import FunctionalSnapshot, hv_norm_sq, mass, take_snapshot
 from .potentials import PotentialSpec, eval_potential, eval_virial_weight
-from .spectral import Field, Grid, fftn, ifftn, integrate
+from .spectral import Field, Grid, fftn, ifftn
 
 class ConvergenceError(RuntimeError):
     pass
@@ -94,13 +94,25 @@ def _solve_helmholtz(grid: Grid, vvals, omega_sq: float, rhs, w0=None, tol: floa
     raise ConvergenceError(f"helmholtz solve did not reach {tol:.1e} in {max_iter} iterations")
 
 
+def _residual(grid, vvals, gamma, omega_sq, u):
+    """A u = (-Lap + V + omega^2) u, N(u) = (|x|^{-gamma} * u^2) u, and the
+    relative operator residual ||A u - N(u)||_2 / ||u||_2 of a real profile."""
+    nl = ifftn(grid.riesz_multiplier(gamma) * fftn(u * u)).real * u
+    au = ifftn((grid.k_sq + omega_sq) * fftn(u)).real
+    if vvals is not None:
+        au += vvals * u
+    unorm = float(np.linalg.norm(u))
+    if unorm == 0.0:
+        raise ConvergenceError("Petviashvili iterate collapsed to zero")
+    return au, nl, float(np.linalg.norm(au - nl)) / unorm
+
+
 def _petviashvili(grid, vvals, gamma, omega_sq, u0, tol, max_iter, history):
     """Inner fixed-omega iteration.
 
     Convergence is judged on the relative L2 operator residual, appended to
     history each step.  Returns (profile, iterations, residual, converged);
     stops early when the residual stalls above tol for 40 steps."""
-    m_riesz = grid.riesz_multiplier(gamma)
     h_d = grid.cell_volume
     u = u0.copy()
     w = None
@@ -108,15 +120,7 @@ def _petviashvili(grid, vvals, gamma, omega_sq, u0, tol, max_iter, history):
     best = np.inf
     since_best = 0
     for it in range(1, max_iter + 1):
-        usq = u * u
-        nl = ifftn(m_riesz * fftn(usq)).real * u
-        au = ifftn((grid.k_sq + omega_sq) * fftn(u)).real
-        if vvals is not None:
-            au += vvals * u
-        unorm = float(np.linalg.norm(u))
-        if unorm == 0.0:
-            raise ConvergenceError("Petviashvili iterate collapsed to zero")
-        res = float(np.linalg.norm(au - nl)) / unorm
+        au, nl, res = _residual(grid, vvals, gamma, omega_sq, u)
         history.append(res)
         if res < tol:
             return u, it, res, True
@@ -164,6 +168,7 @@ def solve_ground_state(
         raise ValueError(f"unknown omega_mode {omega_mode!r}")
 
     vvals = None if potential.is_zero else eval_potential(potential, grid).values
+    vfield = None if vvals is None else Field(grid, vvals)
     u = (
         np.exp(-grid.r_sq / 2.0)
         if initial is None
@@ -181,7 +186,6 @@ def solve_ground_state(
         # dilation identity).  The plain re-substitution map has contraction
         # rate ~1 here, so a secant step on G replaces it; stopping rule is
         # still |delta omega^2| / omega^2 <= 1e-8.
-        h_d = grid.cell_volume
         iters = 0
         ok = False
         resid = np.inf
@@ -194,8 +198,9 @@ def solve_ground_state(
             iters += it
             if not ok:
                 break
-            hv = _hv_of(grid, vvals, u)
-            m = float((u * u).sum() * h_d)
+            qf = Field(grid, u)
+            hv = hv_norm_sq(qf, vfield)
+            m = mass(qf)
             target = (4.0 - gamma) * hv / (gamma * m)
             if target <= 0:
                 raise ConvergenceError(
@@ -221,14 +226,13 @@ def solve_ground_state(
             ok = False  # omega never settled; report the last profile as non-converged
 
     qf = Field(grid, u)
-    vfield = Field(grid, vvals) if vvals is not None else None
     wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
     snap = take_snapshot(
         qf, 0.0, vfield, wfield, gamma,
         e_term_approximate=potential.xgrad_is_distributional,
     )
     snap.virial_I1 = 0.0  # exact for a real profile
-    c_gn = weinstein(qf, vfield, gamma)
+    c_gn = snap.weinstein(gamma)
     return GroundState(
         field=qf,
         omega=math.sqrt(omega_sq),
@@ -243,15 +247,6 @@ def solve_ground_state(
         omega_iterations=omega_iters,
         residual_history=history,
     )
-
-
-def _hv_of(grid, vvals, u):
-    uhat = fftn(u)
-    nrm = grid.cell_volume / grid.points**grid.dim
-    hv = float((grid.k_sq * (uhat * uhat.conj()).real).sum() * nrm)
-    if vvals is not None:
-        hv += float((vvals * u * u).sum() * grid.cell_volume)
-    return hv
 
 
 def closed_form_c_q(gamma: float, mass_q: float) -> float:
@@ -273,13 +268,7 @@ def pohozaev_residuals(gs: GroundState) -> dict:
     g = gs.gamma
     s = gs.snapshot
     w2 = gs.omega**2
-    if gs.potential.is_zero:
-        t = 0.0
-    else:
-        wfield = eval_virial_weight(gs.potential, gs.field.grid)
-        t = float(
-            (wfield.values * gs.field.values.real**2).sum() * gs.field.grid.cell_volume
-        )
+    t = s.e_term / 4.0  # e = 4 T
     r_form = (s.p_value - s.hv_sq - w2 * s.mass) / s.p_value
     r_dil = (s.hv_sq - g / (4.0 - g) * w2 * s.mass - 2.0 / (4.0 - g) * t) / s.hv_sq
     r_int = (s.p_value - 4.0 / (4.0 - g) * w2 * s.mass - 2.0 / (4.0 - g) * t) / s.p_value
@@ -333,13 +322,9 @@ def load_ground_state(path, potential: PotentialSpec | None = None) -> GroundSta
         e_term_approximate=potential.xgrad_is_distributional,
     )
     snap.virial_I1 = 0.0
-    c_gn = weinstein(f, vfield, gamma)
-    u = f.values.real
-    nl = ifftn(grid.riesz_multiplier(gamma) * fftn(u * u)).real * u
-    au = ifftn((grid.k_sq + omega**2) * fftn(u)).real
-    if vfield is not None:
-        au += vfield.values * u
-    res = float(np.linalg.norm(au - nl) / np.linalg.norm(u))
+    c_gn = snap.weinstein(gamma)
+    vvals = None if vfield is None else vfield.values
+    res = _residual(grid, vvals, gamma, omega**2, f.values.real)[2]
     return GroundState(
         field=f,
         omega=omega,

@@ -249,8 +249,20 @@ def check_admissible(spec: PotentialSpec, grid: Grid) -> AdmissibilityReport:
     )
 
 
+def value_sign(values, rtol: float = 1e-10) -> str:
+    """Sign of an array up to rtol times its sup: 'zero', 'nonnegative', 'nonpositive', or 'mixed'."""
+    tol = rtol * float(np.abs(values).max())
+    pos = float(values.max()) > tol
+    neg = float(values.min()) < -tol
+    if pos and neg:
+        return "mixed"
+    if pos:
+        return "nonnegative"
+    return "nonpositive" if neg else "zero"
+
+
 def sign_classify(spec: PotentialSpec, grid: Grid, rtol: float = 1e-10) -> str:
-    """Sign of 2V + x.grad V over the grid: 'zero', 'nonnegative', 'nonpositive', or 'mixed'.
+    """Sign of 2V + x.grad V over the grid (see value_sign).
 
     The zero potential returns 'zero', which satisfies both sign hypotheses of
     the dichotomy (the free equation belongs to both branches).
@@ -260,16 +272,4 @@ def sign_classify(spec: PotentialSpec, grid: Grid, rtol: float = 1e-10) -> str:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         w = eval_virial_weight(spec, grid).values
-    scale = float(np.abs(w).max())
-    if scale == 0.0:
-        return "zero"
-    tol = rtol * scale
-    has_pos = bool((w > tol).any())
-    has_neg = bool((w < -tol).any())
-    if has_pos and has_neg:
-        return "mixed"
-    if has_pos:
-        return "nonnegative"
-    if has_neg:
-        return "nonpositive"
-    return "zero"
+    return value_sign(w, rtol)

@@ -19,17 +19,7 @@ import numpy as np
 from .config import RunConfig
 from .evolve import EvolveConfig, TrajectoryRecord, evolve, monotonicity_probe, virial_consistency
 from .fieldio import load_field, write_json
-from .functionals import (
-    CSV_COLUMNS,
-    cauchy_schwarz_gap,
-    energy,
-    hv_norm_sq,
-    mass,
-    p_functional,
-    take_snapshot,
-    virial_second,
-    weinstein,
-)
+from .functionals import CSV_COLUMNS, mass, take_snapshot, virial_second
 from .ground_state import ConvergenceError, pohozaev_residuals, save_ground_state, solve_ground_state
 from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm
 from .spectral import Field, Grid, outer_shell_mass_fraction, recenter, set_fft_workers
@@ -291,10 +281,10 @@ def run_validate(cfg: RunConfig, outdir) -> int:
             tr = _smooth_random_field(grid, rng)
             sn = take_snapshot(tr, 0.0, None, None, gamma)
             scale = max(sn.variance_I * sn.hv_sq, 1e-300)
-            worst_gap = max(worst_gap, -cauchy_schwarz_gap(tr, None, gamma, gs.c_q) / scale)
+            worst_gap = max(worst_gap, -sn.cauchy_schwarz_gap(gamma, gs.c_q) / scale)
             bound = gs.c_gn * sn.hv_sq ** (gamma / 2.0) * sn.mass ** ((4.0 - gamma) / 2.0)
             worst_gn = max(worst_gn, sn.p_value / bound - 1.0)
-            worst_w = max(worst_w, weinstein(tr, None, gamma) / gs.c_gn - 1.0)
+            worst_w = max(worst_w, sn.weinstein(gamma) / gs.c_gn - 1.0)
         check("cauchy_schwarz_gap_nonneg", worst_gap, 1e-8)
         check("interpolation_bound", worst_gn, 1e-6)
         check("weinstein_maximality", worst_w, 1e-6)
@@ -335,8 +325,8 @@ def run_validate(cfg: RunConfig, outdir) -> int:
         vfield = eval_potential(vs, grid)
         kv = kato_norm(vfield)
         tu = _smooth_random_field(grid, rng)
-        gsq = snap_g = take_snapshot(tu, 0.0, None, None, gamma).grad_sq
-        hv = hv_norm_sq(tu, vfield)
+        sn = take_snapshot(tu, 0.0, vfield, None, gamma)
+        gsq, hv = sn.grad_sq, sn.hv_sq
         lo, hi = (1.0 - kv) * gsq, (1.0 + kv) * gsq
         worst_sw = max(worst_sw, (lo - hv) / gsq, (hv - hi) / gsq)
     check("kato_sandwich", worst_sw, 1e-2)

@@ -215,14 +215,15 @@ class Field:
         return Field(self.grid, self.values.copy())
 
     def norm_l2(self) -> float:
-        return math.sqrt(float(integrate(abs_sq(self))))
+        return math.sqrt(float(integrate(Field(self.grid, abs_sq(self.values)))))
 
     def norm_sup(self) -> float:
         return float(np.abs(self.values).max())
 
 
-def abs_sq(f: Field) -> Field:
-    return Field(f.grid, (f.values * f.values.conj()).real)
+def abs_sq(a: np.ndarray) -> np.ndarray:
+    """|a|^2 as a real array: the density of samples, the power spectrum of a transform."""
+    return (a * a.conj()).real
 
 
 def integrate(f: Field):
@@ -260,27 +261,42 @@ def riesz_convolve(f: Field, gamma_exp: float) -> Field:
     return Field(f.grid, g.real if np.isrealobj(f.values) else g)
 
 
+def shell_fraction(grid: Grid, density: np.ndarray, cut: float, spectral: bool = False) -> float:
+    """Share of sum(density) on the box shell where some |a_i| >= cut.
+
+    a_i is the coordinate x_i, or with spectral=True the integer wave index
+    k_i of the fftfreq layout, so the shell is a max-norm one in either space.
+    The caller passes its own density; the mask is cached on the grid.
+    """
+    key = ("shell", cut, spectral)
+    mask = grid._cache.get(key)
+    if mask is None:
+        n = grid.points
+        dist = np.abs(np.fft.fftfreq(n) * n) if spectral else np.abs(grid.axis)
+        mask = np.zeros(grid.shape, dtype=bool)
+        for ax in range(grid.dim):
+            shape = [1] * grid.dim
+            shape[ax] = n
+            mask |= dist.reshape(shape) >= cut
+        grid._cache[key] = mask
+    total = float(density.sum())
+    if total == 0.0:
+        return 0.0
+    return float(density[mask].sum()) / total
+
+
 def outer_shell_mass_fraction(f: Field, shell: float = 0.1) -> float:
     """Fraction of integral(|f|^2) carried by points with max_i |x_i| >= (1-shell)*L.
 
     The sup-norm shell matches the box geometry; small values certify the
     field is effectively compactly supported inside the box.
     """
-    g = f.grid
-    cut = (1.0 - shell) * g.half_length
-    mask = np.zeros(g.shape, dtype=bool)
-    for c in g.coords:
-        mask |= np.abs(c) >= cut
-    w = (f.values * f.values.conj()).real
-    total = float(w.sum())
-    if total == 0.0:
-        return 0.0
-    return float(w[mask].sum()) / total
+    return shell_fraction(f.grid, abs_sq(f.values), (1.0 - shell) * f.grid.half_length)
 
 
 def center_of_mass(f: Field) -> np.ndarray:
     """Mass-weighted mean position, one entry per axis."""
-    w = (f.values * f.values.conj()).real
+    w = abs_sq(f.values)
     total = float(w.sum())
     if total == 0.0:
         return np.zeros(f.grid.dim)

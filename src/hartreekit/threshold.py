@@ -25,8 +25,9 @@ from .potentials import (
     eval_potential,
     eval_virial_weight,
     sign_classify,
+    value_sign,
 )
-from .spectral import Field
+from .spectral import Field, shell_fraction
 
 # strict theorem inequalities count as satisfied only beyond this
 # margin-to-scale ratio, so grid noise cannot flip a verdict silently
@@ -294,42 +295,6 @@ class DichotomyReport:
         }
 
 
-def _shell_variance_fraction(u: Field, shell: float = 0.1) -> float:
-    grid = u.grid
-    dens = np.abs(u.values) ** 2 * grid.r_sq
-    total = float(dens.sum())
-    if total == 0.0:
-        return 0.0
-    cut = (1.0 - shell) * grid.half_length
-    mask = np.zeros(grid.shape, dtype=bool)
-    for ax in grid.coords:
-        mask |= np.abs(ax) >= cut
-    return float(dens[mask].sum()) / total
-
-
-def _sign_of_values(values, rtol: float = 1e-10) -> str:
-    sup = float(np.abs(values).max())
-    if sup == 0.0:
-        return "zero"
-    lo = float(values.min())
-    hi = float(values.max())
-    if lo >= -rtol * sup and hi <= rtol * sup:
-        return "zero"
-    if lo >= -rtol * sup:
-        return "nonnegative"
-    if hi <= rtol * sup:
-        return "nonpositive"
-    return "mixed"
-
-
-def _negative_part_vanishes(spec: PotentialSpec, grid) -> bool:
-    if spec.is_zero:
-        return True
-    v = eval_potential(spec, grid)
-    sup = float(np.abs(v.values).max())
-    return sup == 0.0 or float(v.values.min()) >= -1e-12 * sup
-
-
 def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float) -> DichotomyReport:
     """Apply the super-threshold dichotomy hypotheses to initial data.
 
@@ -338,7 +303,9 @@ def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float)
     Nothing here raises on data that merely fails hypotheses; the verdict
     degrades to Indeterminate with the failures listed."""
     grid = u0.grid
-    free_branch = _negative_part_vanishes(potential, grid)
+    free_branch = potential.is_zero or value_sign(
+        eval_potential(potential, grid).values, rtol=1e-12
+    ) in ("nonnegative", "zero")
     if free_branch and not gs.potential.is_zero:
         raise ValueError(
             "V_- vanishes, so the reference must be the free profile; got one "
@@ -362,7 +329,8 @@ def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float)
     notes: list = []
     sc = s_crit(gamma)
     adm = check_admissible(potential, grid)
-    frac = _shell_variance_fraction(u0)
+    # variance density in the outer 10% shell
+    frac = shell_fraction(grid, np.abs(u0.values) ** 2 * grid.r_sq, 0.9 * grid.half_length)
     sigma_ok = frac < 1e-6
     sigma_rec = {"shell_fraction": frac, "satisfied": sigma_ok, "threshold": 1e-6}
     if not sigma_ok:
@@ -506,7 +474,7 @@ def _subthreshold_record(
         return rec
     if not potential.is_zero:
         v = eval_potential(potential, grid)
-        if _sign_of_values(v.values) not in ("nonnegative", "zero"):
+        if value_sign(v.values) not in ("nonnegative", "zero"):
             rec["notes"].append("V takes negative values; the sub-threshold result needs V >= 0")
             return rec
     if not gs.potential.is_zero:
@@ -521,7 +489,7 @@ def _subthreshold_record(
         rec["verdict"] = "GlobalScattersPredicted"
         if not potential.is_zero:
             xg = eval_virial_weight(potential, grid).values - 2.0 * eval_potential(potential, grid).values
-            if _sign_of_values(xg) not in ("nonpositive", "zero"):
+            if value_sign(xg) not in ("nonpositive", "zero"):
                 rec["notes"].append(
                     "scattering additionally needs x.grad V <= 0, which fails here; "
                     "only persistence below the product threshold is predicted"

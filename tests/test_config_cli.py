@@ -78,6 +78,17 @@ kind = zero
     assert len(v) >= 4  # one pass reports everything, not just the first
 
 
+def test_evolve_violations_reject_nan_and_list_each(tmp_path):
+    # NaN fails `not x > 0`; each bad [evolve] key is its own violation
+    path = write_cfg(tmp_path, "[run]\nmode = groundstate\n[evolve]\nt_max = nan\ntol_step = -1\n")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(path)
+    v = ei.value.violations
+    assert "[evolve]: t_max must be positive, got nan" in v
+    assert "[evolve]: tol_step must be positive, got -1.0" in v
+    assert len(v) == 2
+
+
 def test_gamma_window_and_grid_checks(tmp_path):
     path = write_cfg(tmp_path, "[run]\nmode = groundstate\n[model]\ngamma = 3.5\n")
     with pytest.raises(ConfigError, match=r"\(2, 3.0\)"):
