@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from .evolve import EvolveConfig
 from .potentials import KINDS as POTENTIAL_KINDS
@@ -124,7 +124,7 @@ class RunConfig:
             "gamma": self.gamma,
             "potential": self.potential.to_dict(),
             "initial_data": self.initial.to_dict() if self.initial else None,
-            "evolve": self.evolve.to_dict(),
+            "evolve": asdict(self.evolve),
             "groundstate": {
                 "omega": self.omega,
                 "omega_mode": self.omega_mode,

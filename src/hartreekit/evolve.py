@@ -35,11 +35,11 @@ class EvolveConfig:
     linear: bool = False  # drop the nonlinear phase (diagnostic runs)
 
     def __post_init__(self):
-        # written as `not x > 0` so that NaN fails too; every problem is reported
+        # written as `not 0 < x < inf` so that NaN and inf fail too; every problem is reported
         problems = [
-            f"{name} must be positive, got {getattr(self, name)}"
+            f"{name} must be positive and finite, got {getattr(self, name)}"
             for name in ("dt0", "t_max", "tol_step")
-            if not getattr(self, name) > 0
+            if not 0 < getattr(self, name) < math.inf
         ]
         if not self.blowup_grad_factor > 1:
             problems.append(f"blowup_grad_factor must exceed 1, got {self.blowup_grad_factor}")
@@ -50,28 +50,11 @@ class EvolveConfig:
         if problems:
             raise ValueError("; ".join(problems))
 
-    def to_dict(self) -> dict:
-        return {
-            "grid": {"dim": self.grid.dim, "points": self.grid.points, "half_length": self.grid.half_length},
-            "gamma": self.gamma,
-            "dt0": self.dt0,
-            "t_max": self.t_max,
-            "tol_step": self.tol_step,
-            "blowup_grad_factor": self.blowup_grad_factor,
-            "blowup_tail_frac": self.blowup_tail_frac,
-            "record_stride": self.record_stride,
-            "adaptive": self.adaptive,
-            "linear": self.linear,
-        }
-
 
 @dataclass
 class Termination:
     kind: str  # Completed | BlowupDetected | ResolutionExhausted
     time: float
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "time": self.time}
 
 
 @dataclass

@@ -21,14 +21,13 @@ rho = |u|^2 and u-hat = fftn(u) rather than recomputing them:
 take_snapshot evaluates all of them from one rho and one fftn(u).  The
 single-quantity calls (mass, grad_norm_sq, hv_norm_sq, p_functional,
 variance, virial_first, e_term) build the one input they need and call the
-same function; energy, weinstein, virial_second and cauchy_schwarz_gap read
-a snapshot.
+same function; energy, weinstein and virial_second read a snapshot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,11 +120,6 @@ def weinstein(u: Field, v: Field | None, gamma: float) -> float:
     return take_snapshot(u, 0.0, v, None, gamma).weinstein(gamma)
 
 
-def cauchy_schwarz_gap(u: Field, v: Field | None, gamma: float, c_q: float) -> float:
-    """Interpolation gap of u; see FunctionalSnapshot.cauchy_schwarz_gap."""
-    return take_snapshot(u, 0.0, v, None, gamma).cauchy_schwarz_gap(gamma, c_q)
-
-
 def virial_second(
     u: Field,
     v: Field | None,
@@ -182,35 +176,10 @@ class FunctionalSnapshot:
         return math.sqrt(max(self.variance_I, 0.0))
 
     def csv_row(self) -> list:
-        return [
-            self.time,
-            self.mass,
-            self.energy,
-            self.grad_sq,
-            self.hv_sq,
-            self.p_value,
-            self.variance_I,
-            self.virial_I1,
-            self.virial_I2,
-            self.e_term,
-            self.z,
-        ]
+        return [self.time, *(getattr(self, c) for c in CSV_COLUMNS[1:])]
 
     def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "mass": self.mass,
-            "energy": self.energy,
-            "grad_sq": self.grad_sq,
-            "hv_sq": self.hv_sq,
-            "p_value": self.p_value,
-            "variance_I": self.variance_I,
-            "virial_I1": self.virial_I1,
-            "virial_I2": self.virial_I2,
-            "e_term": self.e_term,
-            "e_term_approximate": self.e_term_approximate,
-            "z": self.z,
-        }
+        return {**asdict(self), "z": self.z}
 
     def weinstein(self, gamma: float) -> float:
         """W = P / (||u||_{HV}^gamma ||u||_{L2}^{4-gamma}); scale and phase invariant."""

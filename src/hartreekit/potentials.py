@@ -193,19 +193,6 @@ class AdmissibilityReport:
     compact_support: bool
     notes: list = dc_field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "kato_norm_negative_part": self.kato_norm_negative_part,
-            "kato_norm_full": self.kato_norm_full,
-            "kato_constant": self.kato_constant,
-            "kato_integral_negative_part": self.kato_integral_negative_part,
-            "kato_integral_threshold": self.kato_integral_threshold,
-            "ld2_norm": self.ld2_norm,
-            "compact_support": self.compact_support,
-            "notes": list(self.notes),
-        }
-
 
 def check_admissible(spec: PotentialSpec, grid: Grid) -> AdmissibilityReport:
     """Negative part strictly below the coercivity threshold (with margin), norms finite.
@@ -259,17 +246,3 @@ def value_sign(values, rtol: float = 1e-10) -> str:
     if pos:
         return "nonnegative"
     return "nonpositive" if neg else "zero"
-
-
-def sign_classify(spec: PotentialSpec, grid: Grid, rtol: float = 1e-10) -> str:
-    """Sign of 2V + x.grad V over the grid (see value_sign).
-
-    The zero potential returns 'zero', which satisfies both sign hypotheses of
-    the dichotomy (the free equation belongs to both branches).
-    """
-    if spec.is_zero:
-        return "zero"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        w = eval_virial_weight(spec, grid).values
-    return value_sign(w, rtol)

@@ -13,17 +13,29 @@ import math
 import os
 import sys
 import traceback
+from dataclasses import asdict
 
 import numpy as np
+from scipy.special import gamma as gamma_fn
 
 from .config import RunConfig
 from .evolve import EvolveConfig, TrajectoryRecord, evolve, monotonicity_probe, virial_consistency
 from .fieldio import load_field, write_json
 from .functionals import CSV_COLUMNS, mass, take_snapshot, virial_second
-from .ground_state import ConvergenceError, pohozaev_residuals, save_ground_state, solve_ground_state
+from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state
 from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm
-from .spectral import Field, Grid, outer_shell_mass_fraction, recenter, set_fft_workers
-from .threshold import classify, me_from_scalars, s_crit, x0_solve, f_eval, f_deriv
+from .spectral import (
+    Field,
+    Grid,
+    abs_sq,
+    fftn,
+    gradient,
+    outer_shell_mass_fraction,
+    recenter,
+    riesz_convolve,
+    set_fft_workers,
+)
+from .threshold import classify, f_deriv, f_eval, me_from_scalars, s_crit, x0_solve
 
 SHELL_MASS_LIMIT = 1e-8  # box-truncation gate on |u0|^2 in the outer 10% shell
 
@@ -122,7 +134,7 @@ def _gs_report(cfg: RunConfig, gs) -> dict:
         "c_gn": gs.c_gn,
         "c_q": gs.c_q,
         "pohozaev": pohozaev_residuals(gs),
-        "admissibility": check_admissible(cfg.potential, cfg.grid).to_dict(),
+        "admissibility": asdict(check_admissible(cfg.potential, cfg.grid)),
     }
 
 
@@ -136,7 +148,7 @@ def stage_groundstate(cfg: RunConfig, outdir):
 def stage_classify(cfg: RunConfig, outdir, gs):
     u0 = build_initial(cfg, gs=gs)
     report = classify(u0, cfg.potential, gs, cfg.gamma)
-    write_json(os.path.join(outdir, "classify_report.json"), report.to_dict())
+    write_json(os.path.join(outdir, "classify_report.json"), asdict(report))
     return u0, report
 
 
@@ -145,7 +157,7 @@ def stage_evolve(cfg: RunConfig, outdir, u0: Field) -> TrajectoryRecord:
     record = evolve(u0, cfg.potential, cfg.evolve)
     record.write_csv(os.path.join(outdir, "trajectory.csv"))
     rep = {
-        "termination": record.termination.to_dict(),
+        "termination": asdict(record.termination),
         "n_snapshots": len(record.snapshots),
         "n_accepted_steps": len(record.extras.get("accepted_dts", [])),
         "final_snapshot": record.snapshots[-1].to_dict(),
@@ -198,7 +210,7 @@ def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord, gs):
         fh.write(f"{verdict},{kind},{consistent},{note}\n")
     rep = {
         "verdict": verdict,
-        "termination": record.termination.to_dict(),
+        "termination": asdict(record.termination),
         "consistent": consistent,
         "monotonicity_probe": probe,
         "product_max": max(prods),
@@ -209,8 +221,8 @@ def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord, gs):
     return rep
 
 
-def _smooth_random_field(grid: Grid, rng, amplitude=0.5) -> Field:
-    """Superposition of a few random off-center Gaussians with random phases."""
+def smooth_random_field(grid: Grid, rng, amplitude=0.5) -> Field:
+    """Superposition of three random off-center complex Gaussians; decays well inside the box."""
     vals = np.zeros(grid.shape, dtype=complex)
     for _ in range(3):
         c = rng.uniform(-0.2 * grid.half_length, 0.2 * grid.half_length, size=grid.dim)
@@ -222,72 +234,132 @@ def _smooth_random_field(grid: Grid, rng, amplitude=0.5) -> Field:
     return Field(grid, vals)
 
 
+# The validate gates.  Each returns a defect that is small when its identity
+# holds; run_validate and the test suite call the same functions.
+
+
+def parseval_defect(u: Field) -> float:
+    """Relative gap between the mass in physical space and in Fourier space."""
+    grid = u.grid
+    m_phys = mass(u)
+    m_four = float(abs_sq(fftn(u.values)).sum()) * grid.cell_volume / grid.points**grid.dim
+    return abs(m_phys - m_four) / m_phys
+
+
+def gradient_routes_defect(u: Field, gamma: float) -> float:
+    """Relative gap between ||grad u||^2 from the spectral gradient and from the snapshot's Parseval sum."""
+    gsq_spec = float(sum(float(abs_sq(g.values).sum()) for g in gradient(u)) * u.grid.cell_volume)
+    snap = take_snapshot(u, 0.0, None, None, gamma)
+    return abs(gsq_spec - snap.grad_sq) / max(snap.grad_sq, 1e-300)
+
+
+def riesz_origin_defect(grid: Grid, gamma: float) -> float:
+    """Relative gap between (|x|^-gamma * e^{-|x|^2})(0) on the grid and by radial quadrature."""
+    # scipy.integrate is slow to import and only this gate needs it
+    from scipy.integrate import quad
+
+    g0 = grid.field_from_function(lambda *xs: np.exp(-sum(x**2 for x in xs)))
+    conv0 = riesz_convolve(g0, gamma).values[(grid.points // 2,) * grid.dim]
+    area = 2.0 * np.pi ** (grid.dim / 2.0) / gamma_fn(grid.dim / 2.0)
+    ref, _err = quad(lambda r: r ** (grid.dim - 1.0 - gamma) * math.exp(-r * r), 0.0, np.inf)
+    return abs(float(conv0.real) - area * ref) / (area * ref)
+
+
+def virial_dual_defect(u: Field, v: Field, virial_weight: Field, gamma: float) -> float:
+    """0 when virial_second's two routes to the e-term agree for this weight, inf when they do not."""
+    try:
+        virial_second(u, v, virial_weight, gamma)
+    except AssertionError:
+        return math.inf
+    return 0.0
+
+
+def variational_defects(u: Field, gs: GroundState, gamma: float) -> tuple:
+    """Violations of the sharp inequalities by u, each positive only when violated:
+    the scaled Cauchy-Schwarz gap, the interpolation bound P <= C_GN ||u||_HV^g M^{(4-g)/2},
+    and the Weinstein quotient against its maximum C_GN."""
+    sn = take_snapshot(u, 0.0, None, None, gamma)
+    scale = max(sn.variance_I * sn.hv_sq, 1e-300)
+    bound = gs.c_gn * sn.hv_sq ** (gamma / 2.0) * sn.mass ** ((4.0 - gamma) / 2.0)
+    return (
+        -sn.cauchy_schwarz_gap(gamma, gs.c_q) / scale,
+        sn.p_value / bound - 1.0,
+        sn.weinstein(gamma) / gs.c_gn - 1.0,
+    )
+
+
+def threshold_defects(e: float, m: float, c_q: float, gamma: float) -> tuple:
+    """Defects of the stationary point x0 of f: f'(x0) = 0, f(x0) = x0/8 and
+    ME (1 - x0/16E)^{s_c} = 1, each scaled and divided by the guard, and the guard.
+
+    The guard is 1 unless the stationary gap 16E - x0 sinks toward the ulp of
+    16E; past that the identities are limited by representation, so the gate
+    widens exactly as x0_solve's own validation does."""
+    x0 = x0_solve(e, m, c_q, gamma)
+    top = max(16.0 * e - x0, 1e-300)
+    guard = max(1.0, 64.0 * np.finfo(float).eps * abs(16.0 * e) / top / 1e-10)
+    scale_fp = 1.0 / (4.0 * (gamma - 2.0))
+    scale_fv = max(abs(x0) / 8.0, 1e-4 * (abs(16.0 * e) + top))
+    me = me_from_scalars(m, e, c_q, gamma)
+    return (
+        abs(f_deriv(x0, e, m, c_q, gamma)) / scale_fp / guard,
+        abs(f_eval(x0, e, m, c_q, gamma) - x0 / 8.0) / scale_fv / guard,
+        abs(me * (1.0 - x0 / (16.0 * e)) ** s_crit(gamma) - 1.0) / guard,
+        guard,
+    )
+
+
+def kato_ball_defect(v: Field, amplitude: float, radius: float) -> float:
+    """Relative gap between kato_norm(v) and a R^2 / 2, the Kato norm of a ball of amplitude a, radius R in d = 3."""
+    return abs(kato_norm(v) / (amplitude * radius**2 / 2.0) - 1.0)
+
+
+def kato_sandwich_excess(v: Field, u: Field, gamma: float) -> float:
+    """How far ||u||_HV^2 leaves [(1 - ||V||_K), (1 + ||V||_K)] ||grad u||^2, relative to ||grad u||^2."""
+    kv = kato_norm(v)
+    sn = take_snapshot(u, 0.0, v, None, gamma)
+    gsq, hv = sn.grad_sq, sn.hv_sq
+    lo, hi = (1.0 - kv) * gsq, (1.0 + kv) * gsq
+    return max((lo - hv) / gsq, (hv - hi) / gsq)
+
+
+def mass_drift_rate(record: TrajectoryRecord) -> float:
+    """|M(end) - M(0)| per unit time over a trajectory."""
+    return abs(record.snapshots[-1].mass - record.snapshots[0].mass) / record.termination.time
+
+
 def run_validate(cfg: RunConfig, outdir) -> int:
     """Seeded invariant suites; writes a pass/fail table and returns the failure count."""
     rng = np.random.default_rng(cfg.seed)
     grid, gamma = cfg.grid, cfg.gamma
     rows = []
 
-    def check(name, metric, threshold, ok=None):
+    def check(name, metric, threshold):
         metric = float(metric)
-        passed = bool(metric <= threshold) if ok is None else bool(ok)
-        rows.append({"check": name, "status": "PASS" if passed else "FAIL", "metric": metric, "threshold": threshold})
+        status = "PASS" if metric <= threshold else "FAIL"
+        rows.append({"check": name, "status": status, "metric": metric, "threshold": threshold})
 
-    u = _smooth_random_field(grid, rng)
-    from .spectral import fftn as _fftn, gradient as _gradient, integrate as _integrate, riesz_convolve
-
-    m_phys = mass(u)
-    uhat = _fftn(u.values)
-    m_four = float((uhat * uhat.conj()).real.sum()) * grid.cell_volume / grid.points**grid.dim
-    check("parseval_mass", abs(m_phys - m_four) / m_phys, 1e-12)
-
-    gsq_spec = float(sum(float((g_.values * g_.values.conj()).real.sum()) for g_ in _gradient(u)) * grid.cell_volume)
-    snap = take_snapshot(u, 0.0, None, None, gamma)
-    check("gradient_routes_agree", abs(gsq_spec - snap.grad_sq) / max(snap.grad_sq, 1e-300), 1e-11)
-
-    g0 = grid.field_from_function(lambda *xs: np.exp(-sum(x**2 for x in xs)))
-    conv0 = riesz_convolve(g0, gamma).values[(grid.points // 2,) * grid.dim]
-    # radial quadrature of int |y|^{-gamma} e^{-|y|^2} dy in d dims
-    from scipy.integrate import quad
-    from scipy.special import gamma as gamma_fn
-
-    area = 2.0 * np.pi ** (grid.dim / 2.0) / gamma_fn(grid.dim / 2.0)
-    ref, _err = quad(lambda r: r ** (grid.dim - 1.0 - gamma) * math.exp(-r * r), 0.0, np.inf)
-    check("riesz_origin_vs_quadrature", abs(float(conv0.real) - area * ref) / (area * ref), 1e-4)
-
+    u = smooth_random_field(grid, rng)
+    check("parseval_mass", parseval_defect(u), 1e-12)
+    check("gradient_routes_agree", gradient_routes_defect(u, gamma), 1e-11)
+    check("riesz_origin_vs_quadrature", riesz_origin_defect(grid, gamma), 1e-4)
     vspec = PotentialSpec(kind="gaussian_bump", amplitude=0.4, sigma=1.1)
-    vf = eval_potential(vspec, grid)
-    wf = eval_virial_weight(vspec, grid)
-    try:
-        virial_second(u, vf, wf, gamma)
-        check("virial_dual_form", 0.0, 1.0)
-    except AssertionError:
-        check("virial_dual_form", 1.0, 0.0)
+    v, w = eval_potential(vspec, grid), eval_virial_weight(vspec, grid)
+    check("virial_dual_form", virial_dual_defect(u, v, w, gamma), 1.0)
 
     try:
         gs = _solve_gs(cfg)
-    except RunError as exc:
-        rows.append({"check": "ground_state_converged", "status": "FAIL", "metric": float("nan"), "threshold": 0.0})
+    except RunError:
         gs = None
+        check("ground_state_converged", math.nan, 0.0)
     if gs is not None:
         check("ground_state_residual", gs.residual, cfg.gs_tol * 1.01)
-        poh = pohozaev_residuals(gs)
-        check("pohozaev_residuals", poh["max_abs"], 1e-4)
-
-        worst_gap = 0.0
-        worst_gn = 0.0
-        worst_w = 0.0
-        for _ in range(10):
-            tr = _smooth_random_field(grid, rng)
-            sn = take_snapshot(tr, 0.0, None, None, gamma)
-            scale = max(sn.variance_I * sn.hv_sq, 1e-300)
-            worst_gap = max(worst_gap, -sn.cauchy_schwarz_gap(gamma, gs.c_q) / scale)
-            bound = gs.c_gn * sn.hv_sq ** (gamma / 2.0) * sn.mass ** ((4.0 - gamma) / 2.0)
-            worst_gn = max(worst_gn, sn.p_value / bound - 1.0)
-            worst_w = max(worst_w, sn.weinstein(gamma) / gs.c_gn - 1.0)
-        check("cauchy_schwarz_gap_nonneg", worst_gap, 1e-8)
-        check("interpolation_bound", worst_gn, 1e-6)
-        check("weinstein_maximality", worst_w, 1e-6)
+        check("pohozaev_residuals", pohozaev_residuals(gs)["max_abs"], 1e-4)
+        trials = [variational_defects(smooth_random_field(grid, rng), gs, gamma) for _ in range(10)]
+        cs, gn, wm = (max(0.0, *col) for col in zip(*trials))
+        check("cauchy_schwarz_gap_nonneg", cs, 1e-8)
+        check("interpolation_bound", gn, 1e-6)
+        check("weinstein_maximality", wm, 1e-6)
 
         worst = 0.0
         for _ in range(10):
@@ -296,46 +368,25 @@ def run_validate(cfg: RunConfig, outdir) -> int:
             cq = 10.0 ** rng.uniform(-1.0, 1.0)
             gap = 10.0 ** rng.uniform(-1.0, 2.0)
             ee = gap * 10.0 ** rng.uniform(-1.5, 1.5) / 16.0
-            x0 = x0_solve(ee, mm, cq, gg)
-            g2 = gg - 2.0
-            # independent (m, c_q) draws can leave the stationary gap 16E - x0
-            # at the ulp of 16E; past that the identities are limited by
-            # representation, so the gate widens exactly as x0_solve's own
-            # validation does (guard = 1 for every well-separated tuple)
-            top = max(16.0 * ee - x0, 1e-300)
-            guard = max(1.0, 64.0 * np.finfo(float).eps * abs(16.0 * ee) / top / 1e-10)
-            scale_fp = 1.0 / (4.0 * g2)
-            worst = max(worst, abs(f_deriv(x0, ee, mm, cq, gg)) / scale_fp / guard)
-            scale_fv = max(abs(x0) / 8.0, 1e-4 * (abs(16.0 * ee) + top))
-            worst = max(worst, abs(f_eval(x0, ee, mm, cq, gg) - x0 / 8.0) / scale_fv / guard)
-            me = me_from_scalars(mm, ee, cq, gg)
-            sc = s_crit(gg)
-            worst = max(worst, abs(me * (1.0 - x0 / (16.0 * ee)) ** sc - 1.0) / guard)
+            # independent (m, c_q) draws can leave the stationary gap at the
+            # ulp of 16E; threshold_defects' guard covers those tuples
+            worst = max(worst, *threshold_defects(ee, mm, cq, gg)[:3])
         check("threshold_identities", worst, 1e-10)
 
-    ball = PotentialSpec(kind="ball_indicator", amplitude=0.7, radius=1.5)
-    kn = kato_norm(eval_potential(ball, grid))
-    check("kato_ball_closed_form", abs(kn / (0.7 * 1.5**2 / 2.0) - 1.0), 1e-2)
+    ball = eval_potential(PotentialSpec(kind="ball_indicator", amplitude=0.7, radius=1.5), grid)
+    check("kato_ball_closed_form", kato_ball_defect(ball, 0.7, 1.5), 1e-2)
 
-    worst_sw = 0.0
+    worst = 0.0
     for _ in range(10):
         amp = rng.uniform(0.05, 0.6) * rng.choice([-1.0, 1.0])
         sig = rng.uniform(0.6, 1.5)
-        vs = PotentialSpec(kind="gaussian_bump", amplitude=amp, sigma=sig)
-        vfield = eval_potential(vs, grid)
-        kv = kato_norm(vfield)
-        tu = _smooth_random_field(grid, rng)
-        sn = take_snapshot(tu, 0.0, vfield, None, gamma)
-        gsq, hv = sn.grad_sq, sn.hv_sq
-        lo, hi = (1.0 - kv) * gsq, (1.0 + kv) * gsq
-        worst_sw = max(worst_sw, (lo - hv) / gsq, (hv - hi) / gsq)
-    check("kato_sandwich", worst_sw, 1e-2)
+        vf = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=amp, sigma=sig), grid)
+        worst = max(worst, kato_sandwich_excess(vf, smooth_random_field(grid, rng), gamma))
+    check("kato_sandwich", worst, 1e-2)
 
     ev = EvolveConfig(grid=grid, gamma=gamma, dt0=1e-3, t_max=0.05, tol_step=1e-6, record_stride=10)
     u0 = Field(grid, 0.3 * np.exp(-grid.r_sq / 8.0) + 0j)
-    recd = evolve(u0, vspec, ev)
-    drift = abs(recd.snapshots[-1].mass - recd.snapshots[0].mass) / recd.termination.time
-    check("mass_drift_rate", drift, 1e-10)
+    check("mass_drift_rate", mass_drift_rate(evolve(u0, vspec, ev)), 1e-10)
 
     with open(os.path.join(outdir, "validate_table.csv"), "w") as fh:
         fh.write("check,status,metric,threshold\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .potentials import (
     check_admissible,
     eval_potential,
     eval_virial_weight,
-    sign_classify,
     value_sign,
 )
 from .spectral import Field, shell_fraction
@@ -177,20 +176,6 @@ class Condition18:
     degenerate: bool = False
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "margin": self.margin,
-            "lhs": self.lhs,
-            "z_prime_sq": self.z_prime_sq,
-            "x0_half": self.x0_half,
-            "z_sq_boundary": self.z_sq_boundary,
-            "paper_form_satisfied": self.paper_form_satisfied,
-            "agrees": self.agrees,
-            "degenerate": self.degenerate,
-            "note": self.note,
-        }
-
 
 def check_condition_1_8(u0: FunctionalSnapshot, gs: GroundState, gamma: float) -> Condition18:
     """Evaluate the admission condition and its companion slope form."""
@@ -269,31 +254,6 @@ class DichotomyReport:
     subthreshold: dict = dc_field(default_factory=dict)
     notes: list = dc_field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "gamma": self.gamma,
-            "s_c": self.s_c,
-            "me": self.me,
-            "x0": self.x0,
-            "f_x0": self.f_x0,
-            "I0": self.I0,
-            "I1_0": self.I1_0,
-            "mass": self.mass,
-            "energy": self.energy,
-            "cond_me_gt_1": self.cond_me_gt_1,
-            "cond_1_8": self.cond_1_8,
-            "sign_2V_xgradV": self.sign_2V_xgradV,
-            "cond_mp": self.cond_mp,
-            "sigma_membership": self.sigma_membership,
-            "admissibility": self.admissibility,
-            "branch": self.branch,
-            "failed_blowup": list(self.failed_blowup),
-            "failed_global": list(self.failed_global),
-            "subthreshold": self.subthreshold,
-            "notes": list(self.notes),
-        }
-
 
 def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float) -> DichotomyReport:
     """Apply the super-threshold dichotomy hypotheses to initial data.
@@ -303,9 +263,8 @@ def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float)
     Nothing here raises on data that merely fails hypotheses; the verdict
     degrades to Indeterminate with the failures listed."""
     grid = u0.grid
-    free_branch = potential.is_zero or value_sign(
-        eval_potential(potential, grid).values, rtol=1e-12
-    ) in ("nonnegative", "zero")
+    vfield = None if potential.is_zero else eval_potential(potential, grid)
+    free_branch = vfield is None or value_sign(vfield.values, rtol=1e-12) in ("nonnegative", "zero")
     if free_branch and not gs.potential.is_zero:
         raise ValueError(
             "V_- vanishes, so the reference must be the free profile; got one "
@@ -317,7 +276,6 @@ def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float)
             "potential; the provided reference was solved with a different one"
         )
 
-    vfield = None if potential.is_zero else eval_potential(potential, grid)
     wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
     snap = take_snapshot(
         u0, 0.0, vfield, wfield, gamma,
@@ -338,7 +296,8 @@ def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float)
             "outer-shell variance fraction exceeds 1e-6; the data is not "
             "numerically localized enough to trust x-weighted quantities"
         )
-    sign_w = sign_classify(potential, grid)
+    # the zero potential satisfies both sign hypotheses: the free equation belongs to both branches
+    sign_w = "zero" if wfield is None else value_sign(wfield.values)
     if snap.e_term_approximate:
         notes.append("2V + x.grad V has a distributional part; its sign and e-term use the flagged interior value")
 
@@ -405,11 +364,11 @@ def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float)
         return DichotomyReport(
             verdict=verdict, gamma=gamma, s_c=sc, me=me, x0=x0, f_x0=f_x0,
             I0=snap.variance_I, I1_0=i1, mass=snap.mass, energy=energy,
-            cond_me_gt_1=me_rec, cond_1_8=cond18.to_dict(), sign_2V_xgradV=sign_w,
-            cond_mp=mp_rec, sigma_membership=sigma_rec, admissibility=adm.to_dict(),
+            cond_me_gt_1=me_rec, cond_1_8=asdict(cond18), sign_2V_xgradV=sign_w,
+            cond_mp=mp_rec, sigma_membership=sigma_rec, admissibility=asdict(adm),
             branch="free" if free_branch else "pinned",
             failed_blowup=failed, failed_global=failed + ["me_gt_1"],
-            subthreshold=_subthreshold_record(snap, potential, gs, gamma, me),
+            subthreshold=_subthreshold_record(snap, vfield, wfield, gs, gamma, me),
             notes=notes,
         )
 
@@ -445,20 +404,21 @@ def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float)
     return DichotomyReport(
         verdict=verdict, gamma=gamma, s_c=sc, me=me, x0=x0, f_x0=f_x0,
         I0=snap.variance_I, I1_0=i1, mass=snap.mass, energy=energy,
-        cond_me_gt_1=me_rec, cond_1_8=cond18.to_dict(), sign_2V_xgradV=sign_w,
-        cond_mp=mp_rec, sigma_membership=sigma_rec, admissibility=adm.to_dict(),
+        cond_me_gt_1=me_rec, cond_1_8=asdict(cond18), sign_2V_xgradV=sign_w,
+        cond_mp=mp_rec, sigma_membership=sigma_rec, admissibility=asdict(adm),
         branch="free" if free_branch else "pinned",
         failed_blowup=failed_blowup, failed_global=failed_global,
-        subthreshold=_subthreshold_record(snap, potential, gs, gamma, me),
+        subthreshold=_subthreshold_record(snap, vfield, wfield, gs, gamma, me),
         notes=notes,
     )
 
 
 def _subthreshold_record(
-    snap: FunctionalSnapshot, potential: PotentialSpec, gs: GroundState, gamma: float, me: float
+    snap: FunctionalSnapshot, vfield: Field | None, wfield: Field | None, gs: GroundState, gamma: float, me: float
 ) -> dict:
     """Sub-threshold comparison record; verdict NotApplicable unless ME < 1,
-    V >= 0 pointwise, and the reference is the free profile."""
+    V >= 0 pointwise, and the reference is the free profile.  vfield and
+    wfield are the sampled V and 2V + x.grad V, None for the zero potential."""
     grid = gs.field.grid
     regime = "native" if (gamma == 3.0 and grid.dim == 5) else "heuristic-extension"
     rec = {
@@ -472,11 +432,9 @@ def _subthreshold_record(
     if math.isnan(me) or me >= 1.0 - STRICTNESS:
         rec["notes"].append("ME is not below 1")
         return rec
-    if not potential.is_zero:
-        v = eval_potential(potential, grid)
-        if value_sign(v.values) not in ("nonnegative", "zero"):
-            rec["notes"].append("V takes negative values; the sub-threshold result needs V >= 0")
-            return rec
+    if vfield is not None and value_sign(vfield.values) not in ("nonnegative", "zero"):
+        rec["notes"].append("V takes negative values; the sub-threshold result needs V >= 0")
+        return rec
     if not gs.potential.is_zero:
         rec["notes"].append("reference is not the free profile")
         return rec
@@ -487,8 +445,8 @@ def _subthreshold_record(
     rec.update(product_u=prod_u, product_gs=prod_q, margin=margin)
     if margin < -STRICTNESS * prod_q:
         rec["verdict"] = "GlobalScattersPredicted"
-        if not potential.is_zero:
-            xg = eval_virial_weight(potential, grid).values - 2.0 * eval_potential(potential, grid).values
+        if vfield is not None:
+            xg = wfield.values - 2.0 * vfield.values
             if value_sign(xg) not in ("nonpositive", "zero"):
                 rec["notes"].append(
                     "scattering additionally needs x.grad V <= 0, which fails here; "
@@ -496,8 +454,7 @@ def _subthreshold_record(
                 )
     elif margin > STRICTNESS * prod_q:
         rec["verdict"] = "BlowUpPredicted"
-        wsign = sign_classify(potential, grid)
-        if wsign not in ("nonnegative", "zero"):
+        if wfield is not None and value_sign(wfield.values) not in ("nonnegative", "zero"):
             rec["notes"].append(
                 "gradient growth additionally needs 2V + x.grad V >= 0, which fails here; "
                 "only persistence above the product threshold is predicted"
@@ -521,4 +478,4 @@ def classify_subthreshold(
         e_term_approximate=potential.xgrad_is_distributional,
     )
     me = me_ratio(snap, gs, gamma)
-    return _subthreshold_record(snap, potential, gs, gamma, me)
+    return _subthreshold_record(snap, vfield, wfield, gs, gamma, me)

@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from hartreekit.spectral import Grid, Field
+from hartreekit.spectral import Grid
 from hartreekit.potentials import PotentialSpec
 from hartreekit.ground_state import solve_ground_state
 
@@ -39,14 +38,13 @@ def gs64(grid64):
     return gs
 
 
-def smooth_field(grid, rng, amplitude=0.5, n_bumps=3):
-    """Random superposition of off-center complex Gaussians; decays well inside the box."""
-    vals = np.zeros(grid.shape, dtype=complex)
-    for _ in range(n_bumps):
-        c = rng.uniform(-0.2 * grid.half_length, 0.2 * grid.half_length, size=grid.dim)
-        w = rng.uniform(0.8, 1.8)
-        amp = amplitude * rng.uniform(0.4, 1.0)
-        ph = rng.uniform(0.0, 2.0 * np.pi)
-        r2 = sum((x - ci) ** 2 for x, ci in zip(grid.coords, c))
-        vals += amp * np.exp(1j * ph) * np.exp(-r2 / (2.0 * w * w))
-    return Field(grid, vals)
+def random_threshold_tuple(rng, dim=3):
+    """(energy, mass, c_q, gamma, gap) with the stationary gap 16E - x0 prescribed
+    first, so no identity check ever runs into catastrophic cancellation."""
+    gamma = rng.uniform(2.3, min(3.7, dim - 0.2))
+    gap = 10.0 ** rng.uniform(-1.0, 2.0)
+    m = rng.uniform(0.3, 3.0)
+    g2 = gamma - 2.0
+    c_q = 4.0 / gamma * m ** (-(4.0 - gamma) / gamma) * (gap / (2.0 * g2)) ** ((2.0 - gamma) / gamma)
+    e = gap * 10.0 ** rng.uniform(-1.5, 1.5) / 16.0
+    return e, m, c_q, gamma, gap

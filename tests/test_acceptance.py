@@ -12,32 +12,31 @@ localized data; the shipped preset detects collapse at 6x growth).
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hartreekit.cli import main
-from hartreekit.evolve import EvolveConfig, evolve, virial_consistency
+from hartreekit.evolve import EvolveConfig, TrajectoryRecord, evolve, virial_consistency
 from hartreekit.fieldio import read_json
-from hartreekit.functionals import cauchy_schwarz_gap, grad_norm_sq, hv_norm_sq, take_snapshot, weinstein
+from hartreekit.functionals import weinstein
 from hartreekit.ground_state import closed_form_c_q, solve_ground_state
-from hartreekit.potentials import PotentialSpec, eval_potential, kato_norm
+from hartreekit.potentials import PotentialSpec, eval_potential
+from hartreekit.runner import (
+    kato_ball_defect,
+    kato_sandwich_excess,
+    mass_drift_rate,
+    smooth_random_field,
+    threshold_defects,
+    variational_defects,
+)
 from hartreekit.spectral import Field, Grid
-from hartreekit.threshold import f_deriv, f_eval, me_from_scalars, s_crit, x0_solve
+from hartreekit.threshold import me_from_scalars, s_crit, x0_solve
 
-from conftest import GAMMA, smooth_field
+from conftest import GAMMA, random_threshold_tuple
 
 BUMP = PotentialSpec(kind="gaussian_bump", amplitude=0.8, sigma=1.5)
-
-
-def _random_threshold_tuple(rng, dim=3):
-    gamma = rng.uniform(2.3, min(3.7, dim - 0.2))
-    gap = 10.0 ** rng.uniform(-1.0, 2.0)
-    m = rng.uniform(0.3, 3.0)
-    g2 = gamma - 2.0
-    c_q = 4.0 / gamma * m ** (-(4.0 - gamma) / gamma) * (gap / (2.0 * g2)) ** ((2.0 - gamma) / gamma)
-    e = gap * 10.0 ** rng.uniform(-1.5, 1.5) / 16.0
-    return e, m, c_q, gamma, gap
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +77,8 @@ def test_weinstein_maximality_and_sharp_constant(gs64):
     rng = np.random.default_rng(1101)
     grid = gs64.field.grid
     for _ in range(100):
-        trial = smooth_field(grid, rng)
-        assert weinstein(trial, None, GAMMA) <= wq * (1.0 + 1e-6)
+        _gap, interpolation, excess = variational_defects(smooth_random_field(grid, rng), gs64, GAMMA)
+        assert excess <= 1e-6 and interpolation <= 1e-6
     ref = closed_form_c_q(GAMMA, gs64.snapshot.mass)
     assert abs(gs64.c_q - ref) <= 1e-4 * ref
 
@@ -90,15 +89,11 @@ def test_threshold_stationarity_identities():
     # stationary gap through the exponent-carrying product identity
     rng = np.random.default_rng(1102)
     for _ in range(50):
-        e, m, c_q, gamma, gap = _random_threshold_tuple(rng)
+        e, m, c_q, gamma, _gap = random_threshold_tuple(rng)
         assert e > 0
-        x0 = x0_solve(e, m, c_q, gamma)
-        g2 = gamma - 2.0
-        assert abs(f_deriv(x0, e, m, c_q, gamma)) <= 1e-10 * (1.0 / (4.0 * g2))
-        scale_fv = max(abs(x0) / 8.0, 1e-4 * (abs(16.0 * e) + gap))
-        assert abs(f_eval(x0, e, m, c_q, gamma) - x0 / 8.0) <= 1e-10 * scale_fv
-        me = me_from_scalars(m, e, c_q, gamma)
-        assert abs(me * (1.0 - x0 / (16.0 * e)) ** s_crit(gamma) - 1.0) <= 1e-10
+        *defects, guard = threshold_defects(e, m, c_q, gamma)
+        assert guard == 1.0
+        assert max(defects) <= 1e-10
 
 
 @pytest.mark.xfail(
@@ -111,7 +106,7 @@ def test_threshold_stationarity_identities():
 def test_threshold_product_identity_unexponentiated():
     rng = np.random.default_rng(1102)
     for _ in range(50):
-        e, m, c_q, gamma, _gap = _random_threshold_tuple(rng)
+        e, m, c_q, gamma, _gap = random_threshold_tuple(rng)
         x0 = x0_solve(e, m, c_q, gamma)
         me = me_from_scalars(m, e, c_q, gamma)
         assert abs(me * (1.0 - x0 / (16.0 * e)) - 1.0) <= 1e-10
@@ -122,8 +117,8 @@ def test_kato_ball_closed_form_and_sandwich():
     # form-bound sandwich holds on 50 random (V, u) pairs within 1e-2
     grid = Grid(3, 64, 10.0)
     a, radius = 0.7, 1.5
-    kn = kato_norm(eval_potential(PotentialSpec(kind="ball_indicator", amplitude=a, radius=radius), grid))
-    assert abs(kn / (a * radius * radius / 2.0) - 1.0) <= 1e-2
+    ball = eval_potential(PotentialSpec(kind="ball_indicator", amplitude=a, radius=radius), grid)
+    assert kato_ball_defect(ball, a, radius) <= 1e-2
 
     small = Grid(3, 32, 8.0)
     rng = np.random.default_rng(1103)
@@ -131,12 +126,7 @@ def test_kato_ball_closed_form_and_sandwich():
         amp = rng.uniform(0.05, 0.6) * rng.choice([-1.0, 1.0])
         sig = rng.uniform(0.6, 1.5)
         vf = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=amp, sigma=sig), small)
-        kv = kato_norm(vf)
-        u = smooth_field(small, rng)
-        gsq = grad_norm_sq(u)
-        hv = hv_norm_sq(u, vf)
-        assert hv >= (1.0 - kv) * gsq - 1e-2 * gsq
-        assert hv <= (1.0 + kv) * gsq + 1e-2 * gsq
+        assert kato_sandwich_excess(vf, smooth_random_field(small, rng), GAMMA) <= 1e-2
 
 
 def test_mass_drift_and_energy_order(grid64):
@@ -150,8 +140,10 @@ def test_mass_drift_and_energy_order(grid64):
                        record_stride=10, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, BUMP, cfg)
     assert rec.termination.kind == "Completed"
-    drift_rate = abs(rec.snapshots[-1].mass - rec.snapshots[0].mass) / rec.termination.time
-    assert drift_rate <= 1e-10
+    assert mass_drift_rate(rec) <= 1e-10
+    # a record whose last mass is off by 1e-8 reads as a drift
+    last = replace(rec.snapshots[-1], mass=rec.snapshots[0].mass * (1.0 + 1e-8))
+    assert mass_drift_rate(TrajectoryRecord([rec.snapshots[0], last], rec.termination, cfg)) > 1e-10
 
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
@@ -182,12 +174,10 @@ def test_virial_derivative_columns_and_gap_sweep(gs64):
     assert dev["i2_max_rel_dev"] <= 1e-3
 
     rng = np.random.default_rng(1104)
-    g = smooth_field(grid, rng)
+    g = smooth_random_field(grid, rng)
     for lam in np.linspace(-0.5, 0.5, 11):
         u = Field(grid, g.values * np.exp(1j * lam * r2))
-        snap = take_snapshot(u, 0.0, None, None, GAMMA)
-        gap = cauchy_schwarz_gap(u, None, GAMMA, gs64.c_q)
-        assert gap >= -1e-8 * max(snap.variance_I * snap.hv_sq, 1e-300)
+        assert variational_defects(u, gs64, GAMMA)[0] <= 1e-8
 
 
 def test_collapse_pipeline_verdict_and_monotonicity(blowup_run):
@@ -258,6 +248,14 @@ def test_validate_rerun_bit_identical(tmp_path):
         code = main(["validate", "--config", "validate", "--out", out, "--seed", "7", "--threads", "1"])
         assert code == 0
         outs.append(out)
+    checks = read_json(os.path.join(outs[0], "validate_report.json"))["checks"]
+    assert [(c["check"], c["threshold"]) for c in checks] == [
+        ("parseval_mass", 1e-12), ("gradient_routes_agree", 1e-11), ("riesz_origin_vs_quadrature", 1e-4),
+        ("virial_dual_form", 1.0), ("ground_state_residual", 1.01e-9), ("pohozaev_residuals", 1e-4),
+        ("cauchy_schwarz_gap_nonneg", 1e-8), ("interpolation_bound", 1e-6), ("weinstein_maximality", 1e-6),
+        ("threshold_identities", 1e-10), ("kato_ball_closed_form", 1e-2), ("kato_sandwich", 1e-2),
+        ("mass_drift_rate", 1e-10),
+    ]
     names0 = sorted(os.listdir(outs[0]))
     assert names0 == sorted(os.listdir(outs[1]))
     assert "validate_table.csv" in names0 and "manifest.json" in names0

@@ -79,14 +79,15 @@ kind = zero
 
 
 def test_evolve_violations_reject_nan_and_list_each(tmp_path):
-    # NaN fails `not x > 0`; each bad [evolve] key is its own violation
-    path = write_cfg(tmp_path, "[run]\nmode = groundstate\n[evolve]\nt_max = nan\ntol_step = -1\n")
+    # NaN and inf fail `not 0 < x < inf`; each bad [evolve] key is its own violation
+    path = write_cfg(tmp_path, "[run]\nmode = groundstate\n[evolve]\nt_max = nan\ntol_step = -1\ndt0 = inf\n")
     with pytest.raises(ConfigError) as ei:
         parse_config(path)
     v = ei.value.violations
-    assert "[evolve]: t_max must be positive, got nan" in v
-    assert "[evolve]: tol_step must be positive, got -1.0" in v
-    assert len(v) == 2
+    assert "[evolve]: t_max must be positive and finite, got nan" in v
+    assert "[evolve]: tol_step must be positive and finite, got -1.0" in v
+    assert "[evolve]: dt0 must be positive and finite, got inf" in v
+    assert len(v) == 3
 
 
 def test_gamma_window_and_grid_checks(tmp_path):

@@ -61,9 +61,9 @@ def test_module_is_not_shadowed_by_the_integrator():
 
 
 def test_config_validation(g32):
-    nan = float("nan")
-    for bad in ({"dt0": 0.0}, {"dt0": nan}, {"t_max": -1.0}, {"t_max": nan},
-                {"tol_step": 0.0}, {"tol_step": -1e-6}, {"tol_step": nan},
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"dt0": 0.0}, {"dt0": nan}, {"dt0": inf}, {"t_max": -1.0}, {"t_max": nan}, {"t_max": inf},
+                {"tol_step": 0.0}, {"tol_step": -1e-6}, {"tol_step": nan}, {"tol_step": inf},
                 {"blowup_grad_factor": 1.0}, {"blowup_grad_factor": nan}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             EvolveConfig(grid=g32, gamma=GAMMA, **bad)

@@ -1,10 +1,11 @@
 """Conserved quantities, virial algebra, and the variational gap."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hartreekit.functionals import (
-    cauchy_schwarz_gap,
     e_term,
     energy,
     grad_norm_sq,
@@ -18,20 +19,21 @@ from hartreekit.functionals import (
     weinstein,
 )
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
+from hartreekit.runner import smooth_random_field, variational_defects, virial_dual_defect
 from hartreekit.spectral import Field
 
-from conftest import GAMMA, smooth_field
+from conftest import GAMMA
 
 
 def test_mass_is_l2_squared(grid32):
     rng = np.random.default_rng(21)
-    u = smooth_field(grid32, rng)
+    u = smooth_random_field(grid32, rng)
     assert abs(mass(u) - u.norm_l2() ** 2) < 1e-12 * mass(u)
 
 
 def test_hv_decomposition(grid32):
     rng = np.random.default_rng(22)
-    u = smooth_field(grid32, rng)
+    u = smooth_random_field(grid32, rng)
     v = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=0.4, sigma=1.1), grid32)
     vterm = float(((u.values * u.values.conj()).real * v.values).sum() * grid32.cell_volume)
     assert abs(hv_norm_sq(u, v) - (grad_norm_sq(u) + vterm)) < 1e-11 * hv_norm_sq(u, v)
@@ -40,7 +42,7 @@ def test_hv_decomposition(grid32):
 
 def test_energy_definition(grid32):
     rng = np.random.default_rng(23)
-    u = smooth_field(grid32, rng)
+    u = smooth_random_field(grid32, rng)
     v = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=-0.2, sigma=1.3), grid32)
     e = energy(u, v, GAMMA)
     assert abs(e - (0.5 * hv_norm_sq(u, v) - 0.25 * p_functional(u, GAMMA))) < 1e-11 * (abs(e) + 1.0)
@@ -48,7 +50,7 @@ def test_energy_definition(grid32):
 
 def test_p_functional_positive_and_quartic(grid32):
     rng = np.random.default_rng(24)
-    u = smooth_field(grid32, rng)
+    u = smooth_random_field(grid32, rng)
     p1 = p_functional(u, GAMMA)
     assert p1 > 0.0
     u2 = Field(grid32, 2.0 * u.values)
@@ -58,7 +60,7 @@ def test_p_functional_positive_and_quartic(grid32):
 def test_phase_gauge_invariance(grid32):
     # global phase changes no functional
     rng = np.random.default_rng(25)
-    u = smooth_field(grid32, rng)
+    u = smooth_random_field(grid32, rng)
     w = Field(grid32, np.exp(1.37j) * u.values)
     for f in (mass, lambda a: p_functional(a, GAMMA), grad_norm_sq, variance, virial_first):
         assert abs(f(w) - f(u)) <= 1e-10 * max(abs(f(u)), 1.0)
@@ -82,7 +84,7 @@ def test_quadratic_phase_algebra(grid32):
 
 def test_virial_second_forms_agree(grid32):
     rng = np.random.default_rng(26)
-    u = smooth_field(grid32, rng)
+    u = smooth_random_field(grid32, rng)
     spec = PotentialSpec(kind="gaussian_bump", amplitude=0.3, sigma=1.2)
     v = eval_potential(spec, grid32)
     w = eval_virial_weight(spec, grid32)
@@ -93,19 +95,20 @@ def test_virial_second_forms_agree(grid32):
 
 def test_virial_second_inconsistent_weight_raises(grid32):
     rng = np.random.default_rng(27)
-    u = smooth_field(grid32, rng)
+    u = smooth_random_field(grid32, rng)
     spec = PotentialSpec(kind="gaussian_bump", amplitude=0.3, sigma=1.2)
     v = eval_potential(spec, grid32)
     wrong = eval_virial_weight(PotentialSpec(kind="gaussian_bump", amplitude=0.9, sigma=0.7), grid32)
     with pytest.raises(AssertionError):
         virial_second(u, v, wrong, GAMMA)
+    assert virial_dual_defect(u, v, wrong, GAMMA) > 1.0
 
 
 def test_virial_second_ball_surface_term(grid32):
     # sampled ball weight omits the surface part of x.grad V; the cross-check
     # sees the gap, and rtol_consistency=None opts out for such potentials
     rng = np.random.default_rng(33)
-    u = smooth_field(grid32, rng)
+    u = smooth_random_field(grid32, rng)
     spec = PotentialSpec(kind="ball_indicator", amplitude=0.5, radius=1.8)
     v = eval_potential(spec, grid32)
     with pytest.warns(UserWarning):
@@ -119,7 +122,7 @@ def test_virial_second_ball_surface_term(grid32):
 def test_free_virial_second_is_8e_plus_spread(grid32):
     # V = 0: I'' = 8 grad^2 - 2 gamma P = 16 E - (2 gamma - 4) P
     rng = np.random.default_rng(28)
-    u = smooth_field(grid32, rng)
+    u = smooth_random_field(grid32, rng)
     i2 = virial_second(u, None, None, GAMMA)
     ref = 16.0 * energy(u, None, GAMMA) - (2.0 * GAMMA - 4.0) * p_functional(u, GAMMA)
     assert abs(i2 - ref) < 1e-9 * (abs(i2) + 1.0)
@@ -127,7 +130,7 @@ def test_free_virial_second_is_8e_plus_spread(grid32):
 
 def test_snapshot_consistency(grid32):
     rng = np.random.default_rng(29)
-    u = smooth_field(grid32, rng)
+    u = smooth_random_field(grid32, rng)
     spec = PotentialSpec(kind="gaussian_bump", amplitude=0.25, sigma=1.0)
     v = eval_potential(spec, grid32)
     w = eval_virial_weight(spec, grid32)
@@ -143,7 +146,7 @@ def test_snapshot_consistency(grid32):
 def test_weinstein_scale_invariance(grid48, gs48):
     # W is invariant under u -> c u and u -> dilations; check amplitude scaling on the grid
     rng = np.random.default_rng(30)
-    u = smooth_field(grid48, rng)
+    u = smooth_random_field(grid48, rng)
     w1 = weinstein(u, None, GAMMA)
     w2 = weinstein(Field(grid48, 3.7 * u.values), None, GAMMA)
     assert abs(w1 - w2) < 1e-10 * abs(w1)
@@ -154,14 +157,15 @@ def test_weinstein_maximized_by_ground_state(grid48, gs48):
     wq = weinstein(gs48.field, None, GAMMA)
     assert abs(wq - gs48.c_gn) < 1e-8 * wq
     for _ in range(20):
-        tr = smooth_field(grid48, rng)
-        assert weinstein(tr, None, GAMMA) <= wq * (1.0 + 1e-6)
+        _gap, interpolation, excess = variational_defects(smooth_random_field(grid48, rng), gs48, GAMMA)
+        assert excess <= 1e-6 and interpolation <= 1e-6
+    # against half the sharp constant, Q itself violates all three inequalities
+    half = replace(gs48, c_gn=0.5 * gs48.c_gn, c_q=(0.5 * gs48.c_gn) ** (2.0 / GAMMA))
+    gap, interpolation, excess = variational_defects(gs48.field, half, GAMMA)
+    assert gap > 1e-8 and interpolation > 1e-6 and excess > 1e-6
 
 
 def test_cauchy_schwarz_gap_nonnegative(grid48, gs48):
     rng = np.random.default_rng(32)
     for _ in range(20):
-        u = smooth_field(grid48, rng)
-        gap = cauchy_schwarz_gap(u, None, GAMMA, gs48.c_q)
-        scale = take_snapshot(u, 0.0, None, None, GAMMA).variance_I * hv_norm_sq(u, None)
-        assert gap >= -1e-8 * scale
+        assert variational_defects(smooth_random_field(grid48, rng), gs48, GAMMA)[0] <= 1e-8

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+from hartreekit.runner import gradient_routes_defect, parseval_defect, riesz_origin_defect, smooth_random_field
 from hartreekit.spectral import (
     Field,
     Grid,
@@ -15,7 +16,6 @@ from hartreekit.spectral import (
     fftn,
     gradient,
     ifftn,
-    integrate,
     laplacian,
     outer_shell_mass_fraction,
     recenter,
@@ -23,7 +23,7 @@ from hartreekit.spectral import (
     riesz_convolve,
 )
 
-from conftest import GAMMA, smooth_field
+from conftest import GAMMA
 
 
 def test_fft_roundtrip(grid32):
@@ -34,11 +34,7 @@ def test_fft_roundtrip(grid32):
 
 def test_parseval_mass(grid32):
     rng = np.random.default_rng(12)
-    u = smooth_field(grid32, rng)
-    m_phys = float(integrate(Field(grid32, (u.values * u.values.conj()).real)))
-    uhat = fftn(u.values)
-    m_four = float((uhat * uhat.conj()).real.sum()) * grid32.cell_volume / grid32.points**3
-    assert abs(m_phys - m_four) / m_phys < 1e-13
+    assert parseval_defect(smooth_random_field(grid32, rng)) < 1e-13
 
 
 def test_laplacian_plane_wave(grid32):
@@ -56,15 +52,18 @@ def test_gradient_plane_wave(grid32):
     u = Field(grid32, np.exp(1j * (k[0] * x + k[1] * y + k[2] * z)))
     for gi, ki in zip(gradient(u), k):
         assert np.allclose(gi.values, 1j * ki * u.values, atol=1e-10)
+    assert gradient_routes_defect(u, GAMMA) < 1e-11
+    # a real field keeps only the real part of each derivative, which drops
+    # the Nyquist mode; the Parseval route keeps it, so the routes part
+    checkerboard = Field(grid32, np.cos(np.pi * (x + grid32.half_length) / grid32.spacing) * np.ones(grid32.shape))
+    assert gradient_routes_defect(checkerboard, GAMMA) > 0.5
 
 
 def test_riesz_convolve_gaussian_origin(grid48):
     """(|x|^-gamma * e^{-|x|^2}) at 0 against scalar radial quadrature."""
-    g0 = grid48.field_from_function(lambda *xs: np.exp(-sum(x * x for x in xs)))
-    conv0 = riesz_convolve(g0, GAMMA).values[(grid48.points // 2,) * 3]
-    area = 2.0 * np.pi**1.5 / gamma_fn(1.5)
-    ref, _ = quad(lambda r: r ** (2.0 - GAMMA) * math.exp(-r * r), 0.0, np.inf)
-    assert abs(float(conv0.real) - area * ref) / (area * ref) < 1e-4
+    assert riesz_origin_defect(grid48, GAMMA) < 1e-4
+    # a box of half-width 2 truncates the Gaussian and lets the images in
+    assert riesz_origin_defect(Grid(3, 32, 2.0), GAMMA) > 1e-4
 
 
 def test_riesz_convolve_is_symmetric_positive(grid32):

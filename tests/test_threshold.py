@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from hartreekit.functionals import FunctionalSnapshot, take_snapshot
 from hartreekit.ground_state import solve_ground_state
 from hartreekit.potentials import PotentialSpec
+from hartreekit.runner import threshold_defects
 from hartreekit.spectral import Field, Grid
 from hartreekit.threshold import (
     check_condition_1_8,
@@ -23,7 +25,7 @@ from hartreekit.threshold import (
     x0_solve,
 )
 
-from conftest import GAMMA
+from conftest import GAMMA, random_threshold_tuple
 
 VERDICTS = {"BlowUp", "Global", "BlowUpNegativeEnergy", "Indeterminate"}
 
@@ -46,18 +48,6 @@ def gaussian_data(grid, a, w, lam):
     return Field(grid, a * np.exp(-r2 / (2.0 * w * w)) * np.exp(1j * lam * r2))
 
 
-def random_tuple(rng, dim=3):
-    """(energy, mass, c_q, gamma) with the stationary gap 16E - x0 prescribed
-    first, so no identity check ever runs into catastrophic cancellation."""
-    gamma = rng.uniform(2.3, min(3.7, dim - 0.2))
-    gap = 10.0 ** rng.uniform(-1.0, 2.0)
-    m = rng.uniform(0.3, 3.0)
-    g2 = gamma - 2.0
-    c_q = 4.0 / gamma * m ** (-(4.0 - gamma) / gamma) * (gap / (2.0 * g2)) ** ((2.0 - gamma) / gamma)
-    e = gap * 10.0 ** rng.uniform(-1.5, 1.5) / 16.0
-    return e, m, c_q, gamma, gap
-
-
 def test_s_crit_values():
     assert s_crit(2.5) == pytest.approx(0.25, abs=0)
     assert s_crit(3.0) == pytest.approx(0.5, abs=0)
@@ -68,26 +58,23 @@ def test_s_crit_values():
 def test_x0_defining_identities_50_tuples():
     rng = np.random.default_rng(31)
     for _ in range(50):
-        e, m, c_q, gamma, gap = random_tuple(rng)
-        g2 = gamma - 2.0
-        x0 = x0_solve(e, m, c_q, gamma)
-        fp = f_deriv(x0, e, m, c_q, gamma)
-        fv = f_eval(x0, e, m, c_q, gamma)
-        scale_fp = 1.0 / (4.0 * g2)
-        scale_fv = max(abs(x0) / 8.0, 1e-4 * (abs(16.0 * e) + gap))
-        assert abs(fp) < 1e-10 * scale_fp
-        assert abs(fv - x0 / 8.0) < 1e-10 * scale_fv
+        # the prescribed gap keeps 16E - x0 well clear of the ulp of 16E
+        fp, fv, _product, guard = threshold_defects(*random_threshold_tuple(rng)[:4])
+        assert guard == 1.0
+        assert fp < 1e-10
+        assert fv < 1e-10
 
 
 def test_x0_product_identity_50_tuples():
     # ME (1 - x0/(16E))^{s_c} = 1 pins x0 to the mass-energy ratio alone
     rng = np.random.default_rng(32)
     for _ in range(50):
-        e, m, c_q, gamma, _ = random_tuple(rng)
+        e, m, c_q, gamma, _ = random_threshold_tuple(rng)
+        _fp, _fv, product, guard = threshold_defects(e, m, c_q, gamma)
+        assert guard == 1.0 and product < 1e-10
         x0 = x0_solve(e, m, c_q, gamma)
         sc = s_crit(gamma)
         me = me_from_scalars(m, e, c_q, gamma)
-        assert abs(me * (1.0 - x0 / (16.0 * e)) ** sc - 1.0) < 1e-10
         # equivalent closed relation, exponent unwound
         assert abs((1.0 - x0 / (16.0 * e)) - me ** (-1.0 / sc)) < 1e-12 * me ** (-1.0 / sc)
 
@@ -96,7 +83,7 @@ def test_x0_sign_tracks_me():
     rng = np.random.default_rng(33)
     seen_above = seen_below = 0
     for _ in range(80):
-        e, m, c_q, gamma, _ = random_tuple(rng)
+        e, m, c_q, gamma, _ = random_threshold_tuple(rng)
         x0 = x0_solve(e, m, c_q, gamma)
         me = me_from_scalars(m, e, c_q, gamma)
         if me > 1.0 + 1e-9:
@@ -210,7 +197,7 @@ def test_classify_blowup_profile(gs_wide):
     assert rep.cond_mp["gt_satisfied"]
     assert rep.cond_1_8["satisfied"]
     assert rep.branch == "free"
-    json.dumps(rep.to_dict())  # report must serialize as-is
+    json.dumps(asdict(rep))  # report must serialize as-is
 
 
 def test_classify_global_profile(gs_wide):
@@ -280,7 +267,7 @@ def test_classify_pinned_branch(grid48):
     # 2V + x.grad V of a gaussian well changes sign, so neither sign
     # hypothesis can hold and the convexity weight conditions both fail
     assert rep.sign_2V_xgradV == "mixed"
-    json.dumps(rep.to_dict())
+    json.dumps(asdict(rep))
 
 
 def test_subthreshold_predictions(gs_wide):
