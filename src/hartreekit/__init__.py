@@ -11,20 +11,12 @@ spectral grids.  The integrator is not re-exported here, so that
 from .config import ConfigError, RunConfig, parse_config, preset_names, preset_path
 from .evolve import EvolveConfig, TrajectoryRecord, detect_blowup, strang_step
 from .fieldio import dump_field, load_field
-from .functionals import FunctionalSnapshot, energy, hv_norm_sq, mass, take_snapshot, weinstein
+from .functionals import FunctionalSnapshot, hv_norm_sq, mass, take_snapshot
 from .ground_state import GroundState, pohozaev_residuals, solve_ground_state
 from .potentials import PotentialSpec, eval_potential, kato_norm
 from .runner import emit_plot_data, run
-from .spectral import (
-    Field,
-    Grid,
-    gradient,
-    integrate,
-    laplacian,
-    riesz_convolve,
-    set_fft_workers,
-)
-from .threshold import DichotomyReport, check_condition_1_8, classify, classify_subthreshold
+from .spectral import Field, Grid, gradient, integrate, riesz_convolve, set_fft_workers
+from .threshold import DichotomyReport, check_condition_1_8, classify
 
 __version__ = "0.1.0"
 
@@ -40,17 +32,14 @@ __all__ = [
     "FunctionalSnapshot",
     "TrajectoryRecord",
     "classify",
-    "classify_subthreshold",
     "check_condition_1_8",
     "detect_blowup",
     "emit_plot_data",
-    "energy",
     "eval_potential",
     "gradient",
     "hv_norm_sq",
     "integrate",
     "kato_norm",
-    "laplacian",
     "load_field",
     "mass",
     "parse_config",
@@ -64,6 +53,5 @@ __all__ = [
     "solve_ground_state",
     "strang_step",
     "take_snapshot",
-    "weinstein",
     "__version__",
 ]

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 import os
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, fields
 
 from .evolve import EvolveConfig
 from .potentials import KINDS as POTENTIAL_KINDS
@@ -59,16 +60,9 @@ _SCHEMA = {
         "tol": ("float", 1e-9),
         "max_iter": ("int", 2000),
     },
-    "evolve": {
-        "dt0": ("float", 1e-3),
-        "t_max": ("float", 1.0),
-        "tol_step": ("float", 1e-6),
-        "blowup_grad_factor": ("float", 20.0),
-        "blowup_tail_frac": ("float", 0.1),
-        "record_stride": ("int", 5),
-        "adaptive": ("bool", True),
-        "linear": ("bool", False),
-    },
+    # every [evolve] key and default is an EvolveConfig field; the type tag is its
+    # annotation, a string such as "float" because evolve.py postpones annotations
+    "evolve": {f.name: (f.type, f.default) for f in fields(EvolveConfig) if f.name not in ("grid", "gamma")},
 }
 
 
@@ -196,6 +190,11 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             return _convert(values[(section, key)], tag, f"[{section}] {key}", violations)
         return default
 
+    # written as `not 0 < x < inf` so that NaN fails too; each bad key is its own violation
+    def positive_finite(section, key, x):
+        if x is not None and not 0 < x < math.inf:
+            violations.append(f"[{section}] {key}: must be positive and finite, got {x}")
+
     mode = get("run", "mode")
     if mode is not None and mode not in MODES:
         violations.append(f"[run] mode: '{mode}' is not one of {'/'.join(MODES)}{_suggest(mode, MODES)}")
@@ -267,16 +266,17 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         scale = get("initial_data", "scale")
         lam = get("initial_data", "lambda")
         ipath = get("initial_data", "file")
+        positive_finite("initial_data", "width", width)
+        positive_finite("initial_data", "scale", scale)
+        for key, x in (("amplitude", amp), ("lambda", lam)):
+            if x is not None and not math.isfinite(x):
+                violations.append(f"[initial_data] {key}: must be finite, got {x}")
         if ikind == "gaussian":
             if amp is None or width is None:
                 violations.append("[initial_data]: kind gaussian requires amplitude and width")
-            elif width <= 0:
-                violations.append(f"[initial_data] width: must be positive, got {width}")
         elif ikind == "ground_state_scaled":
             if scale is None:
                 violations.append("[initial_data]: kind ground_state_scaled requires scale")
-            elif scale <= 0:
-                violations.append(f"[initial_data] scale: must be positive, got {scale}")
         elif ikind == "file":
             if ipath is None:
                 violations.append("[initial_data]: kind file requires file")
@@ -290,8 +290,12 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             f"[groundstate] omega_mode: '{omega_mode}' is not fixed/self_consistent{_suggest(omega_mode or '', ['fixed', 'self_consistent'])}"
         )
     omega = get("groundstate", "omega")
-    if omega is not None and omega <= 0:
-        violations.append(f"[groundstate] omega: must be positive, got {omega}")
+    gs_tol = get("groundstate", "tol")
+    gs_max_iter = get("groundstate", "max_iter")
+    positive_finite("groundstate", "omega", omega)
+    positive_finite("groundstate", "tol", gs_tol)
+    if gs_max_iter is not None and gs_max_iter < 1:
+        violations.append(f"[groundstate] max_iter: must be >= 1, got {gs_max_iter}")
 
     evolve_cfg = None
     if grid is not None and gamma is not None:
@@ -322,8 +326,8 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         evolve=evolve_cfg,
         omega=omega,
         omega_mode=omega_mode,
-        gs_tol=get("groundstate", "tol"),
-        gs_max_iter=get("groundstate", "max_iter"),
+        gs_tol=gs_tol,
+        gs_max_iter=gs_max_iter,
         out=get("run", "out"),
         seed=seed,
         threads=threads,

@@ -18,18 +18,16 @@ rho = |u|^2 and u-hat = fftn(u) rather than recomputing them:
     Weinstein quotient  FunctionalSnapshot.weinstein
     Cauchy-Schwarz gap  FunctionalSnapshot.cauchy_schwarz_gap
 
-take_snapshot evaluates all of them from one rho and one fftn(u).  The
-single-quantity calls (mass, grad_norm_sq, hv_norm_sq, p_functional,
-variance, virial_first, e_term) build the one input they need and call the
-same function; energy, weinstein and virial_second read a snapshot.
+take_snapshot evaluates all of them from one rho and one fftn(u); every
+caller that wants one of these quantities reads it off a snapshot.  The two
+single-quantity calls, mass and hv_norm_sq, exist for the self-consistent
+omega loop and the Parseval gate, which need nothing else.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .spectral import Field, Grid, abs_sq, fftn, ifftn, riesz_convolve
 
@@ -80,79 +78,12 @@ def mass(u: Field) -> float:
     return _integral(u.grid, abs_sq(u.values))
 
 
-def grad_norm_sq(u: Field) -> float:
-    """||grad u||^2 via Parseval."""
-    return _grad_sq(u.grid, abs_sq(fftn(u.values)))
-
-
 def hv_norm_sq(u: Field, v: Field | None = None) -> float:
-    out = grad_norm_sq(u)
+    """||u||_{HV}^2 = ||grad u||^2 (Parseval) + int V|u|^2."""
+    out = _grad_sq(u.grid, abs_sq(fftn(u.values)))
     if v is not None:
         out += _integral(u.grid, abs_sq(u.values), v.values)
     return out
-
-
-def p_functional(u: Field, gamma: float) -> float:
-    return _p(u.grid, abs_sq(u.values), gamma)
-
-
-def variance(u: Field) -> float:
-    """I = int |x|^2 |u|^2."""
-    return _integral(u.grid, abs_sq(u.values), u.grid.r_sq)
-
-
-def virial_first(u: Field) -> float:
-    """I' = 4 Im int conj(u) x.grad u."""
-    return _virial_first(u, fftn(u.values))
-
-
-def e_term(u: Field, virial_weight: Field) -> float:
-    """e = 4 int (2V + x.grad V) |u|^2."""
-    return _e_term(u.grid, abs_sq(u.values), virial_weight.values)
-
-
-def energy(u: Field, v: Field | None, gamma: float) -> float:
-    return take_snapshot(u, 0.0, v, None, gamma).energy
-
-
-def weinstein(u: Field, v: Field | None, gamma: float) -> float:
-    """Weinstein quotient of u; see FunctionalSnapshot.weinstein."""
-    return take_snapshot(u, 0.0, v, None, gamma).weinstein(gamma)
-
-
-def virial_second(
-    u: Field,
-    v: Field | None,
-    virial_weight: Field | None,
-    gamma: float,
-    rtol_consistency: float | None = 1e-5,
-) -> float:
-    """I'' = 8||u||_{HV}^2 - 2 gamma P - e.
-
-    When both v and the weight are supplied, e is cross-checked against the
-    integration-by-parts route int (x.grad V)|u|^2 = -int V (d|u|^2 + x.grad|u|^2),
-    which never differentiates V; disagreement beyond rtol_consistency means
-    the weight field does not belong to this potential.  Pass None to skip
-    (sharp-interface potentials carry a surface term the sampled weight
-    deliberately omits).
-    """
-    snap = take_snapshot(u, 0.0, v, virial_weight, gamma)
-    if rtol_consistency is not None and v is not None and virial_weight is not None:
-        g = u.grid
-        rho = abs_sq(u.values)
-        rhohat = fftn(rho)
-        xgrad_rho = np.zeros(g.shape)
-        for x, xi in zip(g.coords, g.freqs):
-            xgrad_rho += x * ifftn(1j * xi * rhohat).real
-        vt = _integral(g, rho, v.values)
-        e = snap.e_term
-        e_ibp = 8.0 * vt - 4.0 * _integral(g, g.dim * rho + xgrad_rho, v.values)
-        scale = abs(e) + abs(e_ibp) + 8.0 * abs(vt) + 8.0 * snap.grad_sq
-        if abs(e - e_ibp) > rtol_consistency * max(scale, 1e-300):
-            raise AssertionError(
-                f"virial weight inconsistent with potential: e={e!r} vs ibp {e_ibp!r}"
-            )
-    return snap.virial_I2
 
 
 @dataclass

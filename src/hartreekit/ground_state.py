@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldio import dump_field, load_field
+from .fieldio import dump_field
 from .functionals import FunctionalSnapshot, hv_norm_sq, mass, take_snapshot
 from .potentials import PotentialSpec, eval_potential, eval_virial_weight
 from .spectral import Field, Grid, fftn, ifftn
@@ -162,8 +162,8 @@ def solve_ground_state(
     """
     if not 2.0 < gamma < min(4.0, grid.dim):
         raise ValueError(f"gamma must lie in (2, min(4, dim)) = (2, {min(4.0, grid.dim)}), got {gamma}")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     if omega_mode not in ("fixed", "self_consistent"):
         raise ValueError(f"unknown omega_mode {omega_mode!r}")
 
@@ -249,12 +249,6 @@ def solve_ground_state(
     )
 
 
-def closed_form_c_q(gamma: float, mass_q: float) -> float:
-    """Sharp constant from the free-state scalars alone (V- = 0, any omega via scaling):
-    C_Q = 4^{2/g} (4-g)^{1-2/g} / (g * M(Q)^{2/g}), with M(Q) taken at omega = 1."""
-    return 4.0 ** (2.0 / gamma) * (4.0 - gamma) ** (1.0 - 2.0 / gamma) / (gamma * mass_q ** (2.0 / gamma))
-
-
 def pohozaev_residuals(gs: GroundState) -> dict:
     """Relative residuals of the two scaling identities and the form identity.
 
@@ -299,41 +293,3 @@ def save_ground_state(path, gs: GroundState) -> None:
         "pohozaev": pohozaev_residuals(gs),
     }
     dump_field(path, gs.field, header, sidecar=sidecar)
-
-
-def load_ground_state(path, potential: PotentialSpec | None = None) -> GroundState:
-    """Rebuild a GroundState from a dump; derived scalars are recomputed from
-    the stored profile (and must match the sidecar, which is advisory)."""
-    f, head = load_field(path)
-    if head.get("kind") != "ground_state":
-        raise ValueError(f"{path}: dump is not a ground state (kind={head.get('kind')!r})")
-    if potential is None:
-        pd = head.get("potential", {"kind": "zero"})
-        if pd.get("kind") == "grid_sampled":
-            raise ValueError("grid_sampled potential cannot be rebuilt from the dump header; pass it explicitly")
-        potential = PotentialSpec.from_dict(pd)
-    gamma = float(head["gamma"])
-    omega = float(head["omega"])
-    grid = f.grid
-    vfield = None if potential.is_zero else eval_potential(potential, grid)
-    wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
-    snap = take_snapshot(
-        f.copy(), 0.0, vfield, wfield, gamma,
-        e_term_approximate=potential.xgrad_is_distributional,
-    )
-    snap.virial_I1 = 0.0
-    c_gn = snap.weinstein(gamma)
-    vvals = None if vfield is None else vfield.values
-    res = _residual(grid, vvals, gamma, omega**2, f.values.real)[2]
-    return GroundState(
-        field=f,
-        omega=omega,
-        gamma=gamma,
-        potential=potential,
-        snapshot=snap,
-        c_gn=c_gn,
-        c_q=c_gn ** (2.0 / gamma),
-        iterations=0,
-        residual=res,
-        converged=res <= 1e-8,
-    )

@@ -81,13 +81,6 @@ class PotentialSpec:
             d["shape"] = list(self.values.shape)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict, values: np.ndarray | None = None) -> "PotentialSpec":
-        kw = {k: v for k, v in d.items() if k in ("kind", "amplitude", "sigma", "radius", "exponent")}
-        if d.get("kind") == "grid_sampled":
-            kw["values"] = values
-        return cls(**kw)
-
 
 def eval_potential(spec: PotentialSpec, grid: Grid) -> Field:
     """Sample V on the grid (real Field)."""
@@ -194,26 +187,24 @@ class AdmissibilityReport:
     notes: list = dc_field(default_factory=list)
 
 
-def check_admissible(spec: PotentialSpec, grid: Grid) -> AdmissibilityReport:
+def check_admissible(spec: PotentialSpec, v: Field | None, grid: Grid) -> AdmissibilityReport:
     """Negative part strictly below the coercivity threshold (with margin), norms finite.
 
-    The gate is sup_x int |V_-(y)| |x-y|^{2-d} dy < 1/C_d, equivalently
+    v is spec sampled on grid, None for the zero potential, whose norms are
+    all 0.  The gate is sup_x int |V_-(y)| |x-y|^{2-d} dy < 1/C_d, equivalently
     kato_norm(V_-) < 1: exactly the condition under which the form norm
     sandwich keeps a positive lower constant.  Finiteness of the K cap
     L^{d/2} membership is automatic for bounded data on a box; the report
     records the numbers and flags non-compact tails informatively rather
     than failing them.
     """
-    v = eval_potential(spec, grid)
-    vneg = Field(grid, np.maximum(-v.values, 0.0))
     cd = kato_constant(grid.dim)
-    if spec.is_zero:
-        kneg = 0.0
-        kfull = 0.0
-    else:
-        kneg = kato_norm(vneg) if vneg.values.any() else 0.0
+    kneg = kfull = ld2 = 0.0
+    if v is not None:
+        vneg = np.maximum(-v.values, 0.0)
+        kneg = kato_norm(Field(grid, vneg)) if vneg.any() else 0.0
         kfull = kato_norm(v)
-    ld2 = float(integrate(Field(grid, np.abs(v.values) ** (grid.dim / 2.0))) ** (2.0 / grid.dim))
+        ld2 = float(integrate(Field(grid, np.abs(v.values) ** (grid.dim / 2.0))) ** (2.0 / grid.dim))
     notes = []
     if not spec.compact_support and not spec.is_zero:
         notes.append(

@@ -9,8 +9,7 @@ and `outer_shell_mass_fraction` quantifies when that assumption is violated.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,10 +23,6 @@ def set_fft_workers(n: int) -> None:
     """Set the worker count used by all FFTs (fixed count keeps runs deterministic)."""
     global _fft_workers
     _fft_workers = max(1, int(n))
-
-
-def get_fft_workers() -> int:
-    return _fft_workers
 
 
 def fftn(a: np.ndarray) -> np.ndarray:
@@ -180,9 +175,6 @@ class Grid:
             self._cache[key] = m
         return self._cache[key]
 
-    def field(self, values: np.ndarray) -> "Field":
-        return Field(self, np.asarray(values))
-
     def field_from_function(self, fn) -> "Field":
         """Sample fn(*coords) on the grid."""
         return Field(self, np.asarray(fn(*self.coords), dtype=complex) + np.zeros(self.shape))
@@ -211,15 +203,6 @@ class Field:
         if self.values.shape != self.grid.shape:
             raise ValueError(f"values shape {self.values.shape} != grid shape {self.grid.shape}")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-    def norm_l2(self) -> float:
-        return math.sqrt(float(integrate(Field(self.grid, abs_sq(self.values)))))
-
-    def norm_sup(self) -> float:
-        return float(np.abs(self.values).max())
-
 
 def abs_sq(a: np.ndarray) -> np.ndarray:
     """|a|^2 as a real array: the density of samples, the power spectrum of a transform."""
@@ -241,11 +224,6 @@ def gradient(f: Field) -> list:
         g = ifftn(1j * xi * fhat)
         out.append(Field(f.grid, g.real if real_in else g))
     return out
-
-
-def laplacian(f: Field) -> Field:
-    g = ifftn(-f.grid.k_sq * fftn(f.values))
-    return Field(f.grid, g.real if np.isrealobj(f.values) else g)
 
 
 def riesz_convolve(f: Field, gamma_exp: float) -> Field:

@@ -286,7 +286,7 @@ def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float)
 
     notes: list = []
     sc = s_crit(gamma)
-    adm = check_admissible(potential, grid)
+    adm = check_admissible(potential, vfield, grid)
     # variance density in the outer 10% shell
     frac = shell_fraction(grid, np.abs(u0.values) ** 2 * grid.r_sq, 0.9 * grid.half_length)
     sigma_ok = frac < 1e-6
@@ -464,18 +464,3 @@ def _subthreshold_record(
     if regime == "heuristic-extension":
         rec["notes"].append("outside the stated (gamma, d) = (3, 5) regime; prediction is a heuristic extension")
     return rec
-
-
-def classify_subthreshold(
-    u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float
-) -> dict:
-    """Sub-threshold product comparison as a standalone call."""
-    grid = u0.grid
-    vfield = None if potential.is_zero else eval_potential(potential, grid)
-    wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
-    snap = take_snapshot(
-        u0, 0.0, vfield, wfield, gamma,
-        e_term_approximate=potential.xgrad_is_distributional,
-    )
-    me = me_ratio(snap, gs, gamma)
-    return _subthreshold_record(snap, vfield, wfield, gs, gamma, me)

@@ -48,3 +48,9 @@ def random_threshold_tuple(rng, dim=3):
     c_q = 4.0 / gamma * m ** (-(4.0 - gamma) / gamma) * (gap / (2.0 * g2)) ** ((2.0 - gamma) / gamma)
     e = gap * 10.0 ** rng.uniform(-1.5, 1.5) / 16.0
     return e, m, c_q, gamma, gap
+
+
+def closed_form_c_q(gamma, mass_q):
+    """Sharp constant from the free-state scalars alone (V- = 0, any omega via scaling):
+    C_Q = 4^{2/g} (4-g)^{1-2/g} / (g * M(Q)^{2/g}), with M(Q) taken at omega = 1."""
+    return 4.0 ** (2.0 / gamma) * (4.0 - gamma) ** (1.0 - 2.0 / gamma) / (gamma * mass_q ** (2.0 / gamma))

@@ -90,6 +90,27 @@ def test_evolve_violations_reject_nan_and_list_each(tmp_path):
     assert len(v) == 3
 
 
+def test_solver_settings_reject_nonfinite_and_list_each(tmp_path):
+    # tol = inf would accept the solver's initial Gaussian as converged, and a
+    # NaN amplitude makes NaN data; every bad key is its own violation
+    path = write_cfg(
+        tmp_path,
+        "[run]\nmode = classify\n[groundstate]\ntol = inf\nomega = nan\nmax_iter = 0\n"
+        "[initial_data]\nkind = gaussian\namplitude = nan\nwidth = nan\nlambda = inf\nscale = 0\n",
+    )
+    with pytest.raises(ConfigError) as ei:
+        parse_config(path)
+    assert sorted(ei.value.violations) == [
+        "[groundstate] max_iter: must be >= 1, got 0",
+        "[groundstate] omega: must be positive and finite, got nan",
+        "[groundstate] tol: must be positive and finite, got inf",
+        "[initial_data] amplitude: must be finite, got nan",
+        "[initial_data] lambda: must be finite, got inf",
+        "[initial_data] scale: must be positive and finite, got 0.0",
+        "[initial_data] width: must be positive and finite, got nan",
+    ]
+
+
 def test_gamma_window_and_grid_checks(tmp_path):
     path = write_cfg(tmp_path, "[run]\nmode = groundstate\n[model]\ngamma = 3.5\n")
     with pytest.raises(ConfigError, match=r"\(2, 3.0\)"):
@@ -109,10 +130,16 @@ def test_initial_data_requirements(tmp_path):
         parse_config(write_cfg(tmp_path, base + "[initial_data]\nkind = ground_state_scaled\n"))
     with pytest.raises(ConfigError, match="not found"):
         parse_config(write_cfg(tmp_path, base + "[initial_data]\nkind = file\nfile = /no/such.fld\n"))
-    with pytest.raises(ConfigError, match="width: must be positive"):
-        parse_config(
-            write_cfg(tmp_path, base + "[initial_data]\nkind = gaussian\namplitude = 1\nwidth = -1\n")
-        )
+    gaussian = base + "[initial_data]\nkind = gaussian\namplitude = {}\nwidth = {}\n"
+    for amp, width, match in (
+        ("1", "-1", "width: must be positive"),
+        ("1", "inf", "width: must be positive and finite"),
+        ("nan", "1", "amplitude: must be finite"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(write_cfg(tmp_path, gaussian.format(amp, width)))
+    with pytest.raises(ConfigError, match="scale: must be positive and finite"):
+        parse_config(write_cfg(tmp_path, base + "[initial_data]\nkind = ground_state_scaled\nscale = nan\n"))
     cfg = parse_config(
         write_cfg(tmp_path, base + "[initial_data]\nkind = gaussian\namplitude = 0.4\nwidth = 1.2\nlambda = -0.3\n")
     )
@@ -356,3 +383,16 @@ def test_validate_deterministic_reruns(tmp_path):
     statuses = [l.split(",")[1] for l in table[1:]]
     assert all(s in ("PASS", "FAIL") for s in statuses)
     assert rep["failures"] == statuses.count("FAIL")
+
+
+def test_validate_nan_trial_reads_fail(tmp_path, monkeypatch):
+    # a NaN defect on any trial must fail its gate; Python's max(0.0, nan) is 0.0
+    import hartreekit.runner as runner
+
+    monkeypatch.setattr(runner, "kato_sandwich_excess", lambda v, u, gamma: math.nan)
+    out = str(tmp_path / "v")
+    path = write_cfg(tmp_path, "[run]\nmode = validate\n" + SMALL_GRID)
+    assert main(["validate", "--config", path, "--out", out]) == 1
+    rows = {r["check"]: r for r in read_json(os.path.join(out, "validate_report.json"))["checks"]}
+    assert rows["kato_sandwich"]["status"] == "FAIL"
+    assert math.isnan(rows["kato_sandwich"]["metric"])

@@ -5,11 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from hartreekit.functionals import take_snapshot, weinstein
+from hartreekit.fieldio import load_field, read_json
+from hartreekit.functionals import take_snapshot
 from hartreekit.ground_state import (
     ConvergenceError,
-    closed_form_c_q,
-    load_ground_state,
     pohozaev_residuals,
     save_ground_state,
     solve_ground_state,
@@ -18,7 +17,7 @@ from hartreekit.potentials import PotentialSpec
 from hartreekit.runner import smooth_random_field, variational_defects
 from hartreekit.spectral import Field, Grid
 
-from conftest import GAMMA
+from conftest import GAMMA, closed_form_c_q
 
 
 def test_converged_flags(gs48):
@@ -63,9 +62,12 @@ def test_weinstein_maximality_perturbations(gs48):
 
 def test_scaling_family_collapses_to_invariant(gs48):
     # c Q has the same Weinstein value; W is scale free
-    wq = weinstein(gs48.field, None, GAMMA)
+    def weinstein(values):
+        return take_snapshot(Field(gs48.field.grid, values), 0.0, None, None, GAMMA).weinstein(GAMMA)
+
+    wq = weinstein(gs48.field.values)
     for c in (0.3, 2.0, 11.0):
-        assert abs(weinstein(Field(gs48.field.grid, c * gs48.field.values), None, GAMMA) - wq) < 1e-9 * wq
+        assert abs(weinstein(c * gs48.field.values) - wq) < 1e-9 * wq
 
 
 def test_nonconvergence_returns_history(grid32):
@@ -73,6 +75,9 @@ def test_nonconvergence_returns_history(grid32):
     assert not gs.converged
     assert len(gs.residual_history) >= 1
     assert gs.residual > 1e-9
+    for omega in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            solve_ground_state(grid32, PotentialSpec(kind="zero"), GAMMA, omega=omega)
 
 
 def test_potential_well_shifts_profile(grid48):
@@ -88,12 +93,19 @@ def test_potential_well_shifts_profile(grid48):
 def test_save_load_roundtrip(tmp_path, gs48):
     p = os.path.join(tmp_path, "q.fld")
     save_ground_state(p, gs48)
-    back = load_ground_state(p)
-    assert back.field.grid == gs48.field.grid
-    assert np.array_equal(back.field.values, gs48.field.values)
-    assert back.omega == gs48.omega
-    assert abs(back.c_q - gs48.c_q) < 1e-15
-    assert back.converged
+    back, head = load_field(p)
+    assert back.grid == gs48.field.grid
+    assert np.array_equal(back.values, gs48.field.values)
+    assert head["kind"] == "ground_state"
+    assert head["omega"] == gs48.omega
+    assert head["potential"] == {"kind": "zero"}
+    meta = read_json(p + ".meta.json")
+    assert meta["c_q"] == gs48.c_q
+    assert meta["converged"]
+    assert meta["snapshot"] == gs48.snapshot.to_dict()
+    # the stored profile reproduces the sharp constant
+    c_gn = take_snapshot(back, 0.0, None, None, GAMMA).weinstein(GAMMA)
+    assert abs(c_gn ** (2.0 / GAMMA) - gs48.c_q) < 1e-15
 
 
 def test_self_consistent_omega_smoke(grid64):

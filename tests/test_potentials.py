@@ -70,7 +70,7 @@ def test_sandwich_bounds_random_pairs(grid32):
     ],
 )
 def test_admissibility_report_fields(grid32, spec):
-    rep = check_admissible(spec, grid32)
+    rep = check_admissible(spec, None if spec.is_zero else eval_potential(spec, grid32), grid32)
     assert isinstance(rep, AdmissibilityReport)
     assert rep.kato_norm_negative_part >= 0.0
     assert rep.kato_norm_full >= rep.kato_norm_negative_part - 1e-12
@@ -81,10 +81,14 @@ def test_admissibility_report_fields(grid32, spec):
 
 def test_admissibility_flags_deep_well(grid32):
     # strongly negative well crosses the coercivity threshold
-    rep = check_admissible(PotentialSpec(kind="gaussian_bump", amplitude=-40.0, sigma=1.5), grid32)
+    def admissibility(amplitude):
+        spec = PotentialSpec(kind="gaussian_bump", amplitude=amplitude, sigma=1.5)
+        return check_admissible(spec, eval_potential(spec, grid32), grid32)
+
+    rep = admissibility(-40.0)
     assert not rep.admissible
     # an equally large positive barrier has no negative part and stays admissible
-    rep2 = check_admissible(PotentialSpec(kind="gaussian_bump", amplitude=40.0, sigma=1.5), grid32)
+    rep2 = admissibility(40.0)
     assert rep2.admissible
 
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+from hartreekit.functionals import take_snapshot
 from hartreekit.runner import gradient_routes_defect, parseval_defect, riesz_origin_defect, smooth_random_field
 from hartreekit.spectral import (
     Field,
@@ -16,7 +17,6 @@ from hartreekit.spectral import (
     fftn,
     gradient,
     ifftn,
-    laplacian,
     outer_shell_mass_fraction,
     recenter,
     riesz_constant,
@@ -38,12 +38,12 @@ def test_parseval_mass(grid32):
 
 
 def test_laplacian_plane_wave(grid32):
-    # exact eigenfunction of the spectral Laplacian
+    # exact eigenfunction of the spectral Laplacian: <u, -Lap u> = |k|^2 M
     k = 2.0 * np.pi / (2.0 * grid32.half_length) * np.array([3.0, -1.0, 2.0])
     x, y, z = grid32.coords
     u = Field(grid32, np.exp(1j * (k[0] * x + k[1] * y + k[2] * z)))
-    lap = laplacian(u)
-    assert np.allclose(lap.values, -float(k @ k) * u.values, atol=1e-10)
+    s = take_snapshot(u, 0.0, None, None, GAMMA)
+    assert abs(s.grad_sq - float(k @ k) * s.mass) < 1e-10 * s.grad_sq
 
 
 def test_gradient_plane_wave(grid32):

@@ -15,7 +15,6 @@ from hartreekit.spectral import Field, Grid
 from hartreekit.threshold import (
     check_condition_1_8,
     classify,
-    classify_subthreshold,
     f_deriv,
     f_eval,
     free_reference_invariant,
@@ -271,19 +270,21 @@ def test_classify_pinned_branch(grid48):
 
 
 def test_subthreshold_predictions(gs_wide):
-    zero = PotentialSpec(kind="zero")
-    rec = classify_subthreshold(Field(gs_wide.field.grid, 0.5 * gs_wide.field.values), zero, gs_wide, GAMMA)
+    def subthreshold(u):
+        return classify(u, PotentialSpec(kind="zero"), gs_wide, GAMMA).subthreshold
+
+    rec = subthreshold(Field(gs_wide.field.grid, 0.5 * gs_wide.field.values))
     assert rec["verdict"] == "GlobalScattersPredicted"
     assert rec["margin"] < 0.0
     assert rec["regime"] == "heuristic-extension"
-    rec2 = classify_subthreshold(Field(gs_wide.field.grid, 1.1 * gs_wide.field.values), zero, gs_wide, GAMMA)
+    rec2 = subthreshold(Field(gs_wide.field.grid, 1.1 * gs_wide.field.values))
     assert rec2["verdict"] == "BlowUpPredicted"
     assert rec2["margin"] > 0.0
     # E < 0 has no defined ME, so the comparison is not applicable
-    rec3 = classify_subthreshold(Field(gs_wide.field.grid, 1.3 * gs_wide.field.values), zero, gs_wide, GAMMA)
+    rec3 = subthreshold(Field(gs_wide.field.grid, 1.3 * gs_wide.field.values))
     assert rec3["verdict"] == "NotApplicable"
     # ME > 1 likewise
-    rec4 = classify_subthreshold(chirped(gs_wide, 1.1, -0.2), zero, gs_wide, GAMMA)
+    rec4 = subthreshold(chirped(gs_wide, 1.1, -0.2))
     assert rec4["verdict"] == "NotApplicable"
 
 
