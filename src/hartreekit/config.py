@@ -248,7 +248,8 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             try:
                 potential = PotentialSpec(kind=pkind, **pkw)
             except (TypeError, ValueError) as exc:
-                violations.append(f"[potential]: {exc}")
+                # PotentialSpec joins all of its problems with "; "
+                violations.extend(f"[potential]: {problem}" for problem in str(exc).split("; "))
 
     initial = None
     ikind = get("initial_data", "kind")

@@ -3,10 +3,13 @@
 The propagator is a kinetic - (potential + nonlinear phase) - kinetic Strang
 composition.  The middle sub-flow multiplies by a pure phase, which leaves
 |u| pointwise invariant, so that sub-flow is exact and only the splitting
-error remains.  Step size is controlled by an L2 step-doubling estimate;
-collapse is detected, never resolved: once the gradient blows past its
-threshold or the upper frequency band fills, integration stops and the
-record says so.
+error remains.  The integrator carries the Fourier state fftn(u) between
+steps: the kinetic factors act on it directly, built per step as outer
+products of 1-D exponentials with no cache, and only the phase sub-flows go
+to physical space.  Step size is controlled by an L2 step-doubling estimate,
+taken in Fourier space on the shared transform; collapse is detected, never
+resolved: once the gradient blows past its threshold or the upper frequency
+band fills, integration stops and the record says so.
 """
 
 from __future__ import annotations
@@ -83,45 +86,66 @@ class TrajectoryRecord:
             fh.write("\n".join(lines) + "\n")
 
 
+def _rotate(u, angle):
+    """u * exp(i angle); cos and sin are written into one complex buffer, cheaper than np.exp of i angle."""
+    rot = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=rot.real)
+    np.sin(angle, out=rot.imag)
+    rot *= u
+    return rot
+
+
 def _phase_step(grid: Grid, u, dt: float, vvals, gamma: float, linear: bool):
     # exact sub-flow: |u| is invariant under multiplication by this phase
     if linear:
         if vvals is None:
             return u
-        return u * np.exp(dt * (-1j) * vvals)
+        return _rotate(u, -dt * vvals)
     m_riesz = grid.riesz_multiplier(gamma)
-    conv = ifftn(m_riesz * fftn((u.real * u.real + u.imag * u.imag))).real
+    # complex FFTs of the real density, not apply_multiplier's real ones:
+    # bench/test_spans.py pins strang_step at six complex transforms
+    conv = ifftn(m_riesz * fftn((u.real * u.real + u.imag * u.imag)), overwrite_x=True).real
     phase = conv if vvals is None else conv - vvals
-    return u * np.exp(1j * dt * phase)
+    return _rotate(u, dt * phase)
 
 
-def _strang(grid: Grid, u, dt: float, vvals, gamma: float, linear: bool, kin_cache: dict):
-    """The one kinetic(dt/2) - phase(dt) - kinetic(dt/2) step, on a sample array.
+def _kinetic(grid: Grid, tau: float):
+    """exp(-i tau |k|^2), built as the outer product of the 1-D factors exp(-i tau xi_j^2)."""
+    f = np.exp(-1j * tau * grid.freq_axis**2)
+    kin = f
+    for _ in range(1, grid.dim):
+        kin = np.multiply.outer(kin, f)
+    return kin
 
-    kin_cache maps dt/2 to exp(-i dt/2 |k|^2); it is cleared before it would
-    hold an 18th factor, since adaptive dt rarely repeats a value."""
-    tau = 0.5 * dt
-    kin = kin_cache.get(tau)
-    if kin is None:
-        if len(kin_cache) > 16:
-            kin_cache.clear()
-        kin = kin_cache[tau] = np.exp(-1j * tau * grid.k_sq)
-    w = ifftn(kin * fftn(u))
-    w = _phase_step(grid, w, dt, vvals, gamma, linear)
-    return ifftn(kin * fftn(w))
+
+def _strang(grid: Grid, uhat, dt: float, kins, vvals, gamma: float, linear: bool):
+    """Strang steps of size dt on a Fourier state uhat = fftn(u): kins[0] P kins[1] P ... kins[-1].
+
+    P is the phase sub-flow over dt and each kins entry a kinetic factor
+    exp(-i tau |k|^2).  One step takes (K(dt/2), K(dt/2)); two steps take
+    (K(dt/2), K(dt), K(dt/2)), the two kinetic half flows between them merged
+    into one.  Each P costs an ifftn and an fftn around it."""
+    for kin in kins[:-1]:
+        w = _phase_step(grid, ifftn(kin * uhat, overwrite_x=True), dt, vvals, gamma, linear)
+        uhat = fftn(w, overwrite_x=True)
+    return kins[-1] * uhat
 
 
 def strang_step(u: Field, dt: float, potential: PotentialSpec, gamma: float, linear: bool = False) -> Field:
     """One kinetic-phase-kinetic step of size dt (dt < 0 runs time backward)."""
     grid = u.grid
     vvals = None if potential.is_zero else eval_potential(potential, grid).values
-    return Field(grid, _strang(grid, u.values, dt, vvals, gamma, linear, {}))
+    kin = _kinetic(grid, 0.5 * dt)
+    uhat = _strang(grid, fftn(u.values), dt, (kin, kin), vvals, gamma, linear)
+    return Field(grid, ifftn(uhat, overwrite_x=True))
 
 
-def detect_blowup(u: Field, grad_sq_initial: float, cfg: EvolveConfig) -> bool:
-    """Gradient growth beyond the factor, or the top 20% frequency band (max-norm) filling up."""
+def detect_blowup(u: Field, grad_sq_initial: float, cfg: EvolveConfig, uhat=None) -> bool:
+    """Gradient growth beyond the factor, or the top 20% frequency band (max-norm) filling up.
+
+    uhat is fftn(u.values) when the caller already holds it."""
     grid = u.grid
-    power = abs_sq(fftn(u.values))
+    power = abs_sq(fftn(u.values) if uhat is None else uhat)
     if grad_sq_initial > 0 and _grad_sq(grid, power) / grad_sq_initial >= cfg.blowup_grad_factor**2:
         return True
     return shell_fraction(grid, power, 0.8 * (grid.points // 2), spectral=True) >= cfg.blowup_tail_frac
@@ -130,25 +154,33 @@ def detect_blowup(u: Field, grad_sq_initial: float, cfg: EvolveConfig) -> bool:
 def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> TrajectoryRecord:
     """Integrate to t_max, blow-up detection, or step-size underflow.
 
-    Step-doubling control: the dt step is compared against two dt/2 steps in
-    relative L2; on acceptance the two-half-step state is kept, dt grows by
-    1.2 when the error sits under tol/4, and on rejection dt halves.  dt
-    under 1e-12 means the requested tolerance is unreachable at this
-    resolution and the run ends as ResolutionExhausted."""
+    The state is carried in Fourier space, uhat = fftn(u), from step to step.
+    Step-doubling control: each attempt builds the dt step K P K and the two
+    dt/2 steps K P K P K from the same uhat (12 complex FFTs; the kinetic
+    factors are rebuilt per attempt, never cached, since adaptive dt rarely
+    repeats a value) and compares them in relative L2, in Fourier space,
+    where by Parseval it is the same number.  On acceptance the two-half-step
+    state is kept and turned back with one ifftn, which the snapshot and the
+    blow-up detector share with uhat; dt grows by 1.2 when the error sits
+    under tol/4, and on rejection dt halves.  dt under 1e-12 means the
+    requested tolerance is unreachable at this resolution and the run ends as
+    ResolutionExhausted."""
     grid = u0.grid
     vvals = None if potential.is_zero else eval_potential(potential, grid).values
     vfield = None if potential.is_zero else Field(grid, vvals)
     wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
     approx = potential.xgrad_is_distributional
 
-    kin_cache: dict = {}
+    def strang(uhat, dt, kins):
+        return _strang(grid, uhat, dt, kins, vvals, cfg.gamma, cfg.linear)
 
-    def full_step(u, dt):
-        return _strang(grid, u, dt, vvals, cfg.gamma, cfg.linear, kin_cache)
+    def snapshot():
+        return take_snapshot(Field(grid, u), t, vfield, wfield, cfg.gamma, e_term_approximate=approx, uhat=uhat)
 
     u = np.array(u0.values, dtype=complex, copy=True)
+    uhat = fftn(u)
     t = 0.0
-    snapshots = [take_snapshot(Field(grid, u), t, vfield, wfield, cfg.gamma, e_term_approximate=approx)]
+    snapshots = [snapshot()]
     grad_sq_0 = snapshots[0].grad_sq
     extras: dict = {"accepted_dts": []}
     dt = cfg.dt0
@@ -159,15 +191,15 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     def record_state(force=False):
         if force or accepted % cfg.record_stride == 0:
             if not snapshots or snapshots[-1].time < t:
-                snapshots.append(
-                    take_snapshot(Field(grid, u), t, vfield, wfield, cfg.gamma, e_term_approximate=approx)
-                )
+                snapshots.append(snapshot())
 
     while t < cfg.t_max - tiny:
         dt_try = min(dt, cfg.t_max - t)
+        k_half = _kinetic(grid, 0.5 * dt_try)
         if cfg.adaptive:
-            big = full_step(u, dt_try)
-            half = full_step(full_step(u, 0.5 * dt_try), 0.5 * dt_try)
+            k_quarter = _kinetic(grid, 0.25 * dt_try)
+            big = strang(uhat, dt_try, (k_half, k_half))
+            half = strang(uhat, 0.5 * dt_try, (k_quarter, k_half, k_quarter))
             ref = float(np.linalg.norm(half))
             err = float(np.linalg.norm(big - half)) / ref if ref > 0 else 0.0
             if err > cfg.tol_step:
@@ -176,17 +208,15 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
                     termination = Termination("ResolutionExhausted", t)
                     break
                 continue
-            u = half
-            t += dt_try
-            accepted += 1
-            extras["accepted_dts"].append(dt_try)
+            uhat = half
             dt = dt_try * 1.2 if err < cfg.tol_step / 4.0 else dt_try
         else:
-            u = full_step(u, dt_try)
-            t += dt_try
-            accepted += 1
-            extras["accepted_dts"].append(dt_try)
-        if detect_blowup(Field(grid, u), grad_sq_0, cfg):
+            uhat = strang(uhat, dt_try, (k_half, k_half))
+        u = ifftn(uhat)
+        t += dt_try
+        accepted += 1
+        extras["accepted_dts"].append(dt_try)
+        if detect_blowup(Field(grid, u), grad_sq_0, cfg, uhat=uhat):
             record_state(force=True)
             termination = Termination("BlowupDetected", t)
             break

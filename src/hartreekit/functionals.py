@@ -69,7 +69,7 @@ def _virial_first(u: Field, uhat) -> float:
     acc = 0.0
     uc = u.values.conj()
     for x, xi in zip(g.coords, g.freqs):
-        du = ifftn(1j * xi * uhat)
+        du = ifftn(1j * xi * uhat, overwrite_x=True)
         acc += float((uc * x * du).imag.sum())
     return acc * (4.0 * g.cell_volume)
 
@@ -139,11 +139,15 @@ def take_snapshot(
     virial_weight: Field | None,
     gamma: float,
     e_term_approximate: bool = False,
+    uhat=None,
 ) -> FunctionalSnapshot:
-    """Evaluate every monitored functional from one |u|^2 and one fftn(u)."""
+    """Evaluate every monitored functional from one |u|^2 and one fftn(u).
+
+    uhat is fftn(u.values) when the caller already holds it."""
     g = u.grid
     rho = abs_sq(u.values)
-    uhat = fftn(u.values)
+    if uhat is None:
+        uhat = fftn(u.values)
     gs = _grad_sq(g, abs_sq(uhat))
     i1 = _virial_first(u, uhat)
     p = _p(g, rho, gamma)

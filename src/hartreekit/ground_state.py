@@ -18,7 +18,7 @@ import numpy as np
 from .fieldio import dump_field
 from .functionals import FunctionalSnapshot, hv_norm_sq, mass, take_snapshot
 from .potentials import PotentialSpec, eval_potential, eval_virial_weight
-from .spectral import Field, Grid, fftn, ifftn
+from .spectral import Field, Grid, apply_multiplier
 
 class ConvergenceError(RuntimeError):
     pass
@@ -63,17 +63,18 @@ def _solve_helmholtz(grid: Grid, vvals, omega_sq: float, rhs, w0=None, tol: floa
     the V = 0 inverse; converges when the potential is form-small relative to
     -Lap + omega^2 (Kato-admissible wells are).
     """
-    inv = 1.0 / (grid.k_sq + omega_sq)
+    op = grid.k_sq + omega_sq
+    inv = 1.0 / op
     if vvals is None:
-        return ifftn(inv * fftn(rhs)).real
-    w = ifftn(inv * fftn(rhs)).real if w0 is None else w0.copy()
+        return apply_multiplier(rhs, inv)
+    w = apply_multiplier(rhs, inv) if w0 is None else w0.copy()
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros(grid.shape)
     last = np.inf
     stall = 0
     for _ in range(max_iter):
-        aw = ifftn((grid.k_sq + omega_sq) * fftn(w)).real + vvals * w
+        aw = apply_multiplier(w, op) + vvals * w
         res = rhs - aw
         rnorm = float(np.linalg.norm(res)) / rhs_norm
         if rnorm < tol:
@@ -90,15 +91,15 @@ def _solve_helmholtz(grid: Grid, vvals, omega_sq: float, rhs, w0=None, tol: floa
         else:
             stall = 0
         last = rnorm
-        w = w + ifftn(inv * fftn(res)).real
+        w = w + apply_multiplier(res, inv)
     raise ConvergenceError(f"helmholtz solve did not reach {tol:.1e} in {max_iter} iterations")
 
 
 def _residual(grid, vvals, gamma, omega_sq, u):
     """A u = (-Lap + V + omega^2) u, N(u) = (|x|^{-gamma} * u^2) u, and the
     relative operator residual ||A u - N(u)||_2 / ||u||_2 of a real profile."""
-    nl = ifftn(grid.riesz_multiplier(gamma) * fftn(u * u)).real * u
-    au = ifftn((grid.k_sq + omega_sq) * fftn(u)).real
+    nl = apply_multiplier(u * u, grid.riesz_multiplier(gamma)) * u
+    au = apply_multiplier(u, grid.k_sq + omega_sq)
     if vvals is not None:
         au += vvals * u
     unorm = float(np.linalg.norm(u))

@@ -9,6 +9,7 @@ the negative-part Kato norm that gates admissibility of the quadratic form
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -53,11 +54,19 @@ class PotentialSpec:
             raise ValueError(f"unknown potential kind {self.kind!r}, expected one of {KINDS}")
         if self.kind == "grid_sampled" and self.values is None:
             raise ValueError("grid_sampled potential needs a values array")
-        for name in ("sigma", "radius"):
-            if name in _PARAMS[self.kind] and getattr(self, name) <= 0:
-                raise ValueError(f"{self.kind}: {name} must be positive")
-        if self.kind == "inverse_poly" and self.exponent < 1:
-            raise ValueError("inverse_poly: exponent must be a positive integer")
+        # written as `not 0 < x < inf` so that NaN fails too; every problem is reported
+        params = _PARAMS[self.kind]
+        problems = [
+            f"{self.kind}: {name} must be positive and finite, got {getattr(self, name)}"
+            for name in ("sigma", "radius")
+            if name in params and not 0 < getattr(self, name) < math.inf
+        ]
+        if "amplitude" in params and not math.isfinite(self.amplitude):
+            problems.append(f"{self.kind}: amplitude must be finite, got {self.amplitude}")
+        if self.kind == "inverse_poly" and not self.exponent >= 1:
+            problems.append(f"inverse_poly: exponent must be a positive integer, got {self.exponent}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def is_zero(self) -> bool:

@@ -123,8 +123,7 @@ def _solve_gs(cfg: RunConfig):
     return gs
 
 
-def _gs_report(cfg: RunConfig, gs) -> dict:
-    v = None if cfg.potential.is_zero else eval_potential(cfg.potential, cfg.grid)
+def _gs_report(cfg: RunConfig, gs, adm) -> dict:
     return {
         "omega": gs.omega,
         "omega_mode": cfg.omega_mode,
@@ -136,20 +135,24 @@ def _gs_report(cfg: RunConfig, gs) -> dict:
         "c_gn": gs.c_gn,
         "c_q": gs.c_q,
         "pohozaev": pohozaev_residuals(gs),
-        "admissibility": asdict(check_admissible(cfg.potential, v, cfg.grid)),
+        "admissibility": asdict(adm),
     }
 
 
 def stage_groundstate(cfg: RunConfig, outdir):
+    """Solve and save the ground state; returns it with the potential's admissibility
+    report, which the classify stage reuses rather than recomputing its Kato norms."""
     gs = _solve_gs(cfg)
+    v = None if cfg.potential.is_zero else eval_potential(cfg.potential, cfg.grid)
+    adm = check_admissible(cfg.potential, v, cfg.grid)
     save_ground_state(os.path.join(outdir, "ground_state.fld"), gs)
-    write_json(os.path.join(outdir, "groundstate_report.json"), _gs_report(cfg, gs))
-    return gs
+    write_json(os.path.join(outdir, "groundstate_report.json"), _gs_report(cfg, gs, adm))
+    return gs, adm
 
 
-def stage_classify(cfg: RunConfig, outdir, gs):
+def stage_classify(cfg: RunConfig, outdir, gs, adm):
     u0 = build_initial(cfg, gs=gs)
-    report = classify(u0, cfg.potential, gs, cfg.gamma)
+    report = classify(u0, cfg.potential, gs, cfg.gamma, admissibility=adm)
     write_json(os.path.join(outdir, "classify_report.json"), asdict(report))
     return u0, report
 
@@ -451,16 +454,16 @@ def run(cfg: RunConfig) -> int:
         if cfg.mode == "groundstate":
             stage_groundstate(cfg, outdir)
         elif cfg.mode == "classify":
-            gs = stage_groundstate(cfg, outdir)
-            stage_classify(cfg, outdir, gs)
+            gs, adm = stage_groundstate(cfg, outdir)
+            stage_classify(cfg, outdir, gs, adm)
         elif cfg.mode == "evolve":
             needs_gs = cfg.initial is not None and cfg.initial.kind == "ground_state_scaled"
-            gs = stage_groundstate(cfg, outdir) if needs_gs else None
+            gs = stage_groundstate(cfg, outdir)[0] if needs_gs else None
             u0 = build_initial(cfg, gs=gs)
             stage_evolve(cfg, outdir, u0)
         elif cfg.mode == "full_pipeline":
-            gs = stage_groundstate(cfg, outdir)
-            u0, report = stage_classify(cfg, outdir, gs)
+            gs, adm = stage_groundstate(cfg, outdir)
+            u0, report = stage_classify(cfg, outdir, gs, adm)
             record = stage_evolve(cfg, outdir, u0)
             stage_compare(cfg, outdir, report, record, gs)
         elif cfg.mode == "validate":

@@ -25,12 +25,28 @@ def set_fft_workers(n: int) -> None:
     _fft_workers = max(1, int(n))
 
 
-def fftn(a: np.ndarray) -> np.ndarray:
-    return sfft.fftn(a, workers=_fft_workers)
+# overwrite_x=True lets a transform work in place in its input's memory, which
+# is faster; pass it only for a temporary that nothing reads afterwards.  The
+# result is bit-identical either way.
+def fftn(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    return sfft.fftn(a, workers=_fft_workers, overwrite_x=overwrite_x)
 
 
-def ifftn(a: np.ndarray) -> np.ndarray:
-    return sfft.ifftn(a, workers=_fft_workers)
+def ifftn(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    return sfft.ifftn(a, workers=_fft_workers, overwrite_x=overwrite_x)
+
+
+def apply_multiplier(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """ifftn(m * fftn(a)) for a multiplier m on the fftfreq grid.
+
+    A real a goes through rfftn/irfftn and comes back real, which takes m to
+    be even in xi (so the result is real); the half spectrum is the first
+    n/2 + 1 entries of m along the last axis.
+    """
+    if np.isrealobj(a):
+        half = m[..., : a.shape[-1] // 2 + 1] * sfft.rfftn(a, workers=_fft_workers)
+        return sfft.irfftn(half, a.shape, workers=_fft_workers, overwrite_x=True)
+    return ifftn(m * fftn(a), overwrite_x=True)
 
 
 @lru_cache(maxsize=64)
@@ -234,9 +250,7 @@ def riesz_convolve(f: Field, gamma_exp: float) -> Field:
     result tracks the free-space potential; residual error is set by the
     periodic images and the source's far tail.
     """
-    m = f.grid.riesz_multiplier(gamma_exp)
-    g = ifftn(m * fftn(f.values))
-    return Field(f.grid, g.real if np.isrealobj(f.values) else g)
+    return Field(f.grid, apply_multiplier(f.values, f.grid.riesz_multiplier(gamma_exp)))
 
 
 def shell_fraction(grid: Grid, density: np.ndarray, cut: float, spectral: bool = False) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 from .functionals import FunctionalSnapshot, take_snapshot
 from .ground_state import GroundState
 from .potentials import (
+    AdmissibilityReport,
     PotentialSpec,
     check_admissible,
     eval_potential,
@@ -255,13 +256,21 @@ class DichotomyReport:
     notes: list = dc_field(default_factory=list)
 
 
-def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float) -> DichotomyReport:
+def classify(
+    u0: Field,
+    potential: PotentialSpec,
+    gs: GroundState,
+    gamma: float,
+    admissibility: AdmissibilityReport | None = None,
+) -> DichotomyReport:
     """Apply the super-threshold dichotomy hypotheses to initial data.
 
     gs must be the branch-correct reference: the free profile when the
     negative part of V vanishes, the potential-pinned profile otherwise.
     Nothing here raises on data that merely fails hypotheses; the verdict
-    degrades to Indeterminate with the failures listed."""
+    degrades to Indeterminate with the failures listed.  admissibility is
+    check_admissible's report for potential on u0's grid, when the caller
+    already has it."""
     grid = u0.grid
     vfield = None if potential.is_zero else eval_potential(potential, grid)
     free_branch = vfield is None or value_sign(vfield.values, rtol=1e-12) in ("nonnegative", "zero")
@@ -286,7 +295,7 @@ def classify(u0: Field, potential: PotentialSpec, gs: GroundState, gamma: float)
 
     notes: list = []
     sc = s_crit(gamma)
-    adm = check_admissible(potential, vfield, grid)
+    adm = check_admissible(potential, vfield, grid) if admissibility is None else admissibility
     # variance density in the outer 10% shell
     frac = shell_fraction(grid, np.abs(u0.values) ** 2 * grid.r_sq, 0.9 * grid.half_length)
     sigma_ok = frac < 1e-6

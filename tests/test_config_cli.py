@@ -90,6 +90,27 @@ def test_evolve_violations_reject_nan_and_list_each(tmp_path):
     assert len(v) == 3
 
 
+def test_potential_rejects_nan_and_lists_each(tmp_path, capsys):
+    # NaN passed a `<= 0` test and the amplitude went unchecked, so this
+    # config used to fail late, in the Helmholtz solve
+    path = write_cfg(
+        tmp_path,
+        "[run]\nmode = classify\n[grid]\npoints = 16\n"
+        "[potential]\nkind = gaussian_bump\namplitude = nan\nsigma = nan\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 1.5\n",
+    )
+    with pytest.raises(ConfigError) as ei:
+        parse_config(path)
+    assert sorted(ei.value.violations) == [
+        "[potential]: gaussian_bump: amplitude must be finite, got nan",
+        "[potential]: gaussian_bump: sigma must be positive and finite, got nan",
+    ]
+    assert main(["classify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert all(v in err for v in ei.value.violations)
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_solver_settings_reject_nonfinite_and_list_each(tmp_path):
     # tol = inf would accept the solver's initial Gaussian as converged, and a
     # NaN amplitude makes NaN data; every bad key is its own violation
@@ -362,6 +383,28 @@ def test_cli_pipeline_run(tmp_path):
     lines = open(os.path.join(out, "comparison.csv")).read().strip().split("\n")
     assert lines[0] == "verdict,termination,consistent,note"
     assert lines[1].split(",")[0] == rep["verdict"]
+
+
+def test_pipeline_computes_admissibility_once(tmp_path, monkeypatch):
+    # a well has a nonzero negative part: one admissibility check is two Kato norms
+    import hartreekit.potentials as potentials
+
+    calls = []
+    kato_norm = potentials.kato_norm
+    monkeypatch.setattr(potentials, "kato_norm", lambda v: calls.append(1) or kato_norm(v))
+    out = str(tmp_path / "pipe")
+    path = write_cfg(
+        tmp_path,
+        "[run]\nmode = full_pipeline\n" + SMALL_GRID +
+        "[potential]\nkind = gaussian_bump\namplitude = -0.3\nsigma = 1.0\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 1.5\n"
+        "[evolve]\nt_max = 0.01\n",
+    )
+    assert main(["pipeline", "--config", path, "--out", out]) == 0
+    assert len(calls) == 2
+    gs_adm = read_json(os.path.join(out, "groundstate_report.json"))["admissibility"]
+    assert gs_adm == read_json(os.path.join(out, "classify_report.json"))["admissibility"]
+    assert gs_adm["kato_norm_negative_part"] > 0
 
 
 def test_validate_deterministic_reruns(tmp_path):

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import scipy.fft
+
 import hartreekit.evolve as evolve_module
 from hartreekit.evolve import (
+    _kinetic,
     EvolveConfig,
     TrajectoryRecord,
     detect_blowup,
@@ -16,7 +19,7 @@ from hartreekit.evolve import (
     virial_consistency,
 )
 from hartreekit.functionals import CSV_COLUMNS, take_snapshot
-from hartreekit.potentials import PotentialSpec
+from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
 from hartreekit.spectral import Field, Grid
 
 from conftest import GAMMA
@@ -304,3 +307,75 @@ def test_resolution_exhausted(g32):
     rec = evolve(noise, ZERO, cfg)
     assert rec.termination.kind == "ResolutionExhausted"
     assert rec.termination.time == 0.0
+
+
+@pytest.mark.parametrize("potential", [ZERO, BUMP], ids=["free", "bump"])
+@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
+def test_fused_attempt_matches_half_step_replay(g32, potential, linear):
+    # the attempt builds the dt step and the two dt/2 steps from one Fourier
+    # state and merges the middle kinetic flows; its accepted states must be
+    # those of two plain strang_step(dt/2) calls per accepted step
+    r2 = g32.r_sq
+    u0 = Field(g32, 0.6 * np.exp(-r2 / (2.0 * 1.4**2)) * np.exp(-0.2j * r2))
+    cfg = EvolveConfig(grid=g32, gamma=GAMMA, dt0=4e-3, t_max=0.06, tol_step=1e-6, record_stride=1,
+                       linear=linear, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
+    rec = evolve(u0, potential, cfg)
+    assert rec.termination.kind == "Completed"
+    v = None if potential.is_zero else eval_potential(potential, g32)
+    w = None if potential.is_zero else eval_virial_weight(potential, g32)
+    u, t = u0, 0.0
+    replay = [take_snapshot(u, t, v, w, GAMMA)]
+    for dt in rec.extras["accepted_dts"]:
+        for _ in range(2):
+            u = strang_step(u, 0.5 * dt, potential, GAMMA, linear=linear)
+        t += dt
+        replay.append(take_snapshot(u, t, v, w, GAMMA))
+    assert len(rec.snapshots) == len(replay) > 5
+    got = np.array([s.csv_row() for s in rec.snapshots])
+    want = np.array([s.csv_row() for s in replay])
+    scale = np.abs(want).max(axis=0)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.where(scale > 0, scale, 1.0))
+
+
+def test_separable_kinetic_factor(g32):
+    for tau in (1e-3, -2.5e-3, 0.05):
+        assert np.abs(_kinetic(g32, tau) - np.exp(-1j * tau * g32.k_sq)).max() < 1e-14
+
+
+def test_fft_counts_per_adaptive_step(monkeypatch):
+    """Counter gate on the transforms of one accepted adaptive step at 16^3.
+
+    An attempt runs the dt step K P K and the two dt/2 steps K P K P K on one
+    Fourier state: three phase sub-flows, each an ifftn into physical space,
+    an fftn back, and an fftn/ifftn pair for the Hartree convolution of |u|^2:
+    3 x 4 = 12 complex FFTs.  The run: fftn(u0) (1); the t = 0 snapshot given
+    that transform, 3 ifftn for I' and rfftn + irfftn for P (3 complex, 2
+    real); one attempt (12); the ifftn of the accepted state (1);
+    detect_blowup on the transform in hand (0); the closing snapshot (3
+    complex, 2 real).  Total 20 complex and 4 real."""
+    counts = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn"), 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+
+    def complex_real():
+        out = (counts["fftn"] + counts["ifftn"], counts["rfftn"] + counts["irfftn"])
+        counts.update(dict.fromkeys(counts, 0))
+        return out
+
+    grid = Grid(3, 16, 8.0)
+    u0 = Field(grid, 0.5 * np.exp(-grid.r_sq / 4.0) + 0j)
+    cfg = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=1e-3, tol_step=1e-2, record_stride=1,
+                       blowup_grad_factor=50.0, blowup_tail_frac=1.0)
+    rec = evolve(u0, ZERO, cfg)
+    assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
+    assert complex_real() == (20, 4)
+
+    uhat = scipy.fft.fftn(u0.values)
+    complex_real()
+    assert not detect_blowup(u0, 1.0, cfg, uhat=uhat)
+    assert complex_real() == (0, 0)
+    assert not detect_blowup(u0, 1.0, cfg)
+    assert complex_real() == (1, 0)
