@@ -1,69 +1,30 @@
 """Strictly-keyed INI run configuration.
 
-Every key is checked against a schema and every violation is collected (not
-just the first), because a silently ignored misspelling like "gama" would
-quietly change which side of a strict inequality an experiment sits on.
+Each section is a dataclass whose fields are its keys, with their types and
+defaults, and whose __post_init__ checks them; parse_config adds only the
+checks that span sections.  Every violation is collected (not just the
+first), because a silently ignored misspelling like "gama" or an unused key
+would quietly change which side of a strict inequality an experiment sits on.
 Presets ship as config files under hartreekit/presets.
 """
 
 from __future__ import annotations
 
 import configparser
-import difflib
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .evolve import EvolveConfig
-from .potentials import KINDS as POTENTIAL_KINDS
-from .potentials import PotentialSpec
+from .fieldio import load_field
+from .ground_state import GroundStateSettings, gamma_window_problem
+from .potentials import _PARAMS, KINDS, PotentialSpec, suggest
 from .spectral import Grid
 
 MODES = ("groundstate", "classify", "evolve", "full_pipeline", "validate")
-INITIAL_KINDS = ("gaussian", "ground_state_scaled", "file")
-
-# section -> key -> (type tag, default); None default means "no default"
-_SCHEMA = {
-    "run": {
-        "mode": ("str", None),
-        "out": ("str", None),
-        "seed": ("int", 0),
-        "threads": ("int", 1),
-    },
-    "grid": {
-        "dim": ("int", 3),
-        "points": ("int", 64),
-        "half_length": ("float", 10.0),
-    },
-    "model": {
-        "gamma": ("float", 2.5),
-    },
-    "potential": {
-        "kind": ("str", "zero"),
-        "amplitude": ("float", None),
-        "sigma": ("float", None),
-        "radius": ("float", None),
-        "exponent": ("float", None),
-        "file": ("str", None),
-    },
-    "initial_data": {
-        "kind": ("str", None),
-        "amplitude": ("float", None),
-        "width": ("float", None),
-        "scale": ("float", None),
-        "lambda": ("float", 0.0),
-        "file": ("str", None),
-    },
-    "groundstate": {
-        "omega": ("float", 1.0),
-        "omega_mode": ("str", "fixed"),
-        "tol": ("float", 1e-9),
-        "max_iter": ("int", 2000),
-    },
-    # every [evolve] key and default is an EvolveConfig field; the type tag is its
-    # annotation, a string such as "float" because evolve.py postpones annotations
-    "evolve": {f.name: (f.type, f.default) for f in fields(EvolveConfig) if f.name not in ("grid", "gamma")},
-}
+# the keys each initial-data kind requires
+_REQUIRED = {"gaussian": ("amplitude", "width"), "ground_state_scaled": ("scale",), "file": ("file",)}
+INITIAL_KINDS = tuple(_REQUIRED)
 
 
 class ConfigError(Exception):
@@ -74,8 +35,44 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.violations))
 
 
+# Each section dataclass reports every problem of its keys in one ValueError,
+# joined by "; ".
+
+
+@dataclass
+class RunSettings:
+    """The [run] keys."""
+
+    mode: str | None = None
+    out: str | None = None
+    seed: int = 0
+    threads: int = 1
+
+    def __post_init__(self):
+        problems = []
+        if self.mode is None:
+            problems.append("mode is required (or pass a CLI verb)")
+        elif self.mode not in MODES:
+            problems.append(f"mode '{self.mode}' is not one of {'/'.join(MODES)}{suggest(self.mode, MODES)}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
+        if self.threads < 1:
+            problems.append(f"threads must be >= 1, got {self.threads}")
+        if problems:
+            raise ValueError("; ".join(problems))
+
+
+@dataclass
+class Model:
+    """The [model] key; gamma's window depends on [grid] dim, so parse_config checks it."""
+
+    gamma: float = 2.5
+
+
 @dataclass
 class InitialSpec:
+    """The [initial_data] keys; lambda and file are the fields lam and path."""
+
     kind: str
     amplitude: float | None = None
     width: float | None = None
@@ -83,73 +80,102 @@ class InitialSpec:
     lam: float = 0.0
     path: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "width": self.width,
-            "scale": self.scale,
-            "lambda": self.lam,
-            "path": self.path,
+    def __post_init__(self):
+        if self.kind not in INITIAL_KINDS:
+            raise ValueError(
+                f"kind '{self.kind}' is not one of {'/'.join(INITIAL_KINDS)}{suggest(self.kind, INITIAL_KINDS)}"
+            )
+        # written as `not 0 < x < inf` so that NaN fails too
+        problems = [
+            f"{key} must be positive and finite, got {x}"
+            for key, x in (("width", self.width), ("scale", self.scale))
+            if x is not None and not 0 < x < math.inf
+        ]
+        problems += [
+            f"{key} must be finite, got {x}"
+            for key, x in (("amplitude", self.amplitude), ("lambda", self.lam))
+            if x is not None and not math.isfinite(x)
+        ]
+        required = _REQUIRED[self.kind]
+        if any(getattr(self, _FIELD["initial_data"].get(key, key)) is None for key in required):
+            problems.append(f"kind {self.kind} requires {' and '.join(required)}")
+        elif self.kind == "file" and not os.path.exists(self.path):
+            problems.append(f"file not found: {self.path}")
+        if problems:
+            raise ValueError("; ".join(problems))
+
+
+SECTIONS = {
+    "run": RunSettings,
+    "grid": Grid,
+    "model": Model,
+    "potential": PotentialSpec,
+    "initial_data": InitialSpec,
+    "groundstate": GroundStateSettings,
+    "evolve": EvolveConfig,
+}
+# config key -> field, where the two differ
+_FIELD = {"initial_data": {"lambda": "lam", "file": "path"}}
+# fields that are not keys: [evolve] takes grid and gamma from [grid] and
+# [model], and a sampled potential's values are loaded from its file key
+_NOT_KEYS = {"evolve": ("grid", "gamma"), "potential": ("values",)}
+
+
+def _derive_schema() -> dict:
+    """section -> key -> (type tag, default), read off the section dataclasses.
+
+    The tag is the annotation's first type (annotations are strings here, as
+    every module postpones them); a field without a default gets None."""
+    schema = {}
+    for section, cls in SECTIONS.items():
+        key = {f: k for k, f in _FIELD.get(section, {}).items()}
+        schema[section] = {
+            key.get(f.name, f.name): (f.type.split(" |")[0], None if f.default is MISSING else f.default)
+            for f in fields(cls)
+            if f.name not in _NOT_KEYS.get(section, ())
         }
+    schema["potential"]["file"] = ("str", None)
+    return schema
+
+
+_SCHEMA = _derive_schema()
 
 
 @dataclass
 class RunConfig:
-    mode: str
+    """A checked config: one dataclass per section, and gamma from [model]."""
+
+    run: RunSettings
     grid: Grid
     gamma: float
     potential: PotentialSpec
     initial: InitialSpec | None
     evolve: EvolveConfig
-    omega: float = 1.0
-    omega_mode: str = "fixed"
-    gs_tol: float = 1e-9
-    gs_max_iter: int = 2000
-    out: str | None = None
-    seed: int = 0
-    threads: int = 1
+    groundstate: GroundStateSettings = field(default_factory=GroundStateSettings)
     source_path: str | None = None
 
-    def to_dict(self) -> dict:
+    def echo(self) -> dict:
+        """The manifest's record of what ran: every section but the output directory."""
+        run = {k: v for k, v in asdict(self.run).items() if k != "out"}
+        # manifests have always named the initial-data file "path"
+        initial = self.initial and {"lambda" if k == "lam" else k: v for k, v in asdict(self.initial).items()}
         return {
-            "mode": self.mode,
-            "grid": {"dim": self.grid.dim, "points": self.grid.points, "half_length": self.grid.half_length},
+            **run,
+            "grid": asdict(self.grid),
             "gamma": self.gamma,
             "potential": self.potential.to_dict(),
-            "initial_data": self.initial.to_dict() if self.initial else None,
+            "initial_data": initial,
             "evolve": asdict(self.evolve),
-            "groundstate": {
-                "omega": self.omega,
-                "omega_mode": self.omega_mode,
-                "tol": self.gs_tol,
-                "max_iter": self.gs_max_iter,
-            },
-            "seed": self.seed,
-            "threads": self.threads,
+            "groundstate": asdict(self.groundstate),
         }
-
-
-def _suggest(name, options):
-    close = difflib.get_close_matches(name, options, n=1)
-    return f" (did you mean '{close[0]}'?)" if close else ""
 
 
 def _convert(raw, tag, where, violations):
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return raw.strip()
-    except ValueError:
+        if tag == "bool":  # 1/0, true/false, yes/no, on/off
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        return {"int": int, "float": float, "str": str.strip}[tag](raw)
+    except (KeyError, ValueError):
         violations.append(f"{where}: cannot parse {raw!r} as {tag}")
         return None
 
@@ -172,166 +198,86 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     values: dict = {}
     for section in cp.sections():
         if section not in _SCHEMA:
-            violations.append(f"unknown section [{section}]{_suggest(section, list(_SCHEMA))}")
+            violations.append(f"unknown section [{section}]{suggest(section, list(_SCHEMA))}")
             continue
         for key, raw in cp.items(section):
             if key not in _SCHEMA[section]:
-                violations.append(
-                    f"[{section}]: unknown key '{key}'{_suggest(key, list(_SCHEMA[section]))}"
-                )
+                violations.append(f"[{section}]: unknown key '{key}'{suggest(key, list(_SCHEMA[section]))}")
                 continue
             values[(section, key)] = raw
     if overrides:
         values.update(overrides)
 
-    def get(section, key):
-        tag, default = _SCHEMA[section][key]
-        if (section, key) in values:
-            return _convert(values[(section, key)], tag, f"[{section}] {key}", violations)
-        return default
+    # the given keys of each section as field arguments; None when one does not parse
+    given: dict = {}
+    for section, keys in _SCHEMA.items():
+        kw = {}
+        for key, (tag, _default) in keys.items():
+            if (section, key) in values:
+                kw[key] = _convert(values[(section, key)], tag, f"[{section}] {key}", violations)
+        if None not in kw.values():
+            given[section] = {_FIELD.get(section, {}).get(k, k): v for k, v in kw.items()}
 
-    # written as `not 0 < x < inf` so that NaN fails too; each bad key is its own violation
-    def positive_finite(section, key, x):
-        if x is not None and not 0 < x < math.inf:
-            violations.append(f"[{section}] {key}: must be positive and finite, got {x}")
-
-    mode = get("run", "mode")
-    if mode is not None and mode not in MODES:
-        violations.append(f"[run] mode: '{mode}' is not one of {'/'.join(MODES)}{_suggest(mode, MODES)}")
-    if mode is None:
-        violations.append("[run] mode: required (or pass a CLI verb)")
-
-    dim = get("grid", "dim")
-    points = get("grid", "points")
-    half_length = get("grid", "half_length")
-    grid = None
-    if dim is not None and points is not None and half_length is not None:
+    def build(section, **context):
+        if section not in given:
+            return None
         try:
-            grid = Grid(dim, points, half_length)
+            return SECTIONS[section](**given[section], **context)
         except ValueError as exc:
-            violations.append(f"[grid]: {exc}")
+            violations.extend(f"[{section}]: {problem}" for problem in str(exc).split("; "))
+            return None
 
-    gamma = get("model", "gamma")
-    if gamma is not None and dim is not None and not (2.0 < gamma < min(4.0, float(dim))):
-        violations.append(f"[model] gamma: must lie in (2, min(4, d)) = (2, {min(4.0, float(dim))}), got {gamma}")
-
-    pkind = get("potential", "kind")
-    potential = None
-    if pkind is not None:
-        if pkind not in POTENTIAL_KINDS:
-            violations.append(
-                f"[potential] kind: '{pkind}' is not one of {'/'.join(POTENTIAL_KINDS)}{_suggest(pkind, POTENTIAL_KINDS)}"
-            )
-        else:
-            pkw = {}
-            for par, dest in (("amplitude", "amplitude"), ("sigma", "sigma"), ("radius", "radius"), ("exponent", "exponent")):
-                v = get("potential", par)
-                if v is not None:
-                    pkw[dest] = v
-            pfile = get("potential", "file")
-            if pkind == "grid_sampled":
-                if pfile is None:
-                    violations.append("[potential]: kind grid_sampled requires file")
-                elif grid is not None:
-                    try:
-                        from .fieldio import load_field
-
-                        fld, _ = load_field(pfile)
-                        if fld.grid != grid:
-                            violations.append(f"[potential] file: grid of {pfile} does not match [grid]")
-                        else:
-                            pkw["values"] = fld.values.real
-                    except (OSError, ValueError) as exc:
-                        violations.append(f"[potential] file: {exc}")
-            elif pfile is not None:
-                violations.append("[potential]: file is only valid for kind grid_sampled")
-            try:
-                potential = PotentialSpec(kind=pkind, **pkw)
-            except (TypeError, ValueError) as exc:
-                # PotentialSpec joins all of its problems with "; "
-                violations.extend(f"[potential]: {problem}" for problem in str(exc).split("; "))
+    run, grid, model, groundstate = map(build, ("run", "grid", "model", "groundstate"))
+    gamma = None if model is None else model.gamma
+    evolve_cfg = None
+    if grid is not None and model is not None:
+        problem = gamma_window_problem(gamma, grid.dim)
+        if problem:
+            violations.append(f"[model]: {problem}")
+        evolve_cfg = build("evolve", grid=grid, gamma=gamma)
 
     initial = None
-    ikind = get("initial_data", "kind")
-    needs_initial = mode in ("classify", "evolve", "full_pipeline")
-    if ikind is None:
-        if needs_initial:
-            violations.append(f"[initial_data] kind: required for mode {mode}")
-    elif ikind not in INITIAL_KINDS:
-        violations.append(
-            f"[initial_data] kind: '{ikind}' is not one of {'/'.join(INITIAL_KINDS)}{_suggest(ikind, INITIAL_KINDS)}"
-        )
+    if ("initial_data", "kind") not in values:
+        if run is not None and run.mode in ("classify", "evolve", "full_pipeline"):
+            violations.append(f"[initial_data] kind: required for mode {run.mode}")
     else:
-        amp = get("initial_data", "amplitude")
-        width = get("initial_data", "width")
-        scale = get("initial_data", "scale")
-        lam = get("initial_data", "lambda")
-        ipath = get("initial_data", "file")
-        positive_finite("initial_data", "width", width)
-        positive_finite("initial_data", "scale", scale)
-        for key, x in (("amplitude", amp), ("lambda", lam)):
-            if x is not None and not math.isfinite(x):
-                violations.append(f"[initial_data] {key}: must be finite, got {x}")
-        if ikind == "gaussian":
-            if amp is None or width is None:
-                violations.append("[initial_data]: kind gaussian requires amplitude and width")
-        elif ikind == "ground_state_scaled":
-            if scale is None:
-                violations.append("[initial_data]: kind ground_state_scaled requires scale")
-        elif ikind == "file":
-            if ipath is None:
-                violations.append("[initial_data]: kind file requires file")
-            elif not os.path.exists(ipath):
-                violations.append(f"[initial_data] file: not found: {ipath}")
-        initial = InitialSpec(kind=ikind, amplitude=amp, width=width, scale=scale, lam=lam or 0.0, path=ipath)
+        initial = build("initial_data")
 
-    omega_mode = get("groundstate", "omega_mode")
-    if omega_mode not in ("fixed", "self_consistent"):
-        violations.append(
-            f"[groundstate] omega_mode: '{omega_mode}' is not fixed/self_consistent{_suggest(omega_mode or '', ['fixed', 'self_consistent'])}"
-        )
-    omega = get("groundstate", "omega")
-    gs_tol = get("groundstate", "tol")
-    gs_max_iter = get("groundstate", "max_iter")
-    positive_finite("groundstate", "omega", omega)
-    positive_finite("groundstate", "tol", gs_tol)
-    if gs_max_iter is not None and gs_max_iter < 1:
-        violations.append(f"[groundstate] max_iter: must be >= 1, got {gs_max_iter}")
-
-    evolve_cfg = None
-    if grid is not None and gamma is not None:
-        ekw = {k: get("evolve", k) for k in _SCHEMA["evolve"]}
-        if all(v is not None for v in ekw.values()):
+    potential = None
+    pkw = given.get("potential")
+    if pkw is not None:
+        # a key the kind does not read would be dropped unseen; PotentialSpec reports an unknown kind
+        kind = pkw.get("kind", PotentialSpec.kind)
+        for key in pkw:
+            if kind in KINDS and key != "kind" and key not in _PARAMS[kind]:
+                users = "/".join(k for k in KINDS if key in _PARAMS[k])
+                violations.append(f"[potential] {key}: only valid for kind {users}")
+        pfile = pkw.pop("file", None)
+        if kind != "grid_sampled":
+            potential = build("potential")
+        elif pfile is None:
+            violations.append("[potential]: kind grid_sampled requires file")
+        elif grid is not None:
             try:
-                evolve_cfg = EvolveConfig(grid=grid, gamma=gamma, **ekw)
-            except ValueError as exc:
-                # EvolveConfig joins all of its problems with "; "
-                violations.extend(f"[evolve]: {problem}" for problem in str(exc).split("; "))
-
-    seed = get("run", "seed")
-    threads = get("run", "threads")
-    if threads is not None and threads < 1:
-        violations.append(f"[run] threads: must be >= 1, got {threads}")
-    if seed is not None and seed < 0:
-        violations.append(f"[run] seed: must be >= 0, got {seed}")
+                fld, _ = load_field(pfile)
+            except (OSError, ValueError) as exc:
+                violations.append(f"[potential] file: {exc}")
+            else:
+                if fld.grid != grid:
+                    violations.append(f"[potential] file: grid of {pfile} does not match [grid]")
+                else:
+                    potential = build("potential", values=fld.values.real)
 
     if violations:
         raise ConfigError(violations)
-
     return RunConfig(
-        mode=mode,
+        run=run,
         grid=grid,
         gamma=gamma,
         potential=potential,
         initial=initial,
         evolve=evolve_cfg,
-        omega=omega,
-        omega_mode=omega_mode,
-        gs_tol=gs_tol,
-        gs_max_iter=gs_max_iter,
-        out=get("run", "out"),
-        seed=seed,
-        threads=threads,
+        groundstate=groundstate,
         source_path=os.path.abspath(path),
     )
 

@@ -17,11 +17,49 @@ import numpy as np
 
 from .fieldio import dump_field
 from .functionals import FunctionalSnapshot, hv_norm_sq, mass, take_snapshot
-from .potentials import PotentialSpec, eval_potential, eval_virial_weight
+from .potentials import PotentialSpec, eval_potential, eval_virial_weight, suggest
 from .spectral import Field, Grid, apply_multiplier
+
+OMEGA_MODES = ("fixed", "self_consistent")
+
 
 class ConvergenceError(RuntimeError):
     pass
+
+
+def gamma_window_problem(gamma: float, dim: int) -> str | None:
+    """None when gamma lies in the model's window 2 < gamma < min(4, dim), else the problem."""
+    top = min(4.0, float(dim))
+    if not 2.0 < gamma < top:  # NaN fails too
+        return f"gamma must lie in (2, min(4, d)) = (2, {top}), got {gamma}"
+    return None
+
+
+@dataclass
+class GroundStateSettings:
+    """The solver settings, which are the [groundstate] config keys; every problem is reported."""
+
+    omega: float = 1.0
+    omega_mode: str = "fixed"
+    tol: float = 1e-9
+    max_iter: int = 2000
+
+    def __post_init__(self):
+        # written as `not 0 < x < inf` so that NaN and inf fail too
+        problems = [
+            f"{name} must be positive and finite, got {getattr(self, name)}"
+            for name in ("omega", "tol")
+            if not 0 < getattr(self, name) < math.inf
+        ]
+        if self.omega_mode not in OMEGA_MODES:
+            problems.append(
+                f"omega_mode '{self.omega_mode}' is not one of {'/'.join(OMEGA_MODES)}"
+                f"{suggest(self.omega_mode, OMEGA_MODES)}"
+            )
+        if self.max_iter < 1:
+            problems.append(f"max_iter must be >= 1, got {self.max_iter}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass
@@ -148,25 +186,23 @@ def solve_ground_state(
     grid: Grid,
     potential: PotentialSpec,
     gamma: float,
-    omega: float = 1.0,
-    omega_mode: str = "fixed",
-    tol: float = 1e-9,
-    max_iter: int = 2000,
     initial: Field | None = None,
+    **settings,
 ) -> GroundState:
     """Compute the ground-state profile.
 
+    settings are GroundStateSettings fields (omega, omega_mode, tol,
+    max_iter), checked there; the ones not given take its defaults.
     omega_mode 'fixed' solves at the given omega; 'self_consistent' adjusts
     omega^2 <- (4-gamma) ||Q||_{HV}^2 / (gamma M(Q)) with 0.5 relaxation until
     the dilation identity int (2V + x.grad V) Q^2 = 0 holds, which pins the
     omega used by the potential-branch threshold quantities.
     """
-    if not 2.0 < gamma < min(4.0, grid.dim):
-        raise ValueError(f"gamma must lie in (2, min(4, dim)) = (2, {min(4.0, grid.dim)}), got {gamma}")
-    if not 0 < omega < math.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-    if omega_mode not in ("fixed", "self_consistent"):
-        raise ValueError(f"unknown omega_mode {omega_mode!r}")
+    problem = gamma_window_problem(gamma, grid.dim)
+    if problem:
+        raise ValueError(problem)
+    opts = GroundStateSettings(**settings)
+    tol, max_iter = opts.tol, opts.max_iter
 
     vvals = None if potential.is_zero else eval_potential(potential, grid).values
     vfield = None if vvals is None else Field(grid, vvals)
@@ -176,10 +212,10 @@ def solve_ground_state(
         else np.array(initial.values.real, dtype=float, copy=True)
     )
 
-    omega_sq = omega * omega
+    omega_sq = opts.omega * opts.omega
     omega_iters = 0
     history: list = []
-    if omega_mode == "fixed":
+    if opts.omega_mode == "fixed":
         u, iters, resid, ok = _petviashvili(grid, vvals, gamma, omega_sq, u, tol, max_iter, history)
     else:
         # Root-find G(w) = (4-gamma) hv / (gamma m) - w on w = omega^2; G = 0 is

@@ -8,6 +8,7 @@ the negative-part Kato norm that gates admissibility of the quadratic form
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import math
 import warnings
@@ -18,31 +19,31 @@ from scipy.special import gamma as gamma_fn
 
 from .spectral import Field, Grid, fftn, ifftn, integrate, riesz_convolve
 
-KINDS = (
-    "zero",
-    "gaussian_bump",
-    "smooth_compact_bump",
-    "inverse_poly",
-    "ball_indicator",
-    "grid_sampled",
-)
-
-# which numeric parameters each kind consumes
+# the [potential] keys each kind reads; a sampled potential's values come from its file
 _PARAMS = {
     "zero": (),
     "gaussian_bump": ("amplitude", "sigma"),
     "smooth_compact_bump": ("amplitude", "radius"),
     "inverse_poly": ("amplitude", "exponent"),
     "ball_indicator": ("amplitude", "radius"),
-    "grid_sampled": (),
+    "grid_sampled": ("file",),
 }
+KINDS = tuple(_PARAMS)
+
+
+def suggest(name: str, options) -> str:
+    """The hint " (did you mean 'x'?)" for the option closest to a misspelt name, or ""."""
+    close = difflib.get_close_matches(name, options, n=1)
+    return f" (did you mean '{close[0]}'?)" if close else ""
 
 
 @dataclass
 class PotentialSpec:
-    """Declarative potential description: kind plus named numeric parameters."""
+    """Declarative potential description: kind plus named numeric parameters.
 
-    kind: str
+    The fields other than values are the [potential] config keys."""
+
+    kind: str = "zero"
     amplitude: float = 0.0
     sigma: float = 1.0
     radius: float = 1.0
@@ -51,7 +52,7 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}, expected one of {KINDS}")
+            raise ValueError(f"kind '{self.kind}' is not one of {'/'.join(KINDS)}{suggest(self.kind, KINDS)}")
         if self.kind == "grid_sampled" and self.values is None:
             raise ValueError("grid_sampled potential needs a values array")
         # written as `not 0 < x < inf` so that NaN fails too; every problem is reported
@@ -63,7 +64,7 @@ class PotentialSpec:
         ]
         if "amplitude" in params and not math.isfinite(self.amplitude):
             problems.append(f"{self.kind}: amplitude must be finite, got {self.amplitude}")
-        if self.kind == "inverse_poly" and not self.exponent >= 1:
+        if "exponent" in params and not (self.exponent >= 1 and float(self.exponent).is_integer()):
             problems.append(f"inverse_poly: exponent must be a positive integer, got {self.exponent}")
         if problems:
             raise ValueError("; ".join(problems))
@@ -82,13 +83,10 @@ class PotentialSpec:
         return self.kind == "ball_indicator"
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for name in _PARAMS[self.kind]:
-            d[name] = getattr(self, name)
         if self.kind == "grid_sampled":
-            d["sha256"] = hashlib.sha256(np.ascontiguousarray(self.values).tobytes()).hexdigest()
-            d["shape"] = list(self.values.shape)
-        return d
+            sha = hashlib.sha256(np.ascontiguousarray(self.values).tobytes()).hexdigest()
+            return {"kind": self.kind, "sha256": sha, "shape": list(self.values.shape)}
+        return {"kind": self.kind, **{name: getattr(self, name) for name in _PARAMS[self.kind]}}
 
 
 def eval_potential(spec: PotentialSpec, grid: Grid) -> Field:
@@ -246,3 +244,9 @@ def value_sign(values, rtol: float = 1e-10) -> str:
     if pos:
         return "nonnegative"
     return "nonpositive" if neg else "zero"
+
+
+def on_free_branch(v: Field | None) -> bool:
+    """The threshold branch rule: with V = 0 (v None) or V >= 0 up to 1e-12 of
+    its sup, V_- vanishes and the reference ground state is the free one."""
+    return v is None or value_sign(v.values, rtol=1e-12) in ("nonnegative", "zero")

@@ -20,10 +20,10 @@ from scipy.special import gamma as gamma_fn
 
 from .config import RunConfig
 from .evolve import EvolveConfig, TrajectoryRecord, evolve, monotonicity_probe, virial_consistency
-from .fieldio import load_field, write_json
+from .fieldio import load_field, read_json, write_json
 from .functionals import CSV_COLUMNS, _integral, mass, take_snapshot
 from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state
-from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm
+from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm, on_free_branch
 from .spectral import (
     Field,
     Grid,
@@ -102,17 +102,13 @@ def _check_box_decay(u0: Field, phase: str) -> float:
     return frac
 
 
-def _solve_gs(cfg: RunConfig):
+def _solve_gs(cfg: RunConfig, v: Field | None):
+    """Solve the threshold reference for the potential sampled as v (None for V = 0).
+    A nonzero V without a negative part puts the run on the free branch, whose
+    reference is solved with V = 0."""
+    ref = PotentialSpec() if v is not None and on_free_branch(v) else cfg.potential
     try:
-        gs = solve_ground_state(
-            cfg.grid,
-            cfg.potential,
-            cfg.gamma,
-            omega=cfg.omega,
-            omega_mode=cfg.omega_mode,
-            tol=cfg.gs_tol,
-            max_iter=cfg.gs_max_iter,
-        )
+        gs = solve_ground_state(cfg.grid, ref, cfg.gamma, **asdict(cfg.groundstate))
     except ConvergenceError as exc:
         raise RunError("groundstate", str(exc)) from exc
     if not gs.converged:
@@ -126,7 +122,7 @@ def _solve_gs(cfg: RunConfig):
 def _gs_report(cfg: RunConfig, gs, adm) -> dict:
     return {
         "omega": gs.omega,
-        "omega_mode": cfg.omega_mode,
+        "omega_mode": cfg.groundstate.omega_mode,
         "omega_iterations": gs.omega_iterations,
         "iterations": gs.iterations,
         "residual": gs.residual,
@@ -142,8 +138,8 @@ def _gs_report(cfg: RunConfig, gs, adm) -> dict:
 def stage_groundstate(cfg: RunConfig, outdir):
     """Solve and save the ground state; returns it with the potential's admissibility
     report, which the classify stage reuses rather than recomputing its Kato norms."""
-    gs = _solve_gs(cfg)
     v = None if cfg.potential.is_zero else eval_potential(cfg.potential, cfg.grid)
+    gs = _solve_gs(cfg, v)
     adm = check_admissible(cfg.potential, v, cfg.grid)
     save_ground_state(os.path.join(outdir, "ground_state.fld"), gs)
     write_json(os.path.join(outdir, "groundstate_report.json"), _gs_report(cfg, gs, adm))
@@ -352,7 +348,7 @@ def _worst(defects) -> float:
 
 def run_validate(cfg: RunConfig, outdir) -> int:
     """Seeded invariant suites; writes a pass/fail table and returns the failure count."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.run.seed)
     grid, gamma = cfg.grid, cfg.gamma
     rows = []
 
@@ -370,12 +366,12 @@ def run_validate(cfg: RunConfig, outdir) -> int:
     check("virial_dual_form", virial_dual_defect(u, v, w, gamma), 1.0)
 
     try:
-        gs = _solve_gs(cfg)
+        gs = _solve_gs(cfg, None if cfg.potential.is_zero else eval_potential(cfg.potential, grid))
     except RunError:
         gs = None
         check("ground_state_converged", math.nan, 0.0)
     if gs is not None:
-        check("ground_state_residual", gs.residual, cfg.gs_tol * 1.01)
+        check("ground_state_residual", gs.residual, cfg.groundstate.tol * 1.01)
         check("pohozaev_residuals", pohozaev_residuals(gs)["max_abs"], 1e-4)
         trials = [variational_defects(smooth_random_field(grid, rng), gs, gamma) for _ in range(10)]
         cs, gn, wm = (_worst(col) for col in zip(*trials))
@@ -417,7 +413,7 @@ def run_validate(cfg: RunConfig, outdir) -> int:
     failures = sum(1 for r in rows if r["status"] == "FAIL")
     write_json(
         os.path.join(outdir, "validate_report.json"),
-        {"seed": cfg.seed, "checks": rows, "failures": failures},
+        {"seed": cfg.run.seed, "checks": rows, "failures": failures},
     )
     return failures
 
@@ -437,45 +433,42 @@ def _write_manifest(cfg: RunConfig, outdir) -> None:
             files[rel] = _sha256(os.path.join(root, name))
     write_json(
         os.path.join(outdir, "manifest.json"),
-        {"schema": "hartreekit-run-v1", "config": cfg.to_dict(), "inputs": inputs, "files": files},
+        {"schema": "hartreekit-run-v1", "config": cfg.echo(), "inputs": inputs, "files": files},
     )
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one configured run; returns the process exit status."""
-    if not cfg.out:
+    mode, outdir = cfg.run.mode, cfg.run.out
+    if not outdir:
         print("error: no output directory (set [run] out or pass --out)", file=sys.stderr)
         return 2
-    outdir = cfg.out
     os.makedirs(outdir, exist_ok=True)
-    set_fft_workers(cfg.threads)
+    set_fft_workers(cfg.run.threads)
     status = 0
     try:
-        if cfg.mode == "groundstate":
+        if mode == "groundstate":
             stage_groundstate(cfg, outdir)
-        elif cfg.mode == "classify":
+        elif mode == "classify":
             gs, adm = stage_groundstate(cfg, outdir)
             stage_classify(cfg, outdir, gs, adm)
-        elif cfg.mode == "evolve":
+        elif mode == "evolve":
             needs_gs = cfg.initial is not None and cfg.initial.kind == "ground_state_scaled"
             gs = stage_groundstate(cfg, outdir)[0] if needs_gs else None
             u0 = build_initial(cfg, gs=gs)
             stage_evolve(cfg, outdir, u0)
-        elif cfg.mode == "full_pipeline":
+        elif mode == "full_pipeline":
             gs, adm = stage_groundstate(cfg, outdir)
             u0, report = stage_classify(cfg, outdir, gs, adm)
             record = stage_evolve(cfg, outdir, u0)
             stage_compare(cfg, outdir, report, record, gs)
-        elif cfg.mode == "validate":
+        else:  # validate; RunSettings admits no other mode
             status = 1 if run_validate(cfg, outdir) else 0
-        else:
-            print(f"error: unknown mode {cfg.mode!r}", file=sys.stderr)
-            return 2
     except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = 1
     except (ValueError, ArithmeticError) as exc:
-        print(f"error: {cfg.mode}: {exc}", file=sys.stderr)
+        print(f"error: {mode}: {exc}", file=sys.stderr)
         traceback.print_exc()
         status = 1
     _write_manifest(cfg, outdir)
@@ -494,12 +487,6 @@ def emit_plot_data(run_dir, out_dir=None) -> list:
     man = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(traj):
         raise FileNotFoundError(f"no trajectory.csv in {run_dir} (was this an evolve or pipeline run?)")
-    from .fieldio import read_json
-
-    gamma = 2.5
-    if os.path.exists(man):
-        gamma = read_json(man)["config"]["gamma"]
-    s = s_crit(gamma)
     headers = None
     rows = []
     with open(traj) as fh:
@@ -513,6 +500,9 @@ def emit_plot_data(run_dir, out_dir=None) -> list:
             rows.append([float(tok) for tok in line.split(",")])
     if headers != list(CSV_COLUMNS) or not rows:
         raise ValueError(f"{traj}: not a diagnostics CSV (header {headers!r})")
+    if not os.path.exists(man):
+        raise FileNotFoundError(f"no manifest.json in {run_dir}; the product series needs the run's gamma")
+    s = s_crit(read_json(man)["config"]["gamma"])
     out_dir = out_dir or os.path.join(run_dir, "plots")
     os.makedirs(out_dir, exist_ok=True)
     written = []

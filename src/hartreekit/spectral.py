@@ -9,6 +9,7 @@ and `outer_shell_mass_fraction` quantifies when that assumption is violated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,20 +94,24 @@ class Grid:
     """Uniform periodic grid on [-half_length, half_length)^dim.
 
     Coordinate and frequency arrays are cached lazily; instances are treated
-    as immutable after construction.
+    as immutable after construction.  The fields are the [grid] config keys.
     """
 
-    dim: int
-    points: int
-    half_length: float
+    dim: int = 3
+    points: int = 64
+    half_length: float = 10.0
 
     def __post_init__(self):
+        # written as `not 0 < x < inf` so that NaN and inf fail too; every problem is reported
+        problems = []
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            problems.append(f"dim must be >= 1, got {self.dim}")
         if self.points < 4 or self.points % 2:
-            raise ValueError("points must be an even integer >= 4")
-        if not self.half_length > 0:
-            raise ValueError("half_length must be positive")
+            problems.append(f"points must be an even integer >= 4, got {self.points}")
+        if not 0 < self.half_length < math.inf:
+            problems.append(f"half_length must be positive and finite, got {self.half_length}")
+        if problems:
+            raise ValueError("; ".join(problems))
         self._cache: dict = {}
 
     @property

@@ -25,6 +25,7 @@ from .potentials import (
     check_admissible,
     eval_potential,
     eval_virial_weight,
+    on_free_branch,
     value_sign,
 )
 from .spectral import Field, shell_fraction
@@ -273,7 +274,7 @@ def classify(
     already has it."""
     grid = u0.grid
     vfield = None if potential.is_zero else eval_potential(potential, grid)
-    free_branch = vfield is None or value_sign(vfield.values, rtol=1e-12) in ("nonnegative", "zero")
+    free_branch = on_free_branch(vfield)
     if free_branch and not gs.potential.is_zero:
         raise ValueError(
             "V_- vanishes, so the reference must be the free profile; got one "

@@ -41,14 +41,14 @@ half_length = 8.0
 def test_parse_minimal_and_defaults(tmp_path):
     path = write_cfg(tmp_path, "[run]\nmode = groundstate\n")
     cfg = parse_config(path)
-    assert cfg.mode == "groundstate"
+    assert cfg.run.mode == "groundstate"
     assert cfg.grid == Grid(3, 64, 10.0)
     assert cfg.gamma == 2.5
     assert cfg.potential.kind == "zero"
     assert cfg.initial is None
     assert cfg.evolve.dt0 == 1e-3 and cfg.evolve.adaptive
-    assert cfg.omega == 1.0 and cfg.omega_mode == "fixed"
-    assert cfg.seed == 0 and cfg.threads == 1
+    assert cfg.groundstate.omega == 1.0 and cfg.groundstate.omega_mode == "fixed"
+    assert cfg.run.seed == 0 and cfg.run.threads == 1
     assert cfg.source_path == os.path.abspath(path)
 
 
@@ -122,13 +122,13 @@ def test_solver_settings_reject_nonfinite_and_list_each(tmp_path):
     with pytest.raises(ConfigError) as ei:
         parse_config(path)
     assert sorted(ei.value.violations) == [
-        "[groundstate] max_iter: must be >= 1, got 0",
-        "[groundstate] omega: must be positive and finite, got nan",
-        "[groundstate] tol: must be positive and finite, got inf",
-        "[initial_data] amplitude: must be finite, got nan",
-        "[initial_data] lambda: must be finite, got inf",
-        "[initial_data] scale: must be positive and finite, got 0.0",
-        "[initial_data] width: must be positive and finite, got nan",
+        "[groundstate]: max_iter must be >= 1, got 0",
+        "[groundstate]: omega must be positive and finite, got nan",
+        "[groundstate]: tol must be positive and finite, got inf",
+        "[initial_data]: amplitude must be finite, got nan",
+        "[initial_data]: lambda must be finite, got inf",
+        "[initial_data]: scale must be positive and finite, got 0.0",
+        "[initial_data]: width must be positive and finite, got nan",
     ]
 
 
@@ -139,6 +139,25 @@ def test_gamma_window_and_grid_checks(tmp_path):
     path = write_cfg(tmp_path, "[run]\nmode = groundstate\n[grid]\npoints = -4\n")
     with pytest.raises(ConfigError, match=r"\[grid\]"):
         parse_config(path)
+    # an infinite box passed `not half_length > 0` and died later in riesz_multiplier
+    path = write_cfg(
+        tmp_path,
+        "[run]\nmode = classify\n[grid]\npoints = 16\nhalf_length = inf\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 1.5\n",
+    )
+    with pytest.raises(ConfigError) as ei:
+        parse_config(path)
+    assert ei.value.violations == ["[grid]: half_length must be positive and finite, got inf"]
+    assert main(["classify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    # every [grid] problem is reported, not just the first
+    path = write_cfg(tmp_path, "[run]\nmode = groundstate\n[grid]\ndim = 0\npoints = 3\nhalf_length = -1\n")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(path)
+    assert ei.value.violations == [
+        "[grid]: dim must be >= 1, got 0",
+        "[grid]: points must be an even integer >= 4, got 3",
+        "[grid]: half_length must be positive and finite, got -1.0",
+    ]
 
 
 def test_initial_data_requirements(tmp_path):
@@ -153,13 +172,13 @@ def test_initial_data_requirements(tmp_path):
         parse_config(write_cfg(tmp_path, base + "[initial_data]\nkind = file\nfile = /no/such.fld\n"))
     gaussian = base + "[initial_data]\nkind = gaussian\namplitude = {}\nwidth = {}\n"
     for amp, width, match in (
-        ("1", "-1", "width: must be positive"),
-        ("1", "inf", "width: must be positive and finite"),
-        ("nan", "1", "amplitude: must be finite"),
+        ("1", "-1", "width must be positive"),
+        ("1", "inf", "width must be positive and finite"),
+        ("nan", "1", "amplitude must be finite"),
     ):
         with pytest.raises(ConfigError, match=match):
             parse_config(write_cfg(tmp_path, gaussian.format(amp, width)))
-    with pytest.raises(ConfigError, match="scale: must be positive and finite"):
+    with pytest.raises(ConfigError, match="scale must be positive and finite"):
         parse_config(write_cfg(tmp_path, base + "[initial_data]\nkind = ground_state_scaled\nscale = nan\n"))
     cfg = parse_config(
         write_cfg(tmp_path, base + "[initial_data]\nkind = gaussian\namplitude = 0.4\nwidth = 1.2\nlambda = -0.3\n")
@@ -176,11 +195,95 @@ def test_potential_file_key_rules(tmp_path):
         parse_config(write_cfg(tmp_path, base + "[potential]\nkind = grid_sampled\n"))
 
 
+def test_potential_keys_the_kind_does_not_read_are_rejected(tmp_path):
+    # these used to parse cleanly and vanish from the manifest echo
+    base = "[run]\nmode = groundstate\n" + SMALL_GRID + "[potential]\n"
+    with pytest.raises(ConfigError) as ei:
+        parse_config(write_cfg(tmp_path, base + "kind = zero\namplitude = 3.0\n"))
+    assert ei.value.violations == [
+        "[potential] amplitude: only valid for kind gaussian_bump/smooth_compact_bump/inverse_poly/ball_indicator"
+    ]
+    with pytest.raises(ConfigError) as ei:
+        parse_config(write_cfg(tmp_path, base + "kind = gaussian_bump\namplitude = 0.3\nradius = 2.0\n"))
+    assert ei.value.violations == ["[potential] radius: only valid for kind smooth_compact_bump/ball_indicator"]
+
+
+def test_inverse_poly_exponent_is_a_positive_integer(tmp_path):
+    base = "[run]\nmode = groundstate\n" + SMALL_GRID + "[potential]\nkind = inverse_poly\namplitude = 0.3\n"
+    for raw in ("1.5", "inf"):
+        with pytest.raises(ConfigError) as ei:
+            parse_config(write_cfg(tmp_path, base + f"exponent = {raw}\n"))
+        assert ei.value.violations == [f"[potential] exponent: cannot parse '{raw}' as int"]
+    assert parse_config(write_cfg(tmp_path, base + "exponent = 2\n")).potential.exponent == 2
+    from hartreekit.potentials import PotentialSpec
+
+    for exponent in (1.5, math.inf, math.nan, 0):
+        with pytest.raises(ValueError, match="exponent must be a positive integer"):
+            PotentialSpec(kind="inverse_poly", amplitude=0.3, exponent=exponent)
+
+
+# the parent revision's hand-written key table; (type tag, default), None for no default
+_PARENT_SCHEMA = {
+    "run": {"mode": ("str", None), "out": ("str", None), "seed": ("int", 0), "threads": ("int", 1)},
+    "grid": {"dim": ("int", 3), "points": ("int", 64), "half_length": ("float", 10.0)},
+    "model": {"gamma": ("float", 2.5)},
+    "potential": {
+        "kind": ("str", "zero"), "amplitude": ("float", None), "sigma": ("float", None),
+        "radius": ("float", None), "exponent": ("float", None), "file": ("str", None),
+    },
+    "initial_data": {
+        "kind": ("str", None), "amplitude": ("float", None), "width": ("float", None),
+        "scale": ("float", None), "lambda": ("float", 0.0), "file": ("str", None),
+    },
+    "groundstate": {"omega": ("float", 1.0), "omega_mode": ("str", "fixed"), "tol": ("float", 1e-9), "max_iter": ("int", 2000)},
+    "evolve": {
+        "dt0": ("float", 1e-3), "t_max": ("float", 1.0), "tol_step": ("float", 1e-6),
+        "blowup_grad_factor": ("float", 20.0), "blowup_tail_frac": ("float", 0.1),
+        "record_stride": ("int", 5), "adaptive": ("bool", True), "linear": ("bool", False),
+    },
+}
+# the table left these four to PotentialSpec, whose defaults then applied
+_POTENTIAL_DEFAULTS = {"amplitude": 0.0, "sigma": 1.0, "radius": 1.0, "exponent": 1}
+
+
+def test_derived_schema_matches_the_parent_table():
+    from hartreekit.config import _SCHEMA
+
+    assert list(_SCHEMA) == list(_PARENT_SCHEMA)
+    assert sum(len(keys) for keys in _SCHEMA.values()) == 32
+    for section, keys in _PARENT_SCHEMA.items():
+        assert list(_SCHEMA[section]) == list(keys), section
+        for key, (tag, default) in keys.items():
+            if section == "potential" and key in _POTENTIAL_DEFAULTS:
+                default = _POTENTIAL_DEFAULTS[key]
+            # the one declared change: exponent is integer-valued, so it parses as int
+            if (section, key) == ("potential", "exponent"):
+                tag = "int"
+            assert _SCHEMA[section][key] == (tag, default), (section, key)
+
+
+def test_readme_config_block_lists_the_schema():
+    from hartreekit.config import _SCHEMA
+
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("## Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    listed: dict = {}
+    for line in block.splitlines():
+        line = line.split(";", 1)[0].strip()
+        if line.startswith("["):
+            section = listed.setdefault(line.strip("[]"), [])
+        elif "=" in line:
+            section.append(line.split("=", 1)[0].strip())
+    assert {section: sorted(keys) for section, keys in listed.items()} == {
+        section: sorted(keys) for section, keys in _SCHEMA.items()
+    }
+
+
 def test_overrides_reach_the_parsed_config(tmp_path):
     path = write_cfg(tmp_path, "[run]\nmode = groundstate\nseed = 1\n")
     cfg = parse_config(path, overrides={("run", "seed"): "7", ("run", "out"): "/tmp/x"})
-    assert cfg.seed == 7
-    assert cfg.out == "/tmp/x"
+    assert cfg.run.seed == 7
+    assert cfg.run.out == "/tmp/x"
 
 
 def test_preset_resolution(tmp_path):
@@ -194,17 +297,17 @@ def test_preset_resolution(tmp_path):
         resolve_config_arg("not-a-preset-or-file")
     for name in names:
         cfg = parse_config(preset_path(name))
-        assert cfg.mode in ("validate", "full_pipeline")
+        assert cfg.run.mode in ("validate", "full_pipeline")
 
 
 def test_build_initial_families(grid32):
-    from hartreekit.config import InitialSpec, RunConfig
+    from hartreekit.config import InitialSpec, RunConfig, RunSettings
     from hartreekit.evolve import EvolveConfig
     from hartreekit.potentials import PotentialSpec
 
     def mk(spec):
         return RunConfig(
-            mode="evolve", grid=grid32, gamma=GAMMA, potential=PotentialSpec(kind="zero"),
+            run=RunSettings(mode="evolve"), grid=grid32, gamma=GAMMA, potential=PotentialSpec(kind="zero"),
             initial=spec, evolve=EvolveConfig(grid=grid32, gamma=GAMMA),
         )
 
@@ -220,7 +323,7 @@ def test_build_initial_families(grid32):
 
 
 def test_build_initial_from_file_recenters(tmp_path, grid32):
-    from hartreekit.config import InitialSpec, RunConfig
+    from hartreekit.config import InitialSpec, RunConfig, RunSettings
     from hartreekit.evolve import EvolveConfig
     from hartreekit.potentials import PotentialSpec
 
@@ -229,7 +332,7 @@ def test_build_initial_from_file_recenters(tmp_path, grid32):
     p = str(tmp_path / "u0.fld")
     dump_field(p, f, {})
     cfg = RunConfig(
-        mode="evolve", grid=grid32, gamma=GAMMA, potential=PotentialSpec(kind="zero"),
+        run=RunSettings(mode="evolve"), grid=grid32, gamma=GAMMA, potential=PotentialSpec(kind="zero"),
         initial=InitialSpec(kind="file", path=p), evolve=EvolveConfig(grid=grid32, gamma=GAMMA),
     )
     u = build_initial(cfg)
@@ -357,6 +460,15 @@ def test_cli_plot_data_errors(tmp_path, capsys):
     (bad / "trajectory.csv").write_text("a,b\n1,2\n")
     assert main(["plot-data", str(bad)]) == 2
     assert "not a diagnostics CSV" in capsys.readouterr().err
+    # the product series needs the run's gamma, which only the manifest records
+    from hartreekit.functionals import CSV_COLUMNS
+
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "trajectory.csv").write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(["1.0"] * len(CSV_COLUMNS)) + "\n")
+    assert main(["plot-data", str(bare)]) == 2
+    assert "no manifest.json" in capsys.readouterr().err
+    assert not os.path.exists(bare / "plots")
 
 
 def test_cli_pipeline_run(tmp_path):
@@ -383,6 +495,23 @@ def test_cli_pipeline_run(tmp_path):
     lines = open(os.path.join(out, "comparison.csv")).read().strip().split("\n")
     assert lines[0] == "verdict,termination,consistent,note"
     assert lines[1].split(",")[0] == rep["verdict"]
+
+
+def test_nonnegative_potential_pipeline_uses_the_free_reference(tmp_path):
+    # V >= 0 has no negative part, so classify's reference is the free profile;
+    # the ground-state stage used to solve with V and classify then raised
+    out = str(tmp_path / "pipe")
+    path = write_cfg(
+        tmp_path,
+        "[run]\nmode = full_pipeline\n[grid]\npoints = 16\n"
+        "[potential]\nkind = gaussian_bump\namplitude = 0.3\nsigma = 1.0\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 1.5\n"
+        "[evolve]\nt_max = 0.01\n",
+    )
+    assert main(["pipeline", "--config", path, "--out", out]) == 0
+    assert read_json(os.path.join(out, "classify_report.json"))["branch"] == "free"
+    assert read_json(os.path.join(out, "ground_state.fld.meta.json"))["potential"] == {"kind": "zero"}
+    assert read_json(os.path.join(out, "manifest.json"))["config"]["potential"]["kind"] == "gaussian_bump"
 
 
 def test_pipeline_computes_admissibility_once(tmp_path, monkeypatch):
