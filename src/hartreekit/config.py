@@ -18,13 +18,17 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from .evolve import EvolveConfig
 from .fieldio import load_field
 from .ground_state import GroundStateSettings, gamma_window_problem
-from .potentials import _PARAMS, KINDS, PotentialSpec, suggest
+from .potentials import _PARAMS, PotentialSpec, suggest
 from .spectral import Grid
 
 MODES = ("groundstate", "classify", "evolve", "full_pipeline", "validate")
-# the keys each initial-data kind requires
-_REQUIRED = {"gaussian": ("amplitude", "width"), "ground_state_scaled": ("scale",), "file": ("file",)}
-INITIAL_KINDS = tuple(_REQUIRED)
+# the keys each initial-data kind reads; all but lambda are required
+_READS = {
+    "gaussian": ("amplitude", "width", "lambda"),
+    "ground_state_scaled": ("scale", "lambda"),
+    "file": ("file", "lambda"),
+}
+INITIAL_KINDS = tuple(_READS)
 
 
 class ConfigError(Exception):
@@ -96,7 +100,7 @@ class InitialSpec:
             for key, x in (("amplitude", self.amplitude), ("lambda", self.lam))
             if x is not None and not math.isfinite(x)
         ]
-        required = _REQUIRED[self.kind]
+        required = [key for key in _READS[self.kind] if key != "lambda"]
         if any(getattr(self, _FIELD["initial_data"].get(key, key)) is None for key in required):
             problems.append(f"kind {self.kind} requires {' and '.join(required)}")
         elif self.kind == "file" and not os.path.exists(self.path):
@@ -236,22 +240,28 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             violations.append(f"[model]: {problem}")
         evolve_cfg = build("evolve", grid=grid, gamma=gamma)
 
+    # a key the kind does not read would be dropped unseen; the section's
+    # dataclass reports an unknown kind
+    for section, reads, default_kind in (("potential", _PARAMS, PotentialSpec.kind), ("initial_data", _READS, None)):
+        kind = values[(section, "kind")].strip() if (section, "kind") in values else default_kind
+        for sec, key in values:
+            if sec == section and key != "kind" and kind in reads and key not in reads[kind]:
+                users = "/".join(k for k in reads if key in reads[k])
+                violations.append(f"[{section}] {key}: only valid for kind {users}")
+
     initial = None
-    if ("initial_data", "kind") not in values:
-        if run is not None and run.mode in ("classify", "evolve", "full_pipeline"):
-            violations.append(f"[initial_data] kind: required for mode {run.mode}")
-    else:
+    initial_keys = [key for sec, key in values if sec == "initial_data"]
+    if "kind" in initial_keys:
         initial = build("initial_data")
+    elif initial_keys:
+        violations.append(f"[initial_data] kind: required, since the section sets {', '.join(initial_keys)}")
+    elif run is not None and run.mode in ("classify", "evolve", "full_pipeline"):
+        violations.append(f"[initial_data] kind: required for mode {run.mode}")
 
     potential = None
     pkw = given.get("potential")
     if pkw is not None:
-        # a key the kind does not read would be dropped unseen; PotentialSpec reports an unknown kind
         kind = pkw.get("kind", PotentialSpec.kind)
-        for key in pkw:
-            if kind in KINDS and key != "kind" and key not in _PARAMS[kind]:
-                users = "/".join(k for k in KINDS if key in _PARAMS[k])
-                violations.append(f"[potential] {key}: only valid for kind {users}")
         pfile = pkw.pop("file", None)
         if kind != "grid_sampled":
             potential = build("potential")

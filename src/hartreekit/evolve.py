@@ -6,10 +6,13 @@ composition.  The middle sub-flow multiplies by a pure phase, which leaves
 error remains.  The integrator carries the Fourier state fftn(u) between
 steps: the kinetic factors act on it directly, built per step as outer
 products of 1-D exponentials with no cache, and only the phase sub-flows go
-to physical space.  Step size is controlled by an L2 step-doubling estimate,
-taken in Fourier space on the shared transform; collapse is detected, never
-resolved: once the gradient blows past its threshold or the upper frequency
-band fills, integration stops and the record says so.
+to physical space, and the state itself goes back only when a snapshot is
+taken.  Step size is controlled by an L2 step-doubling estimate, taken in
+Fourier space on the shared transform; the two phase sub-flows of an attempt
+that do not depend on each other share one complex transform pair for their
+Hartree convolutions.  Collapse is detected, never resolved: once the
+gradient blows past its threshold or the upper frequency band fills,
+integration stops and the record says so.
 """
 
 from __future__ import annotations
@@ -95,18 +98,41 @@ def _rotate(u, angle):
     return rot
 
 
-def _phase_step(grid: Grid, u, dt: float, vvals, gamma: float, linear: bool):
-    # exact sub-flow: |u| is invariant under multiplication by this phase
+def _phase_step(grid: Grid, u, dt: float, vvals, gamma: float, linear: bool, conv=None):
+    """The exact phase sub-flow over dt: |u| is invariant under multiplication by this phase.
+
+    conv is the Hartree convolution |x|^{-gamma} * |u|^2 when the caller
+    already holds it (_convolve_pair); otherwise it costs a complex
+    fftn/ifftn pair, not apply_multiplier's real one, because
+    bench/test_spans.py pins strang_step at six complex transforms."""
     if linear:
         if vvals is None:
             return u
         return _rotate(u, -dt * vvals)
-    m_riesz = grid.riesz_multiplier(gamma)
-    # complex FFTs of the real density, not apply_multiplier's real ones:
-    # bench/test_spans.py pins strang_step at six complex transforms
-    conv = ifftn(m_riesz * fftn((u.real * u.real + u.imag * u.imag)), overwrite_x=True).real
+    if conv is None:
+        density = u.real * u.real + u.imag * u.imag
+        conv = ifftn(grid.riesz_multiplier(gamma) * fftn(density), overwrite_x=True).real
     phase = conv if vvals is None else conv - vvals
     return _rotate(u, dt * phase)
+
+
+def _convolve_pair(grid: Grid, a, b, gamma: float):
+    """The Hartree convolutions of |a|^2 and |b|^2 from one complex fftn/ifftn pair.
+
+    |a|^2 + i |b|^2 is written into one buffer, transformed, multiplied and
+    transformed back in place.  The Riesz multiplier is real and even, so it
+    maps real densities to real convolutions: the real part of the result is
+    the convolution of |a|^2 and the imaginary part that of |b|^2 (Cooley,
+    Lewis & Welch, J. Sound Vib. 12 (1970) 315).  Both are views of the one
+    buffer."""
+    buf = np.empty(a.shape, dtype=complex)
+    for part, v in ((buf.real, a), (buf.imag, b)):
+        np.multiply(v.real, v.real, out=part)
+        part += v.imag * v.imag
+    buf = fftn(buf, overwrite_x=True)
+    buf *= grid.riesz_multiplier(gamma)
+    buf = ifftn(buf, overwrite_x=True)
+    return buf.real, buf.imag
 
 
 def _kinetic(grid: Grid, tau: float):
@@ -124,11 +150,33 @@ def _strang(grid: Grid, uhat, dt: float, kins, vvals, gamma: float, linear: bool
     P is the phase sub-flow over dt and each kins entry a kinetic factor
     exp(-i tau |k|^2).  One step takes (K(dt/2), K(dt/2)); two steps take
     (K(dt/2), K(dt), K(dt/2)), the two kinetic half flows between them merged
-    into one.  Each P costs an ifftn and an fftn around it."""
+    into one.  Each P costs an ifftn and an fftn around it, and a complex
+    pair for its own convolution: 4 complex FFTs per P, 2 in linear mode."""
     for kin in kins[:-1]:
         w = _phase_step(grid, ifftn(kin * uhat, overwrite_x=True), dt, vvals, gamma, linear)
         uhat = fftn(w, overwrite_x=True)
     return kins[-1] * uhat
+
+
+def _attempt(grid: Grid, uhat, dt: float, vvals, gamma: float, linear: bool):
+    """One step-doubling attempt from uhat: (the dt step K P K, the two dt/2 steps K P K P K).
+
+    The dt step's phase sub-flow acts on ifftn(K(dt/2) uhat) and the first
+    dt/2 sub-flow on ifftn(K(dt/4) uhat); neither depends on the other, so
+    their convolutions share one complex pair (_convolve_pair), and the
+    attempt costs 10 complex FFTs, not 12, in the same three _phase_step
+    calls.  Linear mode has no convolution and costs 6."""
+    k_half, k_quarter = _kinetic(grid, 0.5 * dt), _kinetic(grid, 0.25 * dt)
+    w_big = ifftn(k_half * uhat, overwrite_x=True)
+    w_half = ifftn(k_quarter * uhat, overwrite_x=True)
+    conv_big, conv_half = (None, None) if linear else _convolve_pair(grid, w_big, w_half, gamma)
+    big = fftn(_phase_step(grid, w_big, dt, vvals, gamma, linear, conv=conv_big), overwrite_x=True)
+    big *= k_half
+    # drop each sub-flow's arrays once used; the pair's buffer goes with its last view
+    del w_big, conv_big
+    half = fftn(_phase_step(grid, w_half, 0.5 * dt, vvals, gamma, linear, conv=conv_half), overwrite_x=True)
+    del w_half, conv_half
+    return big, _strang(grid, half, 0.5 * dt, (k_half, k_quarter), vvals, gamma, linear)
 
 
 def strang_step(u: Field, dt: float, potential: PotentialSpec, gamma: float, linear: bool = False) -> Field:
@@ -140,11 +188,12 @@ def strang_step(u: Field, dt: float, potential: PotentialSpec, gamma: float, lin
     return Field(grid, ifftn(uhat, overwrite_x=True))
 
 
-def detect_blowup(u: Field, grad_sq_initial: float, cfg: EvolveConfig, uhat=None) -> bool:
+def detect_blowup(u: Field | None, grad_sq_initial: float, cfg: EvolveConfig, uhat=None) -> bool:
     """Gradient growth beyond the factor, or the top 20% frequency band (max-norm) filling up.
 
-    uhat is fftn(u.values) when the caller already holds it."""
-    grid = u.grid
+    uhat is fftn(u.values) when the caller already holds it; u may then be
+    None, and the grid is cfg.grid."""
+    grid = cfg.grid if u is None else u.grid
     power = abs_sq(fftn(u.values) if uhat is None else uhat)
     if grad_sq_initial > 0 and _grad_sq(grid, power) / grad_sq_initial >= cfg.blowup_grad_factor**2:
         return True
@@ -156,53 +205,58 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
 
     The state is carried in Fourier space, uhat = fftn(u), from step to step.
     Step-doubling control: each attempt builds the dt step K P K and the two
-    dt/2 steps K P K P K from the same uhat (12 complex FFTs; the kinetic
+    dt/2 steps K P K P K from the same uhat (_attempt: 10 complex FFTs, the
+    two first phase sub-flows sharing one convolution pair; the kinetic
     factors are rebuilt per attempt, never cached, since adaptive dt rarely
     repeats a value) and compares them in relative L2, in Fourier space,
     where by Parseval it is the same number.  On acceptance the two-half-step
-    state is kept and turned back with one ifftn, which the snapshot and the
-    blow-up detector share with uhat; dt grows by 1.2 when the error sits
-    under tol/4, and on rejection dt halves.  dt under 1e-12 means the
+    state is kept; the blow-up detector reads it as it is, and it is turned
+    back with one ifftn only for a snapshot.  dt grows by 1.2 when the error
+    sits under tol/4, and on rejection dt halves.  dt under 1e-12 means the
     requested tolerance is unreachable at this resolution and the run ends as
-    ResolutionExhausted."""
+    ResolutionExhausted.  The non-adaptive path takes plain dt steps
+    (_strang, 4 complex FFTs per phase sub-flow).
+
+    extras holds accepted_dts, and n_step_attempts and n_rejected_steps:
+    attempts = accepted + rejected; without adaptivity every attempt is
+    accepted."""
     grid = u0.grid
+    if cfg.grid != grid:
+        raise ValueError(f"the config's grid {cfg.grid} is not the initial data's {grid}")
     vvals = None if potential.is_zero else eval_potential(potential, grid).values
     vfield = None if potential.is_zero else Field(grid, vvals)
     wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
     approx = potential.xgrad_is_distributional
 
-    def strang(uhat, dt, kins):
-        return _strang(grid, uhat, dt, kins, vvals, cfg.gamma, cfg.linear)
-
-    def snapshot():
+    def snapshot(u):
         return take_snapshot(Field(grid, u), t, vfield, wfield, cfg.gamma, e_term_approximate=approx, uhat=uhat)
 
     u = np.array(u0.values, dtype=complex, copy=True)
     uhat = fftn(u)
     t = 0.0
-    snapshots = [snapshot()]
+    snapshots = [snapshot(u)]
+    del u
     grad_sq_0 = snapshots[0].grad_sq
-    extras: dict = {"accepted_dts": []}
+    extras: dict = {"accepted_dts": [], "n_step_attempts": 0, "n_rejected_steps": 0}
     dt = cfg.dt0
     accepted = 0
     termination = None
     tiny = 1e-12 * cfg.t_max
 
     def record_state(force=False):
-        if force or accepted % cfg.record_stride == 0:
-            if not snapshots or snapshots[-1].time < t:
-                snapshots.append(snapshot())
+        if (force or accepted % cfg.record_stride == 0) and snapshots[-1].time < t:
+            snapshots.append(snapshot(ifftn(uhat)))
 
     while t < cfg.t_max - tiny:
         dt_try = min(dt, cfg.t_max - t)
-        k_half = _kinetic(grid, 0.5 * dt_try)
+        extras["n_step_attempts"] += 1
         if cfg.adaptive:
-            k_quarter = _kinetic(grid, 0.25 * dt_try)
-            big = strang(uhat, dt_try, (k_half, k_half))
-            half = strang(uhat, 0.5 * dt_try, (k_quarter, k_half, k_quarter))
+            big, half = _attempt(grid, uhat, dt_try, vvals, cfg.gamma, cfg.linear)
             ref = float(np.linalg.norm(half))
             err = float(np.linalg.norm(big - half)) / ref if ref > 0 else 0.0
+            del big
             if err > cfg.tol_step:
+                extras["n_rejected_steps"] += 1
                 dt = 0.5 * dt_try
                 if dt < 1e-12:
                     termination = Termination("ResolutionExhausted", t)
@@ -211,12 +265,12 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
             uhat = half
             dt = dt_try * 1.2 if err < cfg.tol_step / 4.0 else dt_try
         else:
-            uhat = strang(uhat, dt_try, (k_half, k_half))
-        u = ifftn(uhat)
+            k_half = _kinetic(grid, 0.5 * dt_try)
+            uhat = _strang(grid, uhat, dt_try, (k_half, k_half), vvals, cfg.gamma, cfg.linear)
         t += dt_try
         accepted += 1
         extras["accepted_dts"].append(dt_try)
-        if detect_blowup(Field(grid, u), grad_sq_0, cfg, uhat=uhat):
+        if detect_blowup(None, grad_sq_0, cfg, uhat=uhat):
             record_state(force=True)
             termination = Termination("BlowupDetected", t)
             break

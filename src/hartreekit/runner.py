@@ -120,7 +120,10 @@ def _solve_gs(cfg: RunConfig, v: Field | None):
 
 
 def _gs_report(cfg: RunConfig, gs, adm) -> dict:
+    # _solve_gs solves the reference with V = 0 exactly on the free branch
     return {
+        "branch": "free" if gs.potential.is_zero else "pinned",
+        "reference_potential": gs.potential.kind,
         "omega": gs.omega,
         "omega_mode": cfg.groundstate.omega_mode,
         "omega_iterations": gs.omega_iterations,
@@ -161,6 +164,8 @@ def stage_evolve(cfg: RunConfig, outdir, u0: Field) -> TrajectoryRecord:
         "termination": asdict(record.termination),
         "n_snapshots": len(record.snapshots),
         "n_accepted_steps": len(record.extras.get("accepted_dts", [])),
+        "n_step_attempts": record.extras["n_step_attempts"],
+        "n_rejected_steps": record.extras["n_rejected_steps"],
         "final_snapshot": record.snapshots[-1].to_dict(),
     }
     dts = record.extras.get("accepted_dts", [])

@@ -113,7 +113,8 @@ def test_potential_rejects_nan_and_lists_each(tmp_path, capsys):
 
 def test_solver_settings_reject_nonfinite_and_list_each(tmp_path):
     # tol = inf would accept the solver's initial Gaussian as converged, and a
-    # NaN amplitude makes NaN data; every bad key is its own violation
+    # NaN amplitude makes NaN data; every bad key is its own violation, and
+    # scale, which a gaussian does not read, is one twice
     path = write_cfg(
         tmp_path,
         "[run]\nmode = classify\n[groundstate]\ntol = inf\nomega = nan\nmax_iter = 0\n"
@@ -125,6 +126,7 @@ def test_solver_settings_reject_nonfinite_and_list_each(tmp_path):
         "[groundstate]: max_iter must be >= 1, got 0",
         "[groundstate]: omega must be positive and finite, got nan",
         "[groundstate]: tol must be positive and finite, got inf",
+        "[initial_data] scale: only valid for kind ground_state_scaled",
         "[initial_data]: amplitude must be finite, got nan",
         "[initial_data]: lambda must be finite, got inf",
         "[initial_data]: scale must be positive and finite, got 0.0",
@@ -185,6 +187,25 @@ def test_initial_data_requirements(tmp_path):
     )
     assert cfg.initial.kind == "gaussian"
     assert cfg.initial.lam == -0.3
+
+
+def test_initial_data_keys_the_kind_does_not_read_are_rejected(tmp_path):
+    # both used to parse, exit 0 and echo a key that nothing read
+    base = "[run]\nmode = {}\n[grid]\npoints = 16\n[initial_data]\n"
+    path = write_cfg(tmp_path, base.format("groundstate") + "amplitude = 0.3\nwidth = 1.0\n")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(path)
+    assert ei.value.violations == ["[initial_data] kind: required, since the section sets amplitude, width"]
+    assert main(["groundstate", "--config", path, "--out", str(tmp_path / "a")]) == 2
+    path = write_cfg(tmp_path, base.format("evolve") + "kind = gaussian\namplitude = 0.3\nwidth = 1.0\nscale = 5.0\n")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(path)
+    assert ei.value.violations == ["[initial_data] scale: only valid for kind ground_state_scaled"]
+    assert main(["evolve", "--config", path, "--out", str(tmp_path / "b")]) == 2
+    path = write_cfg(tmp_path, base.format("evolve") + "kind = file\nfile = x.fld\nwidth = 1.0\nlambda = 0.1\n")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(path)
+    assert ei.value.violations == ["[initial_data] width: only valid for kind gaussian", "[initial_data]: file not found: x.fld"]
 
 
 def test_potential_file_key_rules(tmp_path):
@@ -416,6 +437,7 @@ def test_cli_evolve_artifacts(evolve_run):
     rep = read_json(os.path.join(evolve_run, "evolve_report.json"))
     assert rep["termination"]["kind"] == "Completed"
     assert rep["n_snapshots"] >= 5
+    assert rep["n_step_attempts"] == rep["n_accepted_steps"] + rep["n_rejected_steps"]
     assert rep["virial_consistency"]["i1_max_rel_dev"] < 1e-3
 
 
@@ -510,6 +532,8 @@ def test_nonnegative_potential_pipeline_uses_the_free_reference(tmp_path):
     )
     assert main(["pipeline", "--config", path, "--out", out]) == 0
     assert read_json(os.path.join(out, "classify_report.json"))["branch"] == "free"
+    gs_rep = read_json(os.path.join(out, "groundstate_report.json"))
+    assert (gs_rep["branch"], gs_rep["reference_potential"]) == ("free", "zero")
     assert read_json(os.path.join(out, "ground_state.fld.meta.json"))["potential"] == {"kind": "zero"}
     assert read_json(os.path.join(out, "manifest.json"))["config"]["potential"]["kind"] == "gaussian_bump"
 
@@ -531,7 +555,9 @@ def test_pipeline_computes_admissibility_once(tmp_path, monkeypatch):
     )
     assert main(["pipeline", "--config", path, "--out", out]) == 0
     assert len(calls) == 2
-    gs_adm = read_json(os.path.join(out, "groundstate_report.json"))["admissibility"]
+    gs_rep = read_json(os.path.join(out, "groundstate_report.json"))
+    assert (gs_rep["branch"], gs_rep["reference_potential"]) == ("pinned", "gaussian_bump")
+    gs_adm = gs_rep["admissibility"]
     assert gs_adm == read_json(os.path.join(out, "classify_report.json"))["admissibility"]
     assert gs_adm["kato_norm_negative_part"] > 0
 

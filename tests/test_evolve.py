@@ -9,6 +9,7 @@ import scipy.fft
 
 import hartreekit.evolve as evolve_module
 from hartreekit.evolve import (
+    _convolve_pair,
     _kinetic,
     EvolveConfig,
     TrajectoryRecord,
@@ -20,7 +21,7 @@ from hartreekit.evolve import (
 )
 from hartreekit.functionals import CSV_COLUMNS, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
-from hartreekit.spectral import Field, Grid
+from hartreekit.spectral import Field, Grid, abs_sq, apply_multiplier
 
 from conftest import GAMMA
 
@@ -78,6 +79,10 @@ def test_config_validation(g32):
         EvolveConfig(grid=g32, gamma=GAMMA, blowup_tail_frac=0.0)
     with pytest.raises(ValueError):
         EvolveConfig(grid=g32, gamma=GAMMA, blowup_tail_frac=1.5)
+    # the blow-up detector reads the config's grid, so the data must live on it
+    other = Grid(3, 32, 10.0)
+    with pytest.raises(ValueError, match="grid"):
+        evolve(Field(other, np.zeros(other.shape, dtype=complex)), ZERO, EvolveConfig(grid=g32, gamma=GAMMA))
 
 
 def test_linear_free_gaussian_oracle(g32):
@@ -284,6 +289,9 @@ def test_adaptive_step_accounting(g32):
     assert sum(dts) == pytest.approx(rec.termination.time, abs=1e-9)
     # the oversized initial step cannot survive the tolerance
     assert dts[0] < cfg.dt0
+    # the record counts every attempt, the rejected ones too
+    assert rec.extras["n_rejected_steps"] >= 1
+    assert rec.extras["n_step_attempts"] == len(dts) + rec.extras["n_rejected_steps"]
 
 
 def test_completed_termination(g32):
@@ -342,17 +350,37 @@ def test_separable_kinetic_factor(g32):
         assert np.abs(_kinetic(g32, tau) - np.exp(-1j * tau * g32.k_sq)).max() < 1e-14
 
 
+@pytest.mark.parametrize("points", [16, 32])
+def test_packed_convolutions_match_separate_ones(points):
+    # one complex pair carries both real densities: the real part of the
+    # result is the convolution of |a|^2, the imaginary part that of |b|^2
+    grid = Grid(3, points, 8.0)
+    rng = np.random.default_rng(points)
+    a, b = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape) for _ in range(2))
+    m = grid.riesz_multiplier(GAMMA)
+    for got, v in zip(_convolve_pair(grid, a, b, GAMMA), (a, b)):
+        want = apply_multiplier(abs_sq(v), m)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_fft_counts_per_adaptive_step(monkeypatch):
-    """Counter gate on the transforms of one accepted adaptive step at 16^3.
+    """Counter gate on the transforms of adaptive steps at 16^3.
 
     An attempt runs the dt step K P K and the two dt/2 steps K P K P K on one
-    Fourier state: three phase sub-flows, each an ifftn into physical space,
-    an fftn back, and an fftn/ifftn pair for the Hartree convolution of |u|^2:
-    3 x 4 = 12 complex FFTs.  The run: fftn(u0) (1); the t = 0 snapshot given
-    that transform, 3 ifftn for I' and rfftn + irfftn for P (3 complex, 2
-    real); one attempt (12); the ifftn of the accepted state (1);
-    detect_blowup on the transform in hand (0); the closing snapshot (3
-    complex, 2 real).  Total 20 complex and 4 real."""
+    Fourier state: three phase sub-flows, each an ifftn into physical space
+    and an fftn back (6 complex FFTs).  The first sub-flows of the dt step
+    and of the dt/2 steps are independent, so their two Hartree convolutions
+    share one fftn/ifftn pair, and the third sub-flow has its own: 10 complex
+    FFTs per attempt.  A snapshot given the state's transform costs 3 ifftn
+    for I' and rfftn + irfftn for P (3 complex, 2 real), plus the ifftn of
+    the state when it is taken after a step; detect_blowup reads the
+    transform in hand (0).
+
+    One step, record_stride 1: fftn(u0) (1); the t = 0 snapshot (3, 2); one
+    attempt (10); the closing snapshot (1 + 3, 2).  Total 18 complex and 4
+    real.  Two steps, record_stride 2: the same, with two attempts (20) and
+    no snapshot, so no ifftn, after the first step: 28 complex and 4 real,
+    where the run with the state turned back after every step cost 29."""
     counts = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn"), 0)
     for name in counts:
         def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
@@ -371,11 +399,19 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
                        blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, ZERO, cfg)
     assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
-    assert complex_real() == (20, 4)
+    assert complex_real() == (18, 4)
+
+    cfg2 = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=2e-3, tol_step=1e-2, record_stride=2,
+                        blowup_grad_factor=50.0, blowup_tail_frac=1.0)
+    rec = evolve(u0, ZERO, cfg2)
+    assert rec.extras["n_step_attempts"] == len(rec.extras["accepted_dts"]) == 2
+    assert len(rec.snapshots) == 2
+    assert complex_real() == (28, 4)
 
     uhat = scipy.fft.fftn(u0.values)
     complex_real()
     assert not detect_blowup(u0, 1.0, cfg, uhat=uhat)
+    assert not detect_blowup(None, 1.0, cfg, uhat=uhat)
     assert complex_real() == (0, 0)
     assert not detect_blowup(u0, 1.0, cfg)
     assert complex_real() == (1, 0)

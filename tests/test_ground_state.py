@@ -4,7 +4,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.fft
 
+import hartreekit.ground_state as ground_state_module
 from hartreekit.fieldio import load_field, read_json
 from hartreekit.functionals import take_snapshot
 from hartreekit.ground_state import (
@@ -78,6 +80,39 @@ def test_nonconvergence_returns_history(grid32):
     for omega in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="omega must be positive and finite"):
             solve_ground_state(grid32, PotentialSpec(kind="zero"), GAMMA, omega=omega)
+
+
+def test_petviashvili_real_ffts_per_iteration(monkeypatch):
+    """A residual costs a real transform pair for N(u) and one for A u; the
+    solve costs one more at V = 0.  At V = 0 the solve is the exact Fourier
+    inverse, so A u of the next iterate is carried, not transformed: the
+    first iteration costs 6 real FFTs and each later one 4.  With a well the
+    solve is Richardson's and every residual transforms A u, as before."""
+    count = [0]
+    for name in ("rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(scipy.fft, name), **kwargs):
+            count[0] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    starts, costs = [], []
+    residual = ground_state_module._residual
+
+    def traced(*args):
+        starts.append(count[0])
+        out = residual(*args)
+        costs.append(count[0] - starts[-1])
+        return out
+
+    monkeypatch.setattr(ground_state_module, "_residual", traced)
+    grid = Grid(3, 16, 8.0)
+    solve_ground_state(grid, PotentialSpec(kind="zero"), GAMMA, max_iter=5, tol=1e-14)
+    assert np.diff(starts).tolist() == [6, 4, 4, 4]
+    assert costs == [4, 2, 2, 2, 2]
+    starts.clear()
+    costs.clear()
+    well = PotentialSpec(kind="gaussian_bump", amplitude=-0.3, sigma=1.0)
+    solve_ground_state(grid, well, GAMMA, max_iter=5, tol=1e-14)
+    assert costs == [4] * 5
 
 
 def test_potential_well_shifts_profile(grid48):
