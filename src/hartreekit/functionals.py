@@ -18,10 +18,12 @@ rho = |u|^2 and u-hat = fftn(u) rather than recomputing them:
     Weinstein quotient  FunctionalSnapshot.weinstein
     Cauchy-Schwarz gap  FunctionalSnapshot.cauchy_schwarz_gap
 
-take_snapshot evaluates all of them from one rho and one fftn(u); every
-caller that wants one of these quantities reads it off a snapshot.  The two
-single-quantity calls, mass and hv_norm_sq, exist for the self-consistent
-omega loop and the Parseval gate, which need nothing else.
+take_snapshot evaluates all of them from one rho and one fftn(u); a caller
+that wants several of these quantities reads them off a snapshot.  The two
+single-quantity calls, mass and hv_norm_sq, serve the callers that need
+nothing else and would otherwise pay for a whole snapshot: the
+self-consistent omega loop, and the validate gates that read only M,
+||grad u||^2, int V|u|^2 or e (the last two through _integral and _e_term).
 """
 
 from __future__ import annotations

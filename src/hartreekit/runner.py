@@ -21,7 +21,7 @@ from scipy.special import gamma as gamma_fn
 from .config import RunConfig
 from .evolve import EvolveConfig, TrajectoryRecord, evolve, monotonicity_probe, virial_consistency
 from .fieldio import load_field, read_json, write_json
-from .functionals import CSV_COLUMNS, _integral, mass, take_snapshot
+from .functionals import CSV_COLUMNS, _e_term, _integral, hv_norm_sq, mass, take_snapshot
 from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state
 from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm, on_free_branch
 from .spectral import (
@@ -128,6 +128,7 @@ def _gs_report(cfg: RunConfig, gs, adm) -> dict:
         "omega_mode": cfg.groundstate.omega_mode,
         "omega_iterations": gs.omega_iterations,
         "iterations": gs.iterations,
+        "richardson_iterations": gs.richardson_iterations,
         "residual": gs.residual,
         "converged": gs.converged,
         "snapshot": gs.snapshot.to_dict(),
@@ -252,11 +253,11 @@ def parseval_defect(u: Field) -> float:
     return abs(m_phys - m_four) / m_phys
 
 
-def gradient_routes_defect(u: Field, gamma: float) -> float:
-    """Relative gap between ||grad u||^2 from the spectral gradient and from the snapshot's Parseval sum."""
+def gradient_routes_defect(u: Field) -> float:
+    """Relative gap between ||grad u||^2 from the spectral gradient and from the Parseval sum."""
     gsq_spec = float(sum(float(abs_sq(g.values).sum()) for g in gradient(u)) * u.grid.cell_volume)
-    snap = take_snapshot(u, 0.0, None, None, gamma)
-    return abs(gsq_spec - snap.grad_sq) / max(snap.grad_sq, 1e-300)
+    gsq = hv_norm_sq(u)
+    return abs(gsq_spec - gsq) / max(gsq, 1e-300)
 
 
 def riesz_origin_defect(grid: Grid, gamma: float) -> float:
@@ -271,14 +272,13 @@ def riesz_origin_defect(grid: Grid, gamma: float) -> float:
     return abs(float(conv0.real) - area * ref) / (area * ref)
 
 
-def virial_dual_defect(u: Field, v: Field, virial_weight: Field, gamma: float) -> float:
+def virial_dual_defect(u: Field, v: Field, virial_weight: Field) -> float:
     """0 when the sampled weight's e-term agrees with the integration-by-parts route, inf when not.
 
     That route, int (x.grad V)|u|^2 = -int V (d|u|^2 + x.grad|u|^2), never
     differentiates V, so a disagreement beyond 1e-5 of the scale means the
     weight field does not belong to this potential.  A sharp-interface
     potential fails it too: its sampled weight omits the surface term."""
-    snap = take_snapshot(u, 0.0, v, virial_weight, gamma)
     g = u.grid
     rho = abs_sq(u.values)
     rhohat = fftn(rho)
@@ -286,9 +286,9 @@ def virial_dual_defect(u: Field, v: Field, virial_weight: Field, gamma: float) -
     for x, xi in zip(g.coords, g.freqs):
         xgrad_rho += x * ifftn(1j * xi * rhohat).real
     vt = _integral(g, rho, v.values)
-    e = snap.e_term
+    e = _e_term(g, rho, virial_weight.values)
     e_ibp = 8.0 * vt - 4.0 * _integral(g, g.dim * rho + xgrad_rho, v.values)
-    scale = abs(e) + abs(e_ibp) + 8.0 * abs(vt) + 8.0 * snap.grad_sq
+    scale = abs(e) + abs(e_ibp) + 8.0 * abs(vt) + 8.0 * hv_norm_sq(u)
     return math.inf if abs(e - e_ibp) > 1e-5 * max(scale, 1e-300) else 0.0
 
 
@@ -332,11 +332,11 @@ def kato_ball_defect(v: Field, amplitude: float, radius: float) -> float:
     return abs(kato_norm(v) / (amplitude * radius**2 / 2.0) - 1.0)
 
 
-def kato_sandwich_excess(v: Field, u: Field, gamma: float) -> float:
+def kato_sandwich_excess(v: Field, u: Field) -> float:
     """How far ||u||_HV^2 leaves [(1 - ||V||_K), (1 + ||V||_K)] ||grad u||^2, relative to ||grad u||^2."""
     kv = kato_norm(v)
-    sn = take_snapshot(u, 0.0, v, None, gamma)
-    gsq, hv = sn.grad_sq, sn.hv_sq
+    gsq = hv_norm_sq(u)
+    hv = gsq + _integral(u.grid, abs_sq(u.values), v.values)
     lo, hi = (1.0 - kv) * gsq, (1.0 + kv) * gsq
     return max((lo - hv) / gsq, (hv - hi) / gsq)
 
@@ -364,11 +364,11 @@ def run_validate(cfg: RunConfig, outdir) -> int:
 
     u = smooth_random_field(grid, rng)
     check("parseval_mass", parseval_defect(u), 1e-12)
-    check("gradient_routes_agree", gradient_routes_defect(u, gamma), 1e-11)
+    check("gradient_routes_agree", gradient_routes_defect(u), 1e-11)
     check("riesz_origin_vs_quadrature", riesz_origin_defect(grid, gamma), 1e-4)
     vspec = PotentialSpec(kind="gaussian_bump", amplitude=0.4, sigma=1.1)
     v, w = eval_potential(vspec, grid), eval_virial_weight(vspec, grid)
-    check("virial_dual_form", virial_dual_defect(u, v, w, gamma), 1.0)
+    check("virial_dual_form", virial_dual_defect(u, v, w), 1.0)
 
     try:
         gs = _solve_gs(cfg, None if cfg.potential.is_zero else eval_potential(cfg.potential, grid))
@@ -404,7 +404,7 @@ def run_validate(cfg: RunConfig, outdir) -> int:
         amp = rng.uniform(0.05, 0.6) * rng.choice([-1.0, 1.0])
         sig = rng.uniform(0.6, 1.5)
         vf = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=amp, sigma=sig), grid)
-        excess.append(kato_sandwich_excess(vf, smooth_random_field(grid, rng), gamma))
+        excess.append(kato_sandwich_excess(vf, smooth_random_field(grid, rng)))
     check("kato_sandwich", _worst(excess), 1e-2)
 
     ev = EvolveConfig(grid=grid, gamma=gamma, dt0=1e-3, t_max=0.05, tol_step=1e-6, record_stride=10)

@@ -128,7 +128,7 @@ def test_kato_ball_closed_form_and_sandwich():
         amp = rng.uniform(0.05, 0.6) * rng.choice([-1.0, 1.0])
         sig = rng.uniform(0.6, 1.5)
         vf = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=amp, sigma=sig), small)
-        assert kato_sandwich_excess(vf, smooth_random_field(small, rng), GAMMA) <= 1e-2
+        assert kato_sandwich_excess(vf, smooth_random_field(small, rng)) <= 1e-2
 
 
 def test_mass_drift_and_energy_order(grid64):

@@ -392,6 +392,7 @@ def test_cli_groundstate_run(tmp_path):
     assert {"ground_state.fld", "ground_state.fld.meta.json", "groundstate_report.json", "manifest.json"} <= names
     rep = read_json(os.path.join(out, "groundstate_report.json"))
     assert rep["converged"] and rep["residual"] <= 1.01e-9
+    assert rep["richardson_iterations"] == 0  # V = 0: the solve is the Fourier inverse
     assert rep["pohozaev"]["max_abs"] < 1.0
     man = read_json(os.path.join(out, "manifest.json"))
     assert man["schema"] == "hartreekit-run-v1"
@@ -557,9 +558,30 @@ def test_pipeline_computes_admissibility_once(tmp_path, monkeypatch):
     assert len(calls) == 2
     gs_rep = read_json(os.path.join(out, "groundstate_report.json"))
     assert (gs_rep["branch"], gs_rep["reference_potential"]) == ("pinned", "gaussian_bump")
+    assert gs_rep["richardson_iterations"] > 0
     gs_adm = gs_rep["admissibility"]
     assert gs_adm == read_json(os.path.join(out, "classify_report.json"))["admissibility"]
     assert gs_adm["kato_norm_negative_part"] > 0
+
+
+def test_noncoercive_well_fails_the_groundstate_stage(tmp_path, capsys):
+    # -Lap + V is not coercive for this well: the iteration settles on a
+    # profile with ||Q||_HV^2 <= 0, whose Weinstein quotient used to raise a
+    # bare ValueError that the run reported with a traceback
+    out = str(tmp_path / "pipe")
+    path = write_cfg(
+        tmp_path,
+        "[run]\nmode = full_pipeline\n[grid]\npoints = 16\nhalf_length = 8.0\n"
+        "[potential]\nkind = gaussian_bump\namplitude = -5.0\nsigma = 1.0\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 1.5\n"
+        "[evolve]\nt_max = 0.01\n",
+    )
+    assert main(["pipeline", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: groundstate: ground-state form norm")
+    assert "the well is too strong" in err
+    assert "Traceback" not in err
+    assert os.listdir(out) == ["manifest.json"]
 
 
 def test_validate_deterministic_reruns(tmp_path):
@@ -587,7 +609,7 @@ def test_validate_nan_trial_reads_fail(tmp_path, monkeypatch):
     # a NaN defect on any trial must fail its gate; Python's max(0.0, nan) is 0.0
     import hartreekit.runner as runner
 
-    monkeypatch.setattr(runner, "kato_sandwich_excess", lambda v, u, gamma: math.nan)
+    monkeypatch.setattr(runner, "kato_sandwich_excess", lambda v, u: math.nan)
     out = str(tmp_path / "v")
     path = write_cfg(tmp_path, "[run]\nmode = validate\n" + SMALL_GRID)
     assert main(["validate", "--config", path, "--out", out]) == 1

@@ -87,7 +87,7 @@ def test_virial_second_forms_agree(grid32):
     v = eval_potential(spec, grid32)
     w = eval_virial_weight(spec, grid32)
     # the weight's e-term matches the route that never differentiates V
-    assert virial_dual_defect(u, v, w, GAMMA) == 0.0
+    assert virial_dual_defect(u, v, w) == 0.0
     s = snap(u, v, w)
     expect = 8.0 * hv_norm_sq(u, v) - 2.0 * GAMMA * s.p_value - s.e_term
     assert abs(s.virial_I2 - expect) < 1e-9 * (abs(s.virial_I2) + 1.0)
@@ -99,7 +99,7 @@ def test_virial_second_inconsistent_weight_raises(grid32):
     spec = PotentialSpec(kind="gaussian_bump", amplitude=0.3, sigma=1.2)
     v = eval_potential(spec, grid32)
     wrong = eval_virial_weight(PotentialSpec(kind="gaussian_bump", amplitude=0.9, sigma=0.7), grid32)
-    assert virial_dual_defect(u, v, wrong, GAMMA) > 1.0
+    assert virial_dual_defect(u, v, wrong) > 1.0
 
 
 def test_virial_second_ball_surface_term(grid32):
@@ -111,7 +111,7 @@ def test_virial_second_ball_surface_term(grid32):
     v = eval_potential(spec, grid32)
     with pytest.warns(UserWarning):
         w = eval_virial_weight(spec, grid32)
-    assert virial_dual_defect(u, v, w, GAMMA) > 1.0
+    assert virial_dual_defect(u, v, w) > 1.0
     assert np.isfinite(snap(u, v, w).virial_I2)
 
 
@@ -134,7 +134,7 @@ def test_snapshot_consistency(grid32):
     assert abs(s.mass - mass(u)) < 1e-12 * s.mass
     assert abs(s.hv_sq - hv_norm_sq(u, v)) < 1e-12 * s.hv_sq
     assert abs(s.z - np.sqrt(s.variance_I)) < 1e-14
-    assert virial_dual_defect(u, v, w, GAMMA) == 0.0
+    assert virial_dual_defect(u, v, w) == 0.0
 
 
 def test_weinstein_scale_invariance(grid48, gs48):

@@ -115,6 +115,60 @@ def test_petviashvili_real_ffts_per_iteration(monkeypatch):
     assert costs == [4] * 5
 
 
+def test_anderson_iteration_counts(grid32):
+    """Anderson mixing of the Petviashvili outputs: the unmixed iteration took
+    99 steps at V = 0 and 84 with the well; the profile is the one a far
+    tighter solve finds."""
+    well = PotentialSpec(kind="gaussian_bump", amplitude=-0.3, sigma=1.0)
+    for potential in (PotentialSpec(kind="zero"), well):
+        gs = solve_ground_state(grid32, potential, GAMMA)
+        assert gs.converged and gs.iterations <= 20
+        assert (gs.richardson_iterations > 0) == (potential is well)
+        tight = solve_ground_state(grid32, potential, GAMMA, tol=1e-12)
+        assert tight.converged
+        q, q_tight = gs.field.values.real, tight.field.values.real
+        assert np.abs(q - q_tight).max() <= 1e-8 * q_tight.max()
+
+
+@pytest.mark.parametrize("fault, restart_from", [("residual", 2), ("weight", 1)])
+def test_anderson_restart_takes_the_plain_step(monkeypatch, fault, restart_from):
+    """The third iterate is the first mixed one.  Made to raise the residual,
+    it restarts the mixing, and the fourth iterate is its plain Petviashvili
+    output, not a mix.  Made to lose the weight <u, N(u)>, it is dropped, and
+    the fourth iterate is the plain output of the second."""
+    grid = Grid(3, 16, 8.0)
+    residual = ground_state_module._residual
+    iterates = []
+
+    def faulty(grid_, vvals, gamma, omega_sq, u, au=None):
+        iterates.append(u.copy())
+        au, nl, res = residual(grid_, vvals, gamma, omega_sq, u, au)
+        if len(iterates) == 3:
+            return (au, nl, 1e3 * res) if fault == "residual" else (au, -nl, res)
+        return au, nl, res
+
+    def plain(u):
+        au, nl, _ = residual(grid, None, GAMMA, 1.0, u)
+        w = ground_state_module.apply_multiplier(nl, 1.0 / (grid.k_sq + 1.0))
+        return (float((u * au).sum()) / float((u * nl).sum())) ** 1.5 * w
+
+    monkeypatch.setattr(ground_state_module, "_residual", faulty)
+    gs = solve_ground_state(grid, PotentialSpec(kind="zero"), GAMMA)
+    assert gs.converged
+    ref = plain(iterates[restart_from])
+    assert np.abs(iterates[3] - ref).max() <= 1e-12 * ref.max()
+
+
+def test_strong_wells_raise_convergence_errors():
+    grid = Grid(3, 16, 8.0)
+    # -Lap + V is not coercive: the iteration settles where ||Q||_HV^2 <= 0
+    with pytest.raises(ConvergenceError, match="form norm .* is not positive: the well is too strong"):
+        solve_ground_state(grid, PotentialSpec(kind="gaussian_bump", amplitude=-5.0, sigma=1.0), GAMMA)
+    # the free inverse no longer preconditions V: the inner solve diverges
+    with pytest.raises(ConvergenceError, match="helmholtz Richardson iteration stalled"):
+        solve_ground_state(grid, PotentialSpec(kind="gaussian_bump", amplitude=-20.0, sigma=1.0), GAMMA)
+
+
 def test_potential_well_shifts_profile(grid48):
     # attractive well deepens the state: higher mass concentration than free Q
     well = PotentialSpec(kind="gaussian_bump", amplitude=-0.5, sigma=0.5)

@@ -16,8 +16,6 @@ from hartreekit.potentials import (
 from hartreekit.runner import kato_ball_defect, kato_sandwich_excess, smooth_random_field
 from hartreekit.spectral import Field
 
-from conftest import GAMMA
-
 
 def test_kato_ball_closed_form(grid64):
     # a * 1_{|x|<R}: (-Lap)^{-1} peaks at the center with value a R^2 / 2 in d=3
@@ -51,12 +49,12 @@ def test_sandwich_bounds_random_pairs(grid32):
         amp = rng.uniform(0.05, 0.6) * rng.choice([-1.0, 1.0])
         sig = rng.uniform(0.6, 1.5)
         v = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=amp, sigma=sig), grid32)
-        worst = max(worst, kato_sandwich_excess(v, smooth_random_field(grid32, rng), GAMMA))
+        worst = max(worst, kato_sandwich_excess(v, smooth_random_field(grid32, rng)))
     assert worst <= 1e-2
     # the bound needs u to decay inside the box: a near-constant u has almost
     # no gradient but keeps the full potential term
     flat = Field(grid32, 1.0 + smooth_random_field(grid32, rng).values)
-    assert kato_sandwich_excess(v, flat, GAMMA) > 1e-2
+    assert kato_sandwich_excess(v, flat) > 1e-2
 
 
 @pytest.mark.parametrize(

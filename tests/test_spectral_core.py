@@ -64,11 +64,11 @@ def test_gradient_plane_wave(grid32):
     u = Field(grid32, np.exp(1j * (k[0] * x + k[1] * y + k[2] * z)))
     for gi, ki in zip(gradient(u), k):
         assert np.allclose(gi.values, 1j * ki * u.values, atol=1e-10)
-    assert gradient_routes_defect(u, GAMMA) < 1e-11
+    assert gradient_routes_defect(u) < 1e-11
     # a real field keeps only the real part of each derivative, which drops
     # the Nyquist mode; the Parseval route keeps it, so the routes part
     checkerboard = Field(grid32, np.cos(np.pi * (x + grid32.half_length) / grid32.spacing) * np.ones(grid32.shape))
-    assert gradient_routes_defect(checkerboard, GAMMA) > 0.5
+    assert gradient_routes_defect(checkerboard) > 0.5
 
 
 def test_riesz_convolve_gaussian_origin(grid48):
