@@ -31,7 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .spectral import Field, Grid, abs_sq, fftn, ifftn, riesz_convolve
+import numpy as np
+
+from .spectral import Field, Grid, abs_sq, fftn, ifftn, rfftn
 
 CSV_COLUMNS = (
     "t",
@@ -63,17 +65,26 @@ def _grad_sq(grid: Grid, power) -> float:
 
 
 def _p(grid: Grid, rho, gamma: float) -> float:
-    return _integral(grid, rho, riesz_convolve(Field(grid, rho), gamma).values)
+    """P = h^d / N sum_xi m(xi) |rho-hat(xi)|^2 by Parseval, m the Riesz multiplier, from one rfftn.
+
+    rho is real and m even, so the half spectrum stands for the whole: each
+    entry counts twice, except on the last axis's planes 0 and n/2, which
+    are their own mirror images (Grid makes n even)."""
+    power = abs_sq(rfftn(rho))
+    power *= grid.riesz_multiplier(gamma)[..., : power.shape[-1]]
+    total = 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
+    return float(total * (grid.cell_volume / grid.points**grid.dim))
 
 
 def _virial_first(u: Field, uhat) -> float:
+    """I' = 4 Im sum_j int conj(u) x_j d_j u, each term one ifftn and one vdot."""
     g = u.grid
     acc = 0.0
-    uc = u.values.conj()
     for x, xi in zip(g.coords, g.freqs):
         du = ifftn(1j * xi * uhat, overwrite_x=True)
-        acc += float((uc * x * du).imag.sum())
-    return acc * (4.0 * g.cell_volume)
+        du *= x
+        acc += np.vdot(u.values, du).imag
+    return float(acc) * (4.0 * g.cell_volume)
 
 
 def mass(u: Field) -> float:

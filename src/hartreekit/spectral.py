@@ -37,6 +37,11 @@ def ifftn(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     return sfft.ifftn(a, workers=_fft_workers, overwrite_x=overwrite_x)
 
 
+def rfftn(a: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real array: the first n/2 + 1 entries along the last axis."""
+    return sfft.rfftn(a, workers=_fft_workers)
+
+
 def apply_multiplier(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """ifftn(m * fftn(a)) for a multiplier m on the fftfreq grid.
 
@@ -45,7 +50,7 @@ def apply_multiplier(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     n/2 + 1 entries of m along the last axis.
     """
     if np.isrealobj(a):
-        half = m[..., : a.shape[-1] // 2 + 1] * sfft.rfftn(a, workers=_fft_workers)
+        half = m[..., : a.shape[-1] // 2 + 1] * rfftn(a)
         return sfft.irfftn(half, a.shape, workers=_fft_workers, overwrite_x=True)
     return ifftn(m * fftn(a), overwrite_x=True)
 

@@ -12,6 +12,8 @@ localized data; the shipped preset detects collapse at 6x growth).
 import ast
 import math
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -298,3 +300,19 @@ def test_every_library_function_has_a_library_caller():
                 used.add(node.attr)
     assert sorted(defined - used - set(CALLED_FROM_OUTSIDE)) == []
     assert set(CALLED_FROM_OUTSIDE) <= defined
+
+
+def test_library_does_not_import_scipy_integrate():
+    """scipy.integrate costs about 0.3 s to import, and no library path needs it.
+
+    A fresh interpreter imports the package and runs the one gate that used
+    to integrate by quadrature."""
+    code = (
+        "import sys, hartreekit\n"
+        "from hartreekit.runner import riesz_origin_defect\n"
+        "riesz_origin_defect(hartreekit.Grid(3, 16, 8.0), 2.5)\n"
+        "sys.exit('scipy.integrate' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(hartreekit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

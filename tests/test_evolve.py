@@ -11,6 +11,7 @@ import hartreekit.evolve as evolve_module
 from hartreekit.evolve import (
     _convolve_pair,
     _kinetic,
+    _rotate,
     EvolveConfig,
     TrajectoryRecord,
     detect_blowup,
@@ -252,6 +253,7 @@ def test_virial_consistency_nonlinear(g32):
     dev = virial_consistency(rec)
     assert dev["i1_max_rel_dev"] < 1e-4
     assert dev["i2_max_rel_dev"] < 1e-3
+    assert dev["max_snapshot_dt"] == pytest.approx(1e-3, rel=1e-9)  # fixed dt, every step recorded
 
 
 def test_virial_consistency_linear_mode(g32):
@@ -363,6 +365,27 @@ def test_packed_convolutions_match_separate_ones(points):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_rotate_half_angle_form_is_exact_to_rounding():
+    """u exp(i dt phase) from tan(dt phase / 2) against np.exp, for angles from 1e-6 to 1e5.
+
+    Odd multiples of pi, where tan of the half angle is largest, are
+    included.  The bound is two units in the last place of 1; a truncated
+    series, or a half angle that is not halved, misses it by orders of
+    magnitude."""
+    rng = np.random.default_rng(57)
+    theta = np.concatenate([
+        np.logspace(-6, 5, 20001),
+        (2 * np.arange(-2000, 2000) + 1) * np.pi,
+        rng.uniform(-1e5, 1e5, 20000),
+    ])
+    theta = np.concatenate([theta, -theta])
+    eps = np.finfo(float).eps
+    assert np.abs(_rotate(np.ones(theta.shape, dtype=complex), theta, 1.0) - np.exp(1j * theta)).max() <= 2 * eps
+    u = rng.standard_normal(theta.shape) + 1j * rng.standard_normal(theta.shape)
+    got = _rotate(u, theta, 0.25)
+    assert np.abs(got - u * np.exp(0.25j * theta)).max() <= 4 * eps * np.abs(u).max()
+
+
 def test_fft_counts_per_adaptive_step(monkeypatch):
     """Counter gate on the transforms of adaptive steps at 16^3.
 
@@ -372,14 +395,15 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
     and of the dt/2 steps are independent, so their two Hartree convolutions
     share one fftn/ifftn pair, and the third sub-flow has its own: 10 complex
     FFTs per attempt.  A snapshot given the state's transform costs 3 ifftn
-    for I' and rfftn + irfftn for P (3 complex, 2 real), plus the ifftn of
-    the state when it is taken after a step; detect_blowup reads the
-    transform in hand (0).
+    for I' and one rfftn for P (3 complex, 1 real): P is read off the half
+    spectrum of |u|^2 by Parseval, with no transform back.  Add the ifftn of
+    the state when the snapshot is taken after a step; detect_blowup reads
+    the transform in hand (0).
 
-    One step, record_stride 1: fftn(u0) (1); the t = 0 snapshot (3, 2); one
-    attempt (10); the closing snapshot (1 + 3, 2).  Total 18 complex and 4
+    One step, record_stride 1: fftn(u0) (1); the t = 0 snapshot (3, 1); one
+    attempt (10); the closing snapshot (1 + 3, 1).  Total 18 complex and 2
     real.  Two steps, record_stride 2: the same, with two attempts (20) and
-    no snapshot, so no ifftn, after the first step: 28 complex and 4 real,
+    no snapshot, so no ifftn, after the first step: 28 complex and 2 real,
     where the run with the state turned back after every step cost 29."""
     counts = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn"), 0)
     for name in counts:
@@ -399,14 +423,14 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
                        blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, ZERO, cfg)
     assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
-    assert complex_real() == (18, 4)
+    assert complex_real() == (18, 2)
 
     cfg2 = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=2e-3, tol_step=1e-2, record_stride=2,
                         blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, ZERO, cfg2)
     assert rec.extras["n_step_attempts"] == len(rec.extras["accepted_dts"]) == 2
     assert len(rec.snapshots) == 2
-    assert complex_real() == (28, 4)
+    assert complex_real() == (28, 2)
 
     uhat = scipy.fft.fftn(u0.values)
     complex_real()

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hartreekit.functionals import hv_norm_sq, mass, take_snapshot
+from hartreekit.functionals import _integral, _p, hv_norm_sq, mass, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
 from hartreekit.runner import smooth_random_field, variational_defects, virial_dual_defect
-from hartreekit.spectral import Field
+from hartreekit.spectral import Field, Grid, riesz_convolve
 
 from conftest import GAMMA
 
@@ -50,6 +50,19 @@ def test_p_functional_positive_and_quartic(grid32):
     assert p1 > 0.0
     u2 = Field(grid32, 2.0 * u.values)
     assert abs(snap(u2).p_value - 16.0 * p1) < 1e-9 * p1
+
+
+@pytest.mark.parametrize("dim, points, gamma", [(3, 16, GAMMA), (3, 32, GAMMA), (2, 32, 1.5)])
+def test_p_from_half_spectrum_matches_physical_route(dim, points, gamma):
+    """P from the weighted half spectrum equals int (|x|^-g * rho) rho taken in physical space.
+
+    rho is white noise, so the last axis's planes 0 and n/2 carry their
+    share of the power: counting either of them twice, or dropping the
+    doubling of the rest, moves P far past rounding."""
+    grid = Grid(dim, points, 6.0)
+    rho = np.random.default_rng(30 + points + dim).standard_normal(grid.shape)
+    want = _integral(grid, rho, riesz_convolve(Field(grid, rho), gamma).values)
+    assert abs(_p(grid, rho, gamma) - want) <= 1e-13 * abs(want)
 
 
 def test_phase_gauge_invariance(grid32):

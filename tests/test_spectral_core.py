@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+import hartreekit.runner as runner
 from hartreekit.functionals import take_snapshot
 from hartreekit.runner import gradient_routes_defect, parseval_defect, riesz_origin_defect, smooth_random_field
 from hartreekit.spectral import (
@@ -76,6 +77,34 @@ def test_riesz_convolve_gaussian_origin(grid48):
     assert riesz_origin_defect(grid48, GAMMA) < 1e-4
     # a box of half-width 2 truncates the Gaussian and lets the images in
     assert riesz_origin_defect(Grid(3, 32, 2.0), GAMMA) > 1e-4
+
+
+@pytest.mark.parametrize("dim, gamma", [(3, 2.5), (3, 2.2), (2, 1.5)])
+def test_riesz_origin_reference_is_the_radial_quadrature(monkeypatch, dim, gamma):
+    """The gate's closed-form reference, Gamma((d - g)/2) / 2, is quad of r^{d-1-g} e^{-r^2} over (0, inf).
+
+    The grid convolution is replaced by the quadrature value, so the defect
+    reads only the gap between the gate's reference and quad."""
+    area = 2.0 * np.pi ** (dim / 2.0) / gamma_fn(dim / 2.0)
+    ref, _err = quad(lambda r: r ** (dim - 1.0 - gamma) * math.exp(-r * r), 0.0, np.inf)
+    monkeypatch.setattr(runner, "riesz_convolve", lambda f, _g: Field(f.grid, np.full(f.grid.shape, area * ref)))
+    assert riesz_origin_defect(Grid(dim, 8, 4.0), gamma) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [Grid(3, 32, 10.0), Grid(2, 32, 6.0)], ids=["3d", "2d"])
+def test_smooth_random_field_matches_dense_formula(grid):
+    """The separable Gaussians equal the full-grid formula, drawn from the same rng stream."""
+    got = smooth_random_field(grid, np.random.default_rng(41), amplitude=0.7).values
+    rng = np.random.default_rng(41)
+    want = np.zeros(grid.shape, dtype=complex)
+    for _ in range(3):
+        c = rng.uniform(-0.2 * grid.half_length, 0.2 * grid.half_length, size=grid.dim)
+        w = rng.uniform(0.8, 1.8)
+        amp = 0.7 * rng.uniform(0.4, 1.0)
+        ph = rng.uniform(0.0, 2.0 * np.pi)
+        r2 = sum((x - ci) ** 2 for x, ci in zip(grid.coords, c))
+        want += amp * np.exp(1j * ph) * np.exp(-r2 / (2.0 * w * w))
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_riesz_convolve_is_symmetric_positive(grid32):
