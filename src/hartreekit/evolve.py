@@ -10,9 +10,10 @@ to physical space, and the state itself goes back only when a snapshot is
 taken.  Step size is controlled by an L2 step-doubling estimate, taken in
 Fourier space on the shared transform; the two phase sub-flows of an attempt
 that do not depend on each other share one complex transform pair for their
-Hartree convolutions.  Collapse is detected, never resolved: once the
-gradient blows past its threshold or the upper frequency band fills,
-integration stops and the record says so.
+Hartree convolutions, and the third takes its own from a real pair.
+Collapse is detected, never resolved: once the gradient blows past its
+threshold or the upper frequency band fills, integration stops and the
+record says so.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .functionals import CSV_COLUMNS, _grad_sq, take_snapshot
 from .potentials import PotentialSpec, eval_potential, eval_virial_weight
-from .spectral import Field, Grid, abs_sq, fftn, ifftn, shell_fraction
+from .spectral import Field, Grid, abs_sq, apply_multiplier, fftn, ifftn, shell_fraction
 
 
 @dataclass
@@ -112,9 +113,11 @@ def _phase_step(grid: Grid, u, dt: float, vvals, gamma: float, linear: bool, con
     """The exact phase sub-flow over dt: |u| is invariant under multiplication by this phase.
 
     conv is the Hartree convolution |x|^{-gamma} * |u|^2 when the caller
-    already holds it (_convolve_pair); otherwise it costs a complex
-    fftn/ifftn pair, not apply_multiplier's real one, because
-    bench/test_spans.py pins strang_step at six complex transforms."""
+    already holds it (_attempt: _convolve_pair, or apply_multiplier's real
+    pair); otherwise it costs a complex fftn/ifftn pair.  Only strang_step
+    and the non-adaptive path reach that pair, and it stays complex, not
+    real, because bench/test_spans.py pins strang_step at six complex
+    transforms."""
     if linear:
         if vvals is None:
             return u
@@ -161,7 +164,9 @@ def _strang(grid: Grid, uhat, dt: float, kins, vvals, gamma: float, linear: bool
     exp(-i tau |k|^2).  One step takes (K(dt/2), K(dt/2)); two steps take
     (K(dt/2), K(dt), K(dt/2)), the two kinetic half flows between them merged
     into one.  Each P costs an ifftn and an fftn around it, and a complex
-    pair for its own convolution: 4 complex FFTs per P, 2 in linear mode."""
+    pair for its own convolution: 4 complex FFTs per P, 2 in linear mode.
+    strang_step and the non-adaptive path of evolve use it; _attempt does
+    not."""
     for kin in kins[:-1]:
         w = _phase_step(grid, ifftn(kin * uhat, overwrite_x=True), dt, vvals, gamma, linear)
         uhat = fftn(w, overwrite_x=True)
@@ -173,9 +178,12 @@ def _attempt(grid: Grid, uhat, dt: float, vvals, gamma: float, linear: bool):
 
     The dt step's phase sub-flow acts on ifftn(K(dt/2) uhat) and the first
     dt/2 sub-flow on ifftn(K(dt/4) uhat); neither depends on the other, so
-    their convolutions share one complex pair (_convolve_pair), and the
-    attempt costs 10 complex FFTs, not 12, in the same three _phase_step
-    calls.  Linear mode has no convolution and costs 6."""
+    their convolutions share one complex pair (_convolve_pair).  The second
+    dt/2 sub-flow acts on ifftn(K(dt/2) fftn(first)), and its convolution
+    takes one real rfftn/irfftn pair on |w|^2 (apply_multiplier).  Each
+    sub-flow costs an ifftn in and an fftn out, so the attempt costs 8
+    complex and 2 real FFTs.  Linear mode has no convolution and costs 6
+    complex."""
     k_half, k_quarter = _kinetic(grid, 0.5 * dt), _kinetic(grid, 0.25 * dt)
     w_big = ifftn(k_half * uhat, overwrite_x=True)
     w_half = ifftn(k_quarter * uhat, overwrite_x=True)
@@ -186,7 +194,12 @@ def _attempt(grid: Grid, uhat, dt: float, vvals, gamma: float, linear: bool):
     del w_big, conv_big
     half = fftn(_phase_step(grid, w_half, 0.5 * dt, vvals, gamma, linear, conv=conv_half), overwrite_x=True)
     del w_half, conv_half
-    return big, _strang(grid, half, 0.5 * dt, (k_half, k_quarter), vvals, gamma, linear)
+    half *= k_half
+    w = ifftn(half, overwrite_x=True)
+    conv = None if linear else apply_multiplier(w.real * w.real + w.imag * w.imag, grid.riesz_multiplier(gamma))
+    half = fftn(_phase_step(grid, w, 0.5 * dt, vvals, gamma, linear, conv=conv), overwrite_x=True)
+    half *= k_quarter
+    return big, half
 
 
 def strang_step(u: Field, dt: float, potential: PotentialSpec, gamma: float, linear: bool = False) -> Field:
@@ -215,10 +228,11 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
 
     The state is carried in Fourier space, uhat = fftn(u), from step to step.
     Step-doubling control: each attempt builds the dt step K P K and the two
-    dt/2 steps K P K P K from the same uhat (_attempt: 10 complex FFTs, the
-    two first phase sub-flows sharing one convolution pair; the kinetic
-    factors are rebuilt per attempt, never cached, since adaptive dt rarely
-    repeats a value) and compares them in relative L2, in Fourier space,
+    dt/2 steps K P K P K from the same uhat (_attempt: 8 complex and 2 real
+    FFTs, the two first phase sub-flows sharing one complex convolution
+    pair and the third taking a real one; the kinetic factors are rebuilt
+    per attempt, never cached, since adaptive dt rarely repeats a value) and
+    compares them in relative L2, in Fourier space,
     where by Parseval it is the same number.  On acceptance the two-half-step
     state is kept; the blow-up detector reads it as it is, and it is turned
     back with one ifftn only for a snapshot.  dt grows by 1.2 when the error

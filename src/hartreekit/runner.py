@@ -8,6 +8,7 @@ and thread count is bit-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -446,6 +447,32 @@ def _write_manifest(cfg: RunConfig, outdir) -> None:
     )
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Make glibc's malloc keep freed grid-sized blocks for the life of the process.
+
+    Left at its defaults, glibc hands the top of the heap back to the kernel
+    once more than about twice the last freed large block sits free there.
+    A step attempt frees 1-2 MiB of grid temporaries, so each attempt would
+    fault the same pages in again, zero-filled: 82k minor faults in a 32^3
+    collapse pipeline, against 1.5k with this policy.  The setting is
+    process-wide, like set_fft_workers, and is made once per process.  Where
+    libc has no mallopt (not glibc), or it refuses a value, nothing changes."""
+    import ctypes  # here, so that importing the package does not pay for it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # malloc.h: M_TRIM_THRESHOLD (-1), trim the heap's top only past 1 GiB free;
+    # M_MMAP_THRESHOLD (-3), take blocks under 32 MiB, glibc's 64-bit ceiling,
+    # from the heap, not from mmap
+    for param, value in ((-1, 1 << 30), (-3, 32 << 20)):
+        mallopt(param, value)
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one configured run; returns the process exit status."""
     mode, outdir = cfg.run.mode, cfg.run.out
@@ -454,6 +481,7 @@ def run(cfg: RunConfig) -> int:
         return 2
     os.makedirs(outdir, exist_ok=True)
     set_fft_workers(cfg.run.threads)
+    _keep_heap()
     status = 0
     try:
         if mode == "groundstate":

@@ -1,5 +1,6 @@
 """Config parsing, preset resolution, CLI verbs, artifacts, and plot series."""
 
+import ctypes
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from hartreekit.config import (
     resolve_config_arg,
 )
 from hartreekit.fieldio import dump_field, read_json
+from hartreekit import runner
 from hartreekit.runner import RunError, build_initial
 from hartreekit.spectral import Field, Grid, center_of_mass
 
@@ -382,6 +384,61 @@ def test_cli_requires_out(tmp_path, capsys):
     path = write_cfg(tmp_path, "[run]\nmode = groundstate\n" + SMALL_GRID)
     assert main(["groundstate", "--config", path]) == 2
     assert "no output directory" in capsys.readouterr().err
+
+
+class FakeLibc:
+    """Stands in for ctypes.CDLL(None): mallopt records its calls and returns `answer`."""
+
+    def __init__(self, answer):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return answer
+
+        self.mallopt = mallopt
+
+
+@pytest.fixture
+def fresh_heap_policy():
+    runner._keep_heap.cache_clear()
+    yield
+    runner._keep_heap.cache_clear()
+
+
+def run_groundstate_twice(tmp_path):
+    path = write_cfg(tmp_path, "[run]\nmode = groundstate\n[grid]\npoints = 16\nhalf_length = 8.0\n")
+    for k in range(2):
+        assert runner.run(parse_config(path, overrides={("run", "out"): str(tmp_path / f"run{k}")})) == 0
+
+
+@pytest.mark.parametrize("answer", [1, 0], ids=["accepted", "refused"])
+def test_run_sets_the_heap_policy_once_per_process(tmp_path, monkeypatch, fresh_heap_policy, answer):
+    # M_TRIM_THRESHOLD (-1) at 1 GiB and M_MMAP_THRESHOLD (-3) at 32 MiB, once
+    # for two runs; a mallopt that refuses (returns 0) changes nothing
+    opened = []
+
+    def cdll(name):
+        assert name is None
+        opened.append(FakeLibc(answer))
+        return opened[-1]
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    run_groundstate_twice(tmp_path)
+    assert len(opened) == 1
+    assert opened[0].calls == [(-1, 2**30), (-3, 2**25)]
+
+
+@pytest.mark.parametrize("libc", ["no mallopt", "no libc"])
+def test_run_without_mallopt_is_a_silent_no_op(tmp_path, monkeypatch, capsys, fresh_heap_policy, libc):
+    def cdll(name):
+        if libc == "no libc":
+            raise OSError("cannot open the process's own symbols")
+        return object()  # a libc without mallopt, as where there is no glibc
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    run_groundstate_twice(tmp_path)
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_groundstate_run(tmp_path):

@@ -393,7 +393,8 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
     Fourier state: three phase sub-flows, each an ifftn into physical space
     and an fftn back (6 complex FFTs).  The first sub-flows of the dt step
     and of the dt/2 steps are independent, so their two Hartree convolutions
-    share one fftn/ifftn pair, and the third sub-flow has its own: 10 complex
+    share one fftn/ifftn pair, and the third sub-flow takes its convolution
+    from one rfftn/irfftn pair on its real density: 8 complex and 2 real
     FFTs per attempt.  A snapshot given the state's transform costs 3 ifftn
     for I' and one rfftn for P (3 complex, 1 real): P is read off the half
     spectrum of |u|^2 by Parseval, with no transform back.  Add the ifftn of
@@ -401,10 +402,11 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
     the transform in hand (0).
 
     One step, record_stride 1: fftn(u0) (1); the t = 0 snapshot (3, 1); one
-    attempt (10); the closing snapshot (1 + 3, 1).  Total 18 complex and 2
-    real.  Two steps, record_stride 2: the same, with two attempts (20) and
-    no snapshot, so no ifftn, after the first step: 28 complex and 2 real,
-    where the run with the state turned back after every step cost 29."""
+    attempt (8, 2); the closing snapshot (1 + 3, 1).  Total 16 complex and 4
+    real.  Two steps, record_stride 2: the same, with two attempts (16, 4)
+    and no snapshot, so no ifftn, after the first step: 24 complex and 6
+    real, where the run with the state turned back after every step cost 25
+    complex."""
     counts = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn"), 0)
     for name in counts:
         def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
@@ -423,14 +425,14 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
                        blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, ZERO, cfg)
     assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
-    assert complex_real() == (18, 2)
+    assert complex_real() == (16, 4)
 
     cfg2 = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=2e-3, tol_step=1e-2, record_stride=2,
                         blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, ZERO, cfg2)
     assert rec.extras["n_step_attempts"] == len(rec.extras["accepted_dts"]) == 2
     assert len(rec.snapshots) == 2
-    assert complex_real() == (28, 2)
+    assert complex_real() == (24, 6)
 
     uhat = scipy.fft.fftn(u0.values)
     complex_real()
