@@ -1,19 +1,18 @@
 """Adaptive split-step Fourier evolution with trajectory diagnostics.
 
-The propagator is a kinetic - (potential + nonlinear phase) - kinetic Strang
-composition.  The middle sub-flow multiplies by a pure phase, which leaves
-|u| pointwise invariant, so that sub-flow is exact and only the splitting
-error remains.  The integrator carries the Fourier state fftn(u) between
-steps: the kinetic factors act on it directly, built per step as outer
-products of 1-D exponentials with no cache, and only the phase sub-flows go
-to physical space, and the state itself goes back only when a snapshot is
-taken.  Step size is controlled by an L2 step-doubling estimate, taken in
-Fourier space on the shared transform; the two phase sub-flows of an attempt
-that do not depend on each other share one complex transform pair for their
-Hartree convolutions, and the third takes its own from a real pair.
-Collapse is detected, never resolved: once the gradient blows past its
-threshold or the upper frequency band fills, integration stops and the
-record says so.
+The flow splits into the kinetic flow A and the (potential + nonlinear)
+phase sub-flow B.  B multiplies by a pure phase, which leaves |u| pointwise
+invariant, so that sub-flow is exact and only the splitting error remains.
+The adaptive path composes them in the fourth-order Blanes-Moan scheme, and
+controls the step with an embedded third-order partner that shares its first
+three phase sub-flows and the fourth one's input; strang_step and the
+non-adaptive path take Strang's A(dt/2) B(dt) A(dt/2).  The integrator
+carries the Fourier state fftn(u) between steps: the kinetic factors act on
+it directly, built per step as outer products of 1-D exponentials with no
+cache, only the phase sub-flows go to physical space, and the state itself
+goes back only when a snapshot is taken.  Collapse is detected, never
+resolved: once the gradient blows past its threshold or the upper frequency
+band fills, integration stops and the record says so.
 """
 
 from __future__ import annotations
@@ -26,6 +25,22 @@ import numpy as np
 from .functionals import CSV_COLUMNS, _grad_sq, take_snapshot
 from .potentials import PotentialSpec, eval_potential, eval_virial_weight
 from .spectral import Field, Grid, abs_sq, apply_multiplier, fftn, ifftn, shell_fraction
+
+# The 6-stage palindromic ABA composition of order 4 of Blanes & Moan,
+# J. Comput. Appl. Math. 142 (2002) 313-330: kinetic weights a_1..a_7 and
+# phase weights b_1..b_6, each summing to 1.
+_A1, _A2, _A3 = 0.0792036964311957, 0.353172906049774, -0.0420650803577195
+_B1, _B2 = 0.209515106613362, -0.143851773179818
+_KIN = (_A1, _A2, _A3, 1.0 - 2.0 * (_A1 + _A2 + _A3), _A3, _A2, _A1)
+_PHASE = (_B1, _B2, 0.5 - _B1 - _B2, 0.5 - _B1 - _B2, _B2, _B1)
+# Its embedded order-3 partner: after A(a_4) it runs B(bh_4) A(ah_5) B(bh_5)
+# A(ah_6) B(bh_6) A(ah_7).  Of the one-parameter family that the free bh_4
+# opens, this member has the least degree-4 defect.
+_PHASE_HAT = (0.273477008305411, 0.2318354860524767, -0.005312494357887678)
+_KIN_HAT = (0.2989587178059256, -0.6610647050835264, 0.7524175094008511)
+# step-size control after every attempt: dt * min(GROW, max(SHRINK, SAFETY (tol/err)^(1/4)))
+# (Hairer, Norsett & Wanner, Solving ODEs I, II.4); 1/4 is one over the partner's order plus one
+_SAFETY, _SHRINK, _GROW = 0.9, 0.2, 5.0
 
 
 @dataclass
@@ -40,13 +55,14 @@ class EvolveConfig:
     record_stride: int = 5
     adaptive: bool = True
     linear: bool = False  # drop the nonlinear phase (diagnostic runs)
+    record_dt: float | None = None  # adaptive steps land on its multiples; None: t_max / 4
 
     def __post_init__(self):
         # written as `not 0 < x < inf` so that NaN and inf fail too; every problem is reported
         problems = [
             f"{name} must be positive and finite, got {getattr(self, name)}"
-            for name in ("dt0", "t_max", "tol_step")
-            if not 0 < getattr(self, name) < math.inf
+            for name in ("dt0", "t_max", "tol_step", "record_dt")
+            if getattr(self, name) is not None and not 0 < getattr(self, name) < math.inf
         ]
         if not self.blowup_grad_factor > 1:
             problems.append(f"blowup_grad_factor must exceed 1, got {self.blowup_grad_factor}")
@@ -113,39 +129,18 @@ def _phase_step(grid: Grid, u, dt: float, vvals, gamma: float, linear: bool, con
     """The exact phase sub-flow over dt: |u| is invariant under multiplication by this phase.
 
     conv is the Hartree convolution |x|^{-gamma} * |u|^2 when the caller
-    already holds it (_attempt: _convolve_pair, or apply_multiplier's real
-    pair); otherwise it costs a complex fftn/ifftn pair.  Only strang_step
-    and the non-adaptive path reach that pair, and it stays complex, not
-    real, because bench/test_spans.py pins strang_step at six complex
-    transforms."""
+    already holds it (_embedded_step, from apply_multiplier's real pair);
+    otherwise it costs a complex fftn/ifftn pair.  Only strang_step and the
+    non-adaptive path reach that pair, and it stays complex, not real,
+    because bench/test_spans.py pins strang_step at six complex transforms."""
     if linear:
         if vvals is None:
             return u
         return _rotate(u, vvals, -dt)
     if conv is None:
-        density = u.real * u.real + u.imag * u.imag
-        conv = ifftn(grid.riesz_multiplier(gamma) * fftn(density), overwrite_x=True).real
+        conv = ifftn(grid.riesz_multiplier(gamma) * fftn(abs_sq(u)), overwrite_x=True).real
     phase = conv if vvals is None else conv - vvals
     return _rotate(u, phase, dt)
-
-
-def _convolve_pair(grid: Grid, a, b, gamma: float):
-    """The Hartree convolutions of |a|^2 and |b|^2 from one complex fftn/ifftn pair.
-
-    |a|^2 + i |b|^2 is written into one buffer, transformed, multiplied and
-    transformed back in place.  The Riesz multiplier is real and even, so it
-    maps real densities to real convolutions: the real part of the result is
-    the convolution of |a|^2 and the imaginary part that of |b|^2 (Cooley,
-    Lewis & Welch, J. Sound Vib. 12 (1970) 315).  Both are views of the one
-    buffer."""
-    buf = np.empty(a.shape, dtype=complex)
-    for part, v in ((buf.real, a), (buf.imag, b)):
-        np.multiply(v.real, v.real, out=part)
-        part += v.imag * v.imag
-    buf = fftn(buf, overwrite_x=True)
-    buf *= grid.riesz_multiplier(gamma)
-    buf = ifftn(buf, overwrite_x=True)
-    return buf.real, buf.imag
 
 
 def _kinetic(grid: Grid, tau: float):
@@ -157,57 +152,60 @@ def _kinetic(grid: Grid, tau: float):
     return kin
 
 
-def _strang(grid: Grid, uhat, dt: float, kins, vvals, gamma: float, linear: bool):
-    """Strang steps of size dt on a Fourier state uhat = fftn(u): kins[0] P kins[1] P ... kins[-1].
+def _strang(grid: Grid, uhat, dt: float, vvals, gamma: float, linear: bool):
+    """One Strang step K(dt/2) P K(dt/2) of size dt on a Fourier state uhat = fftn(u).
 
-    P is the phase sub-flow over dt and each kins entry a kinetic factor
-    exp(-i tau |k|^2).  One step takes (K(dt/2), K(dt/2)); two steps take
-    (K(dt/2), K(dt), K(dt/2)), the two kinetic half flows between them merged
-    into one.  Each P costs an ifftn and an fftn around it, and a complex
-    pair for its own convolution: 4 complex FFTs per P, 2 in linear mode.
-    strang_step and the non-adaptive path of evolve use it; _attempt does
-    not."""
-    for kin in kins[:-1]:
-        w = _phase_step(grid, ifftn(kin * uhat, overwrite_x=True), dt, vvals, gamma, linear)
-        uhat = fftn(w, overwrite_x=True)
-    return kins[-1] * uhat
+    P is the phase sub-flow over dt and K the kinetic flow.  P costs an ifftn
+    and an fftn around it, and a complex pair for its own convolution: 4
+    complex FFTs, 2 in linear mode.  strang_step and the non-adaptive path
+    of evolve use it."""
+    kin = _kinetic(grid, 0.5 * dt)
+    w = _phase_step(grid, ifftn(kin * uhat, overwrite_x=True), dt, vvals, gamma, linear)
+    return kin * fftn(w, overwrite_x=True)
 
 
-def _attempt(grid: Grid, uhat, dt: float, vvals, gamma: float, linear: bool):
-    """One step-doubling attempt from uhat: (the dt step K P K, the two dt/2 steps K P K P K).
+def _embedded_step(grid: Grid, uhat, dt: float, vvals, gamma: float, linear: bool):
+    """One Blanes-Moan step of size dt from uhat = fftn(u), and its embedded partner's: (order 4, order 3).
 
-    The dt step's phase sub-flow acts on ifftn(K(dt/2) uhat) and the first
-    dt/2 sub-flow on ifftn(K(dt/4) uhat); neither depends on the other, so
-    their convolutions share one complex pair (_convolve_pair).  The second
-    dt/2 sub-flow acts on ifftn(K(dt/2) fftn(first)), and its convolution
-    takes one real rfftn/irfftn pair on |w|^2 (apply_multiplier).  Each
-    sub-flow costs an ifftn in and an fftn out, so the attempt costs 8
-    complex and 2 real FFTs.  Linear mode has no convolution and costs 6
-    complex."""
-    k_half, k_quarter = _kinetic(grid, 0.5 * dt), _kinetic(grid, 0.25 * dt)
-    w_big = ifftn(k_half * uhat, overwrite_x=True)
-    w_half = ifftn(k_quarter * uhat, overwrite_x=True)
-    conv_big, conv_half = (None, None) if linear else _convolve_pair(grid, w_big, w_half, gamma)
-    big = fftn(_phase_step(grid, w_big, dt, vvals, gamma, linear, conv=conv_big), overwrite_x=True)
-    big *= k_half
-    # drop each sub-flow's arrays once used; the pair's buffer goes with its last view
-    del w_big, conv_big
-    half = fftn(_phase_step(grid, w_half, 0.5 * dt, vvals, gamma, linear, conv=conv_half), overwrite_x=True)
-    del w_half, conv_half
-    half *= k_half
-    w = ifftn(half, overwrite_x=True)
-    conv = None if linear else apply_multiplier(w.real * w.real + w.imag * w.imag, grid.riesz_multiplier(gamma))
-    half = fftn(_phase_step(grid, w, 0.5 * dt, vvals, gamma, linear, conv=conv), overwrite_x=True)
-    half *= k_quarter
-    return big, half
+    The step is A(a_1) B(b_1) A(a_2) ... B(b_6) A(a_7), with A(a) the kinetic
+    flow over a dt on the Fourier state and B(b) the phase sub-flow over b dt
+    in physical space.  The partner shares A(a_1) ... A(a_4) and the fourth
+    phase sub-flow's input and convolution, rotates that input by its own
+    weight, and ends on two sub-flows of its own.  A phase sub-flow costs an
+    ifftn in, one rfftn/irfftn pair for its convolution and an fftn out, so
+    the step and its partner cost 17 complex and 16 real FFTs (the shared
+    fourth input takes no second ifftn or convolution); 17 complex in linear
+    mode, which has no convolution."""
+    riesz = None if linear else grid.riesz_multiplier(gamma)
+
+    def enter(uhat, a):
+        w = ifftn(_kinetic(grid, a * dt) * uhat, overwrite_x=True)
+        return w, None if linear else apply_multiplier(abs_sq(w), riesz)
+
+    def flows(uhat, kin, phase):
+        for a, b in zip(kin, phase):
+            w, conv = enter(uhat, a)
+            uhat = fftn(_phase_step(grid, w, b * dt, vvals, gamma, linear, conv=conv), overwrite_x=True)
+        return uhat
+
+    w, conv = enter(flows(uhat, _KIN[:3], _PHASE[:3]), _KIN[3])
+    # in linear mode at V = 0 the phase sub-flow returns w itself, so the
+    # partner's transform must leave w intact for the step's
+    third = fftn(_phase_step(grid, w, _PHASE_HAT[0] * dt, vvals, gamma, linear, conv=conv))
+    fourth = fftn(_phase_step(grid, w, _PHASE[3] * dt, vvals, gamma, linear, conv=conv), overwrite_x=True)
+    del w, conv
+    fourth = flows(fourth, _KIN[4:6], _PHASE[4:])
+    fourth *= _kinetic(grid, _KIN[6] * dt)
+    third = flows(third, _KIN_HAT[:2], _PHASE_HAT[1:])
+    third *= _kinetic(grid, _KIN_HAT[2] * dt)
+    return fourth, third
 
 
 def strang_step(u: Field, dt: float, potential: PotentialSpec, gamma: float, linear: bool = False) -> Field:
     """One kinetic-phase-kinetic step of size dt (dt < 0 runs time backward)."""
     grid = u.grid
     vvals = None if potential.is_zero else eval_potential(potential, grid).values
-    kin = _kinetic(grid, 0.5 * dt)
-    uhat = _strang(grid, fftn(u.values), dt, (kin, kin), vvals, gamma, linear)
+    uhat = _strang(grid, fftn(u.values), dt, vvals, gamma, linear)
     return Field(grid, ifftn(uhat, overwrite_x=True))
 
 
@@ -223,23 +221,47 @@ def detect_blowup(u: Field | None, grad_sq_initial: float, cfg: EvolveConfig, uh
     return shell_fraction(grid, power, 0.8 * (grid.points // 2), spectral=True) >= cfg.blowup_tail_frac
 
 
+def _step_toward(gap: float, dt: float) -> float:
+    """The step toward a mark gap away under the proposal dt.
+
+    It is the whole gap when dt covers it, half the gap when one dt step
+    would leave less than another dt before the mark, and dt otherwise.  So a
+    step never exceeds the proposal, and none leaves a sliver before a
+    mark."""
+    if gap <= dt:
+        return gap
+    return 0.5 * gap if gap < 2.0 * dt else dt
+
+
+def _propose(dt: float, h: float, err: float, tol: float) -> float:
+    """The proposal after an attempt of size h <= dt whose estimate read err.
+
+    The attempt's step is scaled by min(_GROW, max(_SHRINK, _SAFETY
+    (tol/err)^(1/4))).  A step that a mark clipped below the proposal and
+    that is accepted leaves the proposal at least where it was."""
+    fac = _GROW if err == 0 else min(_GROW, max(_SHRINK, _SAFETY * (tol / err) ** 0.25))
+    return max(dt, h * fac) if h < dt and err <= tol else h * fac
+
+
 def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> TrajectoryRecord:
     """Integrate to t_max, blow-up detection, or step-size underflow.
 
     The state is carried in Fourier space, uhat = fftn(u), from step to step.
-    Step-doubling control: each attempt builds the dt step K P K and the two
-    dt/2 steps K P K P K from the same uhat (_attempt: 8 complex and 2 real
-    FFTs, the two first phase sub-flows sharing one complex convolution
-    pair and the third taking a real one; the kinetic factors are rebuilt
-    per attempt, never cached, since adaptive dt rarely repeats a value) and
-    compares them in relative L2, in Fourier space,
-    where by Parseval it is the same number.  On acceptance the two-half-step
-    state is kept; the blow-up detector reads it as it is, and it is turned
-    back with one ifftn only for a snapshot.  dt grows by 1.2 when the error
-    sits under tol/4, and on rejection dt halves.  dt under 1e-12 means the
-    requested tolerance is unreachable at this resolution and the run ends as
-    ResolutionExhausted.  The non-adaptive path takes plain dt steps
-    (_strang, 4 complex FFTs per phase sub-flow).
+    An adaptive attempt is one Blanes-Moan step of order 4 with its embedded
+    order-3 partner (_embedded_step: 17 complex and 16 real FFTs; the kinetic
+    factors are rebuilt per attempt, never cached, since adaptive dt rarely
+    repeats a value).  err is the relative L2 difference of the two, taken in
+    Fourier space, where by Parseval it is the same number; the attempt is
+    accepted when err <= tol_step, and the order-4 state is kept.  The blow-up
+    detector reads it as it is, and it is turned back with one ifftn only for
+    a snapshot.  After every attempt the proposal follows _propose.  Steps
+    are clipped to land on every multiple of record_dt (t_max / 4 when
+    unset) and on t_max, with a snapshot at each (_step_toward), besides the
+    snapshot every record_stride accepted steps.  A proposal under 1e-12
+    after a rejection means the requested tolerance is unreachable at this
+    resolution, and the run ends as ResolutionExhausted.  The non-adaptive
+    path takes plain Strang steps of dt0 (_strang, 4 complex FFTs per phase
+    sub-flow) and records every record_stride steps only.
 
     extras holds accepted_dts, and n_step_attempts and n_rejected_steps:
     attempts = accepted + rejected; without adaptivity every attempt is
@@ -266,40 +288,47 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     accepted = 0
     termination = None
     tiny = 1e-12 * cfg.t_max
+    record_dt = cfg.t_max / 4.0 if cfg.record_dt is None else cfg.record_dt
+    marks = 1  # the index of the next multiple of record_dt
 
     def record_state(force=False):
         if (force or accepted % cfg.record_stride == 0) and snapshots[-1].time < t:
             snapshots.append(snapshot(ifftn(uhat)))
 
     while t < cfg.t_max - tiny:
-        dt_try = min(dt, cfg.t_max - t)
         extras["n_step_attempts"] += 1
+        landed = False
         if cfg.adaptive:
-            big, half = _attempt(grid, uhat, dt_try, vvals, cfg.gamma, cfg.linear)
-            big -= half
-            ref_sq = np.vdot(half, half).real
-            err = math.sqrt(np.vdot(big, big).real / ref_sq) if ref_sq > 0 else 0.0
-            del big
+            mark = min(marks * record_dt, cfg.t_max)
+            h = _step_toward(mark - t, dt)
+            fourth, third = _embedded_step(grid, uhat, h, vvals, cfg.gamma, cfg.linear)
+            third -= fourth
+            ref_sq = np.vdot(fourth, fourth).real
+            err = math.sqrt(np.vdot(third, third).real / ref_sq) if ref_sq > 0 else 0.0
+            del third
+            dt = _propose(dt, h, err, cfg.tol_step)
             if err > cfg.tol_step:
                 extras["n_rejected_steps"] += 1
-                dt = 0.5 * dt_try
                 if dt < 1e-12:
                     termination = Termination("ResolutionExhausted", t)
                     break
                 continue
-            uhat = half
-            dt = dt_try * 1.2 if err < cfg.tol_step / 4.0 else dt_try
+            uhat = fourth
+            # a step that ends within rounding of the mark lands on it exactly
+            landed = t + h >= mark - tiny
+            t = mark if landed else t + h
+            marks += landed
         else:
-            k_half = _kinetic(grid, 0.5 * dt_try)
-            uhat = _strang(grid, uhat, dt_try, (k_half, k_half), vvals, cfg.gamma, cfg.linear)
-        t += dt_try
+            h = min(dt, cfg.t_max - t)
+            uhat = _strang(grid, uhat, h, vvals, cfg.gamma, cfg.linear)
+            t += h
         accepted += 1
-        extras["accepted_dts"].append(dt_try)
+        extras["accepted_dts"].append(h)
         if detect_blowup(None, grad_sq_0, cfg, uhat=uhat):
             record_state(force=True)
             termination = Termination("BlowupDetected", t)
             break
-        record_state()
+        record_state(force=landed)
 
     if termination is None:
         record_state(force=True)

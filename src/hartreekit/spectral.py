@@ -232,7 +232,7 @@ class Field:
 
 def abs_sq(a: np.ndarray) -> np.ndarray:
     """|a|^2 as a real array: the density of samples, the power spectrum of a transform."""
-    return (a * a.conj()).real
+    return a.real * a.real + a.imag * a.imag
 
 
 def integrate(f: Field):

@@ -263,6 +263,7 @@ _PARENT_SCHEMA = {
         "dt0": ("float", 1e-3), "t_max": ("float", 1.0), "tol_step": ("float", 1e-6),
         "blowup_grad_factor": ("float", 20.0), "blowup_tail_frac": ("float", 0.1),
         "record_stride": ("int", 5), "adaptive": ("bool", True), "linear": ("bool", False),
+        "record_dt": ("float", None),
     },
 }
 # the table left these four to PotentialSpec, whose defaults then applied
@@ -273,7 +274,7 @@ def test_derived_schema_matches_the_parent_table():
     from hartreekit.config import _SCHEMA
 
     assert list(_SCHEMA) == list(_PARENT_SCHEMA)
-    assert sum(len(keys) for keys in _SCHEMA.values()) == 32
+    assert sum(len(keys) for keys in _SCHEMA.values()) == 33
     for section, keys in _PARENT_SCHEMA.items():
         assert list(_SCHEMA[section]) == list(keys), section
         for key, (tag, default) in keys.items():

@@ -9,9 +9,11 @@ import scipy.fft
 
 import hartreekit.evolve as evolve_module
 from hartreekit.evolve import (
-    _convolve_pair,
+    _embedded_step,
     _kinetic,
+    _propose,
     _rotate,
+    _step_toward,
     EvolveConfig,
     TrajectoryRecord,
     detect_blowup,
@@ -22,7 +24,7 @@ from hartreekit.evolve import (
 )
 from hartreekit.functionals import CSV_COLUMNS, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
-from hartreekit.spectral import Field, Grid, abs_sq, apply_multiplier
+from hartreekit.spectral import Field, Grid, fftn
 
 from conftest import GAMMA
 
@@ -69,11 +71,12 @@ def test_config_validation(g32):
     nan, inf = float("nan"), float("inf")
     for bad in ({"dt0": 0.0}, {"dt0": nan}, {"dt0": inf}, {"t_max": -1.0}, {"t_max": nan}, {"t_max": inf},
                 {"tol_step": 0.0}, {"tol_step": -1e-6}, {"tol_step": nan}, {"tol_step": inf},
-                {"blowup_grad_factor": 1.0}, {"blowup_grad_factor": nan}):
+                {"blowup_grad_factor": 1.0}, {"blowup_grad_factor": nan},
+                {"record_dt": 0.0}, {"record_dt": -0.1}, {"record_dt": nan}, {"record_dt": inf}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             EvolveConfig(grid=g32, gamma=GAMMA, **bad)
-    with pytest.raises(ValueError, match="dt0 .*; t_max .*; tol_step"):
-        EvolveConfig(grid=g32, gamma=GAMMA, dt0=nan, t_max=0.0, tol_step=-1.0)
+    with pytest.raises(ValueError, match="dt0 .*; t_max .*; tol_step .*; record_dt"):
+        EvolveConfig(grid=g32, gamma=GAMMA, dt0=nan, t_max=0.0, tol_step=-1.0, record_dt=inf)
     with pytest.raises(ValueError):
         EvolveConfig(grid=g32, gamma=GAMMA, record_stride=0)
     with pytest.raises(ValueError):
@@ -319,27 +322,49 @@ def test_resolution_exhausted(g32):
     assert rec.termination.time == 0.0
 
 
+# Blanes & Moan, J. Comput. Appl. Math. 142 (2002) 313: the order-4 weights,
+# written out here apart from the module's
+_BM_KIN = [0.0792036964311957, 0.353172906049774, -0.0420650803577195]
+_BM_KIN += [1.0 - 2.0 * sum(_BM_KIN)] + _BM_KIN[::-1]
+_BM_PHASE = [0.209515106613362, -0.143851773179818]
+_BM_PHASE += [0.5 - sum(_BM_PHASE)]
+_BM_PHASE += _BM_PHASE[::-1]
+
+
+def _stage_loop_step(grid, u, dt, vvals, linear):
+    """One Blanes-Moan step of u, stage by stage: full-grid np.exp factors and a complex convolution."""
+    riesz = grid.riesz_multiplier(GAMMA)
+    uhat = np.fft.fftn(u)
+    for a, b in zip(_BM_KIN, _BM_PHASE):
+        w = np.fft.ifftn(np.exp(-1j * a * dt * grid.k_sq) * uhat)
+        phase = np.zeros(grid.shape) if linear else np.fft.ifftn(riesz * np.fft.fftn(np.abs(w) ** 2)).real
+        if vvals is not None:
+            phase = phase - vvals
+        uhat = np.fft.fftn(np.exp(1j * b * dt * phase) * w)
+    return np.fft.ifftn(np.exp(-1j * _BM_KIN[-1] * dt * grid.k_sq) * uhat)
+
+
 @pytest.mark.parametrize("potential", [ZERO, BUMP], ids=["free", "bump"])
 @pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
 def test_fused_attempt_matches_half_step_replay(g32, potential, linear):
-    # the attempt builds the dt step and the two dt/2 steps from one Fourier
-    # state and merges the middle kinetic flows; its accepted states must be
-    # those of two plain strang_step(dt/2) calls per accepted step
+    # the attempt runs the step and its embedded partner on one Fourier state,
+    # with real convolution pairs, separable kinetic factors and the tan
+    # rotation; its accepted states must be those of the plain stage loop,
+    # replayed over every accepted dt
     r2 = g32.r_sq
     u0 = Field(g32, 0.6 * np.exp(-r2 / (2.0 * 1.4**2)) * np.exp(-0.2j * r2))
-    cfg = EvolveConfig(grid=g32, gamma=GAMMA, dt0=4e-3, t_max=0.06, tol_step=1e-6, record_stride=1,
+    cfg = EvolveConfig(grid=g32, gamma=GAMMA, dt0=4e-3, t_max=0.12, tol_step=1e-8, record_stride=1,
                        linear=linear, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, potential, cfg)
     assert rec.termination.kind == "Completed"
     v = None if potential.is_zero else eval_potential(potential, g32)
     w = None if potential.is_zero else eval_virial_weight(potential, g32)
-    u, t = u0, 0.0
-    replay = [take_snapshot(u, t, v, w, GAMMA)]
+    u, t = u0.values, 0.0
+    replay = [take_snapshot(u0, t, v, w, GAMMA)]
     for dt in rec.extras["accepted_dts"]:
-        for _ in range(2):
-            u = strang_step(u, 0.5 * dt, potential, GAMMA, linear=linear)
+        u = _stage_loop_step(g32, u, dt, None if v is None else v.values, linear)
         t += dt
-        replay.append(take_snapshot(u, t, v, w, GAMMA))
+        replay.append(take_snapshot(Field(g32, u), t, v, w, GAMMA))
     assert len(rec.snapshots) == len(replay) > 5
     got = np.array([s.csv_row() for s in rec.snapshots])
     want = np.array([s.csv_row() for s in replay])
@@ -347,22 +372,100 @@ def test_fused_attempt_matches_half_step_replay(g32, potential, linear):
     assert np.all(np.abs(got - want) <= 1e-12 * np.where(scale > 0, scale, 1.0))
 
 
+@pytest.mark.parametrize("potential", [ZERO, BUMP], ids=["free", "bump"])
+def test_embedded_step_orders(g32, potential):
+    # fixed-step ladder: the step must read order 4 and its partner at least 3
+    # minus a margin, each against its own next halving
+    v = None if potential.is_zero else eval_potential(potential, g32).values
+    u0 = 0.5 * np.exp(-g32.r_sq / (2.0 * 1.3**2)) * np.exp(-0.2j * g32.r_sq)
+    t_end = 0.2
+    ends = {}
+    for n in (4, 8, 16, 32):
+        states = [fftn(u0), fftn(u0)]
+        for _ in range(n):
+            states = [_embedded_step(g32, s, t_end / n, v, GAMMA, False)[i] for i, s in enumerate(states)]
+        ends[n] = states
+    for which, (lo, hi) in ((0, (3.8, 4.2)), (1, (2.8, math.inf))):
+        errs = [np.linalg.norm(ends[n][which] - ends[2 * n][which]) for n in (4, 8, 16)]
+        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        assert all(lo <= o <= hi for o in orders), (which, orders)
+
+
+def test_embedded_step_time_reversal(g32):
+    # the step is palindromic, so the step of -dt undoes the step of dt
+    rng = np.random.default_rng(64)
+    u0 = (0.5 + 0.1 * rng.standard_normal(g32.shape)) * np.exp(-g32.r_sq / 4.0)
+    v = eval_potential(BUMP, g32).values
+    uhat = fftn(u0)
+    forward, _ = _embedded_step(g32, uhat, 2e-2, v, GAMMA, False)
+    back, _ = _embedded_step(g32, forward, -2e-2, v, GAMMA, False)
+    assert np.linalg.norm(back - uhat) <= 1e-12 * np.linalg.norm(uhat)
+
+
+def test_adaptive_linear_free_run_is_the_exact_flow(g32):
+    # with V = 0 and the nonlinear phase off, every kinetic flow is exact and
+    # every phase sub-flow is the identity, so the step and its partner are
+    # both the exact free flow; a partner fed a state that the step's
+    # transform overwrote would be rejected on every attempt
+    r2 = g32.r_sq
+    u0 = Field(g32, 0.6 * np.exp(-r2 / (2.0 * 1.4**2)) * np.exp(-0.2j * r2))
+    cfg = EvolveConfig(grid=g32, gamma=GAMMA, dt0=1e-3, t_max=0.4, tol_step=1e-10, record_stride=1,
+                       linear=True, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
+    rec = evolve(u0, ZERO, cfg)
+    assert rec.termination.kind == "Completed"
+    assert rec.extras["n_rejected_steps"] == 0 and len(rec.snapshots) > 5
+    uhat0 = np.fft.fftn(u0.values)
+    want = np.array([
+        take_snapshot(Field(g32, np.fft.ifftn(np.exp(-1j * s.time * g32.k_sq) * uhat0)), s.time, None, None, GAMMA).csv_row()
+        for s in rec.snapshots
+    ])
+    got = np.array([s.csv_row() for s in rec.snapshots])
+    scale = np.abs(want).max(axis=0)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.where(scale > 0, scale, 1.0))
+
+
+def test_steps_land_on_record_dt(g32):
+    # steps are clipped to land on every multiple of record_dt, with a
+    # snapshot at each and none between them (record_stride is out of reach);
+    # no step leaves a sliver before a mark, so in this dispersing run, which
+    # rejects nothing, no step is shorter than half the one before it
+    r2 = g32.r_sq
+    u0 = Field(g32, 0.3 * np.exp(-r2 / (2.0 * 1.4**2)) * np.exp(0.1j * r2))
+    cfg = EvolveConfig(grid=g32, gamma=GAMMA, dt0=1e-3, t_max=0.28, tol_step=1e-7, record_stride=10**9,
+                       record_dt=0.07, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
+    rec = evolve(u0, BUMP, cfg)
+    assert rec.termination.kind == "Completed" and rec.extras["n_rejected_steps"] == 0
+    assert rec.times == [k * 0.07 for k in range(4)] + [0.28]
+    dts = rec.extras["accepted_dts"]
+    assert len(dts) > 2 * (len(rec.times) - 1)
+    assert all(b >= 0.5 * a for a, b in zip(dts, dts[1:]))
+    ends = np.cumsum(dts)
+    for mark in rec.times[1:]:
+        assert np.abs(ends - mark).min() <= 1e-15
+
+
+def test_step_policy():
+    # a mark that one proposal covers is reached in one step; one that would
+    # leave less than another step is split in halves
+    assert _step_toward(0.03, 0.05) == 0.03
+    assert _step_toward(0.08, 0.05) == 0.04
+    assert _step_toward(0.12, 0.05) == 0.05
+    tol = 1e-6
+    # an unclipped accepted step scales the proposal by the controller
+    assert _propose(0.1, 0.1, tol, tol) == pytest.approx(0.09, rel=1e-14)
+    assert _propose(0.1, 0.1, tol / 16.0, tol) == pytest.approx(0.18, rel=1e-14)
+    assert _propose(0.1, 0.1, 0.0, tol) == pytest.approx(0.5, rel=1e-14)
+    assert _propose(0.1, 0.1, 1e6 * tol, tol) == pytest.approx(0.02, rel=1e-14)
+    # a clipped accepted step keeps the proposal, unless the controller offers more
+    assert _propose(0.1, 0.01, tol, tol) == 0.1
+    assert _propose(0.1, 0.04, 0.0, tol) == pytest.approx(0.2, rel=1e-14)
+    # a rejection scales the attempted step, clipped or not
+    assert _propose(0.1, 0.01, 16.0 * tol, tol) == pytest.approx(0.0045, rel=1e-14)
+
+
 def test_separable_kinetic_factor(g32):
     for tau in (1e-3, -2.5e-3, 0.05):
         assert np.abs(_kinetic(g32, tau) - np.exp(-1j * tau * g32.k_sq)).max() < 1e-14
-
-
-@pytest.mark.parametrize("points", [16, 32])
-def test_packed_convolutions_match_separate_ones(points):
-    # one complex pair carries both real densities: the real part of the
-    # result is the convolution of |a|^2, the imaginary part that of |b|^2
-    grid = Grid(3, points, 8.0)
-    rng = np.random.default_rng(points)
-    a, b = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape) for _ in range(2))
-    m = grid.riesz_multiplier(GAMMA)
-    for got, v in zip(_convolve_pair(grid, a, b, GAMMA), (a, b)):
-        want = apply_multiplier(abs_sq(v), m)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_rotate_half_angle_form_is_exact_to_rounding():
@@ -389,24 +492,26 @@ def test_rotate_half_angle_form_is_exact_to_rounding():
 def test_fft_counts_per_adaptive_step(monkeypatch):
     """Counter gate on the transforms of adaptive steps at 16^3.
 
-    An attempt runs the dt step K P K and the two dt/2 steps K P K P K on one
-    Fourier state: three phase sub-flows, each an ifftn into physical space
-    and an fftn back (6 complex FFTs).  The first sub-flows of the dt step
-    and of the dt/2 steps are independent, so their two Hartree convolutions
-    share one fftn/ifftn pair, and the third sub-flow takes its convolution
-    from one rfftn/irfftn pair on its real density: 8 complex and 2 real
-    FFTs per attempt.  A snapshot given the state's transform costs 3 ifftn
-    for I' and one rfftn for P (3 complex, 1 real): P is read off the half
-    spectrum of |u|^2 by Parseval, with no transform back.  Add the ifftn of
-    the state when the snapshot is taken after a step; detect_blowup reads
-    the transform in hand (0).
+    An attempt is one Blanes-Moan step, A B A B A B A B A B A B A, with its
+    embedded partner.  Each phase sub-flow B is an ifftn into physical space,
+    one rfftn/irfftn pair for its Hartree convolution, and an fftn back
+    (2 complex, 2 real).  The step runs six: 12 complex and 12 real.  The
+    partner shares the first three and the fourth one's physical input and
+    convolution, so its own fourth sub-flow costs only the fftn back (1
+    complex), and its last two cost (4, 4): an attempt is 17 complex and 16
+    real FFTs.  A snapshot given the state's transform costs 3 ifftn for I'
+    and one rfftn for P (3 complex, 1 real): P is read off the half spectrum
+    of |u|^2 by Parseval, with no transform back.  Add the ifftn of the state
+    when the snapshot is taken after a step; detect_blowup reads the
+    transform in hand (0).  record_dt = t_max, so no step is clipped short of
+    the end.
 
     One step, record_stride 1: fftn(u0) (1); the t = 0 snapshot (3, 1); one
-    attempt (8, 2); the closing snapshot (1 + 3, 1).  Total 16 complex and 4
-    real.  Two steps, record_stride 2: the same, with two attempts (16, 4)
-    and no snapshot, so no ifftn, after the first step: 24 complex and 6
-    real, where the run with the state turned back after every step cost 25
-    complex."""
+    attempt (17, 16); the closing snapshot (1 + 3, 1).  Total 25 complex and
+    18 real.  Two steps, record_stride 2: the same, with two attempts (34, 32)
+    and no snapshot, so no ifftn, after the first step: 42 complex and 34
+    real.  Per accepted step that is 33 transforms against step doubling's
+    10, but an attempt covers about five times the step."""
     counts = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn"), 0)
     for name in counts:
         def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
@@ -422,17 +527,17 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
     grid = Grid(3, 16, 8.0)
     u0 = Field(grid, 0.5 * np.exp(-grid.r_sq / 4.0) + 0j)
     cfg = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=1e-3, tol_step=1e-2, record_stride=1,
-                       blowup_grad_factor=50.0, blowup_tail_frac=1.0)
+                       record_dt=1e-3, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, ZERO, cfg)
     assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
-    assert complex_real() == (16, 4)
+    assert complex_real() == (25, 18)
 
     cfg2 = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=2e-3, tol_step=1e-2, record_stride=2,
-                        blowup_grad_factor=50.0, blowup_tail_frac=1.0)
+                        record_dt=2e-3, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, ZERO, cfg2)
     assert rec.extras["n_step_attempts"] == len(rec.extras["accepted_dts"]) == 2
     assert len(rec.snapshots) == 2
-    assert complex_real() == (24, 6)
+    assert complex_real() == (42, 34)
 
     uhat = scipy.fft.fftn(u0.values)
     complex_real()

@@ -13,6 +13,7 @@ from hartreekit.runner import gradient_routes_defect, parseval_defect, riesz_ori
 from hartreekit.spectral import (
     Field,
     Grid,
+    abs_sq,
     apply_multiplier,
     center_of_mass,
     epstein_zeta,
@@ -43,6 +44,25 @@ def test_real_input_multiplier_matches_complex_route(grid32):
         got = apply_multiplier(a, m)
         assert got.dtype == np.float64
         assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+
+
+def test_abs_sq_is_the_sum_of_real_squares():
+    # |a|^2 from two real products and one sum: bitwise the scalar loop's
+    # value, and within one unit in the last place of the conjugate product
+    # (a conj(a)).real, which numpy's complex loop may round differently
+    # (a fused multiply-add)
+    rng = np.random.default_rng(233)
+    eps = np.finfo(float).eps
+    for scale in (1e-150, 1e-3, 1.0, 1e150):
+        a = scale * (rng.standard_normal((16, 16, 16)) + 1j * rng.standard_normal((16, 16, 16)))
+        got = abs_sq(a)
+        assert got.dtype == np.float64
+        loop = np.array([z.real * z.real + z.imag * z.imag for z in a.ravel().tolist()]).reshape(a.shape)
+        assert np.array_equal(got, loop)
+        old = (a * a.conj()).real
+        assert np.all(np.abs(got - old) <= eps * old)
+    real = rng.standard_normal(1000)
+    assert np.array_equal(abs_sq(real), real * real)
 
 
 def test_parseval_mass(grid32):
