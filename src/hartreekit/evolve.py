@@ -7,24 +7,31 @@ The adaptive path composes them in the fourth-order Blanes-Moan scheme, and
 controls the step with an embedded third-order partner that shares its first
 three phase sub-flows and the fourth one's input; strang_step and the
 non-adaptive path take Strang's A(dt/2) B(dt) A(dt/2).  The integrator
-carries the Fourier state fftn(u) between steps: the kinetic factors act on
-it directly, built per step as outer products of 1-D exponentials with no
+carries the Fourier state between steps: the kinetic factors act on it
+directly, built per step as outer products of 1-D exponentials with no
 cache, only the phase sub-flows go to physical space, and the state itself
-goes back only when a snapshot is taken.  Collapse is detected, never
-resolved: once the gradient blows past its threshold or the upper frequency
-band fills, integration stops and the record says so.
+goes back only when a snapshot is taken.  The state is fftn(u) on the
+periodic grid, except on the adaptive path when u0 and V are exactly even
+about the grid centre on every axis: the flow keeps them even, and the
+state is then the DCT-I of one octant, (n/2 + 1)^d points
+(spectral.EvenOctant).  The step is written once against the basis, and
+snapshots and the blow-up detector read the full grid expanded from it.
+Collapse is detected, never resolved: once the gradient blows past its
+threshold or the upper frequency band fills, integration stops and the
+record says so.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 import numpy as np
 
 from .functionals import CSV_COLUMNS, _grad_sq, take_snapshot
 from .potentials import PotentialSpec, eval_potential, eval_virial_weight
-from .spectral import Field, Grid, abs_sq, apply_multiplier, fftn, ifftn, shell_fraction
+from .spectral import Field, Grid, PeriodicBasis, abs_sq, fftn, ifftn, shell_fraction, transform_basis
 
 # The 6-stage palindromic ABA composition of order 4 of Blanes & Moan,
 # J. Comput. Appl. Math. 142 (2002) 313-330: kinetic weights a_1..a_7 and
@@ -129,7 +136,7 @@ def _phase_step(grid: Grid, u, dt: float, vvals, gamma: float, linear: bool, con
     """The exact phase sub-flow over dt: |u| is invariant under multiplication by this phase.
 
     conv is the Hartree convolution |x|^{-gamma} * |u|^2 when the caller
-    already holds it (_embedded_step, from apply_multiplier's real pair);
+    already holds it (_embedded_step, from its basis's real pair);
     otherwise it costs a complex fftn/ifftn pair.  Only strang_step and the
     non-adaptive path reach that pair, and it stays complex, not real,
     because bench/test_spans.py pins strang_step at six complex transforms."""
@@ -143,13 +150,9 @@ def _phase_step(grid: Grid, u, dt: float, vvals, gamma: float, linear: bool, con
     return _rotate(u, phase, dt)
 
 
-def _kinetic(grid: Grid, tau: float):
-    """exp(-i tau |k|^2), built as the outer product of the 1-D factors exp(-i tau xi_j^2)."""
-    f = np.exp(-1j * tau * grid.freq_axis**2)
-    kin = f
-    for _ in range(1, grid.dim):
-        kin = np.multiply.outer(kin, f)
-    return kin
+def _kinetic(space, tau: float):
+    """exp(-i tau |k|^2) on a Grid's or a basis's modes, the outer product of the 1-D factors exp(-i tau xi_j^2)."""
+    return reduce(np.multiply.outer, [np.exp(-1j * tau * space.freq_axis**2)] * space.dim)
 
 
 def _strang(grid: Grid, uhat, dt: float, vvals, gamma: float, linear: bool):
@@ -164,40 +167,41 @@ def _strang(grid: Grid, uhat, dt: float, vvals, gamma: float, linear: bool):
     return kin * fftn(w, overwrite_x=True)
 
 
-def _embedded_step(grid: Grid, uhat, dt: float, vvals, gamma: float, linear: bool):
-    """One Blanes-Moan step of size dt from uhat = fftn(u), and its embedded partner's: (order 4, order 3).
+def _embedded_step(basis: PeriodicBasis, uhat, dt: float, vvals, gamma: float, linear: bool):
+    """One Blanes-Moan step of size dt from the coefficients uhat of u, and its embedded partner's: (order 4, order 3).
 
     The step is A(a_1) B(b_1) A(a_2) ... B(b_6) A(a_7), with A(a) the kinetic
-    flow over a dt on the Fourier state and B(b) the phase sub-flow over b dt
-    in physical space.  The partner shares A(a_1) ... A(a_4) and the fourth
-    phase sub-flow's input and convolution, rotates that input by its own
-    weight, and ends on two sub-flows of its own.  A phase sub-flow costs an
-    ifftn in, one rfftn/irfftn pair for its convolution and an fftn out, so
-    the step and its partner cost 17 complex and 16 real FFTs (the shared
-    fourth input takes no second ifftn or convolution); 17 complex in linear
-    mode, which has no convolution."""
-    riesz = None if linear else grid.riesz_multiplier(gamma)
+    flow over a dt on the coefficients and B(b) the phase sub-flow over b dt
+    on the basis's points, where vvals is sampled.  The partner shares
+    A(a_1) ... A(a_4) and the fourth phase sub-flow's input and convolution,
+    rotates that input by its own weight, and ends on two sub-flows of its
+    own.  A phase sub-flow costs an inverse transform in, a real pair for its
+    convolution and a forward transform out, so the step and its partner cost
+    17 complex and 16 real transforms (the shared fourth input takes no
+    second inverse or convolution); 17 complex in linear mode, which has no
+    convolution.  On the periodic basis these are fftn/ifftn and
+    rfftn/irfftn, on the even octant all of them are DCT-Is."""
 
     def enter(uhat, a):
-        w = ifftn(_kinetic(grid, a * dt) * uhat, overwrite_x=True)
-        return w, None if linear else apply_multiplier(abs_sq(w), riesz)
+        w = basis.inverse(_kinetic(basis, a * dt) * uhat, overwrite_x=True)
+        return w, None if linear else basis.convolve(abs_sq(w), gamma)
 
     def flows(uhat, kin, phase):
         for a, b in zip(kin, phase):
             w, conv = enter(uhat, a)
-            uhat = fftn(_phase_step(grid, w, b * dt, vvals, gamma, linear, conv=conv), overwrite_x=True)
+            uhat = basis.forward(_phase_step(basis.grid, w, b * dt, vvals, gamma, linear, conv=conv), overwrite_x=True)
         return uhat
 
     w, conv = enter(flows(uhat, _KIN[:3], _PHASE[:3]), _KIN[3])
     # in linear mode at V = 0 the phase sub-flow returns w itself, so the
     # partner's transform must leave w intact for the step's
-    third = fftn(_phase_step(grid, w, _PHASE_HAT[0] * dt, vvals, gamma, linear, conv=conv))
-    fourth = fftn(_phase_step(grid, w, _PHASE[3] * dt, vvals, gamma, linear, conv=conv), overwrite_x=True)
+    third = basis.forward(_phase_step(basis.grid, w, _PHASE_HAT[0] * dt, vvals, gamma, linear, conv=conv))
+    fourth = basis.forward(_phase_step(basis.grid, w, _PHASE[3] * dt, vvals, gamma, linear, conv=conv), overwrite_x=True)
     del w, conv
     fourth = flows(fourth, _KIN[4:6], _PHASE[4:])
-    fourth *= _kinetic(grid, _KIN[6] * dt)
+    fourth *= _kinetic(basis, _KIN[6] * dt)
     third = flows(third, _KIN_HAT[:2], _PHASE_HAT[1:])
-    third *= _kinetic(grid, _KIN_HAT[2] * dt)
+    third *= _kinetic(basis, _KIN_HAT[2] * dt)
     return fourth, third
 
 
@@ -246,26 +250,31 @@ def _propose(dt: float, h: float, err: float, tol: float) -> float:
 def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> TrajectoryRecord:
     """Integrate to t_max, blow-up detection, or step-size underflow.
 
-    The state is carried in Fourier space, uhat = fftn(u), from step to step.
-    An adaptive attempt is one Blanes-Moan step of order 4 with its embedded
-    order-3 partner (_embedded_step: 17 complex and 16 real FFTs; the kinetic
-    factors are rebuilt per attempt, never cached, since adaptive dt rarely
-    repeats a value).  err is the relative L2 difference of the two, taken in
-    Fourier space, where by Parseval it is the same number; the attempt is
-    accepted when err <= tol_step, and the order-4 state is kept.  The blow-up
-    detector reads it as it is, and it is turned back with one ifftn only for
-    a snapshot.  After every attempt the proposal follows _propose.  Steps
-    are clipped to land on every multiple of record_dt (t_max / 4 when
-    unset) and on t_max, with a snapshot at each (_step_toward), besides the
-    snapshot every record_stride accepted steps.  A proposal under 1e-12
-    after a rejection means the requested tolerance is unreachable at this
-    resolution, and the run ends as ResolutionExhausted.  The non-adaptive
-    path takes plain Strang steps of dt0 (_strang, 4 complex FFTs per phase
-    sub-flow) and records every record_stride steps only.
+    The state is carried in Fourier space from step to step, as the
+    coefficients of a basis: fftn(u) on the periodic grid, or, when the
+    adaptive path starts from u0 and V that are both exactly even
+    (spectral.transform_basis), the octant's DCT-I.  The t = 0 snapshot reads
+    fftn(u0) either way.  An adaptive attempt is one Blanes-Moan step of
+    order 4 with its embedded order-3 partner (_embedded_step: 17 complex
+    and 16 real transforms; the kinetic factors are rebuilt per attempt,
+    never cached, since adaptive dt rarely repeats a value).  err is the
+    relative L2 difference of the two, taken on the coefficients with the
+    basis's Parseval weights, where it is the same number; the attempt is
+    accepted when err <= tol_step, and the order-4 state is kept.  The
+    blow-up detector reads the full transform expanded from it, and it is
+    turned back with one inverse transform only for a snapshot.  After every
+    attempt the proposal follows _propose.  Steps are clipped to land on
+    every multiple of record_dt (t_max / 4 when unset) and on t_max, with a
+    snapshot at each (_step_toward), besides the snapshot every
+    record_stride accepted steps.  A proposal under 1e-12 after a rejection
+    means the requested tolerance is unreachable at this resolution, and the
+    run ends as ResolutionExhausted.  The non-adaptive path takes plain
+    Strang steps of dt0 on the periodic grid (_strang, 4 complex FFTs per
+    phase sub-flow) and records every record_stride steps only.
 
-    extras holds accepted_dts, and n_step_attempts and n_rejected_steps:
-    attempts = accepted + rejected; without adaptivity every attempt is
-    accepted."""
+    extras holds accepted_dts, n_step_attempts and n_rejected_steps
+    (attempts = accepted + rejected; without adaptivity every attempt is
+    accepted), and transform_basis, the basis's name."""
     grid = u0.grid
     if cfg.grid != grid:
         raise ValueError(f"the config's grid {cfg.grid} is not the initial data's {grid}")
@@ -274,16 +283,20 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
     approx = potential.xgrad_is_distributional
 
-    def snapshot(u):
+    def snapshot(u, uhat):
         return take_snapshot(Field(grid, u), t, vfield, wfield, cfg.gamma, e_term_approximate=approx, uhat=uhat)
 
     u = np.array(u0.values, dtype=complex, copy=True)
     uhat = fftn(u)
     t = 0.0
-    snapshots = [snapshot(u)]
+    snapshots = [snapshot(u, uhat)]
+    basis = transform_basis(grid, u, vvals) if cfg.adaptive else PeriodicBasis(grid)
+    if basis.name != "periodic":
+        uhat = basis.forward(basis.take(u), overwrite_x=True)
+        vvals = None if vvals is None else basis.take(vvals)
     del u
     grad_sq_0 = snapshots[0].grad_sq
-    extras: dict = {"accepted_dts": [], "n_step_attempts": 0, "n_rejected_steps": 0}
+    extras: dict = {"accepted_dts": [], "n_step_attempts": 0, "n_rejected_steps": 0, "transform_basis": basis.name}
     dt = cfg.dt0
     accepted = 0
     termination = None
@@ -293,7 +306,7 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
 
     def record_state(force=False):
         if (force or accepted % cfg.record_stride == 0) and snapshots[-1].time < t:
-            snapshots.append(snapshot(ifftn(uhat)))
+            snapshots.append(snapshot(basis.expand(basis.inverse(uhat)), basis.expand_spectrum(uhat)))
 
     while t < cfg.t_max - tiny:
         extras["n_step_attempts"] += 1
@@ -301,10 +314,10 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
         if cfg.adaptive:
             mark = min(marks * record_dt, cfg.t_max)
             h = _step_toward(mark - t, dt)
-            fourth, third = _embedded_step(grid, uhat, h, vvals, cfg.gamma, cfg.linear)
+            fourth, third = _embedded_step(basis, uhat, h, vvals, cfg.gamma, cfg.linear)
             third -= fourth
-            ref_sq = np.vdot(fourth, fourth).real
-            err = math.sqrt(np.vdot(third, third).real / ref_sq) if ref_sq > 0 else 0.0
+            ref_sq = basis.norm_sq(fourth)
+            err = math.sqrt(basis.norm_sq(third) / ref_sq) if ref_sq > 0 else 0.0
             del third
             dt = _propose(dt, h, err, cfg.tol_step)
             if err > cfg.tol_step:
@@ -324,7 +337,7 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
             t += h
         accepted += 1
         extras["accepted_dts"].append(h)
-        if detect_blowup(None, grad_sq_0, cfg, uhat=uhat):
+        if detect_blowup(None, grad_sq_0, cfg, uhat=basis.expand_spectrum(uhat)):
             record_state(force=True)
             termination = Termination("BlowupDetected", t)
             break

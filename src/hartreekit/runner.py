@@ -168,6 +168,7 @@ def stage_evolve(cfg: RunConfig, outdir, u0: Field) -> TrajectoryRecord:
         "n_accepted_steps": len(record.extras.get("accepted_dts", [])),
         "n_step_attempts": record.extras["n_step_attempts"],
         "n_rejected_steps": record.extras["n_rejected_steps"],
+        "transform_basis": record.extras["transform_basis"],
         "final_snapshot": record.snapshots[-1].to_dict(),
     }
     dts = record.extras.get("accepted_dts", [])

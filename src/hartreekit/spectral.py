@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.fft as sfft
@@ -26,14 +26,22 @@ def set_fft_workers(n: int) -> None:
     _fft_workers = max(1, int(n))
 
 
-# overwrite_x=True lets a transform work in place in its input's memory, which
-# is faster; pass it only for a temporary that nothing reads afterwards.  The
-# result is bit-identical either way.
+# overwrite_x=True lets a transform work in place in its input's memory; pass
+# it only for a temporary that nothing reads afterwards.  Without it a complex
+# input is copied and the copy transformed in place, which at 64^3 takes a
+# fifth to a third less time than pocketfft's out-of-place path.  The result
+# is bit-identical either way.
+def _in_place(a: np.ndarray, overwrite_x: bool):
+    return (a, overwrite_x) if overwrite_x or not np.iscomplexobj(a) else (a.copy(), True)
+
+
 def fftn(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    a, overwrite_x = _in_place(a, overwrite_x)
     return sfft.fftn(a, workers=_fft_workers, overwrite_x=overwrite_x)
 
 
 def ifftn(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    a, overwrite_x = _in_place(a, overwrite_x)
     return sfft.ifftn(a, workers=_fft_workers, overwrite_x=overwrite_x)
 
 
@@ -261,6 +269,111 @@ def riesz_convolve(f: Field, gamma_exp: float) -> Field:
     periodic images and the source's far tail.
     """
     return Field(f.grid, apply_multiplier(f.values, f.grid.riesz_multiplier(gamma_exp)))
+
+
+class PeriodicBasis:
+    """The full periodic grid, whose state is carried as fftn(u).
+
+    The integrator's step reads a basis and nothing else: take and expand
+    carry a grid field to the basis's points and back, forward and inverse
+    transform there, convolve is the Riesz convolution of a real density, and
+    norm_sq is the squared norm of coefficients, by Parseval n^d times the
+    grid's.  Here take and expand are the identity."""
+
+    name = "periodic"
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.dim = grid.dim
+        self.freq_axis = grid.freq_axis
+
+    def take(self, a: np.ndarray) -> np.ndarray:
+        return a
+
+    def expand(self, a: np.ndarray) -> np.ndarray:
+        return a
+
+    def expand_spectrum(self, c: np.ndarray) -> np.ndarray:
+        """fftn of the grid field whose coefficients are c."""
+        return c
+
+    def forward(self, a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+        return fftn(a, overwrite_x)
+
+    def inverse(self, c: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+        return ifftn(c, overwrite_x)
+
+    def convolve(self, rho: np.ndarray, gamma_exp: float) -> np.ndarray:
+        return apply_multiplier(rho, self.grid.riesz_multiplier(gamma_exp))
+
+    def norm_sq(self, c: np.ndarray) -> float:
+        return np.vdot(c, c).real
+
+
+class EvenOctant(PeriodicBasis):
+    """Fields even about the grid centre on every axis, carried on one octant as its DCT-I.
+
+    Even means a[j] == a[(n - j) % n] along each axis.  The octant is the
+    indices n/2, ..., n - 1, 0 of each axis (x = 0, h, ..., L), (n/2 + 1)^d
+    points, and its DCT-I is the field's DFT on modes 0, ..., n/2:
+    fftn(a)[k] = (-1)^(k_1 + ... + k_d) dctn(take(a), type=1)[min(k, n - k)]
+    (Martucci, IEEE Trans. Signal Process. 42 (1994) 1038-1051).  A mode
+    0 < m < n/2 stands for the two modes m and n - m of its axis, so the
+    Parseval weights are 1, 2, ..., 2, 1 per axis.  Pointwise products and
+    even multipliers keep a field even, so the Hartree flow with an even
+    potential never leaves the octant."""
+
+    name = "even_octant"
+
+    def __init__(self, grid: Grid):
+        super().__init__(grid)
+        n, half = grid.points, grid.points // 2
+        self.freq_axis = grid.freq_axis[: half + 1]
+        ks = np.arange(n)
+        self._take = np.ix_(*[np.r_[half:n, 0]] * self.dim)
+        self._space = np.ix_(*[np.abs(ks - half)] * self.dim)
+        self._modes = np.ix_(*[np.minimum(ks, n - ks)] * self.dim)
+        weight = np.full(half + 1, 2.0)
+        weight[0] = weight[-1] = 1.0
+        self._weight = reduce(np.multiply.outer, [weight] * self.dim)
+        self._sign = reduce(np.multiply.outer, [(-1.0) ** np.arange(half + 1)] * self.dim)
+
+    def take(self, a):
+        return a[self._take]
+
+    def expand(self, a):
+        return a[self._space]
+
+    def expand_spectrum(self, c):
+        # n is even, so the sign of mode k is that of the octant mode min(k, n - k)
+        return (self._sign * c)[self._modes]
+
+    def forward(self, a, overwrite_x=False):
+        return sfft.dctn(a, type=1, workers=_fft_workers, overwrite_x=overwrite_x)
+
+    def inverse(self, c, overwrite_x=False):
+        return sfft.idctn(c, type=1, workers=_fft_workers, overwrite_x=overwrite_x)
+
+    def convolve(self, rho, gamma_exp):
+        key = ("riesz_octant", gamma_exp)
+        if key not in self.grid._cache:
+            octant = (slice(0, self.grid.points // 2 + 1),) * self.dim
+            self.grid._cache[key] = self.grid.riesz_multiplier(gamma_exp)[octant].copy()
+        return self.inverse(self.grid._cache[key] * self.forward(rho, overwrite_x=True), overwrite_x=True)
+
+    def norm_sq(self, c):
+        return float((self._weight * abs_sq(c)).sum())
+
+
+def is_even(a: np.ndarray) -> bool:
+    """a[j] == a[(n - j) % n] along every axis, exactly: a is even about the grid centre."""
+    return all(np.array_equal(a, np.take(a, -np.arange(n) % n, axis=ax)) for ax, n in enumerate(a.shape))
+
+
+def transform_basis(grid: Grid, *arrays) -> PeriodicBasis:
+    """EvenOctant when every array given is even (None stands for zero), PeriodicBasis otherwise."""
+    even = all(a is None or is_even(a) for a in arrays)
+    return EvenOctant(grid) if even else PeriodicBasis(grid)
 
 
 def shell_fraction(grid: Grid, density: np.ndarray, cut: float, spectral: bool = False) -> float:

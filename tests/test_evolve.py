@@ -1,6 +1,7 @@
 """Split-step propagator: oracles, conservation, detection, and diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hartreekit.evolve import (
 )
 from hartreekit.functionals import CSV_COLUMNS, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
-from hartreekit.spectral import Field, Grid, fftn
+from hartreekit.spectral import Field, Grid, PeriodicBasis, fftn
 
 from conftest import GAMMA
 
@@ -344,19 +345,25 @@ def _stage_loop_step(grid, u, dt, vvals, linear):
     return np.fft.ifftn(np.exp(-1j * _BM_KIN[-1] * dt * grid.k_sq) * uhat)
 
 
-@pytest.mark.parametrize("potential", [ZERO, BUMP], ids=["free", "bump"])
-@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
-def test_fused_attempt_matches_half_step_replay(g32, potential, linear):
-    # the attempt runs the step and its embedded partner on one Fourier state,
-    # with real convolution pairs, separable kinetic factors and the tan
-    # rotation; its accepted states must be those of the plain stage loop,
-    # replayed over every accepted dt
+@pytest.mark.parametrize("linear, potential, tilt", [
+    pytest.param(linear, potential, tilt, id="-".join(filter(None, (lid, pid, tid))))
+    for tilt, tid in ((0.0, ""), (0.1, "tilted"))
+    for linear, lid in ((False, "nonlinear"), (True, "linear"))
+    for potential, pid in ((ZERO, "free"), (BUMP, "bump"))
+])
+def test_fused_attempt_matches_half_step_replay(g32, potential, linear, tilt):
+    # the attempt runs the step and its embedded partner on one coefficient
+    # state, with real convolution pairs, separable kinetic factors and the
+    # tan rotation; its accepted states must be those of the plain stage
+    # loop, replayed over every accepted dt.  The radial datum runs on the
+    # even octant's DCT-Is, the tilted one on the periodic grid's FFTs
     r2 = g32.r_sq
-    u0 = Field(g32, 0.6 * np.exp(-r2 / (2.0 * 1.4**2)) * np.exp(-0.2j * r2))
+    u0 = Field(g32, 0.6 * np.exp(-r2 / (2.0 * 1.4**2)) * np.exp(-0.2j * r2) * (1.0 + tilt * g32.coords[0]))
     cfg = EvolveConfig(grid=g32, gamma=GAMMA, dt0=4e-3, t_max=0.12, tol_step=1e-8, record_stride=1,
                        linear=linear, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, potential, cfg)
     assert rec.termination.kind == "Completed"
+    assert rec.extras["transform_basis"] == ("periodic" if tilt else "even_octant")
     v = None if potential.is_zero else eval_potential(potential, g32)
     w = None if potential.is_zero else eval_virial_weight(potential, g32)
     u, t = u0.values, 0.0
@@ -383,7 +390,7 @@ def test_embedded_step_orders(g32, potential):
     for n in (4, 8, 16, 32):
         states = [fftn(u0), fftn(u0)]
         for _ in range(n):
-            states = [_embedded_step(g32, s, t_end / n, v, GAMMA, False)[i] for i, s in enumerate(states)]
+            states = [_embedded_step(PeriodicBasis(g32), s, t_end / n, v, GAMMA, False)[i] for i, s in enumerate(states)]
         ends[n] = states
     for which, (lo, hi) in ((0, (3.8, 4.2)), (1, (2.8, math.inf))):
         errs = [np.linalg.norm(ends[n][which] - ends[2 * n][which]) for n in (4, 8, 16)]
@@ -397,8 +404,9 @@ def test_embedded_step_time_reversal(g32):
     u0 = (0.5 + 0.1 * rng.standard_normal(g32.shape)) * np.exp(-g32.r_sq / 4.0)
     v = eval_potential(BUMP, g32).values
     uhat = fftn(u0)
-    forward, _ = _embedded_step(g32, uhat, 2e-2, v, GAMMA, False)
-    back, _ = _embedded_step(g32, forward, -2e-2, v, GAMMA, False)
+    basis = PeriodicBasis(g32)
+    forward, _ = _embedded_step(basis, uhat, 2e-2, v, GAMMA, False)
+    back, _ = _embedded_step(basis, forward, -2e-2, v, GAMMA, False)
     assert np.linalg.norm(back - uhat) <= 1e-12 * np.linalg.norm(uhat)
 
 
@@ -490,59 +498,96 @@ def test_rotate_half_angle_form_is_exact_to_rounding():
 
 
 def test_fft_counts_per_adaptive_step(monkeypatch):
-    """Counter gate on the transforms of adaptive steps at 16^3.
+    """Counter gate on the transforms of adaptive steps at 16^3, on both bases.
 
     An attempt is one Blanes-Moan step, A B A B A B A B A B A B A, with its
-    embedded partner.  Each phase sub-flow B is an ifftn into physical space,
-    one rfftn/irfftn pair for its Hartree convolution, and an fftn back
-    (2 complex, 2 real).  The step runs six: 12 complex and 12 real.  The
-    partner shares the first three and the fourth one's physical input and
-    convolution, so its own fourth sub-flow costs only the fftn back (1
-    complex), and its last two cost (4, 4): an attempt is 17 complex and 16
-    real FFTs.  A snapshot given the state's transform costs 3 ifftn for I'
-    and one rfftn for P (3 complex, 1 real): P is read off the half spectrum
-    of |u|^2 by Parseval, with no transform back.  Add the ifftn of the state
-    when the snapshot is taken after a step; detect_blowup reads the
-    transform in hand (0).  record_dt = t_max, so no step is clipped short of
-    the end.
+    embedded partner.  Each phase sub-flow B is an inverse transform into
+    physical space, one real pair for its Hartree convolution, and a forward
+    transform back (2 complex, 2 real).  The step runs six: 12 complex and 12
+    real.  The partner shares the first three and the fourth one's physical
+    input and convolution, so its own fourth sub-flow costs only the forward
+    transform (1 complex), and its last two cost (4, 4): an attempt is 17
+    complex and 16 real transforms.  A snapshot given the state's full
+    transform costs 3 ifftn for I' and one rfftn for P (3 complex, 1 real):
+    P is read off the half spectrum of |u|^2 by Parseval, with no transform
+    back.  detect_blowup reads the transform in hand (0).  record_dt = t_max,
+    so no step is clipped short of the end.
 
-    One step, record_stride 1: fftn(u0) (1); the t = 0 snapshot (3, 1); one
+    Periodic basis, on a datum that is not even, u0 (1 + 0.1 x_1): an
+    attempt's transforms are fftn/ifftn and rfftn/irfftn, and the state is
+    fftn(u), turned back by one ifftn for a snapshot after a step.  One
+    step, record_stride 1: fftn(u0) (1); the t = 0 snapshot (3, 1); one
     attempt (17, 16); the closing snapshot (1 + 3, 1).  Total 25 complex and
-    18 real.  Two steps, record_stride 2: the same, with two attempts (34, 32)
-    and no snapshot, so no ifftn, after the first step: 42 complex and 34
-    real.  Per accepted step that is 33 transforms against step doubling's
-    10, but an attempt covers about five times the step."""
-    counts = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn"), 0)
+    18 real.  Two steps, record_stride 2: the same, with two attempts (34,
+    32) and no snapshot, so no ifftn, after the first step: 42 complex and
+    34 real.
+
+    Even octant, on the radial u0: the t = 0 snapshot still reads fftn(u0),
+    (1 + 3, 1), and the state is the octant's dctn (1 dctn).  Every
+    transform of an attempt is a DCT-I: its 17 forward ones are dctn and its
+    16 inverse ones idctn.  The closing snapshot turns the state back by one
+    idctn and reads the full transform off the octant's, (3, 1).  One step:
+    7 complex, 2 real, 18 dctn and 17 idctn.  Two steps: 7, 2, 35 and 33."""
+    counts = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn", "dctn", "idctn"), 0)
     for name in counts:
         def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, counted)
 
-    def complex_real():
-        out = (counts["fftn"] + counts["ifftn"], counts["rfftn"] + counts["irfftn"])
+    def complex_real_dct():
+        out = (counts["fftn"] + counts["ifftn"], counts["rfftn"] + counts["irfftn"], counts["dctn"], counts["idctn"])
         counts.update(dict.fromkeys(counts, 0))
         return out
 
     grid = Grid(3, 16, 8.0)
-    u0 = Field(grid, 0.5 * np.exp(-grid.r_sq / 4.0) + 0j)
+    radial = Field(grid, 0.5 * np.exp(-grid.r_sq / 4.0) + 0j)
+    tilted = Field(grid, radial.values * (1.0 + 0.1 * grid.coords[0]))
     cfg = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=1e-3, tol_step=1e-2, record_stride=1,
                        record_dt=1e-3, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
-    rec = evolve(u0, ZERO, cfg)
-    assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
-    assert complex_real() == (25, 18)
-
     cfg2 = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=2e-3, tol_step=1e-2, record_stride=2,
                         record_dt=2e-3, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
-    rec = evolve(u0, ZERO, cfg2)
-    assert rec.extras["n_step_attempts"] == len(rec.extras["accepted_dts"]) == 2
-    assert len(rec.snapshots) == 2
-    assert complex_real() == (42, 34)
+    for u0, one, two in ((tilted, (25, 18, 0, 0), (42, 34, 0, 0)), (radial, (7, 2, 18, 17), (7, 2, 35, 33))):
+        rec = evolve(u0, ZERO, cfg)
+        assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
+        assert complex_real_dct() == one
+        rec = evolve(u0, ZERO, cfg2)
+        assert rec.extras["n_step_attempts"] == len(rec.extras["accepted_dts"]) == 2
+        assert len(rec.snapshots) == 2
+        assert complex_real_dct() == two
 
+    u0 = radial
     uhat = scipy.fft.fftn(u0.values)
-    complex_real()
+    complex_real_dct()
     assert not detect_blowup(u0, 1.0, cfg, uhat=uhat)
     assert not detect_blowup(None, 1.0, cfg, uhat=uhat)
-    assert complex_real() == (0, 0)
+    assert complex_real_dct() == (0, 0, 0, 0)
     assert not detect_blowup(u0, 1.0, cfg)
-    assert complex_real() == (1, 0)
+    assert complex_real_dct() == (1, 0, 0, 0)
+
+
+def test_transform_basis_engagement(g32, monkeypatch):
+    # an adaptive run takes the even octant only when u0 and V are both
+    # exactly even about the grid centre on every axis; data asymmetric along
+    # one axis, the non-adaptive path and strang_step keep the periodic grid
+    radial = Field(g32, 0.3 * np.exp(-g32.r_sq / 4.0) + 0j)
+    bump = eval_potential(BUMP, g32).values
+    cfg = EvolveConfig(grid=g32, gamma=GAMMA, dt0=1e-3, t_max=2e-3, record_dt=2e-3,
+                       blowup_grad_factor=50.0, blowup_tail_frac=1.0)
+
+    def basis(u0, values=bump, **kw):
+        spec = PotentialSpec(kind="grid_sampled", values=values)
+        return evolve(u0, spec, replace(cfg, **kw)).extras["transform_basis"]
+
+    assert basis(radial) == basis(radial, values=np.zeros(g32.shape)) == "even_octant"
+    assert basis(radial, adaptive=False) == "periodic"
+    for ax in range(3):
+        shifted = np.roll(radial.values, 1, axis=ax)
+        assert basis(Field(g32, shifted)) == "periodic"
+        assert basis(radial, values=np.roll(bump, 1, axis=ax)) == "periodic"
+
+    def no_dct(*args, **kwargs):
+        raise AssertionError("strang_step took a DCT")
+    monkeypatch.setattr(scipy.fft, "dctn", no_dct)
+    monkeypatch.setattr(scipy.fft, "idctn", no_dct)
+    strang_step(radial, 1e-3, BUMP, GAMMA)

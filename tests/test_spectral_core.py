@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
@@ -11,6 +12,7 @@ import hartreekit.runner as runner
 from hartreekit.functionals import take_snapshot
 from hartreekit.runner import gradient_routes_defect, parseval_defect, riesz_origin_defect, smooth_random_field
 from hartreekit.spectral import (
+    EvenOctant,
     Field,
     Grid,
     abs_sq,
@@ -20,6 +22,7 @@ from hartreekit.spectral import (
     fftn,
     gradient,
     ifftn,
+    is_even,
     outer_shell_mass_fraction,
     recenter,
     riesz_constant,
@@ -33,6 +36,40 @@ def test_fft_roundtrip(grid32):
     rng = np.random.default_rng(11)
     a = rng.standard_normal(grid32.shape) + 1j * rng.standard_normal(grid32.shape)
     assert np.allclose(ifftn(fftn(a)), a, atol=1e-12)
+
+
+def test_out_of_place_transforms_leave_the_input_and_the_bits(grid32):
+    # without overwrite_x a complex input is copied and the copy transformed
+    # in place; a strided view and a real input take the same call
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal(grid32.shape) + 1j * rng.standard_normal(grid32.shape)
+    for x in (a, a[:, ::2], a.real):
+        keep = x.copy()
+        for ours, theirs in ((fftn, scipy.fft.fftn), (ifftn, scipy.fft.ifftn)):
+            got = ours(x)
+            assert x.tobytes() == keep.tobytes()
+            assert got.tobytes() == theirs(keep).tobytes()
+
+
+def test_even_octant_is_the_dft_of_even_fields(grid32):
+    # a field even about the grid centre is its octant; the octant's DCT-I is
+    # the field's fftn with the sign (-1)^(k_1 + k_2 + k_3), its weighted norm
+    # is fftn's by Parseval, and the convolution is the full grid's
+    rng = np.random.default_rng(14)
+    basis = EvenOctant(grid32)
+    octant = rng.standard_normal((17,) * 3) + 1j * rng.standard_normal((17,) * 3)
+    a = basis.expand(octant)
+    assert is_even(a) and not is_even(np.roll(a, 1, axis=2))
+    assert np.array_equal(basis.take(a), octant)
+    c = basis.forward(octant)
+    full = fftn(a)
+    assert np.abs(basis.expand_spectrum(c) - full).max() <= 1e-13 * np.abs(full).max()
+    assert np.abs(basis.inverse(c) - octant).max() <= 1e-14 * np.abs(octant).max()
+    assert basis.norm_sq(c) == pytest.approx(np.vdot(full, full).real, rel=1e-13)
+    rho = abs_sq(a)
+    want = apply_multiplier(rho, grid32.riesz_multiplier(GAMMA))
+    got = basis.expand(basis.convolve(basis.take(rho), GAMMA))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_real_input_multiplier_matches_complex_route(grid32):
