@@ -14,8 +14,9 @@ goes back only when a snapshot is taken.  The state is fftn(u) on the
 periodic grid, except on the adaptive path when u0 and V are exactly even
 about the grid centre on every axis: the flow keeps them even, and the
 state is then the DCT-I of one octant, (n/2 + 1)^d points
-(spectral.EvenOctant).  The step is written once against the basis, and
-snapshots and the blow-up detector read the full grid expanded from it.
+(spectral.EvenOctant).  The step, the snapshots after t = 0 and the
+blow-up detector are each written once against the basis, and read the
+octant's points and coefficients with its Parseval weights.
 Collapse is detected, never resolved: once the gradient blows past its
 threshold or the upper frequency band fills, integration stops and the
 record says so.
@@ -213,16 +214,19 @@ def strang_step(u: Field, dt: float, potential: PotentialSpec, gamma: float, lin
     return Field(grid, ifftn(uhat, overwrite_x=True))
 
 
-def detect_blowup(u: Field | None, grad_sq_initial: float, cfg: EvolveConfig, uhat=None) -> bool:
+def detect_blowup(u, grad_sq_initial: float, cfg: EvolveConfig, basis: PeriodicBasis | None = None) -> bool:
     """Gradient growth beyond the factor, or the top 20% frequency band (max-norm) filling up.
 
-    uhat is fftn(u.values) when the caller already holds it; u may then be
-    None, and the grid is cfg.grid."""
-    grid = cfg.grid if u is None else u.grid
-    power = abs_sq(fftn(u.values) if uhat is None else uhat)
-    if grad_sq_initial > 0 and _grad_sq(grid, power) / grad_sq_initial >= cfg.blowup_grad_factor**2:
+    u is a Field on cfg's grid, which costs one fftn, or with basis given,
+    u's coefficients on the basis, which are read as they are, with the
+    basis's Parseval weights."""
+    if basis is None:
+        basis = PeriodicBasis(u.grid)
+        u = basis.forward(u.values)
+    power = abs_sq(u)
+    if grad_sq_initial > 0 and _grad_sq(basis, power) / grad_sq_initial >= cfg.blowup_grad_factor**2:
         return True
-    return shell_fraction(grid, power, 0.8 * (grid.points // 2), spectral=True) >= cfg.blowup_tail_frac
+    return shell_fraction(basis, power, 0.8 * (cfg.grid.points // 2), spectral=True) >= cfg.blowup_tail_frac
 
 
 def _step_toward(gap: float, dt: float) -> float:
@@ -254,15 +258,16 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     coefficients of a basis: fftn(u) on the periodic grid, or, when the
     adaptive path starts from u0 and V that are both exactly even
     (spectral.transform_basis), the octant's DCT-I.  The t = 0 snapshot reads
-    fftn(u0) either way.  An adaptive attempt is one Blanes-Moan step of
-    order 4 with its embedded order-3 partner (_embedded_step: 17 complex
-    and 16 real transforms; the kinetic factors are rebuilt per attempt,
-    never cached, since adaptive dt rarely repeats a value).  err is the
+    fftn(u0) on the full grid either way; every later one reads the basis.
+    An adaptive attempt is one Blanes-Moan step of order 4 with its embedded
+    order-3 partner (_embedded_step: 17 complex and 16 real transforms; the
+    kinetic factors are rebuilt per attempt, never cached, since adaptive dt
+    rarely repeats a value).  err is the
     relative L2 difference of the two, taken on the coefficients with the
     basis's Parseval weights, where it is the same number; the attempt is
     accepted when err <= tol_step, and the order-4 state is kept.  The
-    blow-up detector reads the full transform expanded from it, and it is
-    turned back with one inverse transform only for a snapshot.  After every
+    blow-up detector reads its coefficients as they are, and it is turned
+    back with one inverse transform only for a snapshot.  After every
     attempt the proposal follows _propose.  Steps are clipped to land on
     every multiple of record_dt (t_max / 4 when unset) and on t_max, with a
     snapshot at each (_step_toward), besides the snapshot every
@@ -283,17 +288,14 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
     approx = potential.xgrad_is_distributional
 
-    def snapshot(u, uhat):
-        return take_snapshot(Field(grid, u), t, vfield, wfield, cfg.gamma, e_term_approximate=approx, uhat=uhat)
-
     u = np.array(u0.values, dtype=complex, copy=True)
     uhat = fftn(u)
     t = 0.0
-    snapshots = [snapshot(u, uhat)]
+    snapshots = [take_snapshot(Field(grid, u), t, vfield, wfield, cfg.gamma, e_term_approximate=approx, uhat=uhat)]
     basis = transform_basis(grid, u, vvals) if cfg.adaptive else PeriodicBasis(grid)
     if basis.name != "periodic":
         uhat = basis.forward(basis.take(u), overwrite_x=True)
-        vvals = None if vvals is None else basis.take(vvals)
+    vvals, wvals = (None if f is None else basis.take(f.values) for f in (vfield, wfield))
     del u
     grad_sq_0 = snapshots[0].grad_sq
     extras: dict = {"accepted_dts": [], "n_step_attempts": 0, "n_rejected_steps": 0, "transform_basis": basis.name}
@@ -306,7 +308,9 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
 
     def record_state(force=False):
         if (force or accepted % cfg.record_stride == 0) and snapshots[-1].time < t:
-            snapshots.append(snapshot(basis.expand(basis.inverse(uhat)), basis.expand_spectrum(uhat)))
+            snapshots.append(take_snapshot(
+                basis.inverse(uhat), t, vvals, wvals, cfg.gamma, e_term_approximate=approx, uhat=uhat, basis=basis
+            ))
 
     while t < cfg.t_max - tiny:
         extras["n_step_attempts"] += 1
@@ -337,7 +341,7 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
             t += h
         accepted += 1
         extras["accepted_dts"].append(h)
-        if detect_blowup(None, grad_sq_0, cfg, uhat=basis.expand_spectrum(uhat)):
+        if detect_blowup(uhat, grad_sq_0, cfg, basis):
             record_state(force=True)
             termination = Termination("BlowupDetected", t)
             break

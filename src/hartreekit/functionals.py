@@ -7,23 +7,28 @@ I' = 4 Im int conj(u) x.grad u and
 I'' = 8 ||u||_{HV}^2 - 2g P - e,   e = 4 int (2V + x.grad V)|u|^2.
 
 Each quantity is computed by one function, which takes the shared inputs
-rho = |u|^2 and u-hat = fftn(u) rather than recomputing them:
+rho = |u|^2 and u-hat, the transform of u, rather than recomputing them, and
+reads them on a basis (spectral.PeriodicBasis): the full periodic grid, or
+for even fields one octant with DCT-I coefficients, where every sum takes
+the Parseval weights (spectral.EvenOctant):
 
-    M, int V|u|^2, I    _integral(grid, rho, weight)   weight none, V, |x|^2
-    e                   _e_term(grid, rho, 2V + x.grad V)
-    ||grad u||^2        _grad_sq(grid, |u-hat|^2)
-    P                   _p(grid, rho, gamma)
-    I'                  _virial_first(u, u-hat)
+    M, int V|u|^2, I    _integral(basis, rho, weight)   weight none, V, |x|^2
+    e                   _e_term(basis, rho, 2V + x.grad V)
+    ||grad u||^2        _grad_sq(basis, |u-hat|^2)
+    P                   _p(basis, rho, gamma)       one real transform of rho
+    I'                  _virial_first(basis, u, u-hat)
     E, I''              take_snapshot
     Weinstein quotient  FunctionalSnapshot.weinstein
     Cauchy-Schwarz gap  FunctionalSnapshot.cauchy_schwarz_gap
 
-take_snapshot evaluates all of them from one rho and one fftn(u); a caller
-that wants several of these quantities reads them off a snapshot.  The two
-single-quantity calls, mass and hv_norm_sq, serve the callers that need
-nothing else and would otherwise pay for a whole snapshot: the
-self-consistent omega loop, and the validate gates that read only M,
-||grad u||^2, int V|u|^2 or e (the last two through _integral and _e_term).
+take_snapshot evaluates all of them from one rho and one u-hat; a caller
+that wants several of these quantities reads them off a snapshot.  On the
+full grid a snapshot given fftn(u) costs 3 ifftn (I') and one rfftn (P); on
+the octant, given the coefficients, a DST-I along each axis with an idctn
+along the others (I') and one dctn (P).  The two single-quantity calls, mass
+and hv_norm_sq, serve the validate gates that read only M, ||grad u||^2,
+int V|u|^2 or e (the last two through _integral and _e_term) and would
+otherwise pay for a whole snapshot.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, abs_sq, fftn, ifftn, rfftn
+from .spectral import Field, PeriodicBasis, abs_sq, fftn
 
 CSV_COLUMNS = (
     "t",
@@ -50,52 +55,47 @@ CSV_COLUMNS = (
 )
 
 
-def _integral(grid: Grid, rho, weight=None) -> float:
-    """int weight |u|^2 by box quadrature; no weight gives the mass."""
-    return float((rho if weight is None else weight * rho).sum() * grid.cell_volume)
+def _integral(basis: PeriodicBasis, rho, weight=None) -> float:
+    """int weight |u|^2 by box quadrature over the basis's points; no weight gives the mass."""
+    return float(basis.weigh(rho if weight is None else weight * rho).sum() * basis.grid.cell_volume)
 
 
-def _e_term(grid: Grid, rho, virial_weight) -> float:
-    return 4.0 * _integral(grid, rho, virial_weight)
+def _e_term(basis: PeriodicBasis, rho, virial_weight) -> float:
+    return 4.0 * _integral(basis, rho, virial_weight)
 
 
-def _grad_sq(grid: Grid, power) -> float:
-    """||grad u||^2 via Parseval from the power spectrum |u-hat|^2."""
-    return float((grid.k_sq * power).sum() * (grid.cell_volume / grid.points**grid.dim))
+def _grad_sq(basis: PeriodicBasis, power) -> float:
+    """||grad u||^2 via Parseval from the power spectrum |u-hat|^2 on the basis's modes."""
+    g = basis.grid
+    return float(basis.weigh(basis.k_sq * power).sum() * (g.cell_volume / g.points**g.dim))
 
 
-def _p(grid: Grid, rho, gamma: float) -> float:
-    """P = h^d / N sum_xi m(xi) |rho-hat(xi)|^2 by Parseval, m the Riesz multiplier, from one rfftn.
-
-    rho is real and m even, so the half spectrum stands for the whole: each
-    entry counts twice, except on the last axis's planes 0 and n/2, which
-    are their own mirror images (Grid makes n even)."""
-    power = abs_sq(rfftn(rho))
-    power *= grid.riesz_multiplier(gamma)[..., : power.shape[-1]]
-    total = 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
-    return float(total * (grid.cell_volume / grid.points**grid.dim))
+def _p(basis: PeriodicBasis, rho, gamma: float) -> float:
+    """P = h^d / N sum_xi m(xi) |rho-hat(xi)|^2 by Parseval, m the Riesz multiplier, from one real transform."""
+    g = basis.grid
+    return float(basis.riesz_pairing(rho, gamma) * (g.cell_volume / g.points**g.dim))
 
 
-def _virial_first(u: Field, uhat) -> float:
-    """I' = 4 Im sum_j int conj(u) x_j d_j u, each term one ifftn and one vdot."""
-    g = u.grid
+def _virial_first(basis: PeriodicBasis, u, uhat) -> float:
+    """I' = 4 Im sum_j int conj(u) x_j d_j u, each term one derivative and one vdot."""
     acc = 0.0
-    for x, xi in zip(g.coords, g.freqs):
-        du = ifftn(1j * xi * uhat, overwrite_x=True)
+    for ax, x in enumerate(basis.coords):
+        du = basis.derivative(uhat, ax)
         du *= x
-        acc += np.vdot(u.values, du).imag
-    return float(acc) * (4.0 * g.cell_volume)
+        acc += np.vdot(u, basis.weigh(du)).imag
+    return float(acc) * (4.0 * basis.grid.cell_volume)
 
 
 def mass(u: Field) -> float:
-    return _integral(u.grid, abs_sq(u.values))
+    return _integral(PeriodicBasis(u.grid), abs_sq(u.values))
 
 
 def hv_norm_sq(u: Field, v: Field | None = None) -> float:
     """||u||_{HV}^2 = ||grad u||^2 (Parseval) + int V|u|^2."""
-    out = _grad_sq(u.grid, abs_sq(fftn(u.values)))
+    basis = PeriodicBasis(u.grid)
+    out = _grad_sq(basis, abs_sq(fftn(u.values)))
     if v is not None:
-        out += _integral(u.grid, abs_sq(u.values), v.values)
+        out += _integral(basis, abs_sq(u.values), v.values)
     return out
 
 
@@ -146,35 +146,42 @@ class FunctionalSnapshot:
 
 
 def take_snapshot(
-    u: Field,
+    u,
     t: float,
-    v: Field | None,
-    virial_weight: Field | None,
+    v,
+    virial_weight,
     gamma: float,
     e_term_approximate: bool = False,
     uhat=None,
+    basis: PeriodicBasis | None = None,
 ) -> FunctionalSnapshot:
-    """Evaluate every monitored functional from one |u|^2 and one fftn(u).
+    """Evaluate every monitored functional from one |u|^2 and one transform of u.
 
-    uhat is fftn(u.values) when the caller already holds it."""
-    g = u.grid
-    rho = abs_sq(u.values)
+    u, v and virial_weight are Fields on the grid (v and virial_weight may be
+    None).  With basis given, they are arrays on the basis's points instead,
+    and every sum runs there with its Parseval weights.  uhat is u's
+    transform on the basis (fftn(u.values) without one) when the caller
+    already holds it."""
+    if basis is None:
+        basis = PeriodicBasis(u.grid)
+        u, v, virial_weight = (None if f is None else f.values for f in (u, v, virial_weight))
+    rho = abs_sq(u)
     if uhat is None:
-        uhat = fftn(u.values)
-    gs = _grad_sq(g, abs_sq(uhat))
-    i1 = _virial_first(u, uhat)
-    p = _p(g, rho, gamma)
-    vt = _integral(g, rho, v.values) if v is not None else 0.0
-    e = _e_term(g, rho, virial_weight.values) if virial_weight is not None else 0.0
+        uhat = basis.forward(u)
+    gs = _grad_sq(basis, abs_sq(uhat))
+    i1 = _virial_first(basis, u, uhat)
+    p = _p(basis, rho, gamma)
+    vt = _integral(basis, rho, v) if v is not None else 0.0
+    e = _e_term(basis, rho, virial_weight) if virial_weight is not None else 0.0
     hv = gs + vt
     return FunctionalSnapshot(
         time=t,
-        mass=_integral(g, rho),
+        mass=_integral(basis, rho),
         energy=0.5 * hv - 0.25 * p,
         grad_sq=gs,
         hv_sq=hv,
         p_value=p,
-        variance_I=_integral(g, rho, g.r_sq),
+        variance_I=_integral(basis, rho, basis.r_sq),
         virial_I1=i1,
         virial_I2=8.0 * hv - 2.0 * gamma * p - e,
         e_term=e,

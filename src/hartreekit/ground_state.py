@@ -8,6 +8,13 @@ M_n^{3/2} (ratio of quadratic forms) tames the cubic homogeneity; M_n -> 1
 at convergence.  The plain update contracts slowly (35-99 iterations on the
 benchmark grids), so each new iterate is an Anderson mix of the last three
 Petviashvili outputs, which converges in 13-15 there.
+
+The iteration runs on spectral.transform_basis(grid, first profile, V):
+when both are exactly even about the grid centre, as the radial first
+profile and a centred well are, on one octant with DCT-I transforms and
+Parseval-weighted sums, and on the periodic grid otherwise.  The profile is
+returned expanded, so it is exactly even, and its residual is recomputed
+once on the full grid.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldio import dump_field
-from .functionals import FunctionalSnapshot, hv_norm_sq, mass, take_snapshot
+from .functionals import FunctionalSnapshot, _grad_sq, _integral, take_snapshot
 from .potentials import PotentialSpec, eval_potential, eval_virial_weight, suggest
-from .spectral import Field, Grid, apply_multiplier
+from .spectral import Field, Grid, PeriodicBasis, abs_sq, transform_basis
 
 OMEGA_MODES = ("fixed", "self_consistent")
 ANDERSON_DEPTH = 2  # earlier Petviashvili outputs mixed into each new iterate
@@ -70,8 +77,10 @@ class GroundState:
     """Profile plus the scalars the threshold theory consumes.
 
     residual is the relative operator residual
-    ||(-Lap + V + omega^2) Q - (|x|^{-gamma} * Q^2) Q||_2 / ||Q||_2;
-    converged means it reached the solve tolerance.  A non-converged solve
+    ||(-Lap + V + omega^2) Q - (|x|^{-gamma} * Q^2) Q||_2 / ||Q||_2 of the
+    returned profile on the full grid; converged means the iteration and it
+    reached the solve tolerance.  transform_basis names the basis the
+    iteration ran on (spectral.transform_basis).  A non-converged solve
     still returns a GroundState (converged False) so the caller can inspect
     residual_history instead of unwinding through an exception."""
 
@@ -85,6 +94,7 @@ class GroundState:
     iterations: int
     residual: float
     converged: bool
+    transform_basis: str
     omega_iterations: int = 0
     richardson_iterations: int = 0  # inner Richardson corrections, summed; 0 at V = 0
     residual_history: list = None  # type: ignore[assignment]
@@ -98,27 +108,27 @@ class GroundState:
         return self.snapshot.energy
 
 
-def _solve_helmholtz(grid: Grid, vvals, omega_sq: float, rhs, w0=None, tol: float = 1e-12, max_iter: int = 600):
-    """Solve (-Lap + V + omega^2) w = rhs for real fields; returns (w, corrections applied).
+def _solve_helmholtz(basis: PeriodicBasis, vvals, omega_sq: float, rhs, w0=None, tol: float = 1e-12, max_iter: int = 600):
+    """Solve (-Lap + V + omega^2) w = rhs for real fields on the basis's points; returns (w, corrections applied).
 
     V = None: exact Fourier inverse, no corrections.  Otherwise Richardson
     preconditioned by the V = 0 inverse; converges when the potential is
     form-small relative to -Lap + omega^2 (Kato-admissible wells are).
     """
-    op = grid.k_sq + omega_sq
+    op = basis.k_sq + omega_sq
     inv = 1.0 / op
     if vvals is None:
-        return apply_multiplier(rhs, inv), 0
-    w = apply_multiplier(rhs, inv) if w0 is None else w0.copy()
-    rhs_norm = float(np.linalg.norm(rhs))
+        return basis.apply(rhs, inv), 0
+    w = basis.apply(rhs, inv) if w0 is None else w0.copy()
+    rhs_norm = basis.norm(rhs)
     if rhs_norm == 0.0:
-        return np.zeros(grid.shape), 0
+        return np.zeros(rhs.shape), 0
     last = np.inf
     stall = 0
     for it in range(max_iter):
-        aw = apply_multiplier(w, op) + vvals * w
+        aw = basis.apply(w, op) + vvals * w
         res = rhs - aw
-        rnorm = float(np.linalg.norm(res)) / rhs_norm
+        rnorm = basis.norm(res) / rhs_norm
         if rnorm < tol:
             return w, it
         if rnorm >= last:
@@ -133,25 +143,26 @@ def _solve_helmholtz(grid: Grid, vvals, omega_sq: float, rhs, w0=None, tol: floa
         else:
             stall = 0
         last = rnorm
-        w = w + apply_multiplier(res, inv)
+        w = w + basis.apply(res, inv)
     raise ConvergenceError(f"helmholtz solve did not reach {tol:.1e} in {max_iter} iterations")
 
 
-def _residual(grid, vvals, gamma, omega_sq, u, au=None):
+def _residual(basis, vvals, gamma, omega_sq, u, au=None):
     """A u = (-Lap + V + omega^2) u, N(u) = (|x|^{-gamma} * u^2) u, and the
-    relative operator residual ||A u - N(u)||_2 / ||u||_2 of a real profile.
+    relative operator residual ||A u - N(u)||_2 / ||u||_2 of a real profile
+    on the basis's points, with norms over the whole grid.
 
     au is A u when the caller already holds it; otherwise it costs a real
     transform pair."""
-    nl = apply_multiplier(u * u, grid.riesz_multiplier(gamma)) * u
+    nl = basis.convolve(u * u, gamma) * u
     if au is None:
-        au = apply_multiplier(u, grid.k_sq + omega_sq)
+        au = basis.apply(u, basis.k_sq + omega_sq)
         if vvals is not None:
             au += vvals * u
-    unorm = float(np.linalg.norm(u))
+    unorm = basis.norm(u)
     if unorm == 0.0:
         raise ConvergenceError("Petviashvili iterate collapsed to zero")
-    return au, nl, float(np.linalg.norm(au - nl)) / unorm
+    return au, nl, basis.norm(au - nl) / unorm
 
 
 def _anderson_weights(gram):
@@ -166,7 +177,7 @@ def _anderson_weights(gram):
     return np.concatenate(([1.0 - coef.sum()], coef))
 
 
-def _petviashvili(grid, vvals, gamma, omega_sq, u0, tol, max_iter, history):
+def _petviashvili(basis, vvals, gamma, omega_sq, u0, tol, max_iter, history):
     """Anderson-accelerated fixed-omega iteration for u = M_n^{3/2} A^{-1} N(u),
     A = -Lap + V + omega^2, M_n = <u, A u> / <u, N(u)>.
 
@@ -194,7 +205,7 @@ def _petviashvili(grid, vvals, gamma, omega_sq, u0, tol, max_iter, history):
     (N(u), the solve) after the first, which costs 6, and a restart for a
     lost weight costs 2 (N(u)).  With V the solve is Richardson's, A u is
     computed afresh, and an iteration costs 4 plus the solve's."""
-    h_d = grid.cell_volume
+    h_d = basis.grid.cell_volume
     u = u0.copy()
     w = au = None
     res = last = np.inf
@@ -204,7 +215,7 @@ def _petviashvili(grid, vvals, gamma, omega_sq, u0, tol, max_iter, history):
     outputs = []  # (g - u, g, A g) of the latest iterates, newest first
     gram = np.zeros((0, 0))
     for it in range(1, max_iter + 1):
-        au, nl, res = _residual(grid, vvals, gamma, omega_sq, u, au)
+        au, nl, res = _residual(basis, vvals, gamma, omega_sq, u, au)
         history.append(res)
         if res < tol:
             return u, it, res, True, richardson
@@ -215,8 +226,8 @@ def _petviashvili(grid, vvals, gamma, omega_sq, u0, tol, max_iter, history):
             since_best += 1
             if since_best >= 40:
                 return u, it, res, False, richardson  # stalled above tolerance
-        num = float((u * au).sum() * h_d)
-        den = float((u * nl).sum() * h_d)
+        num = float(basis.weigh(u * au).sum() * h_d)
+        den = float(basis.weigh(u * nl).sum() * h_d)
         mixed = len(outputs) > 1
         if mixed and den <= 0:
             _, u, au = outputs[0]  # restart from the plain output of the iterate before the mix
@@ -227,15 +238,16 @@ def _petviashvili(grid, vvals, gamma, omega_sq, u0, tol, max_iter, history):
         if mixed and res > last:
             outputs = []  # restart: this iterate's plain output is the next iterate
         last = res
-        w, corrections = _solve_helmholtz(grid, vvals, omega_sq, nl, w0=w)
+        w, corrections = _solve_helmholtz(basis, vvals, omega_sq, nl, w0=w)
         richardson += corrections
         scale = (num / den) ** 1.5
         g = scale * w
-        if float(g.sum()) < 0.0:
+        if float(basis.weigh(g).sum()) < 0.0:
             g, scale = -g, -scale
         ag = scale * nl if vvals is None else None
         f = g - u
-        row = [float(np.vdot(f, f))] + [float(np.vdot(f, prev[0])) for prev in outputs]
+        wf = basis.weigh(f)
+        row = [float(np.vdot(wf, f))] + [float(np.vdot(wf, prev[0])) for prev in outputs]
         outputs.insert(0, (f, g, ag))
         n = len(outputs)
         grown = np.empty((n, n))
@@ -250,6 +262,11 @@ def _petviashvili(grid, vvals, gamma, omega_sq, u0, tol, max_iter, history):
         au = sum(ai * out[2] for ai, out in zip(a, outputs)) if vvals is None else None
         del outputs[ANDERSON_DEPTH:]  # the oldest output has had its last mix
     return u, max_iter, res, False, richardson
+
+
+def _initial_profile(grid: Grid, initial: Field | None = None) -> np.ndarray:
+    """The iteration's first profile: exp(-|x|^2 / 2), or a copy of initial's real part."""
+    return np.exp(-grid.r_sq / 2.0) if initial is None else np.array(initial.values.real, dtype=float, copy=True)
 
 
 def solve_ground_state(
@@ -274,19 +291,17 @@ def solve_ground_state(
     opts = GroundStateSettings(**settings)
     tol, max_iter = opts.tol, opts.max_iter
 
-    vvals = None if potential.is_zero else eval_potential(potential, grid).values
-    vfield = None if vvals is None else Field(grid, vvals)
-    u = (
-        np.exp(-grid.r_sq / 2.0)
-        if initial is None
-        else np.array(initial.values.real, dtype=float, copy=True)
-    )
+    vfull = None if potential.is_zero else eval_potential(potential, grid).values
+    u = _initial_profile(grid, initial)
+    basis = transform_basis(grid, u, vfull)
+    u = basis.take(u)
+    vvals = None if vfull is None else basis.take(vfull)
 
     omega_sq = opts.omega * opts.omega
     omega_iters = 0
     history: list = []
     if opts.omega_mode == "fixed":
-        u, iters, resid, ok, richardson = _petviashvili(grid, vvals, gamma, omega_sq, u, tol, max_iter, history)
+        u, iters, resid, ok, richardson = _petviashvili(basis, vvals, gamma, omega_sq, u, tol, max_iter, history)
     else:
         # Root-find G(w) = (4-gamma) hv / (gamma m) - w on w = omega^2; G = 0 is
         # exactly the update rule's fixed point (equivalently T = 0 by the
@@ -300,16 +315,17 @@ def solve_ground_state(
         w_prev = g_prev = None
         for omega_iters in range(1, 41):
             round_tol = tol if omega_iters <= 25 else tol * 1e-2
-            u, it, resid, ok, corrections = _petviashvili(grid, vvals, gamma, w_cur, u, round_tol, max_iter, history)
+            u, it, resid, ok, corrections = _petviashvili(basis, vvals, gamma, w_cur, u, round_tol, max_iter, history)
             omega_sq = w_cur
             iters += it
             richardson += corrections
             if not ok:
                 break
-            qf = Field(grid, u)
-            hv = hv_norm_sq(qf, vfield)
-            m = mass(qf)
-            target = (4.0 - gamma) * hv / (gamma * m)
+            rho = abs_sq(u)
+            hv = _grad_sq(basis, abs_sq(basis.forward(u)))
+            if vvals is not None:
+                hv += _integral(basis, rho, vvals)
+            target = (4.0 - gamma) * hv / (gamma * _integral(basis, rho))
             if target <= 0:
                 raise ConvergenceError(
                     "self-consistent omega update became nonpositive; potential too attractive"
@@ -333,11 +349,14 @@ def solve_ground_state(
         else:
             ok = False  # omega never settled; report the last profile as non-converged
 
-    qf = Field(grid, u)
-    wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
+    # the reported residual is the expanded profile's, on the full grid
+    q = basis.expand(u)
+    resid = _residual(PeriodicBasis(grid), vfull, gamma, omega_sq, q)[2]
+    ok = ok and resid <= tol
+    wvals = None if potential.is_zero else basis.take(eval_virial_weight(potential, grid).values)
     snap = take_snapshot(
-        qf, 0.0, vfield, wfield, gamma,
-        e_term_approximate=potential.xgrad_is_distributional,
+        u, 0.0, vvals, wvals, gamma,
+        e_term_approximate=potential.xgrad_is_distributional, basis=basis,
     )
     snap.virial_I1 = 0.0  # exact for a real profile
     if snap.hv_sq <= 0:
@@ -347,7 +366,7 @@ def solve_ground_state(
         )
     c_gn = snap.weinstein(gamma)
     return GroundState(
-        field=qf,
+        field=Field(grid, q),
         omega=math.sqrt(omega_sq),
         gamma=gamma,
         potential=potential,
@@ -357,6 +376,7 @@ def solve_ground_state(
         iterations=iters,
         residual=resid,
         converged=ok,
+        transform_basis=basis.name,
         omega_iterations=omega_iters,
         richardson_iterations=richardson,
         residual_history=history,

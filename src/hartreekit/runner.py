@@ -28,6 +28,7 @@ from .potentials import PotentialSpec, check_admissible, eval_potential, eval_vi
 from .spectral import (
     Field,
     Grid,
+    PeriodicBasis,
     abs_sq,
     fftn,
     gradient,
@@ -132,6 +133,7 @@ def _gs_report(cfg: RunConfig, gs, adm) -> dict:
         "richardson_iterations": gs.richardson_iterations,
         "residual": gs.residual,
         "converged": gs.converged,
+        "transform_basis": gs.transform_basis,
         "snapshot": gs.snapshot.to_dict(),
         "c_gn": gs.c_gn,
         "c_q": gs.c_q,
@@ -291,9 +293,10 @@ def virial_dual_defect(u: Field, v: Field, virial_weight: Field) -> float:
     xgrad_rho = np.zeros(g.shape)
     for x, xi in zip(g.coords, g.freqs):
         xgrad_rho += x * ifftn(1j * xi * rhohat).real
-    vt = _integral(g, rho, v.values)
-    e = _e_term(g, rho, virial_weight.values)
-    e_ibp = 8.0 * vt - 4.0 * _integral(g, g.dim * rho + xgrad_rho, v.values)
+    basis = PeriodicBasis(g)
+    vt = _integral(basis, rho, v.values)
+    e = _e_term(basis, rho, virial_weight.values)
+    e_ibp = 8.0 * vt - 4.0 * _integral(basis, g.dim * rho + xgrad_rho, v.values)
     scale = abs(e) + abs(e_ibp) + 8.0 * abs(vt) + 8.0 * hv_norm_sq(u)
     return math.inf if abs(e - e_ibp) > 1e-5 * max(scale, 1e-300) else 0.0
 
@@ -342,7 +345,7 @@ def kato_sandwich_excess(v: Field, u: Field) -> float:
     """How far ||u||_HV^2 leaves [(1 - ||V||_K), (1 + ||V||_K)] ||grad u||^2, relative to ||grad u||^2."""
     kv = kato_norm(v)
     gsq = hv_norm_sq(u)
-    hv = gsq + _integral(u.grid, abs_sq(u.values), v.values)
+    hv = gsq + _integral(PeriodicBasis(u.grid), abs_sq(u.values), v.values)
     lo, hi = (1.0 - kv) * gsq, (1.0 + kv) * gsq
     return max((lo - hv) / gsq, (hv - hi) / gsq)
 
@@ -355,6 +358,15 @@ def mass_drift_rate(record: TrajectoryRecord) -> float:
 def _worst(defects) -> float:
     """The largest of 0 and the trial defects; NaN if any trial is NaN, which Python's max would drop."""
     return float(np.max([0.0, *defects]))
+
+
+# the potential of validate's virial_dual and mass_drift_rate gates
+_VALIDATE_BUMP = PotentialSpec(kind="gaussian_bump", amplitude=0.4, sigma=1.1)
+
+
+def _drift_datum(grid: Grid) -> Field:
+    """The initial data of validate's mass_drift_rate gate: a centred Gaussian."""
+    return Field(grid, 0.3 * np.exp(-grid.r_sq / 8.0) + 0j)
 
 
 def run_validate(cfg: RunConfig, outdir) -> int:
@@ -372,7 +384,7 @@ def run_validate(cfg: RunConfig, outdir) -> int:
     check("parseval_mass", parseval_defect(u), 1e-12)
     check("gradient_routes_agree", gradient_routes_defect(u), 1e-11)
     check("riesz_origin_vs_quadrature", riesz_origin_defect(grid, gamma), 1e-4)
-    vspec = PotentialSpec(kind="gaussian_bump", amplitude=0.4, sigma=1.1)
+    vspec = _VALIDATE_BUMP
     v, w = eval_potential(vspec, grid), eval_virial_weight(vspec, grid)
     check("virial_dual_form", virial_dual_defect(u, v, w), 1.0)
 
@@ -415,8 +427,7 @@ def run_validate(cfg: RunConfig, outdir) -> int:
 
     # the gate reads only the two end snapshots, so no step is clipped for a record
     ev = EvolveConfig(grid=grid, gamma=gamma, dt0=1e-3, t_max=0.05, tol_step=1e-6, record_stride=10, record_dt=0.05)
-    u0 = Field(grid, 0.3 * np.exp(-grid.r_sq / 8.0) + 0j)
-    check("mass_drift_rate", mass_drift_rate(evolve(u0, vspec, ev)), 1e-10)
+    check("mass_drift_rate", mass_drift_rate(evolve(_drift_datum(grid), vspec, ev)), 1e-10)
 
     with open(os.path.join(outdir, "validate_table.csv"), "w") as fh:
         fh.write("check,status,metric,threshold\n")

@@ -274,18 +274,30 @@ def riesz_convolve(f: Field, gamma_exp: float) -> Field:
 class PeriodicBasis:
     """The full periodic grid, whose state is carried as fftn(u).
 
-    The integrator's step reads a basis and nothing else: take and expand
+    Everything that reads a state reads it through a basis.  take and expand
     carry a grid field to the basis's points and back, forward and inverse
-    transform there, convolve is the Riesz convolution of a real density, and
-    norm_sq is the squared norm of coefficients, by Parseval n^d times the
-    grid's.  Here take and expand are the identity."""
+    transform there, and apply multiplies by a multiplier given on the
+    basis's modes (k_sq, or the Riesz multiplier(gamma)); convolve is the
+    Riesz convolution of a real density.  weigh multiplies by the Parseval
+    weights, so that weigh(a).sum() over the points or the modes is the sum
+    over the whole grid; norm_sq is the weighted squared norm, by Parseval
+    n^d times the grid's for coefficients.  Here take, expand and weigh are
+    the identity."""
 
     name = "periodic"
+    # one axis's points and modes, as indices of the grid's
+    _points = _modes = slice(None)
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.dim = grid.dim
-        self.freq_axis = grid.freq_axis
+        self.freq_axis = grid.freq_axis[self._modes]
+        self.shape = self.freq_axis.shape * grid.dim
+        # the sparse coordinates, |x|^2 on the points and |xi|^2 on the modes
+        self.coords, self.r_sq, self.k_sq = grid.coords, grid.r_sq, grid.k_sq
+
+    def multiplier(self, gamma_exp: float) -> np.ndarray:
+        return self.grid.riesz_multiplier(gamma_exp)
 
     def take(self, a: np.ndarray) -> np.ndarray:
         return a
@@ -293,9 +305,8 @@ class PeriodicBasis:
     def expand(self, a: np.ndarray) -> np.ndarray:
         return a
 
-    def expand_spectrum(self, c: np.ndarray) -> np.ndarray:
-        """fftn of the grid field whose coefficients are c."""
-        return c
+    def weigh(self, a: np.ndarray) -> np.ndarray:
+        return a
 
     def forward(self, a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         return fftn(a, overwrite_x)
@@ -303,40 +314,73 @@ class PeriodicBasis:
     def inverse(self, c: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         return ifftn(c, overwrite_x)
 
+    def apply(self, a: np.ndarray, m: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+        """The multiplier m applied to a; overwrite_x lets it reuse a temporary a's memory."""
+        return apply_multiplier(a, m)
+
     def convolve(self, rho: np.ndarray, gamma_exp: float) -> np.ndarray:
-        return apply_multiplier(rho, self.grid.riesz_multiplier(gamma_exp))
+        """|x|^{-gamma_exp} * rho for a temporary rho, whose memory it may reuse."""
+        return self.apply(rho, self.multiplier(gamma_exp), overwrite_x=True)
+
+    def derivative(self, c: np.ndarray, ax: int) -> np.ndarray:
+        """The spectral derivative along axis ax of the field whose coefficients are c.
+
+        It is read only as x_ax times it, paired with a field on the basis's points."""
+        return ifftn(1j * self.grid.freqs[ax] * c, overwrite_x=True)
+
+    def riesz_pairing(self, rho: np.ndarray, gamma_exp: float):
+        """sum_xi m(xi) |rho-hat(xi)|^2 over the full spectrum, m the Riesz multiplier, from one real transform.
+
+        This is n^d / h^d times int (|x|^{-gamma} * rho) rho by Parseval.
+        rho is real and m even, so rfftn's half spectrum stands for the whole:
+        each entry counts twice, except on the last axis's planes 0 and n/2,
+        which are their own mirror images (Grid makes n even)."""
+        power = abs_sq(rfftn(rho))
+        power *= self.grid.riesz_multiplier(gamma_exp)[..., : power.shape[-1]]
+        return 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
 
     def norm_sq(self, c: np.ndarray) -> float:
         return np.vdot(c, c).real
+
+    def norm(self, a: np.ndarray) -> float:
+        return math.sqrt(self.norm_sq(a))
 
 
 class EvenOctant(PeriodicBasis):
     """Fields even about the grid centre on every axis, carried on one octant as its DCT-I.
 
     Even means a[j] == a[(n - j) % n] along each axis.  The octant is the
-    indices n/2, ..., n - 1, 0 of each axis (x = 0, h, ..., L), (n/2 + 1)^d
-    points, and its DCT-I is the field's DFT on modes 0, ..., n/2:
+    indices n/2, ..., n - 1, 0 of each axis (x = 0, h, ..., L - h, -L),
+    (n/2 + 1)^d points, and its DCT-I is the field's DFT on modes 0, ..., n/2:
     fftn(a)[k] = (-1)^(k_1 + ... + k_d) dctn(take(a), type=1)[min(k, n - k)]
-    (Martucci, IEEE Trans. Signal Process. 42 (1994) 1038-1051).  A mode
-    0 < m < n/2 stands for the two modes m and n - m of its axis, so the
-    Parseval weights are 1, 2, ..., 2, 1 per axis.  Pointwise products and
-    even multipliers keep a field even, so the Hartree flow with an even
-    potential never leaves the octant."""
+    (Martucci, IEEE Trans. Signal Process. 42 (1994) 1038-1051).  A point or
+    mode 0 < m < n/2 stands for the two m and n - m of its axis, so the
+    Parseval weights are 1, 2, ..., 2, 1 per axis, in space and in
+    frequency.  Pointwise products and even multipliers keep a field even,
+    so the Hartree flow with an even potential never leaves the octant."""
 
     name = "even_octant"
 
     def __init__(self, grid: Grid):
-        super().__init__(grid)
         n, half = grid.points, grid.points // 2
-        self.freq_axis = grid.freq_axis[: half + 1]
-        ks = np.arange(n)
-        self._take = np.ix_(*[np.r_[half:n, 0]] * self.dim)
-        self._space = np.ix_(*[np.abs(ks - half)] * self.dim)
-        self._modes = np.ix_(*[np.minimum(ks, n - ks)] * self.dim)
+        self._points = np.r_[half:n, 0]
+        self._modes = slice(0, half + 1)
+        super().__init__(grid)
+        self._take = np.ix_(*[self._points] * self.dim)
+        self._space = np.ix_(*[np.abs(np.arange(n) - half)] * self.dim)
         weight = np.full(half + 1, 2.0)
         weight[0] = weight[-1] = 1.0
         self._weight = reduce(np.multiply.outer, [weight] * self.dim)
-        self._sign = reduce(np.multiply.outer, [(-1.0) ** np.arange(half + 1)] * self.dim)
+        self.coords = tuple(np.meshgrid(*([grid.axis[self._points]] * self.dim), indexing="ij", sparse=True))
+        self.r_sq = sum(c**2 for c in self.coords)
+        self.k_sq = sum(f**2 for f in np.meshgrid(*([self.freq_axis] * self.dim), indexing="ij", sparse=True))
+
+    def multiplier(self, gamma_exp):
+        key = ("riesz_octant", gamma_exp)
+        if key not in self.grid._cache:
+            octant = (self._modes,) * self.dim
+            self.grid._cache[key] = self.grid.riesz_multiplier(gamma_exp)[octant].copy()
+        return self.grid._cache[key]
 
     def take(self, a):
         return a[self._take]
@@ -344,9 +388,8 @@ class EvenOctant(PeriodicBasis):
     def expand(self, a):
         return a[self._space]
 
-    def expand_spectrum(self, c):
-        # n is even, so the sign of mode k is that of the octant mode min(k, n - k)
-        return (self._sign * c)[self._modes]
+    def weigh(self, a):
+        return self._weight * a
 
     def forward(self, a, overwrite_x=False):
         return sfft.dctn(a, type=1, workers=_fft_workers, overwrite_x=overwrite_x)
@@ -354,15 +397,42 @@ class EvenOctant(PeriodicBasis):
     def inverse(self, c, overwrite_x=False):
         return sfft.idctn(c, type=1, workers=_fft_workers, overwrite_x=overwrite_x)
 
-    def convolve(self, rho, gamma_exp):
-        key = ("riesz_octant", gamma_exp)
-        if key not in self.grid._cache:
-            octant = (slice(0, self.grid.points // 2 + 1),) * self.dim
-            self.grid._cache[key] = self.grid.riesz_multiplier(gamma_exp)[octant].copy()
-        return self.inverse(self.grid._cache[key] * self.forward(rho, overwrite_x=True), overwrite_x=True)
+    def apply(self, a, m, overwrite_x=False):
+        return self.inverse(m * self.forward(a, overwrite_x), overwrite_x=True)
+
+    def derivative(self, c, ax):
+        """The odd part of the derivative, and the periodic grid's Nyquist term on the plane x_ax = -L.
+
+        Along ax, the modes 0 < k < n/2 of an even field give an odd
+        derivative, -idst(xi_k c_k, type=1) on the points 0 < m < n/2, which
+        is 0 at x = 0 and at x = -L.  The Nyquist mode k = n/2 gives the even
+        term i xi_{n/2} c_{n/2} (-1)^m / n on point m, whose products with
+        x_ax cancel in mirror pairs except on the plane x_ax = -L, which has
+        no mirror.  So the array is that term there and the odd part elsewhere:
+        paired with x_ax times an even field by the Parseval weights, it gives
+        the periodic grid's sum.  idctn along the other axes takes it back to
+        the points."""
+        half = self.grid.points // 2
+
+        def along(s):
+            return tuple(s if a == ax else slice(None) for a in range(self.dim))
+
+        inner = along(slice(1, half))
+        xi = self.freq_axis[1:half].reshape([-1 if a == ax else 1 for a in range(self.dim)])
+        d = np.zeros(c.shape, dtype=complex)
+        d[inner] = sfft.idst(-xi * c[inner], type=1, axis=ax, workers=_fft_workers, overwrite_x=True)
+        edge = along(half)
+        d[edge] = (1j * (-1) ** half * self.freq_axis[half] / self.grid.points) * c[edge]
+        others = tuple(a for a in range(self.dim) if a != ax)
+        return sfft.idctn(d, type=1, axes=others, workers=_fft_workers, overwrite_x=True)
+
+    def riesz_pairing(self, rho, gamma_exp):
+        power = abs_sq(self.forward(rho))
+        power *= self.multiplier(gamma_exp)
+        return self.weigh(power).sum()
 
     def norm_sq(self, c):
-        return float((self._weight * abs_sq(c)).sum())
+        return float(self.weigh(abs_sq(c)).sum())
 
 
 def is_even(a: np.ndarray) -> bool:
@@ -376,24 +446,27 @@ def transform_basis(grid: Grid, *arrays) -> PeriodicBasis:
     return EvenOctant(grid) if even else PeriodicBasis(grid)
 
 
-def shell_fraction(grid: Grid, density: np.ndarray, cut: float, spectral: bool = False) -> float:
-    """Share of sum(density) on the box shell where some |a_i| >= cut.
+def shell_fraction(basis: PeriodicBasis, density: np.ndarray, cut: float, spectral: bool = False) -> float:
+    """Share of the grid's sum(density) on the box shell where some |a_i| >= cut.
 
     a_i is the coordinate x_i, or with spectral=True the integer wave index
     k_i of the fftfreq layout, so the shell is a max-norm one in either space.
-    The caller passes its own density; the mask is cached on the grid.
+    The caller passes its own density on the basis's points or modes, which
+    weigh carries to the whole grid; the mask is cached on the grid.
     """
-    key = ("shell", cut, spectral)
+    grid = basis.grid
+    key = ("shell", cut, spectral, basis.name)
     mask = grid._cache.get(key)
     if mask is None:
         n = grid.points
-        dist = np.abs(np.fft.fftfreq(n) * n) if spectral else np.abs(grid.axis)
-        mask = np.zeros(grid.shape, dtype=bool)
+        dist = np.abs(np.fft.fftfreq(n) * n)[basis._modes] if spectral else np.abs(grid.axis)[basis._points]
+        mask = np.zeros(basis.shape, dtype=bool)
         for ax in range(grid.dim):
             shape = [1] * grid.dim
-            shape[ax] = n
+            shape[ax] = dist.size
             mask |= dist.reshape(shape) >= cut
         grid._cache[key] = mask
+    density = basis.weigh(density)
     total = float(density.sum())
     if total == 0.0:
         return 0.0
@@ -406,7 +479,7 @@ def outer_shell_mass_fraction(f: Field, shell: float = 0.1) -> float:
     The sup-norm shell matches the box geometry; small values certify the
     field is effectively compactly supported inside the box.
     """
-    return shell_fraction(f.grid, abs_sq(f.values), (1.0 - shell) * f.grid.half_length)
+    return shell_fraction(PeriodicBasis(f.grid), abs_sq(f.values), (1.0 - shell) * f.grid.half_length)
 
 
 def center_of_mass(f: Field) -> np.ndarray:

@@ -28,7 +28,7 @@ from .potentials import (
     on_free_branch,
     value_sign,
 )
-from .spectral import Field, shell_fraction
+from .spectral import Field, PeriodicBasis, shell_fraction
 
 # strict theorem inequalities count as satisfied only beyond this
 # margin-to-scale ratio, so grid noise cannot flip a verdict silently
@@ -298,7 +298,7 @@ def classify(
     sc = s_crit(gamma)
     adm = check_admissible(potential, vfield, grid) if admissibility is None else admissibility
     # variance density in the outer 10% shell
-    frac = shell_fraction(grid, np.abs(u0.values) ** 2 * grid.r_sq, 0.9 * grid.half_length)
+    frac = shell_fraction(PeriodicBasis(grid), np.abs(u0.values) ** 2 * grid.r_sq, 0.9 * grid.half_length)
     sigma_ok = frac < 1e-6
     sigma_rec = {"shell_fraction": frac, "satisfied": sigma_ok, "threshold": 1e-6}
     if not sigma_ok:

@@ -451,6 +451,8 @@ def test_cli_groundstate_run(tmp_path):
     rep = read_json(os.path.join(out, "groundstate_report.json"))
     assert rep["converged"] and rep["residual"] <= 1.01e-9
     assert rep["richardson_iterations"] == 0  # V = 0: the solve is the Fourier inverse
+    # the radial first profile at V = 0 is even on every axis
+    assert rep["transform_basis"] == "even_octant"
     assert rep["pohozaev"]["max_abs"] < 1.0
     man = read_json(os.path.join(out, "manifest.json"))
     assert man["schema"] == "hartreekit-run-v1"
@@ -676,3 +678,25 @@ def test_validate_nan_trial_reads_fail(tmp_path, monkeypatch):
     rows = {r["check"]: r for r in read_json(os.path.join(out, "validate_report.json"))["checks"]}
     assert rows["kato_sandwich"]["status"] == "FAIL"
     assert math.isnan(rows["kato_sandwich"]["metric"])
+
+
+def test_presets_engage_the_even_octant():
+    """The benchmark counts no DCT, so a fall back to the periodic grid would
+    pass it unseen.  Every preset's evolve data and potential, and its
+    ground-state first profile with the reference potential, must be exactly
+    even, which puts them on the octant (validate evolves its drift datum in
+    its bump).  Nothing is evolved or solved here."""
+    from hartreekit.ground_state import _initial_profile
+    from hartreekit.potentials import eval_potential
+    from hartreekit.spectral import transform_basis
+
+    for name in ("blowup-demo", "global-demo", "validate"):
+        cfg = parse_config(preset_path(name))
+        grid = cfg.grid
+        v = None if cfg.potential.is_zero else eval_potential(cfg.potential, grid).values
+        assert transform_basis(grid, _initial_profile(grid), v).name == "even_octant", name
+        if cfg.run.mode == "validate":
+            u0, v = runner._drift_datum(grid), eval_potential(runner._VALIDATE_BUMP, grid).values
+        else:
+            u0 = build_initial(cfg)
+        assert transform_basis(grid, u0.values, v).name == "even_octant", name

@@ -23,9 +23,9 @@ from hartreekit.evolve import (
     strang_step,
     virial_consistency,
 )
-from hartreekit.functionals import CSV_COLUMNS, take_snapshot
+from hartreekit.functionals import CSV_COLUMNS, _grad_sq, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
-from hartreekit.spectral import Field, Grid, PeriodicBasis, fftn
+from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, abs_sq, fftn, shell_fraction
 
 from conftest import GAMMA
 
@@ -525,10 +525,12 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
     Even octant, on the radial u0: the t = 0 snapshot still reads fftn(u0),
     (1 + 3, 1), and the state is the octant's dctn (1 dctn).  Every
     transform of an attempt is a DCT-I: its 17 forward ones are dctn and its
-    16 inverse ones idctn.  The closing snapshot turns the state back by one
-    idctn and reads the full transform off the octant's, (3, 1).  One step:
-    7 complex, 2 real, 18 dctn and 17 idctn.  Two steps: 7, 2, 35 and 33."""
-    counts = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn", "dctn", "idctn"), 0)
+    16 inverse ones idctn.  detect_blowup reads the octant's coefficients
+    (0).  The closing snapshot stays on the octant: one idctn turns the state
+    back, I' takes per axis one idst along it and one idctn along the
+    others (3 idst, 3 idctn), and P one dctn of |u|^2.  One step: 4 complex,
+    1 real, 19 dctn, 20 idctn and 3 idst.  Two steps: 4, 1, 36, 36 and 3."""
+    counts = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn", "dctn", "idctn", "idst"), 0)
     for name in counts:
         def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -536,7 +538,7 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
         monkeypatch.setattr(scipy.fft, name, counted)
 
     def complex_real_dct():
-        out = (counts["fftn"] + counts["ifftn"], counts["rfftn"] + counts["irfftn"], counts["dctn"], counts["idctn"])
+        out = (counts["fftn"] + counts["ifftn"], counts["rfftn"] + counts["irfftn"], counts["dctn"], counts["idctn"], counts["idst"])
         counts.update(dict.fromkeys(counts, 0))
         return out
 
@@ -547,7 +549,7 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
                        record_dt=1e-3, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     cfg2 = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=2e-3, tol_step=1e-2, record_stride=2,
                         record_dt=2e-3, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
-    for u0, one, two in ((tilted, (25, 18, 0, 0), (42, 34, 0, 0)), (radial, (7, 2, 18, 17), (7, 2, 35, 33))):
+    for u0, one, two in ((tilted, (25, 18, 0, 0, 0), (42, 34, 0, 0, 0)), (radial, (4, 1, 19, 20, 3), (4, 1, 36, 36, 3))):
         rec = evolve(u0, ZERO, cfg)
         assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
         assert complex_real_dct() == one
@@ -556,14 +558,14 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
         assert len(rec.snapshots) == 2
         assert complex_real_dct() == two
 
-    u0 = radial
-    uhat = scipy.fft.fftn(u0.values)
+    octant = EvenOctant(grid)
+    uhat, c = scipy.fft.fftn(radial.values), octant.forward(octant.take(radial.values))
     complex_real_dct()
-    assert not detect_blowup(u0, 1.0, cfg, uhat=uhat)
-    assert not detect_blowup(None, 1.0, cfg, uhat=uhat)
-    assert complex_real_dct() == (0, 0, 0, 0)
-    assert not detect_blowup(u0, 1.0, cfg)
-    assert complex_real_dct() == (1, 0, 0, 0)
+    assert not detect_blowup(uhat, 1.0, cfg, PeriodicBasis(grid))
+    assert not detect_blowup(c, 1.0, cfg, octant)
+    assert complex_real_dct() == (0, 0, 0, 0, 0)
+    assert not detect_blowup(radial, 1.0, cfg)
+    assert complex_real_dct() == (1, 0, 0, 0, 0)
 
 
 def test_transform_basis_engagement(g32, monkeypatch):
@@ -591,3 +593,31 @@ def test_transform_basis_engagement(g32, monkeypatch):
     monkeypatch.setattr(scipy.fft, "dctn", no_dct)
     monkeypatch.setattr(scipy.fft, "idctn", no_dct)
     strang_step(radial, 1e-3, BUMP, GAMMA)
+
+
+def test_detector_reads_the_octant_as_the_full_grid(g32, monkeypatch):
+    """Over a collapse run's states, the detector's gradient ratio and tail
+    share on the octant's coefficients are those of the full grid's fftn to
+    1e-13."""
+    seen = []
+
+    def keep(c, grad_sq_initial, cfg, basis):
+        seen.append((c.copy(), grad_sq_initial, basis))
+        return detect_blowup(c, grad_sq_initial, cfg, basis)
+
+    monkeypatch.setattr(evolve_module, "detect_blowup", keep)
+    r2 = g32.r_sq
+    u0 = Field(g32, 0.8 * np.exp(-r2 / (2.0 * 1.5**2)) * np.exp(-0.5j * r2))
+    cfg = EvolveConfig(grid=g32, gamma=GAMMA, dt0=1e-3, t_max=2.0, tol_step=1e-5,
+                       blowup_grad_factor=3.0, blowup_tail_frac=0.35, record_stride=2)
+    assert evolve(u0, ZERO, cfg).termination.kind == "BlowupDetected"
+    assert len(seen) > 10 and all(basis.name == "even_octant" for *_, basis in seen)
+    periodic = PeriodicBasis(g32)
+    cut = 0.8 * (g32.points // 2)
+    for c, gsq0, basis in seen:
+        power = abs_sq(c)
+        full = abs_sq(fftn(basis.expand(basis.inverse(c))))
+        ratio, want_ratio = _grad_sq(basis, power) / gsq0, _grad_sq(periodic, full) / gsq0
+        share, want_share = shell_fraction(basis, power, cut, spectral=True), shell_fraction(periodic, full, cut, spectral=True)
+        assert abs(ratio - want_ratio) <= 1e-13 * want_ratio
+        assert abs(share - want_share) <= 1e-13 * want_share

@@ -15,9 +15,10 @@ from hartreekit.ground_state import (
     save_ground_state,
     solve_ground_state,
 )
-from hartreekit.potentials import PotentialSpec
+from hartreekit.potentials import PotentialSpec, eval_potential
 from hartreekit.runner import smooth_random_field, variational_defects
-from hartreekit.spectral import Field, Grid
+from hartreekit.cli import main
+from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, is_even
 
 from conftest import GAMMA, closed_form_c_q
 
@@ -86,33 +87,49 @@ def test_petviashvili_real_ffts_per_iteration(monkeypatch):
     """A residual costs a real transform pair for N(u) and one for A u; the
     solve costs one more at V = 0.  At V = 0 the solve is the exact Fourier
     inverse, so A u of the next iterate is carried, not transformed: the
-    first iteration costs 6 real FFTs and each later one 4.  With a well the
-    solve is Richardson's and every residual transforms A u, as before."""
-    count = [0]
-    for name in ("rfftn", "irfftn"):
-        def counted(*args, _fn=getattr(scipy.fft, name), **kwargs):
-            count[0] += 1
+    first iteration costs 6 transforms and each later one 4.  With a well the
+    solve is Richardson's and every residual transforms A u.
+
+    On the even octant, the radial guess with V = 0 or with a centred well,
+    every one of these is a DCT-I (dctn/idctn), with the same counts; the
+    closing residual is the expanded profile's on the full grid, 4 real FFTs
+    and no DCT.  The well rolled by one point is not even, so that solve
+    takes rfftn/irfftn throughout.  Each residual's cost is (real FFTs,
+    DCTs)."""
+    counts = dict.fromkeys(("rfftn", "irfftn", "dctn", "idctn"), 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, counted)
+
+    def real_dct():
+        return counts["rfftn"] + counts["irfftn"], counts["dctn"] + counts["idctn"]
+
     starts, costs = [], []
     residual = ground_state_module._residual
 
     def traced(*args):
-        starts.append(count[0])
+        starts.append(real_dct())
         out = residual(*args)
-        costs.append(count[0] - starts[-1])
+        costs.append(tuple(int(c) for c in np.subtract(real_dct(), starts[-1])))
         return out
 
     monkeypatch.setattr(ground_state_module, "_residual", traced)
     grid = Grid(3, 16, 8.0)
-    solve_ground_state(grid, PotentialSpec(kind="zero"), GAMMA, max_iter=5, tol=1e-14)
-    assert np.diff(starts).tolist() == [6, 4, 4, 4]
-    assert costs == [4, 2, 2, 2, 2]
-    starts.clear()
-    costs.clear()
     well = PotentialSpec(kind="gaussian_bump", amplitude=-0.3, sigma=1.0)
-    solve_ground_state(grid, well, GAMMA, max_iter=5, tol=1e-14)
-    assert costs == [4] * 5
+    rolled = PotentialSpec(kind="grid_sampled", values=np.roll(eval_potential(well, grid).values, 1, axis=0))
+    for potential, want in (
+        (PotentialSpec(kind="zero"), [(0, 4), (0, 2), (0, 2), (0, 2), (0, 2), (4, 0)]),
+        (well, [(0, 4)] * 5 + [(4, 0)]),
+        (rolled, [(4, 0)] * 6),
+    ):
+        starts.clear()
+        costs.clear()
+        solve_ground_state(grid, potential, GAMMA, max_iter=5, tol=1e-14)
+        assert costs == want
+        if potential.is_zero:
+            assert np.diff([s[1] for s in starts]).tolist() == [6, 4, 4, 4, 4]
 
 
 def test_anderson_iteration_counts(grid32):
@@ -137,24 +154,26 @@ def test_anderson_restart_takes_the_plain_step(monkeypatch, fault, restart_from)
     output, not a mix.  Made to lose the weight <u, N(u)>, it is dropped, and
     the fourth iterate is the plain output of the second."""
     grid = Grid(3, 16, 8.0)
+    basis = EvenOctant(grid)  # the radial guess at V = 0 is even
     residual = ground_state_module._residual
     iterates = []
 
-    def faulty(grid_, vvals, gamma, omega_sq, u, au=None):
+    def faulty(basis_, vvals, gamma, omega_sq, u, au=None):
         iterates.append(u.copy())
-        au, nl, res = residual(grid_, vvals, gamma, omega_sq, u, au)
+        au, nl, res = residual(basis_, vvals, gamma, omega_sq, u, au)
         if len(iterates) == 3:
             return (au, nl, 1e3 * res) if fault == "residual" else (au, -nl, res)
         return au, nl, res
 
     def plain(u):
-        au, nl, _ = residual(grid, None, GAMMA, 1.0, u)
-        w = ground_state_module.apply_multiplier(nl, 1.0 / (grid.k_sq + 1.0))
-        return (float((u * au).sum()) / float((u * nl).sum())) ** 1.5 * w
+        au, nl, _ = residual(basis, None, GAMMA, 1.0, u)
+        w = basis.apply(nl, 1.0 / (basis.k_sq + 1.0))
+        return (float(basis.weigh(u * au).sum()) / float(basis.weigh(u * nl).sum())) ** 1.5 * w
 
     monkeypatch.setattr(ground_state_module, "_residual", faulty)
     gs = solve_ground_state(grid, PotentialSpec(kind="zero"), GAMMA)
     assert gs.converged
+    assert iterates[0].shape == basis.shape
     ref = plain(iterates[restart_from])
     assert np.abs(iterates[3] - ref).max() <= 1e-12 * ref.max()
 
@@ -214,3 +233,51 @@ def test_self_consistent_omega_smoke(grid64):
     # the pin: omega^2 = (4-gamma) hv / (gamma m)
     target = (4.0 - GAMMA) * s.hv_sq / (GAMMA * s.mass)
     assert abs(gs.omega**2 - target) < 1e-6 * target
+
+
+def test_ground_state_is_exactly_even_and_evolves_on_the_octant(tmp_path):
+    """The profile is iterated on the even octant and returned expanded, so
+    it is exactly even, at V = 0 and in a centred well, and its residual is
+    the expanded profile's on the full grid.  ground_state_scaled data built
+    from it evolve on the octant too."""
+    grid = Grid(3, 48, 12.0)
+    well = PotentialSpec(kind="gaussian_bump", amplitude=-0.3, sigma=1.0)
+    for potential in (PotentialSpec(kind="zero"), well):
+        gs = solve_ground_state(grid, potential, GAMMA)
+        assert gs.converged and gs.transform_basis == "even_octant"
+        assert is_even(gs.field.values)
+        v = None if potential.is_zero else eval_potential(potential, grid).values
+        assert gs.residual == ground_state_module._residual(PeriodicBasis(grid), v, GAMMA, 1.0, gs.field.values)[2]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[run]\nmode = evolve\n[grid]\npoints = 48\nhalf_length = 12.0\n"
+        "[initial_data]\nkind = ground_state_scaled\nscale = 1.1\nlambda = -0.05\n[evolve]\nt_max = 0.01\n"
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_json(str(out / "evolve_report.json"))["transform_basis"] == "even_octant"
+
+
+@pytest.mark.parametrize("potential", [
+    PotentialSpec(kind="zero"), PotentialSpec(kind="gaussian_bump", amplitude=-0.3, sigma=1.0),
+], ids=["free", "well"])
+def test_petviashvili_on_the_octant_is_the_periodic_iteration(potential):
+    """The same iteration on the octant and on the full grid: the same
+    number of steps, the residual history to 1e-12, and the profile to 1e-12
+    of its peak."""
+    grid = Grid(3, 32, 10.0)
+    octant, periodic = EvenOctant(grid), PeriodicBasis(grid)
+    v = None if potential.is_zero else eval_potential(potential, grid).values
+    u0 = np.exp(-grid.r_sq / 2.0)
+    runs = {}
+    for basis in (octant, periodic):
+        history = []
+        take = basis.take
+        out = ground_state_module._petviashvili(
+            basis, None if v is None else take(v), GAMMA, 1.0, take(u0), 1e-9, 200, history
+        )
+        runs[basis.name] = (basis.expand(out[0]), out[1], out[3], history)
+    (q_oct, it_oct, ok_oct, h_oct), (q_per, it_per, ok_per, h_per) = runs["even_octant"], runs["periodic"]
+    assert ok_oct and ok_per and it_oct == it_per > 5
+    assert np.abs(np.subtract(h_oct, h_per)).max() <= 1e-12
+    assert np.abs(q_oct - q_per).max() <= 1e-12 * q_per.max()
