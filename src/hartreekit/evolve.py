@@ -6,11 +6,12 @@ invariant, so that sub-flow is exact and only the splitting error remains.
 The adaptive path composes them in the fourth-order Blanes-Moan scheme, and
 controls the step with an embedded third-order partner that shares its first
 three phase sub-flows and the fourth one's input; strang_step and the
-non-adaptive path take Strang's A(dt/2) B(dt) A(dt/2).  The integrator
-carries the Fourier state between steps: the kinetic factors act on it
-directly, built per step as outer products of 1-D exponentials with no
-cache, only the phase sub-flows go to physical space, and the state itself
-goes back only when a snapshot is taken.  The state is fftn(u) on the
+non-adaptive path take Strang's A(dt/2) B(dt) A(dt/2).  B is one
+_phase_step, a rotation by the Hartree convolution that each executor
+computes itself.  The integrator carries the Fourier state between steps:
+the kinetic factors act on it directly, built per step as outer products of
+1-D exponentials with no cache, only the phase sub-flows go to physical
+space, and the state itself goes back only when a snapshot is taken.  The state is fftn(u) on the
 periodic grid, except on the adaptive path when u0 and V are exactly even
 about the grid centre on every axis: the flow keeps them even, and the
 state is then the DCT-I of one octant, (n/2 + 1)^d points
@@ -133,22 +134,15 @@ def _rotate(u, phase, dt: float):
     return rot
 
 
-def _phase_step(grid: Grid, u, dt: float, vvals, gamma: float, linear: bool, conv=None):
-    """The exact phase sub-flow over dt: |u| is invariant under multiplication by this phase.
+def _phase_step(u, dt: float, vvals, conv):
+    """The exact phase sub-flow over dt, u exp(i dt (conv - V)): |u| is invariant under this phase.
 
-    conv is the Hartree convolution |x|^{-gamma} * |u|^2 when the caller
-    already holds it (_embedded_step, from its basis's real pair);
-    otherwise it costs a complex fftn/ifftn pair.  Only strang_step and the
-    non-adaptive path reach that pair, and it stays complex, not real,
-    because bench/test_spans.py pins strang_step at six complex transforms."""
-    if linear:
-        if vvals is None:
-            return u
-        return _rotate(u, vvals, -dt)
+    It is the rotation alone.  conv is the Hartree convolution
+    |x|^{-gamma} * |u|^2 on u's points, which the caller computes, and None
+    in linear mode, which drops it; vvals is V there, None for V = 0."""
     if conv is None:
-        conv = ifftn(grid.riesz_multiplier(gamma) * fftn(abs_sq(u)), overwrite_x=True).real
-    phase = conv if vvals is None else conv - vvals
-    return _rotate(u, phase, dt)
+        return u if vvals is None else _rotate(u, vvals, -dt)
+    return _rotate(u, conv if vvals is None else conv - vvals, dt)
 
 
 def _kinetic(space, tau: float):
@@ -160,12 +154,14 @@ def _strang(grid: Grid, uhat, dt: float, vvals, gamma: float, linear: bool):
     """One Strang step K(dt/2) P K(dt/2) of size dt on a Fourier state uhat = fftn(u).
 
     P is the phase sub-flow over dt and K the kinetic flow.  P costs an ifftn
-    and an fftn around it, and a complex pair for its own convolution: 4
-    complex FFTs, 2 in linear mode.  strang_step and the non-adaptive path
-    of evolve use it."""
+    and an fftn around it, and its convolution a complex pair, not a real one
+    as in _embedded_step, since bench/test_spans.py pins strang_step at six
+    complex FFTs: 4 complex FFTs, 2 in linear mode.  strang_step and the
+    non-adaptive path of evolve use it."""
     kin = _kinetic(grid, 0.5 * dt)
-    w = _phase_step(grid, ifftn(kin * uhat, overwrite_x=True), dt, vvals, gamma, linear)
-    return kin * fftn(w, overwrite_x=True)
+    w = ifftn(kin * uhat, overwrite_x=True)
+    conv = None if linear else ifftn(grid.riesz_multiplier(gamma) * fftn(abs_sq(w)), overwrite_x=True).real
+    return kin * fftn(_phase_step(w, dt, vvals, conv), overwrite_x=True)
 
 
 def _embedded_step(basis: PeriodicBasis, uhat, dt: float, vvals, gamma: float, linear: bool):
@@ -190,14 +186,14 @@ def _embedded_step(basis: PeriodicBasis, uhat, dt: float, vvals, gamma: float, l
     def flows(uhat, kin, phase):
         for a, b in zip(kin, phase):
             w, conv = enter(uhat, a)
-            uhat = basis.forward(_phase_step(basis.grid, w, b * dt, vvals, gamma, linear, conv=conv), overwrite_x=True)
+            uhat = basis.forward(_phase_step(w, b * dt, vvals, conv), overwrite_x=True)
         return uhat
 
     w, conv = enter(flows(uhat, _KIN[:3], _PHASE[:3]), _KIN[3])
     # in linear mode at V = 0 the phase sub-flow returns w itself, so the
     # partner's transform must leave w intact for the step's
-    third = basis.forward(_phase_step(basis.grid, w, _PHASE_HAT[0] * dt, vvals, gamma, linear, conv=conv))
-    fourth = basis.forward(_phase_step(basis.grid, w, _PHASE[3] * dt, vvals, gamma, linear, conv=conv), overwrite_x=True)
+    third = basis.forward(_phase_step(w, _PHASE_HAT[0] * dt, vvals, conv))
+    fourth = basis.forward(_phase_step(w, _PHASE[3] * dt, vvals, conv), overwrite_x=True)
     del w, conv
     fourth = flows(fourth, _KIN[4:6], _PHASE[4:])
     fourth *= _kinetic(basis, _KIN[6] * dt)
@@ -402,23 +398,23 @@ def _fd_second(ts, ys):
     return out
 
 
-def virial_consistency(record: TrajectoryRecord, linear: bool = False) -> dict:
+def virial_consistency(record: TrajectoryRecord) -> dict:
     """Finite differences of the recorded I(t) against the virial columns.
 
     Relative deviations use max(|column value|, sup over the record) as the
     scale, so zero crossings do not blow the ratio up.  max_snapshot_dt, the
     largest gap between recorded times, sets the finite differences' own
-    error, so it is reported next to them.  In linear mode the
-    recorded second-derivative column is corrected by +2 gamma P, since the
-    nonlinear pressure term is absent from the dynamics but present in the
-    stored functional."""
+    error, so it is reported next to them.  When the record's config is
+    linear, the recorded second-derivative column is corrected by +2 gamma P,
+    since the nonlinear pressure term is absent from the dynamics but present
+    in the stored functional."""
     snaps = record.snapshots
     if len(snaps) < 5:
         raise ValueError(f"virial consistency needs at least 5 snapshots, got {len(snaps)}")
     ts = [s.time for s in snaps]
     ii = [s.variance_I for s in snaps]
     i1_rec = [s.virial_I1 for s in snaps]
-    if linear:
+    if record.config.linear:
         i2_rec = [s.virial_I2 + 2.0 * record.config.gamma * s.p_value for s in snaps]
     else:
         i2_rec = [s.virial_I2 for s in snaps]

@@ -59,7 +59,7 @@ def dump_field(path, f: Field, header: dict, sidecar: dict | None = None) -> Non
 
 
 def load_field(path) -> tuple:
-    """Read a dump; returns (Field, header dict)."""
+    """Read a dump; returns (Field, header dict).  A payload with a NaN or an inf is rejected."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -71,4 +71,6 @@ def load_field(path) -> tuple:
         count = grid.points**grid.dim
         data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
     vals = data.reshape(grid.shape).astype(float)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{path}: the payload holds non-finite values (NaN or inf)")
     return Field(grid, vals), head

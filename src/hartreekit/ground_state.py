@@ -409,14 +409,9 @@ def pohozaev_residuals(gs: GroundState) -> dict:
     }
 
 
-def save_ground_state(path, gs: GroundState) -> None:
-    header = {
-        "kind": "ground_state",
-        "gamma": gs.gamma,
-        "omega": gs.omega,
-        "potential": gs.potential.to_dict(),
-    }
-    sidecar = {
+def summary(gs: GroundState) -> dict:
+    """The solve's scalars, which both the .fld sidecar and groundstate_report.json carry."""
+    return {
         "snapshot": gs.snapshot.to_dict(),
         "c_gn": gs.c_gn,
         "c_q": gs.c_q,
@@ -426,4 +421,13 @@ def save_ground_state(path, gs: GroundState) -> None:
         "omega_iterations": gs.omega_iterations,
         "pohozaev": pohozaev_residuals(gs),
     }
-    dump_field(path, gs.field, header, sidecar=sidecar)
+
+
+def save_ground_state(path, gs: GroundState) -> None:
+    header = {
+        "kind": "ground_state",
+        "gamma": gs.gamma,
+        "omega": gs.omega,
+        "potential": gs.potential.to_dict(),
+    }
+    dump_field(path, gs.field, header, sidecar=summary(gs))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .spectral import Field, Grid, fftn, ifftn, integrate, riesz_convolve
+from .spectral import Field, Grid, gradient, integrate, riesz_convolve
 
 # the [potential] keys each kind reads; a sampled potential's values come from its file
 _PARAMS = {
@@ -148,11 +148,7 @@ def eval_virial_weight(spec: PotentialSpec, grid: Grid) -> Field:
         vals = 2.0 * spec.amplitude * (r2 <= spec.radius**2).astype(float)
     elif k == "grid_sampled":
         v = np.asarray(spec.values, dtype=float)
-        vhat = fftn(v)
-        xg = np.zeros(grid.shape)
-        for x, xi in zip(grid.coords, grid.freqs):
-            xg += (x * ifftn(1j * xi * vhat).real)
-        vals = 2.0 * v + xg
+        vals = 2.0 * v + sum(x * d.values for x, d in zip(grid.coords, gradient(Field(grid, v))))
     return Field(grid, vals)
 
 

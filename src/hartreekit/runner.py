@@ -23,7 +23,7 @@ from .config import RunConfig
 from .evolve import EvolveConfig, TrajectoryRecord, evolve, monotonicity_probe, virial_consistency
 from .fieldio import load_field, read_json, write_json
 from .functionals import CSV_COLUMNS, _e_term, _integral, hv_norm_sq, mass, take_snapshot
-from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state
+from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state, summary
 from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm, on_free_branch
 from .spectral import (
     Field,
@@ -32,13 +32,12 @@ from .spectral import (
     abs_sq,
     fftn,
     gradient,
-    ifftn,
     outer_shell_mass_fraction,
     recenter,
     riesz_convolve,
     set_fft_workers,
 )
-from .threshold import classify, f_deriv, f_eval, me_from_scalars, s_crit, x0_solve
+from .threshold import classify, me_from_scalars, mp_product, s_crit, x0_defects, x0_solve
 
 SHELL_MASS_LIMIT = 1e-8  # box-truncation gate on |u0|^2 in the outer 10% shell
 
@@ -124,20 +123,13 @@ def _solve_gs(cfg: RunConfig, v: Field | None):
 def _gs_report(cfg: RunConfig, gs, adm) -> dict:
     # _solve_gs solves the reference with V = 0 exactly on the free branch
     return {
+        **summary(gs),
         "branch": "free" if gs.potential.is_zero else "pinned",
         "reference_potential": gs.potential.kind,
         "omega": gs.omega,
         "omega_mode": cfg.groundstate.omega_mode,
-        "omega_iterations": gs.omega_iterations,
-        "iterations": gs.iterations,
         "richardson_iterations": gs.richardson_iterations,
-        "residual": gs.residual,
-        "converged": gs.converged,
         "transform_basis": gs.transform_basis,
-        "snapshot": gs.snapshot.to_dict(),
-        "c_gn": gs.c_gn,
-        "c_q": gs.c_q,
-        "pohozaev": pohozaev_residuals(gs),
         "admissibility": asdict(adm),
     }
 
@@ -181,7 +173,7 @@ def stage_evolve(cfg: RunConfig, outdir, u0: Field) -> TrajectoryRecord:
         if key in record.extras:
             rep[key] = record.extras[key]
     try:
-        rep["virial_consistency"] = virial_consistency(record, linear=cfg.evolve.linear)
+        rep["virial_consistency"] = virial_consistency(record)
     except ValueError as exc:
         rep["virial_consistency"] = {"skipped": str(exc)}
     write_json(os.path.join(outdir, "evolve_report.json"), rep)
@@ -204,10 +196,9 @@ def _consistency(verdict: str, termination_kind: str) -> str:
     return "inconclusive"
 
 
-def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord, gs):
-    s = s_crit(cfg.gamma)
-    prod_gs = gs.snapshot.mass ** (1.0 - s) * gs.snapshot.p_value**s
-    prods = [sn.mass ** (1.0 - s) * sn.p_value**s for sn in record.snapshots]
+def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord):
+    prod_gs = report.cond_mp["product_gs"]
+    prods = [mp_product(sn.mass, sn.p_value, cfg.gamma) for sn in record.snapshots]
     verdict = report.verdict
     kind = record.termination.kind
     consistent = _consistency(verdict, kind)
@@ -289,10 +280,7 @@ def virial_dual_defect(u: Field, v: Field, virial_weight: Field) -> float:
     potential fails it too: its sampled weight omits the surface term."""
     g = u.grid
     rho = abs_sq(u.values)
-    rhohat = fftn(rho)
-    xgrad_rho = np.zeros(g.shape)
-    for x, xi in zip(g.coords, g.freqs):
-        xgrad_rho += x * ifftn(1j * xi * rhohat).real
+    xgrad_rho = sum(x * d.values for x, d in zip(g.coords, gradient(Field(g, rho))))
     basis = PeriodicBasis(g)
     vt = _integral(basis, rho, v.values)
     e = _e_term(basis, rho, virial_weight.values)
@@ -317,23 +305,13 @@ def variational_defects(u: Field, gs: GroundState, gamma: float) -> tuple:
 
 def threshold_defects(e: float, m: float, c_q: float, gamma: float) -> tuple:
     """Defects of the stationary point x0 of f: f'(x0) = 0, f(x0) = x0/8 and
-    ME (1 - x0/16E)^{s_c} = 1, each scaled and divided by the guard, and the guard.
-
-    The guard is 1 unless the stationary gap 16E - x0 sinks toward the ulp of
-    16E; past that the identities are limited by representation, so the gate
-    widens exactly as x0_solve's own validation does."""
+    ME (1 - x0/16E)^{s_c} = 1, each scaled and divided by the guard, and the
+    guard, which widens the gate exactly as x0_solve's own validation
+    (threshold.x0_defects)."""
     x0 = x0_solve(e, m, c_q, gamma)
-    top = max(16.0 * e - x0, 1e-300)
-    guard = max(1.0, 64.0 * np.finfo(float).eps * abs(16.0 * e) / top / 1e-10)
-    scale_fp = 1.0 / (4.0 * (gamma - 2.0))
-    scale_fv = max(abs(x0) / 8.0, 1e-4 * (abs(16.0 * e) + top))
+    fp, fv, guard = x0_defects(x0, e, m, c_q, gamma)
     me = me_from_scalars(m, e, c_q, gamma)
-    return (
-        abs(f_deriv(x0, e, m, c_q, gamma)) / scale_fp / guard,
-        abs(f_eval(x0, e, m, c_q, gamma) - x0 / 8.0) / scale_fv / guard,
-        abs(me * (1.0 - x0 / (16.0 * e)) ** s_crit(gamma) - 1.0) / guard,
-        guard,
-    )
+    return fp, fv, abs(me * (1.0 - x0 / (16.0 * e)) ** s_crit(gamma) - 1.0) / guard, guard
 
 
 def kato_ball_defect(v: Field, amplitude: float, radius: float) -> float:
@@ -511,7 +489,7 @@ def run(cfg: RunConfig) -> int:
             gs, adm = stage_groundstate(cfg, outdir)
             u0, report = stage_classify(cfg, outdir, gs, adm)
             record = stage_evolve(cfg, outdir, u0)
-            stage_compare(cfg, outdir, report, record, gs)
+            stage_compare(cfg, outdir, report, record)
         else:  # validate; RunSettings admits no other mode
             status = 1 if run_validate(cfg, outdir) else 0
     except RunError as exc:
@@ -552,7 +530,7 @@ def emit_plot_data(run_dir, out_dir=None) -> list:
         raise ValueError(f"{traj}: not a diagnostics CSV (header {headers!r})")
     if not os.path.exists(man):
         raise FileNotFoundError(f"no manifest.json in {run_dir}; the product series needs the run's gamma")
-    s = s_crit(read_json(man)["config"]["gamma"])
+    gamma = read_json(man)["config"]["gamma"]
     out_dir = out_dir or os.path.join(run_dir, "plots")
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -568,7 +546,6 @@ def emit_plot_data(run_dir, out_dir=None) -> list:
     with open(path, "w") as fh:
         fh.write("t,product\n")
         for row in rows:
-            prod = row[cols["mass"]] ** (1.0 - s) * row[cols["p_value"]] ** s
-            fh.write(f"{row[0]!r},{prod!r}\n")
+            fh.write(f"{row[0]!r},{mp_product(row[cols['mass']], row[cols['p_value']], gamma)!r}\n")
     written.append(path)
     return written

@@ -50,19 +50,6 @@ def rfftn(a: np.ndarray) -> np.ndarray:
     return sfft.rfftn(a, workers=_fft_workers)
 
 
-def apply_multiplier(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """ifftn(m * fftn(a)) for a multiplier m on the fftfreq grid.
-
-    A real a goes through rfftn/irfftn and comes back real, which takes m to
-    be even in xi (so the result is real); the half spectrum is the first
-    n/2 + 1 entries of m along the last axis.
-    """
-    if np.isrealobj(a):
-        half = m[..., : a.shape[-1] // 2 + 1] * rfftn(a)
-        return sfft.irfftn(half, a.shape, workers=_fft_workers, overwrite_x=True)
-    return ifftn(m * fftn(a), overwrite_x=True)
-
-
 @lru_cache(maxsize=64)
 def epstein_zeta(s: float, dim: int) -> float:
     """Analytic continuation of sum_{n in Z^dim, n != 0} |n|^{-s}, 0 < s < dim.
@@ -250,14 +237,11 @@ def integrate(f: Field):
 
 
 def gradient(f: Field) -> list:
-    """Spectral gradient, one Field per axis."""
+    """Spectral gradient, one Field per axis; real for a real f."""
+    basis = PeriodicBasis(f.grid)
     fhat = fftn(f.values)
-    real_in = np.isrealobj(f.values)
-    out = []
-    for xi in f.grid.freqs:
-        g = ifftn(1j * xi * fhat)
-        out.append(Field(f.grid, g.real if real_in else g))
-    return out
+    grads = (basis.derivative(fhat, ax) for ax in range(f.grid.dim))
+    return [Field(f.grid, g.real if np.isrealobj(f.values) else g) for g in grads]
 
 
 def riesz_convolve(f: Field, gamma_exp: float) -> Field:
@@ -268,7 +252,7 @@ def riesz_convolve(f: Field, gamma_exp: float) -> Field:
     result tracks the free-space potential; residual error is set by the
     periodic images and the source's far tail.
     """
-    return Field(f.grid, apply_multiplier(f.values, f.grid.riesz_multiplier(gamma_exp)))
+    return Field(f.grid, PeriodicBasis(f.grid).apply(f.values, f.grid.riesz_multiplier(gamma_exp)))
 
 
 class PeriodicBasis:
@@ -315,8 +299,15 @@ class PeriodicBasis:
         return ifftn(c, overwrite_x)
 
     def apply(self, a: np.ndarray, m: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-        """The multiplier m applied to a; overwrite_x lets it reuse a temporary a's memory."""
-        return apply_multiplier(a, m)
+        """The multiplier m applied to a; overwrite_x lets it reuse a temporary a's memory.
+
+        A real a goes through rfftn/irfftn and comes back real, which takes m
+        to be even in xi (so the result is real); the half spectrum is the
+        first n/2 + 1 entries of m along the last axis."""
+        if np.isrealobj(a):
+            half = m[..., : a.shape[-1] // 2 + 1] * rfftn(a)
+            return sfft.irfftn(half, a.shape, workers=_fft_workers, overwrite_x=True)
+        return ifftn(m * fftn(a), overwrite_x=True)
 
     def convolve(self, rho: np.ndarray, gamma_exp: float) -> np.ndarray:
         """|x|^{-gamma_exp} * rho for a temporary rho, whose memory it may reuse."""
@@ -325,7 +316,9 @@ class PeriodicBasis:
     def derivative(self, c: np.ndarray, ax: int) -> np.ndarray:
         """The spectral derivative along axis ax of the field whose coefficients are c.
 
-        It is read only as x_ax times it, paired with a field on the basis's points."""
+        A basis may return another array that pairs with x_ax and a field on
+        its points to the same sum (EvenOctant.derivative); this one returns
+        the derivative itself."""
         return ifftn(1j * self.grid.freqs[ax] * c, overwrite_x=True)
 
     def riesz_pairing(self, rho: np.ndarray, gamma_exp: float):

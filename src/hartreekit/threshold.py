@@ -116,45 +116,59 @@ def f_deriv(x: float, energy: float, mass: float, c_q: float, gamma: float) -> f
     )
 
 
+def x0_defects(x0: float, energy: float, mass: float, c_q: float, gamma: float) -> tuple:
+    """Defects of x0's defining identities f'(x0) = 0 and f(x0) = x0/8, each
+    scaled and divided by the guard, and the guard.
+
+    The guard is 1 unless the stationary gap 16E - x0 sinks toward the ulp of
+    16E; past that the identities cannot be evaluated at full precision, so
+    the tolerance widens with the representation error instead of lying."""
+    top = max(16.0 * energy - x0, 1e-300)
+    guard = max(1.0, 64.0 * np.finfo(float).eps * abs(16.0 * energy) / top / 1e-10)
+    scale_fp = 1.0 / (4.0 * (gamma - 2.0))
+    scale_fv = max(abs(x0) / 8.0, 1e-4 * (abs(16.0 * energy) + top))
+    return (
+        abs(f_deriv(x0, energy, mass, c_q, gamma)) / scale_fp / guard,
+        abs(f_eval(x0, energy, mass, c_q, gamma) - x0 / 8.0) / scale_fv / guard,
+        guard,
+    )
+
+
 def x0_solve(energy: float, mass: float, c_q: float, gamma: float) -> float:
     """Unique stationary point of f, in closed form.
 
     Isolating the power term in f'(x0) = 0 gives
     16 E - x0 = 2 (gamma-2) * [gamma c_q M^{(4-gamma)/gamma} / 4]^{gamma/(2-gamma)},
     assembled in log space since the exponent is negative.  The result is
-    validated against f'(x0) = 0 and f(x0) = x0/8 before being returned."""
+    validated against f'(x0) = 0 and f(x0) = x0/8 (x0_defects) to 1e-10."""
     if mass <= 0 or c_q <= 0:
         raise ValueError(
             f"x0 needs positive mass and c_q, got mass={mass}, c_q={c_q}"
         )
-    g2 = gamma - 2.0
     logt = (gamma / (2.0 - gamma)) * (
         math.log(gamma) + math.log(c_q) + (4.0 - gamma) / gamma * math.log(mass) - math.log(4.0)
     )
-    gap = 2.0 * g2 * math.exp(logt)
-    x0 = 16.0 * energy - gap
-    # validate on the representable gap: once 16E - x0 sinks toward the ulp of
-    # 16E the identities cannot be evaluated at full precision, so the
-    # tolerance widens with the representation error instead of lying
-    top_back = 16.0 * energy - x0
-    if top_back <= 0.0:
+    x0 = 16.0 * energy - 2.0 * (gamma - 2.0) * math.exp(logt)
+    if 16.0 * energy - x0 <= 0.0:
         warnings.warn(
             "x0 is indistinguishable from 16E at double precision; "
             "identity validation skipped",
             stacklevel=2,
         )
         return x0
-    rel_cap = max(1e-10, 64.0 * np.finfo(float).eps * abs(16.0 * energy) / top_back)
-    fp = f_deriv(x0, energy, mass, c_q, gamma)
-    fv = f_eval(x0, energy, mass, c_q, gamma)
-    scale_fp = 1.0 / (4.0 * g2)
-    scale_fv = max(abs(x0) / 8.0, 1e-4 * (abs(16.0 * energy) + gap))
-    if abs(fp) > rel_cap * scale_fp or abs(fv - x0 / 8.0) > rel_cap * scale_fv:
+    fp, fv, guard = x0_defects(x0, energy, mass, c_q, gamma)
+    if fp > 1e-10 or fv > 1e-10:
         raise ArithmeticError(
-            f"x0 = {x0} failed its defining identities: f'(x0) = {fp:.3e} "
-            f"(scale {scale_fp:.3e}), f(x0) - x0/8 = {fv - x0 / 8.0:.3e} (scale {scale_fv:.3e})"
+            f"x0 = {x0} failed its defining identities: scaled defects {fp:.3e} of f'(x0) = 0 "
+            f"and {fv:.3e} of f(x0) = x0/8, against 1e-10 (guard {guard:.3e})"
         )
     return x0
+
+
+def mp_product(mass: float, p_value: float, gamma: float) -> float:
+    """M^{1-s_c} P^{s_c}, the scale-invariant product that the dichotomy compares with the ground state's."""
+    sc = s_crit(gamma)
+    return mass ** (1.0 - sc) * p_value**sc
 
 
 @dataclass
@@ -330,8 +344,8 @@ def classify(
 
     cond18 = check_condition_1_8(snap, gs, gamma)
 
-    mp_u = snap.mass ** (1.0 - sc) * snap.p_value**sc
-    mp_q = gs.mass ** (1.0 - sc) * gs.snapshot.p_value**sc
+    mp_u = mp_product(snap.mass, snap.p_value, gamma)
+    mp_q = mp_product(gs.mass, gs.snapshot.p_value, gamma)
     mp_margin = mp_u - mp_q
     mp_rec = {
         "product_u": mp_u,
@@ -356,48 +370,25 @@ def classify(
     sign_ok_blowup = sign_w in ("nonnegative", "zero")
     sign_ok_global = sign_w in ("nonpositive", "zero")
 
-    # negative-energy data bypasses ME: convexity closes the argument only
-    # when the weight keeps e(t) >= 0, otherwise nothing is concluded
+    # negative-energy data bypasses ME (nan there, so me_gt_1 fails): convexity
+    # closes the argument only when the weight keeps e(t) >= 0, otherwise
+    # nothing is concluded
+    localized = [("sigma_membership", sigma_ok), ("admissible_potential", adm.admissible)]
     if energy < 0:
-        failed = []
-        if not sigma_ok:
-            failed.append("sigma_membership")
-        if not adm.admissible:
-            failed.append("admissible_potential")
-        if not sign_ok_blowup:
-            failed.append("weight_sign_nonnegative")
-        verdict = "BlowUpNegativeEnergy" if not failed else "Indeterminate"
-        if verdict == "BlowUpNegativeEnergy":
-            notes.append("E_V(u0) < 0: concavity of the variance forces finite-time blow-up")
-        else:
-            notes.append("E_V(u0) < 0 but the convexity hypotheses are incomplete")
-        return DichotomyReport(
-            verdict=verdict, gamma=gamma, s_c=sc, me=me, x0=x0, f_x0=f_x0,
-            I0=snap.variance_I, I1_0=i1, mass=snap.mass, energy=energy,
-            cond_me_gt_1=me_rec, cond_1_8=asdict(cond18), sign_2V_xgradV=sign_w,
-            cond_mp=mp_rec, sigma_membership=sigma_rec, admissibility=asdict(adm),
-            branch="free" if free_branch else "pinned",
-            failed_blowup=failed, failed_global=failed + ["me_gt_1"],
-            subthreshold=_subthreshold_record(snap, vfield, wfield, gs, gamma, me),
-            notes=notes,
-        )
-
-    common = [
-        ("sigma_membership", sigma_ok),
-        ("admissible_potential", adm.admissible),
-        ("me_gt_1", me_rec["satisfied"]),
-        ("virial_bound_1_8", cond18.satisfied),
-    ]
-    blowup_hyps = common + [
-        ("I1_nonpositive", i1_nonpos),
-        ("weight_sign_nonnegative", sign_ok_blowup),
-        ("mp_product_above", mp_rec["gt_satisfied"]),
-    ]
-    global_hyps = common + [
-        ("I1_nonnegative", i1_nonneg),
-        ("weight_sign_nonpositive", sign_ok_global),
-        ("mp_product_below", mp_rec["lt_satisfied"]),
-    ]
+        blowup_hyps = localized + [("weight_sign_nonnegative", sign_ok_blowup)]
+        global_hyps = blowup_hyps + [("me_gt_1", me_rec["satisfied"])]
+    else:
+        common = localized + [("me_gt_1", me_rec["satisfied"]), ("virial_bound_1_8", cond18.satisfied)]
+        blowup_hyps = common + [
+            ("I1_nonpositive", i1_nonpos),
+            ("weight_sign_nonnegative", sign_ok_blowup),
+            ("mp_product_above", mp_rec["gt_satisfied"]),
+        ]
+        global_hyps = common + [
+            ("I1_nonnegative", i1_nonneg),
+            ("weight_sign_nonpositive", sign_ok_global),
+            ("mp_product_below", mp_rec["lt_satisfied"]),
+        ]
     failed_blowup = [name for name, ok in blowup_hyps if not ok]
     failed_global = [name for name, ok in global_hyps if not ok]
 
@@ -405,11 +396,16 @@ def classify(
         # cannot happen: the product inequalities are strict and opposed
         raise AssertionError("both hypothesis sets satisfied; strict product comparison is broken")
     if not failed_blowup:
-        verdict = "BlowUp"
+        verdict = "BlowUpNegativeEnergy" if energy < 0 else "BlowUp"
     elif not failed_global:
         verdict = "Global"
     else:
         verdict = "Indeterminate"
+    if energy < 0:
+        notes.append(
+            "E_V(u0) < 0 but the convexity hypotheses are incomplete" if failed_blowup
+            else "E_V(u0) < 0: concavity of the variance forces finite-time blow-up"
+        )
 
     return DichotomyReport(
         verdict=verdict, gamma=gamma, s_c=sc, me=me, x0=x0, f_x0=f_x0,

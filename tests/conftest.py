@@ -1,4 +1,7 @@
+from collections import Counter
+
 import pytest
+import scipy.fft
 
 from hartreekit.spectral import Grid
 from hartreekit.potentials import PotentialSpec
@@ -36,6 +39,22 @@ def gs64(grid64):
     gs = solve_ground_state(grid64, PotentialSpec(kind="zero"), GAMMA)
     assert gs.converged
     return gs
+
+
+@pytest.fixture
+def fft_counts(monkeypatch):
+    """Calls per scipy.fft transform name from here on, in a Counter (0 for a name never called).
+
+    Every transform of the package goes through a scipy.fft attribute, so
+    wrapping those counts them all; clear() starts the count again."""
+    counts = Counter()
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn",
+                 "dct", "idct", "dctn", "idctn", "dst", "idst", "dstn", "idstn"):
+        def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return counts
 
 
 def random_threshold_tuple(rng, dim=3):

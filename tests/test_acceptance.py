@@ -36,7 +36,7 @@ from hartreekit.runner import (
     variational_defects,
 )
 from hartreekit.spectral import Field, Grid
-from hartreekit.threshold import me_from_scalars, s_crit, x0_solve
+from hartreekit.threshold import me_from_scalars, mp_product, x0_solve
 
 from conftest import GAMMA, closed_form_c_q, random_threshold_tuple
 
@@ -230,7 +230,6 @@ def test_global_pipeline_product_bound(global_run):
     assert pipe["consistent"] == "consistent"
     assert pipe["product_below_gs_throughout"]
     prod_gs = pipe["product_ground_state"]
-    sc = s_crit(GAMMA)
     rows = [
         line for line in open(os.path.join(out, "trajectory.csv")).read().strip().split("\n")[1:]
         if not line.startswith("#")
@@ -240,7 +239,7 @@ def test_global_pipeline_product_bound(global_run):
     im, ip = header.index("mass"), header.index("p_value")
     for line in rows:
         vals = [float(v) for v in line.split(",")]
-        assert vals[im] ** (1.0 - sc) * vals[ip] ** sc < prod_gs
+        assert mp_product(vals[im], vals[ip], GAMMA) < prod_gs
 
 
 def test_validate_rerun_bit_identical(tmp_path):

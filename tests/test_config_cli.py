@@ -20,6 +20,7 @@ from hartreekit.fieldio import dump_field, read_json
 from hartreekit import runner
 from hartreekit.runner import RunError, build_initial
 from hartreekit.spectral import Field, Grid, center_of_mass
+from hartreekit.threshold import mp_product
 
 from conftest import GAMMA
 
@@ -216,6 +217,45 @@ def test_potential_file_key_rules(tmp_path):
         parse_config(write_cfg(tmp_path, base + "[potential]\nkind = zero\nfile = x.fld\n"))
     with pytest.raises(ConfigError, match="grid_sampled requires file"):
         parse_config(write_cfg(tmp_path, base + "[potential]\nkind = grid_sampled\n"))
+
+
+def _nan_field(tmp_path, grid):
+    """A field file on grid holding a Gaussian with one NaN sample."""
+    vals = 0.3 * np.exp(-grid.r_sq / 2.0)
+    vals[0, 0, 0] = np.nan
+    path = str(tmp_path / "nan.fld")
+    dump_field(path, Field(grid, vals), {})
+    return path
+
+
+def test_potential_file_with_a_nan_is_a_config_violation(tmp_path, capsys):
+    # the NaN potential used to run to exit 0: every attempt was accepted with
+    # err 0, since ref_sq > 0 is false for NaN
+    pfile = _nan_field(tmp_path, Grid(3, 16, 10.0))
+    path = write_cfg(
+        tmp_path,
+        "[run]\nmode = full_pipeline\n[grid]\npoints = 16\n"
+        f"[potential]\nkind = grid_sampled\nfile = {pfile}\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 1.5\n[evolve]\nt_max = 0.01\n",
+    )
+    with pytest.raises(ConfigError) as ei:
+        parse_config(path)
+    assert ei.value.violations == [f"[potential] file: {pfile}: the payload holds non-finite values (NaN or inf)"]
+    assert main(["pipeline", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert pfile in capsys.readouterr().err
+
+
+def test_initial_data_file_with_a_nan_stops_naming_the_file(tmp_path, capsys):
+    # it used to stop in recenter with "cannot convert float NaN to integer"
+    ufile = _nan_field(tmp_path, Grid(3, 16, 10.0))
+    path = write_cfg(
+        tmp_path,
+        f"[run]\nmode = evolve\n[grid]\npoints = 16\n[initial_data]\nkind = file\nfile = {ufile}\n[evolve]\nt_max = 0.01\n",
+    )
+    assert main(["evolve", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: evolve: {ufile}: the payload holds non-finite values" in err
+    assert "cannot convert" not in err
 
 
 def test_potential_keys_the_kind_does_not_read_are_rejected(tmp_path):
@@ -519,13 +559,12 @@ def test_cli_plot_data_roundtrip(evolve_run, capsys):
         assert series[0] == f"t,{col}"
         assert len(series) - 1 == len(data)
     prod = open(os.path.join(plots, "plot_product.csv")).read().strip().split("\n")
-    assert prod[0] == "t,product"
-    t0, p0 = (float(x) for x in prod[1].split(","))
-    row0 = [float(x) for x in data[0].split(",")]
+    assert prod[0] == "t,product" and len(prod) - 1 == len(data)
     im, ip = header.index("mass"), header.index("p_value")
-    sc = (GAMMA - 2.0) / 2.0
-    assert p0 == pytest.approx(row0[im] ** (1.0 - sc) * row0[ip] ** sc, rel=1e-12)
-    assert t0 == row0[0]
+    # the product has one implementation, so every row is mp_product's value to the bit
+    for line, row in zip(prod[1:], data):
+        vals = [float(x) for x in row.split(",")]
+        assert [float(x) for x in line.split(",")] == [vals[0], mp_product(vals[im], vals[ip], GAMMA)]
     # still exactly one manifest in the tree after plot emission
     manifests = [
         os.path.join(r, n) for r, _d, ns in os.walk(evolve_run) for n in ns if n == "manifest.json"
@@ -577,6 +616,8 @@ def test_cli_pipeline_run(tmp_path):
     assert rep["consistent"] in ("consistent", "inconsistent", "inconclusive")
     assert rep["termination"]["kind"] in ("Completed", "BlowupDetected", "ResolutionExhausted")
     assert rep["product_ground_state"] > 0
+    classify_rep = read_json(os.path.join(out, "classify_report.json"))
+    assert rep["product_ground_state"] == classify_rep["cond_mp"]["product_gs"]
     lines = open(os.path.join(out, "comparison.csv")).read().strip().split("\n")
     assert lines[0] == "verdict,termination,consistent,note"
     assert lines[1].split(",")[0] == rep["verdict"]

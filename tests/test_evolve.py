@@ -269,7 +269,7 @@ def test_virial_consistency_linear_mode(g32):
                        adaptive=False, record_stride=1, linear=True,
                        blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, BUMP, cfg)
-    dev = virial_consistency(rec, linear=True)
+    dev = virial_consistency(rec)
     assert dev["i1_max_rel_dev"] < 1e-4
     assert dev["i2_max_rel_dev"] < 1e-3
 
@@ -497,7 +497,7 @@ def test_rotate_half_angle_form_is_exact_to_rounding():
     assert np.abs(got - u * np.exp(0.25j * theta)).max() <= 4 * eps * np.abs(u).max()
 
 
-def test_fft_counts_per_adaptive_step(monkeypatch):
+def test_fft_counts_per_adaptive_step(fft_counts):
     """Counter gate on the transforms of adaptive steps at 16^3, on both bases.
 
     An attempt is one Blanes-Moan step, A B A B A B A B A B A B A, with its
@@ -530,16 +530,10 @@ def test_fft_counts_per_adaptive_step(monkeypatch):
     back, I' takes per axis one idst along it and one idctn along the
     others (3 idst, 3 idctn), and P one dctn of |u|^2.  One step: 4 complex,
     1 real, 19 dctn, 20 idctn and 3 idst.  Two steps: 4, 1, 36, 36 and 3."""
-    counts = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn", "dctn", "idctn", "idst"), 0)
-    for name in counts:
-        def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(scipy.fft, name, counted)
-
     def complex_real_dct():
-        out = (counts["fftn"] + counts["ifftn"], counts["rfftn"] + counts["irfftn"], counts["dctn"], counts["idctn"], counts["idst"])
-        counts.update(dict.fromkeys(counts, 0))
+        c = fft_counts
+        out = (c["fftn"] + c["ifftn"], c["rfftn"] + c["irfftn"], c["dctn"], c["idctn"], c["idst"])
+        c.clear()
         return out
 
     grid = Grid(3, 16, 8.0)

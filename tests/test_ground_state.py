@@ -4,7 +4,6 @@ import os
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import hartreekit.ground_state as ground_state_module
 from hartreekit.fieldio import load_field, read_json
@@ -83,7 +82,7 @@ def test_nonconvergence_returns_history(grid32):
             solve_ground_state(grid32, PotentialSpec(kind="zero"), GAMMA, omega=omega)
 
 
-def test_petviashvili_real_ffts_per_iteration(monkeypatch):
+def test_petviashvili_real_ffts_per_iteration(fft_counts, monkeypatch):
     """A residual costs a real transform pair for N(u) and one for A u; the
     solve costs one more at V = 0.  At V = 0 the solve is the exact Fourier
     inverse, so A u of the next iterate is carried, not transformed: the
@@ -96,15 +95,8 @@ def test_petviashvili_real_ffts_per_iteration(monkeypatch):
     and no DCT.  The well rolled by one point is not even, so that solve
     takes rfftn/irfftn throughout.  Each residual's cost is (real FFTs,
     DCTs)."""
-    counts = dict.fromkeys(("rfftn", "irfftn", "dctn", "idctn"), 0)
-    for name in counts:
-        def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(scipy.fft, name, counted)
-
     def real_dct():
-        return counts["rfftn"] + counts["irfftn"], counts["dctn"] + counts["idctn"]
+        return fft_counts["rfftn"] + fft_counts["irfftn"], fft_counts["dctn"] + fft_counts["idctn"]
 
     starts, costs = [], []
     residual = ground_state_module._residual

@@ -110,6 +110,12 @@ def test_virial_weight_gaussian_analytic(grid32):
     w = eval_virial_weight(spec, grid32)
     expect = (2.0 - 2.0 * grid32.r_sq / s**2) * v.values
     assert np.allclose(w.values, expect, atol=1e-10 * abs(a))
+    # a grid_sampled copy takes x . grad V from the spectral gradient; sigma 2
+    # resolves the bump on grid32, where the two agree to ~4e-10 of the sup
+    wide = PotentialSpec(kind="gaussian_bump", amplitude=a, sigma=2.0)
+    sampled = PotentialSpec(kind="grid_sampled", values=eval_potential(wide, grid32).values)
+    expect = eval_virial_weight(wide, grid32).values
+    assert np.abs(eval_virial_weight(sampled, grid32).values - expect).max() <= 1e-8 * np.abs(expect).max()
 
 
 def test_virial_weight_zero_potential(grid32):
