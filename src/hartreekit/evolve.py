@@ -3,21 +3,22 @@
 The flow splits into the kinetic flow A and the (potential + nonlinear)
 phase sub-flow B.  B multiplies by a pure phase, which leaves |u| pointwise
 invariant, so that sub-flow is exact and only the splitting error remains.
-The adaptive path composes them in the fourth-order Blanes-Moan scheme, and
-controls the step with an embedded third-order partner that shares its first
-three phase sub-flows and the fourth one's input; strang_step and the
-non-adaptive path take Strang's A(dt/2) B(dt) A(dt/2).  B is one
-_phase_step, a rotation by the Hartree convolution that each executor
-computes itself.  The integrator carries the Fourier state between steps:
-the kinetic factors act on it directly, built per step as outer products of
-1-D exponentials with no cache, only the phase sub-flows go to physical
-space, and the state itself goes back only when a snapshot is taken.  The state is fftn(u) on the
-periodic grid, except on the adaptive path when u0 and V are exactly even
-about the grid centre on every axis: the flow keeps them even, and the
-state is then the DCT-I of one octant, (n/2 + 1)^d points
-(spectral.EvenOctant).  The step, the snapshots after t = 0 and the
-blow-up detector are each written once against the basis, and read the
-octant's points and coefficients with its Parseval weights.
+evolve composes them in the fourth-order Blanes-Moan scheme, and controls
+the step with an embedded third-order partner that shares its first three
+phase sub-flows and the fourth one's input.  B is one _phase_step, a
+rotation by the Hartree convolution that the caller computes.  The
+integrator carries the Fourier state between steps: the kinetic factors act
+on it directly, built per step as outer products of 1-D exponentials with
+no cache, only the phase sub-flows go to physical space, and the state
+itself goes back only when a snapshot is taken.  The state is fftn(u) on
+the periodic grid, except when u0 and V are exactly even about the grid
+centre on every axis: the flow keeps them even, and the state is then the
+DCT-I of one octant, (n/2 + 1)^d points (spectral.EvenOctant).  The step,
+the snapshots after t = 0 and the blow-up detector are each written once
+against the basis, and read the octant's points and coefficients with its
+Parseval weights.  strang_step, Strang's second-order A(dt/2) B(dt)
+A(dt/2) on the periodic grid, stands apart as the reference the tests
+compare against.
 Collapse is detected, never resolved: once the gradient blows past its
 threshold or the upper frequency band fills, integration stops and the
 record says so.
@@ -62,9 +63,12 @@ class EvolveConfig:
     blowup_grad_factor: float = 20.0
     blowup_tail_frac: float = 0.1
     record_stride: int = 5
-    adaptive: bool = True
     linear: bool = False  # drop the nonlinear phase (diagnostic runs)
-    record_dt: float | None = None  # adaptive steps land on its multiples; None: t_max / 4
+    record_dt: float | None = None  # steps land on its multiples; None: t_max / 4
+    # not a field, so not a key: every run is adaptive.  bench/spans.py still
+    # reads it; it goes when the benchmark reads the step counts off the
+    # record (ROADMAP item 1)
+    adaptive = True
 
     def __post_init__(self):
         # written as `not 0 < x < inf` so that NaN and inf fail too; every problem is reported
@@ -109,8 +113,6 @@ class TrajectoryRecord:
         for s in self.snapshots:
             lines.append(",".join(repr(v) for v in s.csv_row()))
         lines.append(f"# termination={self.termination.kind} t={self.termination.time!r}")
-        if "z_zero_extrapolated" in self.extras:
-            lines.append(f"# z_zero_extrapolated={self.extras['z_zero_extrapolated']!r}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -148,20 +150,6 @@ def _phase_step(u, dt: float, vvals, conv):
 def _kinetic(space, tau: float):
     """exp(-i tau |k|^2) on a Grid's or a basis's modes, the outer product of the 1-D factors exp(-i tau xi_j^2)."""
     return reduce(np.multiply.outer, [np.exp(-1j * tau * space.freq_axis**2)] * space.dim)
-
-
-def _strang(grid: Grid, uhat, dt: float, vvals, gamma: float, linear: bool):
-    """One Strang step K(dt/2) P K(dt/2) of size dt on a Fourier state uhat = fftn(u).
-
-    P is the phase sub-flow over dt and K the kinetic flow.  P costs an ifftn
-    and an fftn around it, and its convolution a complex pair, not a real one
-    as in _embedded_step, since bench/test_spans.py pins strang_step at six
-    complex FFTs: 4 complex FFTs, 2 in linear mode.  strang_step and the
-    non-adaptive path of evolve use it."""
-    kin = _kinetic(grid, 0.5 * dt)
-    w = ifftn(kin * uhat, overwrite_x=True)
-    conv = None if linear else ifftn(grid.riesz_multiplier(gamma) * fftn(abs_sq(w)), overwrite_x=True).real
-    return kin * fftn(_phase_step(w, dt, vvals, conv), overwrite_x=True)
 
 
 def _embedded_step(basis: PeriodicBasis, uhat, dt: float, vvals, gamma: float, linear: bool):
@@ -203,10 +191,20 @@ def _embedded_step(basis: PeriodicBasis, uhat, dt: float, vvals, gamma: float, l
 
 
 def strang_step(u: Field, dt: float, potential: PotentialSpec, gamma: float, linear: bool = False) -> Field:
-    """One kinetic-phase-kinetic step of size dt (dt < 0 runs time backward)."""
+    """One Strang step K(dt/2) P K(dt/2) of size dt on the periodic grid (dt < 0 runs time backward).
+
+    P is the phase sub-flow over dt and K the kinetic flow.  It is the
+    self-contained second-order reference that tests compare evolve's step
+    against, and it costs 6 complex FFTs, 4 in linear mode: fftn(u) in, an
+    ifftn and an fftn around P, a complex pair for its convolution (not a
+    real one as in _embedded_step; bench/test_spans.py pins the six), and an
+    ifftn out."""
     grid = u.grid
     vvals = None if potential.is_zero else eval_potential(potential, grid).values
-    uhat = _strang(grid, fftn(u.values), dt, vvals, gamma, linear)
+    kin = _kinetic(grid, 0.5 * dt)
+    w = ifftn(kin * fftn(u.values), overwrite_x=True)
+    conv = None if linear else ifftn(grid.riesz_multiplier(gamma) * fftn(abs_sq(w)), overwrite_x=True).real
+    uhat = kin * fftn(_phase_step(w, dt, vvals, conv), overwrite_x=True)
     return Field(grid, ifftn(uhat, overwrite_x=True))
 
 
@@ -251,17 +249,16 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     """Integrate to t_max, blow-up detection, or step-size underflow.
 
     The state is carried in Fourier space from step to step, as the
-    coefficients of a basis: fftn(u) on the periodic grid, or, when the
-    adaptive path starts from u0 and V that are both exactly even
-    (spectral.transform_basis), the octant's DCT-I.  The t = 0 snapshot reads
-    fftn(u0) on the full grid either way; every later one reads the basis.
-    An adaptive attempt is one Blanes-Moan step of order 4 with its embedded
-    order-3 partner (_embedded_step: 17 complex and 16 real transforms; the
-    kinetic factors are rebuilt per attempt, never cached, since adaptive dt
-    rarely repeats a value).  err is the
-    relative L2 difference of the two, taken on the coefficients with the
-    basis's Parseval weights, where it is the same number; the attempt is
-    accepted when err <= tol_step, and the order-4 state is kept.  The
+    coefficients of a basis: fftn(u) on the periodic grid, or, when u0 and
+    V are both exactly even (spectral.transform_basis), the octant's DCT-I.
+    The t = 0 snapshot reads fftn(u0) on the full grid either way; every
+    later one reads the basis.  An attempt is one Blanes-Moan step of order
+    4 with its embedded order-3 partner (_embedded_step: 17 complex and 16
+    real transforms; the kinetic factors are rebuilt per attempt, never
+    cached, since adaptive dt rarely repeats a value).  err is the relative
+    L2 difference of the two, taken on the coefficients with the basis's
+    Parseval weights, where it is the same number; the attempt is accepted
+    when err <= tol_step, and the order-4 state is kept.  The
     blow-up detector reads its coefficients as they are, and it is turned
     back with one inverse transform only for a snapshot.  After every
     attempt the proposal follows _propose.  Steps are clipped to land on
@@ -269,13 +266,11 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     snapshot at each (_step_toward), besides the snapshot every
     record_stride accepted steps.  A proposal under 1e-12 after a rejection
     means the requested tolerance is unreachable at this resolution, and the
-    run ends as ResolutionExhausted.  The non-adaptive path takes plain
-    Strang steps of dt0 on the periodic grid (_strang, 4 complex FFTs per
-    phase sub-flow) and records every record_stride steps only.
+    run ends as ResolutionExhausted.
 
     extras holds accepted_dts, n_step_attempts and n_rejected_steps
-    (attempts = accepted + rejected; without adaptivity every attempt is
-    accepted), and transform_basis, the basis's name."""
+    (attempts = accepted + rejected), transform_basis, the basis's name,
+    and after a detection grad_growth_factor."""
     grid = u0.grid
     if cfg.grid != grid:
         raise ValueError(f"the config's grid {cfg.grid} is not the initial data's {grid}")
@@ -288,7 +283,7 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     uhat = fftn(u)
     t = 0.0
     snapshots = [take_snapshot(Field(grid, u), t, vfield, wfield, cfg.gamma, e_term_approximate=approx, uhat=uhat)]
-    basis = transform_basis(grid, u, vvals) if cfg.adaptive else PeriodicBasis(grid)
+    basis = transform_basis(grid, u, vvals)
     if basis.name != "periodic":
         uhat = basis.forward(basis.take(u), overwrite_x=True)
     vvals, wvals = (None if f is None else basis.take(f.values) for f in (vfield, wfield))
@@ -310,31 +305,25 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
 
     while t < cfg.t_max - tiny:
         extras["n_step_attempts"] += 1
-        landed = False
-        if cfg.adaptive:
-            mark = min(marks * record_dt, cfg.t_max)
-            h = _step_toward(mark - t, dt)
-            fourth, third = _embedded_step(basis, uhat, h, vvals, cfg.gamma, cfg.linear)
-            third -= fourth
-            ref_sq = basis.norm_sq(fourth)
-            err = math.sqrt(basis.norm_sq(third) / ref_sq) if ref_sq > 0 else 0.0
-            del third
-            dt = _propose(dt, h, err, cfg.tol_step)
-            if err > cfg.tol_step:
-                extras["n_rejected_steps"] += 1
-                if dt < 1e-12:
-                    termination = Termination("ResolutionExhausted", t)
-                    break
-                continue
-            uhat = fourth
-            # a step that ends within rounding of the mark lands on it exactly
-            landed = t + h >= mark - tiny
-            t = mark if landed else t + h
-            marks += landed
-        else:
-            h = min(dt, cfg.t_max - t)
-            uhat = _strang(grid, uhat, h, vvals, cfg.gamma, cfg.linear)
-            t += h
+        mark = min(marks * record_dt, cfg.t_max)
+        h = _step_toward(mark - t, dt)
+        fourth, third = _embedded_step(basis, uhat, h, vvals, cfg.gamma, cfg.linear)
+        third -= fourth
+        ref_sq = basis.norm_sq(fourth)
+        err = math.sqrt(basis.norm_sq(third) / ref_sq) if ref_sq > 0 else 0.0
+        del third
+        dt = _propose(dt, h, err, cfg.tol_step)
+        if err > cfg.tol_step:
+            extras["n_rejected_steps"] += 1
+            if dt < 1e-12:
+                termination = Termination("ResolutionExhausted", t)
+                break
+            continue
+        uhat = fourth
+        # a step that ends within rounding of the mark lands on it exactly
+        landed = t + h >= mark - tiny
+        t = mark if landed else t + h
+        marks += landed
         accepted += 1
         extras["accepted_dts"].append(h)
         if detect_blowup(uhat, grad_sq_0, cfg, basis):
@@ -347,55 +336,23 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
         record_state(force=True)
         termination = Termination("Completed", t)
 
-    record = TrajectoryRecord(snapshots=snapshots, termination=termination, config=cfg, extras=extras)
     if termination.kind == "BlowupDetected":
         extras["grad_growth_factor"] = math.sqrt(snapshots[-1].grad_sq / grad_sq_0)
-        zzero = _extrapolate_z_zero(record)
-        if zzero is not None:
-            extras["z_zero_extrapolated"] = zzero
-    return record
+    return TrajectoryRecord(snapshots=snapshots, termination=termination, config=cfg, extras=extras)
 
 
-def _extrapolate_z_zero(record: TrajectoryRecord):
-    """Linear fit of the last few z(t) samples, pushed to z = 0.
-
-    The collapse itself is beyond the method; this estimates where the
-    variance trend says it lands.  Returns None when the trend is not
-    decreasing."""
-    ts = record.times
-    zs = record.z_series
-    if len(ts) < 3:
-        return None
-    k = min(8, len(ts))
-    tt = np.asarray(ts[-k:])
-    zz = np.asarray(zs[-k:])
-    slope, intercept = np.polyfit(tt, zz, 1)
-    if slope >= 0:
-        return None
-    return float(-intercept / slope)
-
-
-def _fd_first(ts, ys):
-    """Non-uniform 3-point first derivative at interior nodes."""
-    out = []
+def _fd_interior(ts, ys):
+    """Non-uniform 3-point first and second derivatives at interior nodes: (first, second)."""
+    first, second = [], []
     for i in range(1, len(ts) - 1):
         hm = ts[i] - ts[i - 1]
         hp = ts[i + 1] - ts[i]
-        out.append(
+        first.append(
             (hm * hm * ys[i + 1] - hp * hp * ys[i - 1] - (hm * hm - hp * hp) * ys[i])
             / (hm * hp * (hm + hp))
         )
-    return out
-
-
-def _fd_second(ts, ys):
-    """Non-uniform 3-point second derivative at interior nodes."""
-    out = []
-    for i in range(1, len(ts) - 1):
-        hm = ts[i] - ts[i - 1]
-        hp = ts[i + 1] - ts[i]
-        out.append(2.0 * (hm * ys[i + 1] + hp * ys[i - 1] - (hm + hp) * ys[i]) / (hm * hp * (hm + hp)))
-    return out
+        second.append(2.0 * (hm * ys[i + 1] + hp * ys[i - 1] - (hm + hp) * ys[i]) / (hm * hp * (hm + hp)))
+    return first, second
 
 
 def virial_consistency(record: TrajectoryRecord) -> dict:
@@ -419,8 +376,7 @@ def virial_consistency(record: TrajectoryRecord) -> dict:
     else:
         i2_rec = [s.virial_I2 for s in snaps]
 
-    fd1 = _fd_first(ts, ii)
-    fd2 = _fd_second(ts, ii)
+    fd1, fd2 = _fd_interior(ts, ii)
     sup1 = max(abs(v) for v in i1_rec) or 1e-300
     sup2 = max(abs(v) for v in i2_rec) or 1e-300
     dev1 = max(abs(f - r) / max(abs(r), sup1) for f, r in zip(fd1, i1_rec[1:-1]))
@@ -456,7 +412,7 @@ def monotonicity_probe(record: TrajectoryRecord, verdict: str | None = None, f_x
         ]
         out["z2_negative_fraction"] = sum(1 for v in zpp if v < 0) / len(zpp)
         out["interior_points"] = len(zpp)
-        z2_fd = _fd_second(ts, zs)
+        _, z2_fd = _fd_interior(ts, zs)
         out["z2_negative_fraction_fd"] = sum(1 for v in z2_fd if v < 0) / len(z2_fd)
     else:
         z1 = [s.virial_I1 / (2.0 * max(s.z, 1e-300)) for s in snaps]

@@ -169,9 +169,8 @@ def stage_evolve(cfg: RunConfig, outdir, u0: Field) -> TrajectoryRecord:
     if dts:
         rep["dt_min"] = min(dts)
         rep["dt_max"] = max(dts)
-    for key in ("grad_growth_factor", "z_zero_extrapolated"):
-        if key in record.extras:
-            rep[key] = record.extras[key]
+    if "grad_growth_factor" in record.extras:
+        rep["grad_growth_factor"] = record.extras["grad_growth_factor"]
     try:
         rep["virial_consistency"] = virial_consistency(record)
     except ValueError as exc:
@@ -204,7 +203,11 @@ def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord):
     consistent = _consistency(verdict, kind)
     note = ""
     if verdict == "Indeterminate":
-        note = "failed: " + ",".join(sorted(set(report.failed_blowup) & set(report.failed_global)))
+        # both sides' failed hypotheses, with no comma to split the CSV field
+        note = " / ".join(
+            f"{side} fails {';'.join(failed)}"
+            for side, failed in (("blowup", report.failed_blowup), ("global", report.failed_global))
+        )
     probe = monotonicity_probe(record, verdict=verdict, f_x0=report.f_x0 if report.f_x0 == report.f_x0 else None)
     below = max(prods) < prod_gs
     with open(os.path.join(outdir, "comparison.csv"), "w") as fh:

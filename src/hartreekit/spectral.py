@@ -128,9 +128,9 @@ class Grid:
 
     @property
     def axis(self) -> np.ndarray:
-        """1-D coordinate axis x_j = -L + j*h."""
+        """1-D coordinate axis x_j = h (j - n/2), from -L; exactly antisymmetric, x_{n-j} == -x_j, at every h."""
         if "axis" not in self._cache:
-            self._cache["axis"] = -self.half_length + self.spacing * np.arange(self.points)
+            self._cache["axis"] = self.spacing * (np.arange(self.points) - self.points // 2)
         return self._cache["axis"]
 
     @property

@@ -4,6 +4,7 @@ import ctypes
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from hartreekit.config import (
     preset_path,
     resolve_config_arg,
 )
+from hartreekit.evolve import EvolveConfig, Termination, TrajectoryRecord
 from hartreekit.fieldio import dump_field, read_json
+from hartreekit.functionals import take_snapshot
 from hartreekit import runner
 from hartreekit.runner import RunError, build_initial
 from hartreekit.spectral import Field, Grid, center_of_mass
@@ -49,7 +52,7 @@ def test_parse_minimal_and_defaults(tmp_path):
     assert cfg.gamma == 2.5
     assert cfg.potential.kind == "zero"
     assert cfg.initial is None
-    assert cfg.evolve.dt0 == 1e-3 and cfg.evolve.adaptive
+    assert cfg.evolve.dt0 == 1e-3
     assert cfg.groundstate.omega == 1.0 and cfg.groundstate.omega_mode == "fixed"
     assert cfg.run.seed == 0 and cfg.run.threads == 1
     assert cfg.source_path == os.path.abspath(path)
@@ -302,8 +305,7 @@ _PARENT_SCHEMA = {
     "evolve": {
         "dt0": ("float", 1e-3), "t_max": ("float", 1.0), "tol_step": ("float", 1e-6),
         "blowup_grad_factor": ("float", 20.0), "blowup_tail_frac": ("float", 0.1),
-        "record_stride": ("int", 5), "adaptive": ("bool", True), "linear": ("bool", False),
-        "record_dt": ("float", None),
+        "record_stride": ("int", 5), "linear": ("bool", False), "record_dt": ("float", None),
     },
 }
 # the table left these four to PotentialSpec, whose defaults then applied
@@ -314,7 +316,8 @@ def test_derived_schema_matches_the_parent_table():
     from hartreekit.config import _SCHEMA
 
     assert list(_SCHEMA) == list(_PARENT_SCHEMA)
-    assert sum(len(keys) for keys in _SCHEMA.values()) == 33
+    # the parent table's 33 keys less [evolve] adaptive, removed with the fixed-step path
+    assert sum(len(keys) for keys in _SCHEMA.values()) == 32
     for section, keys in _PARENT_SCHEMA.items():
         assert list(_SCHEMA[section]) == list(keys), section
         for key, (tag, default) in keys.items():
@@ -366,7 +369,6 @@ def test_preset_resolution(tmp_path):
 
 def test_build_initial_families(grid32):
     from hartreekit.config import InitialSpec, RunConfig, RunSettings
-    from hartreekit.evolve import EvolveConfig
     from hartreekit.potentials import PotentialSpec
 
     def mk(spec):
@@ -388,7 +390,6 @@ def test_build_initial_families(grid32):
 
 def test_build_initial_from_file_recenters(tmp_path, grid32):
     from hartreekit.config import InitialSpec, RunConfig, RunSettings
-    from hartreekit.evolve import EvolveConfig
     from hartreekit.potentials import PotentialSpec
 
     off = sum((x - s) ** 2 for x, s in zip(grid32.coords, (1.0, 0.0, -0.5)))
@@ -419,6 +420,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     path = write_cfg(tmp_path, "[run]\nmode = groundstate\n[model]\ngama = 2.5\n")
     assert main(["groundstate", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "did you mean 'gamma'" in capsys.readouterr().err
+
+
+def test_removed_adaptive_key_is_rejected(tmp_path, capsys):
+    # every run is adaptive; an old config that still sets the key is told so
+    path = write_cfg(tmp_path, "[run]\nmode = groundstate\n[evolve]\nadaptive = false\n")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(path)
+    assert [v.split(" (")[0] for v in ei.value.violations] == ["[evolve]: unknown key 'adaptive'"]
+    assert main(["groundstate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'adaptive'" in capsys.readouterr().err
 
 
 def test_cli_requires_out(tmp_path, capsys):
@@ -621,6 +632,26 @@ def test_cli_pipeline_run(tmp_path):
     lines = open(os.path.join(out, "comparison.csv")).read().strip().split("\n")
     assert lines[0] == "verdict,termination,consistent,note"
     assert lines[1].split(",")[0] == rep["verdict"]
+
+
+def test_indeterminate_note_names_both_sides_in_one_field(tmp_path, grid32):
+    # the two sides of an Indeterminate verdict can fail disjoint hypotheses;
+    # the note names each side's, and the row keeps the header's 4 fields
+    u = Field(grid32, 0.3 * np.exp(-grid32.r_sq / 4.0) + 0j)
+    record = TrajectoryRecord(
+        [take_snapshot(u, 0.0, None, None, GAMMA)], Termination("BlowupDetected", 0.0), EvolveConfig(grid32, GAMMA)
+    )
+    report = SimpleNamespace(
+        verdict="Indeterminate", cond_mp={"product_gs": 1.0}, f_x0=float("nan"),
+        failed_blowup=["weight_sign_nonnegative"],
+        failed_global=["I1_nonnegative", "weight_sign_nonpositive", "mp_product_below"],
+    )
+    runner.stage_compare(SimpleNamespace(gamma=GAMMA), str(tmp_path), report, record)
+    header, row = open(tmp_path / "comparison.csv").read().strip().split("\n")
+    assert len(header.split(",")) == len(row.split(",")) == 4
+    assert row.split(",")[3] == (
+        "blowup fails weight_sign_nonnegative / global fails I1_nonnegative;weight_sign_nonpositive;mp_product_below"
+    )
 
 
 def test_nonnegative_potential_pipeline_uses_the_free_reference(tmp_path):
