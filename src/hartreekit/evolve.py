@@ -5,7 +5,10 @@ phase sub-flow B.  B multiplies by a pure phase, which leaves |u| pointwise
 invariant, so that sub-flow is exact and only the splitting error remains.
 evolve composes them in the fourth-order Blanes-Moan scheme, and controls
 the step with an embedded third-order partner that shares its first three
-phase sub-flows and the fourth one's input.  B is one _phase_step, a
+phase sub-flows and the fourth one's input.  The controller predicts the
+growth of the estimate's constant err/h^4 from one accepted step to the
+next (Gustafsson, ACM Trans. Math. Softw. 20 (1994) 496-517), which grows
+by orders of magnitude on the way into collapse.  B is one _phase_step, a
 rotation by the Hartree convolution that the caller computes.  The
 integrator carries the Fourier state between steps: the kinetic factors act
 on it directly, built per step as outer products of 1-D exponentials with
@@ -48,7 +51,7 @@ _PHASE = (_B1, _B2, 0.5 - _B1 - _B2, 0.5 - _B1 - _B2, _B2, _B1)
 # opens, this member has the least degree-4 defect.
 _PHASE_HAT = (0.273477008305411, 0.2318354860524767, -0.005312494357887678)
 _KIN_HAT = (0.2989587178059256, -0.6610647050835264, 0.7524175094008511)
-# step-size control after every attempt: dt * min(GROW, max(SHRINK, SAFETY (tol/err)^(1/4)))
+# step-size control after every attempt: dt * min(GROW, max(SHRINK, SAFETY (tol/(err trend))^(1/4)))
 # (Hairer, Norsett & Wanner, Solving ODEs I, II.4); 1/4 is one over the partner's order plus one
 _SAFETY, _SHRINK, _GROW = 0.9, 0.2, 5.0
 
@@ -235,14 +238,21 @@ def _step_toward(gap: float, dt: float) -> float:
     return 0.5 * gap if gap < 2.0 * dt else dt
 
 
-def _propose(dt: float, h: float, err: float, tol: float) -> float:
+def _propose(dt: float, h: float, err: float, tol: float, trend: float = 1.0) -> float:
     """The proposal after an attempt of size h <= dt whose estimate read err.
 
     The attempt's step is scaled by min(_GROW, max(_SHRINK, _SAFETY
-    (tol/err)^(1/4))).  A step that a mark clipped below the proposal and
-    that is accepted leaves the proposal at least where it was."""
+    (tol/(err trend))^(1/4))).  trend >= 1 is the growth of the error
+    constant err/h^4 over the last accepted attempt's, which the next step
+    is predicted to meet again; a rejection ignores it.  A step that a mark
+    clipped below the proposal and that is accepted leaves the proposal at
+    least where it was."""
+    accepted = err <= tol
+    if accepted:
+        err *= trend
+    # a NaN err is rejected, and max keeps _SHRINK against its NaN factor
     fac = _GROW if err == 0 else min(_GROW, max(_SHRINK, _SAFETY * (tol / err) ** 0.25))
-    return max(dt, h * fac) if h < dt and err <= tol else h * fac
+    return max(dt, h * fac) if h < dt and accepted else h * fac
 
 
 def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> TrajectoryRecord:
@@ -258,15 +268,20 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     cached, since adaptive dt rarely repeats a value).  err is the relative
     L2 difference of the two, taken on the coefficients with the basis's
     Parseval weights, where it is the same number; the attempt is accepted
-    when err <= tol_step, and the order-4 state is kept.  The
-    blow-up detector reads its coefficients as they are, and it is turned
-    back with one inverse transform only for a snapshot.  After every
-    attempt the proposal follows _propose.  Steps are clipped to land on
-    every multiple of record_dt (t_max / 4 when unset) and on t_max, with a
-    snapshot at each (_step_toward), besides the snapshot every
-    record_stride accepted steps.  A proposal under 1e-12 after a rejection
-    means the requested tolerance is unreachable at this resolution, and the
-    run ends as ResolutionExhausted.
+    when err <= tol_step, which a NaN err from a non-finite state fails, and
+    the order-4 state is kept.  The blow-up detector reads its coefficients
+    as they are, and it is turned back with one inverse transform only for
+    a snapshot.  After every attempt the proposal follows _propose.  Its
+    trend is max(1, C/C_prev) after an accepted attempt with err > 0, where
+    C = err/h^4 and C_prev is that of the last such attempt before it; it
+    is 1 on the first and after a rejection, which leaves C_prev as it
+    was.  Steps are clipped to land on every multiple of record_dt (t_max /
+    4 when unset) and on t_max, with a snapshot at each (_step_toward),
+    besides the snapshot every record_stride accepted steps.  A proposal
+    under 1e-12 after a rejection means the requested tolerance is
+    unreachable at this resolution, and the run ends as
+    ResolutionExhausted; so does a run whose state is not finite, at t = 0
+    when u0 is not.
 
     extras holds accepted_dts, n_step_attempts and n_rejected_steps
     (attempts = accepted + rejected), transform_basis, the basis's name,
@@ -291,6 +306,7 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     grad_sq_0 = snapshots[0].grad_sq
     extras: dict = {"accepted_dts": [], "n_step_attempts": 0, "n_rejected_steps": 0, "transform_basis": basis.name}
     dt = cfg.dt0
+    const_prev = math.inf  # err/h^4 of the last accepted attempt with err > 0; inf: trend 1 on the first
     accepted = 0
     termination = None
     tiny = 1e-12 * cfg.t_max
@@ -310,10 +326,16 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
         fourth, third = _embedded_step(basis, uhat, h, vvals, cfg.gamma, cfg.linear)
         third -= fourth
         ref_sq = basis.norm_sq(fourth)
-        err = math.sqrt(basis.norm_sq(third) / ref_sq) if ref_sq > 0 else 0.0
+        # NaN when either state is not finite, which fails the acceptance test
+        err = math.sqrt(basis.norm_sq(third) / ref_sq) if ref_sq != 0 else 0.0
         del third
-        dt = _propose(dt, h, err, cfg.tol_step)
-        if err > cfg.tol_step:
+        accept = err <= cfg.tol_step
+        trend = 1.0
+        if accept and err > 0:
+            const = err / h**4
+            trend, const_prev = max(1.0, const / const_prev), const
+        dt = _propose(dt, h, err, cfg.tol_step, trend)
+        if not accept:
             extras["n_rejected_steps"] += 1
             if dt < 1e-12:
                 termination = Termination("ResolutionExhausted", t)

@@ -25,7 +25,9 @@ from hartreekit.evolve import (
 )
 from hartreekit.functionals import CSV_COLUMNS, _grad_sq, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
-from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, abs_sq, fftn, is_even, shell_fraction
+from hartreekit.spectral import (
+    EvenOctant, Field, Grid, PeriodicBasis, abs_sq, fftn, is_even, shell_fraction, transform_basis,
+)
 
 from conftest import GAMMA
 
@@ -61,6 +63,17 @@ def blowup_record(g32):
         blowup_grad_factor=3.0, blowup_tail_frac=0.35, record_stride=2,
     )
     return evolve(u0, ZERO, cfg)
+
+
+@pytest.fixture(scope="module")
+def collapse_datum():
+    # the benchmark's collapse workload at its centre amplitude: an incoming
+    # chirp on a broad Gaussian, evolved to detection
+    grid = Grid(3, 32, 10.0)
+    u0 = Field(grid, 0.3551 * np.exp(-grid.r_sq / (2.0 * 1.99**2)) * np.exp(-0.1422j * grid.r_sq))
+    cfg = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=3.0, tol_step=1e-5,
+                       blowup_grad_factor=6.0, blowup_tail_frac=0.35, record_stride=2)
+    return u0, evolve(u0, ZERO, cfg)
 
 
 def test_module_is_not_shadowed_by_the_integrator():
@@ -320,6 +333,56 @@ def test_resolution_exhausted(g32):
     assert rec.termination.time == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_state_is_never_accepted(bad):
+    # a non-finite state makes the error estimate NaN, which fails the
+    # acceptance test, so every attempt is rejected until the step underflows
+    grid = Grid(3, 16, 8.0)
+    u0 = 0.3 * np.exp(-grid.r_sq / 4.0).astype(complex)
+    u0[3, 4, 5] = bad
+    cfg = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=0.1, tol_step=1e-6,
+                       blowup_grad_factor=50.0, blowup_tail_frac=1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rec = evolve(Field(grid, u0), ZERO, cfg)
+    assert rec.termination.kind == "ResolutionExhausted"
+    assert rec.termination.time == 0.0
+    assert rec.extras["accepted_dts"] == []
+    assert rec.extras["n_rejected_steps"] == rec.extras["n_step_attempts"] > 0
+
+
+def test_collapse_step_counts(collapse_datum):
+    # the controller predicts the growth of the error constant err/h^4 over
+    # accepted steps; the memoryless rule took 38 attempts and rejected 11 here
+    _, rec = collapse_datum
+    assert rec.termination.kind == "BlowupDetected"
+    assert len(rec.extras["accepted_dts"]) == 27
+    assert rec.extras["n_step_attempts"] <= 30
+    assert rec.extras["n_rejected_steps"] <= 3
+
+
+def test_step_order_near_detection(collapse_datum):
+    # the estimate stays fourth order where the step shrinks fastest: at the
+    # accepted states of the last tenth before detection, replayed on the
+    # run's basis, the estimate of a doubled step grows by about 2^4
+    u0, rec = collapse_datum
+    t_det = rec.termination.time
+    basis = transform_basis(u0.grid, u0.values)
+    uhat = basis.forward(basis.take(u0.values))
+
+    def err(h):
+        fourth, third = _embedded_step(basis, uhat, h, None, GAMMA, False)
+        return math.sqrt(basis.norm_sq(third - fourth) / basis.norm_sq(fourth))
+
+    t, orders = 0.0, []
+    for dt in rec.extras["accepted_dts"]:
+        uhat = _embedded_step(basis, uhat, dt, None, GAMMA, False)[0]
+        t += dt
+        if t >= 0.9 * t_det:
+            orders.append(math.log2(err(0.005) / err(0.0025)))
+    assert t == t_det and len(orders) >= 3
+    assert all(3.5 <= o <= 5.0 for o in orders), orders
+
+
 # Blanes & Moan, J. Comput. Appl. Math. 142 (2002) 313: the order-4 weights,
 # written out here apart from the module's
 _BM_KIN = [0.0792036964311957, 0.353172906049774, -0.0420650803577195]
@@ -466,6 +529,10 @@ def test_step_policy():
     assert _propose(0.1, 0.04, 0.0, tol) == pytest.approx(0.2, rel=1e-14)
     # a rejection scales the attempted step, clipped or not
     assert _propose(0.1, 0.01, 16.0 * tol, tol) == pytest.approx(0.0045, rel=1e-14)
+    # an error constant that grew 16-fold over the last accepted step is
+    # predicted to grow again, which halves the proposal; a rejection ignores it
+    assert _propose(0.1, 0.1, tol, tol, trend=16.0) == pytest.approx(0.045, rel=1e-14)
+    assert _propose(0.1, 0.01, 16.0 * tol, tol, trend=16.0) == _propose(0.1, 0.01, 16.0 * tol, tol)
 
 
 def test_separable_kinetic_factor(g32):
