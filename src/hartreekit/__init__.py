@@ -15,7 +15,7 @@ from .functionals import FunctionalSnapshot, hv_norm_sq, mass, take_snapshot
 from .ground_state import GroundState, pohozaev_residuals, solve_ground_state
 from .potentials import PotentialSpec, eval_potential, kato_norm
 from .runner import emit_plot_data, run
-from .spectral import Field, Grid, gradient, integrate, riesz_convolve, set_fft_workers
+from .spectral import Field, Grid, gradient, integrate, riesz_convolve
 from .threshold import DichotomyReport, check_condition_1_8, classify
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "riesz_convolve",
     "run",
     "dump_field",
-    "set_fft_workers",
     "solve_ground_state",
     "strang_step",
     "take_snapshot",

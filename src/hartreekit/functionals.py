@@ -36,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .spectral import Field, PeriodicBasis, abs_sq, fftn
 
 CSV_COLUMNS = (
@@ -77,12 +75,12 @@ def _p(basis: PeriodicBasis, rho, gamma: float) -> float:
 
 
 def _virial_first(basis: PeriodicBasis, u, uhat) -> float:
-    """I' = 4 Im sum_j int conj(u) x_j d_j u, each term one derivative and one vdot."""
+    """I' = 4 Im sum_j int conj(u) x_j d_j u, each term one derivative and one sum."""
     acc = 0.0
     for ax, x in enumerate(basis.coords):
         du = basis.derivative(uhat, ax)
         du *= x
-        acc += np.vdot(u, basis.weigh(du)).imag
+        acc += (u.conj() * basis.weigh(du)).sum().imag
     return float(acc) * (4.0 * basis.grid.cell_volume)
 
 

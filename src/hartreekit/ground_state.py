@@ -247,7 +247,7 @@ def _petviashvili(basis, vvals, gamma, omega_sq, u0, tol, max_iter, history):
         ag = scale * nl if vvals is None else None
         f = g - u
         wf = basis.weigh(f)
-        row = [float(np.vdot(wf, f))] + [float(np.vdot(wf, prev[0])) for prev in outputs]
+        row = [float((wf * f).sum())] + [float((wf * prev[0]).sum()) for prev in outputs]
         outputs.insert(0, (f, g, ag))
         n = len(outputs)
         grown = np.empty((n, n))

@@ -2,8 +2,9 @@
 
 Every run directory ends with exactly one manifest.json listing a checksum
 for every other file, a config echo, and git-style blob hashes of the input
-files; nothing here writes timestamps, so a rerun with the same config, seed
-and thread count is bit-identical.
+files; nothing here writes timestamps, so a rerun with the same config and
+seed is bit-identical.  Neither the FFT worker count ([run] threads, set for
+the run's stages only) nor the BLAS thread count moves a number.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import traceback
 from dataclasses import asdict
 
 import numpy as np
+import scipy.fft
 from scipy.special import gamma as gamma_fn
 
 from .config import RunConfig
@@ -35,7 +37,6 @@ from .spectral import (
     outer_shell_mass_fraction,
     recenter,
     riesz_convolve,
-    set_fft_workers,
 )
 from .threshold import classify, me_from_scalars, mp_product, s_crit, x0_defects, x0_solve
 
@@ -449,9 +450,10 @@ def _keep_heap() -> None:
     once more than about twice the last freed large block sits free there.
     A step attempt frees 1-2 MiB of grid temporaries, so each attempt would
     fault the same pages in again, zero-filled: 82k minor faults in a 32^3
-    collapse pipeline, against 1.5k with this policy.  The setting is
-    process-wide, like set_fft_workers, and is made once per process.  Where
-    libc has no mallopt (not glibc), or it refuses a value, nothing changes."""
+    collapse pipeline, against 1.5k with this policy.  Unlike the FFT worker
+    count, which holds for one run, the setting is process-wide and is made
+    once per process.  Where libc has no mallopt (not glibc), or it refuses a
+    value, nothing changes."""
     import ctypes  # here, so that importing the package does not pay for it
 
     try:
@@ -474,34 +476,35 @@ def run(cfg: RunConfig) -> int:
         print("error: no output directory (set [run] out or pass --out)", file=sys.stderr)
         return 2
     os.makedirs(outdir, exist_ok=True)
-    set_fft_workers(cfg.run.threads)
     _keep_heap()
     status = 0
-    try:
-        if mode == "groundstate":
-            stage_groundstate(cfg, outdir)
-        elif mode == "classify":
-            gs, adm = stage_groundstate(cfg, outdir)
-            stage_classify(cfg, outdir, gs, adm)
-        elif mode == "evolve":
-            needs_gs = cfg.initial is not None and cfg.initial.kind == "ground_state_scaled"
-            gs = stage_groundstate(cfg, outdir)[0] if needs_gs else None
-            u0 = build_initial(cfg, gs=gs)
-            stage_evolve(cfg, outdir, u0)
-        elif mode == "full_pipeline":
-            gs, adm = stage_groundstate(cfg, outdir)
-            u0, report = stage_classify(cfg, outdir, gs, adm)
-            record = stage_evolve(cfg, outdir, u0)
-            stage_compare(cfg, outdir, report, record)
-        else:  # validate; RunSettings admits no other mode
-            status = 1 if run_validate(cfg, outdir) else 0
-    except RunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        status = 1
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {mode}: {exc}", file=sys.stderr)
-        traceback.print_exc()
-        status = 1
+    # the FFT worker count holds for this run's stages only
+    with scipy.fft.set_workers(cfg.run.threads):
+        try:
+            if mode == "groundstate":
+                stage_groundstate(cfg, outdir)
+            elif mode == "classify":
+                gs, adm = stage_groundstate(cfg, outdir)
+                stage_classify(cfg, outdir, gs, adm)
+            elif mode == "evolve":
+                needs_gs = cfg.initial is not None and cfg.initial.kind == "ground_state_scaled"
+                gs = stage_groundstate(cfg, outdir)[0] if needs_gs else None
+                u0 = build_initial(cfg, gs=gs)
+                stage_evolve(cfg, outdir, u0)
+            elif mode == "full_pipeline":
+                gs, adm = stage_groundstate(cfg, outdir)
+                u0, report = stage_classify(cfg, outdir, gs, adm)
+                record = stage_evolve(cfg, outdir, u0)
+                stage_compare(cfg, outdir, report, record)
+            else:  # validate; RunSettings admits no other mode
+                status = 1 if run_validate(cfg, outdir) else 0
+        except RunError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 1
+        except (ValueError, ArithmeticError) as exc:
+            print(f"error: {mode}: {exc}", file=sys.stderr)
+            traceback.print_exc()
+            status = 1
     _write_manifest(cfg, outdir)
     return status
 

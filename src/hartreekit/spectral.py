@@ -11,43 +11,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.fft as sfft
 from scipy.special import gamma as gamma_fn, gammaincc
-
-_fft_workers = 1
-
-
-def set_fft_workers(n: int) -> None:
-    """Set the worker count used by all FFTs (fixed count keeps runs deterministic)."""
-    global _fft_workers
-    _fft_workers = max(1, int(n))
 
 
 # overwrite_x=True lets a transform work in place in its input's memory; pass
 # it only for a temporary that nothing reads afterwards.  Without it a complex
 # input is copied and the copy transformed in place, which at 64^3 takes a
 # fifth to a third less time than pocketfft's out-of-place path.  The result
-# is bit-identical either way.
+# is bit-identical either way.  Every transform takes scipy.fft's worker
+# count, which a run sets for its own duration with scipy.fft.set_workers.
 def _in_place(a: np.ndarray, overwrite_x: bool):
     return (a, overwrite_x) if overwrite_x or not np.iscomplexobj(a) else (a.copy(), True)
 
 
 def fftn(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     a, overwrite_x = _in_place(a, overwrite_x)
-    return sfft.fftn(a, workers=_fft_workers, overwrite_x=overwrite_x)
+    return sfft.fftn(a, overwrite_x=overwrite_x)
 
 
 def ifftn(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     a, overwrite_x = _in_place(a, overwrite_x)
-    return sfft.ifftn(a, workers=_fft_workers, overwrite_x=overwrite_x)
-
-
-def rfftn(a: np.ndarray) -> np.ndarray:
-    """Half spectrum of a real array: the first n/2 + 1 entries along the last axis."""
-    return sfft.rfftn(a, workers=_fft_workers)
+    return sfft.ifftn(a, overwrite_x=overwrite_x)
 
 
 @lru_cache(maxsize=64)
@@ -89,12 +77,15 @@ def riesz_constant(dim: int, gamma_exp: float) -> float:
     )
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [-half_length, half_length)^dim.
 
-    Coordinate and frequency arrays are cached lazily; instances are treated
-    as immutable after construction.  The fields are the [grid] config keys.
+    Frozen, so the arrays derived from the fields are computed once, on first
+    use, and stay valid: the coordinate and frequency arrays are cached
+    properties, and the arrays that also take a parameter (Riesz multipliers,
+    octant slices, shell masks) go in _cache.  The fields are the [grid]
+    config keys.
     """
 
     dim: int = 3
@@ -112,7 +103,10 @@ class Grid:
             problems.append(f"half_length must be positive and finite, got {self.half_length}")
         if problems:
             raise ValueError("; ".join(problems))
-        self._cache: dict = {}
+
+    @cached_property
+    def _cache(self) -> dict:
+        return {}
 
     @property
     def spacing(self) -> float:
@@ -126,51 +120,35 @@ class Grid:
     def cell_volume(self) -> float:
         return self.spacing ** self.dim
 
-    @property
+    @cached_property
     def axis(self) -> np.ndarray:
         """1-D coordinate axis x_j = h (j - n/2), from -L; exactly antisymmetric, x_{n-j} == -x_j, at every h."""
-        if "axis" not in self._cache:
-            self._cache["axis"] = self.spacing * (np.arange(self.points) - self.points // 2)
-        return self._cache["axis"]
+        return self.spacing * (np.arange(self.points) - self.points // 2)
 
-    @property
+    @cached_property
     def freq_axis(self) -> np.ndarray:
         """1-D frequency axis in fftfreq layout, xi_k = pi*k/L."""
-        if "freq_axis" not in self._cache:
-            self._cache["freq_axis"] = 2.0 * np.pi * sfft.fftfreq(self.points, d=self.spacing)
-        return self._cache["freq_axis"]
+        return 2.0 * np.pi * sfft.fftfreq(self.points, d=self.spacing)
 
-    @property
+    @cached_property
     def coords(self) -> tuple:
         """Broadcastable (sparse) coordinate arrays, one per axis."""
-        if "coords" not in self._cache:
-            self._cache["coords"] = tuple(
-                np.meshgrid(*([self.axis] * self.dim), indexing="ij", sparse=True)
-            )
-        return self._cache["coords"]
+        return tuple(np.meshgrid(*([self.axis] * self.dim), indexing="ij", sparse=True))
 
-    @property
+    @cached_property
     def freqs(self) -> tuple:
         """Broadcastable (sparse) frequency arrays, one per axis."""
-        if "freqs" not in self._cache:
-            self._cache["freqs"] = tuple(
-                np.meshgrid(*([self.freq_axis] * self.dim), indexing="ij", sparse=True)
-            )
-        return self._cache["freqs"]
+        return tuple(np.meshgrid(*([self.freq_axis] * self.dim), indexing="ij", sparse=True))
 
-    @property
+    @cached_property
     def r_sq(self) -> np.ndarray:
         """|x|^2 on the full grid."""
-        if "r_sq" not in self._cache:
-            self._cache["r_sq"] = sum(c ** 2 for c in self.coords)
-        return self._cache["r_sq"]
+        return sum(c ** 2 for c in self.coords)
 
-    @property
+    @cached_property
     def k_sq(self) -> np.ndarray:
         """|xi|^2 on the full grid (fftfreq layout)."""
-        if "k_sq" not in self._cache:
-            self._cache["k_sq"] = sum(f ** 2 for f in self.freqs)
-        return self._cache["k_sq"]
+        return sum(f ** 2 for f in self.freqs)
 
     def riesz_multiplier(self, gamma_exp: float) -> np.ndarray:
         """Fourier multiplier of |x|^{-gamma_exp} convolution on this grid.
@@ -199,17 +177,6 @@ class Grid:
     def field_from_function(self, fn) -> "Field":
         """Sample fn(*coords) on the grid."""
         return Field(self, np.asarray(fn(*self.coords), dtype=complex) + np.zeros(self.shape))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.dim == other.dim
-            and self.points == other.points
-            and self.half_length == other.half_length
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.points, self.half_length))
 
 
 @dataclass
@@ -305,8 +272,8 @@ class PeriodicBasis:
         to be even in xi (so the result is real); the half spectrum is the
         first n/2 + 1 entries of m along the last axis."""
         if np.isrealobj(a):
-            half = m[..., : a.shape[-1] // 2 + 1] * rfftn(a)
-            return sfft.irfftn(half, a.shape, workers=_fft_workers, overwrite_x=True)
+            half = m[..., : a.shape[-1] // 2 + 1] * sfft.rfftn(a)
+            return sfft.irfftn(half, a.shape, overwrite_x=True)
         return ifftn(m * fftn(a), overwrite_x=True)
 
     def convolve(self, rho: np.ndarray, gamma_exp: float) -> np.ndarray:
@@ -328,12 +295,12 @@ class PeriodicBasis:
         rho is real and m even, so rfftn's half spectrum stands for the whole:
         each entry counts twice, except on the last axis's planes 0 and n/2,
         which are their own mirror images (Grid makes n even)."""
-        power = abs_sq(rfftn(rho))
+        power = abs_sq(sfft.rfftn(rho))
         power *= self.grid.riesz_multiplier(gamma_exp)[..., : power.shape[-1]]
         return 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
 
     def norm_sq(self, c: np.ndarray) -> float:
-        return np.vdot(c, c).real
+        return float(self.weigh(abs_sq(c)).sum())
 
     def norm(self, a: np.ndarray) -> float:
         return math.sqrt(self.norm_sq(a))
@@ -385,10 +352,10 @@ class EvenOctant(PeriodicBasis):
         return self._weight * a
 
     def forward(self, a, overwrite_x=False):
-        return sfft.dctn(a, type=1, workers=_fft_workers, overwrite_x=overwrite_x)
+        return sfft.dctn(a, type=1, overwrite_x=overwrite_x)
 
     def inverse(self, c, overwrite_x=False):
-        return sfft.idctn(c, type=1, workers=_fft_workers, overwrite_x=overwrite_x)
+        return sfft.idctn(c, type=1, overwrite_x=overwrite_x)
 
     def apply(self, a, m, overwrite_x=False):
         return self.inverse(m * self.forward(a, overwrite_x), overwrite_x=True)
@@ -413,19 +380,16 @@ class EvenOctant(PeriodicBasis):
         inner = along(slice(1, half))
         xi = self.freq_axis[1:half].reshape([-1 if a == ax else 1 for a in range(self.dim)])
         d = np.zeros(c.shape, dtype=complex)
-        d[inner] = sfft.idst(-xi * c[inner], type=1, axis=ax, workers=_fft_workers, overwrite_x=True)
+        d[inner] = sfft.idst(-xi * c[inner], type=1, axis=ax, overwrite_x=True)
         edge = along(half)
         d[edge] = (1j * (-1) ** half * self.freq_axis[half] / self.grid.points) * c[edge]
         others = tuple(a for a in range(self.dim) if a != ax)
-        return sfft.idctn(d, type=1, axes=others, workers=_fft_workers, overwrite_x=True)
+        return sfft.idctn(d, type=1, axes=others, overwrite_x=True)
 
     def riesz_pairing(self, rho, gamma_exp):
         power = abs_sq(self.forward(rho))
         power *= self.multiplier(gamma_exp)
         return self.weigh(power).sum()
-
-    def norm_sq(self, c):
-        return float(self.weigh(abs_sq(c)).sum())
 
 
 def is_even(a: np.ndarray) -> bool:

@@ -277,6 +277,20 @@ CALLED_FROM_OUTSIDE = {
 }
 
 
+def _library_modules():
+    """(file name, parsed tree) of each module under src/hartreekit."""
+    src = os.path.dirname(hartreekit.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                yield name, ast.parse(fh.read())
+
+
+def _library_env(**extra):
+    src = os.path.dirname(os.path.dirname(hartreekit.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))), **extra}
+
+
 def test_every_library_function_has_a_library_caller():
     """No library function exists only for tests.
 
@@ -286,13 +300,8 @@ def test_every_library_function_has_a_library_caller():
     attribute (energy, as in snap.energy) passes.  Dunder methods are skipped,
     because Python calls them.
     """
-    src = os.path.dirname(hartreekit.__file__)
     defined, used = set(), set()
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name)) as fh:
-            tree = ast.parse(fh.read())
+    for _name, tree in _library_modules():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("__"):
                 defined.add(node.name)
@@ -315,6 +324,49 @@ def test_library_does_not_import_scipy_integrate():
         "riesz_origin_defect(hartreekit.Grid(3, 16, 8.0), 2.5)\n"
         "sys.exit('scipy.integrate' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(hartreekit.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=_library_env(), timeout=120).returncode == 0
+
+
+def test_grid_sums_do_not_depend_on_blas_threads():
+    """The library's numbers are the same at one and at two BLAS threads.
+
+    OpenBLAS splits a long dot product over its threads, so a sum taken by
+    BLAS moves in its last bits with OPENBLAS_NUM_THREADS, and every artifact
+    hash with it.  The probe reads I' of a snapshot and the c_q and residual
+    of a ground state, whose Anderson mixing takes inner products."""
+    code = (
+        "import numpy as np\n"
+        "from hartreekit import Grid, PotentialSpec, solve_ground_state, take_snapshot\n"
+        "from hartreekit.runner import smooth_random_field\n"
+        "u = smooth_random_field(Grid(3, 32, 10.0), np.random.default_rng(0))\n"
+        "gs = solve_ground_state(Grid(3, 48, 10.0), PotentialSpec(kind='zero'), 2.5)\n"
+        "print(repr((take_snapshot(u, 0.0, None, None, 2.5).virial_I1, gs.c_q, gs.residual)))\n"
+    )
+    reads = [
+        subprocess.run(
+            [sys.executable, "-c", code], env=_library_env(OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n)),
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for n in (1, 2)
+    ]
+    assert reads[0] == reads[1]
+
+
+def test_library_takes_no_blas_products():
+    """No grid sum goes through BLAS, whose threaded reductions are not reproducible.
+
+    np.vdot, np.dot, np.inner, np.matmul, np.einsum, np.tensordot, the
+    methods of those names and the @ operator may call OpenBLAS, which sums a
+    long vector in a thread-count dependent order; the library sums with
+    numpy's own reductions instead.  np.linalg.lstsq on the Anderson Gram
+    matrix stays: it is at most 3x3, far below the size at which OpenBLAS
+    splits work over threads, and its entries are such sums."""
+    banned = {"vdot", "dot", "inner", "matmul", "einsum", "tensordot"}
+    found = []
+    for name, tree in _library_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in banned:
+                found.append(f"{name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{name}:{node.lineno} @")
+    assert found == []

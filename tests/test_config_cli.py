@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from hartreekit.cli import main
 from hartreekit.config import (
@@ -491,6 +492,37 @@ def test_run_without_mallopt_is_a_silent_no_op(tmp_path, monkeypatch, capsys, fr
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     run_groundstate_twice(tmp_path)
     assert capsys.readouterr().err == ""
+
+
+def test_fft_workers_hold_for_the_run_only(tmp_path, monkeypatch):
+    # --threads is the FFT worker count of that run: the ground-state solve
+    # sees it, the caller sees scipy's default again once the run returns, and
+    # the artifacts do not depend on it
+    seen = []
+    solve = runner.solve_ground_state
+
+    def recording(*args, **kwargs):
+        seen.append(scipy.fft.get_workers())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "solve_ground_state", recording)
+    path = write_cfg(
+        tmp_path,
+        "[run]\nmode = full_pipeline\n[grid]\npoints = 16\nhalf_length = 8.0\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.3\nwidth = 1.5\n"
+        "[evolve]\nt_max = 0.05\n",
+    )
+    outs = {}
+    for threads in (1, 2):
+        outs[threads] = tmp_path / f"threads{threads}"
+        assert main(["pipeline", "--config", path, "--out", str(outs[threads]), "--threads", str(threads)]) == 0
+        assert seen.pop() == threads
+        assert scipy.fft.get_workers() == 1
+    names = sorted(os.listdir(outs[1]))
+    assert names == sorted(os.listdir(outs[2])) and "trajectory.csv" in names
+    for name in names:
+        if name != "manifest.json":
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
 def test_cli_groundstate_run(tmp_path):

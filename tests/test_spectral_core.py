@@ -1,5 +1,6 @@
 """Grid, transform, and Riesz-convolution invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -233,6 +234,10 @@ def test_grid_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != Grid(3, 48, 10.0)
     assert a != Grid(3, 32, 12.0)
+    # frozen: a grid's cached arrays can never go stale under a changed field
+    assert a.r_sq is a.r_sq
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.points = 48
 
 
 def test_grid_rejects_bad_args():
