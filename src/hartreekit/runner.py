@@ -38,7 +38,7 @@ from .spectral import (
     recenter,
     riesz_convolve,
 )
-from .threshold import classify, me_from_scalars, mp_product, s_crit, x0_defects, x0_solve
+from .threshold import _side, classify, me_from_scalars, mp_product, s_crit, x0_defects, x0_solve
 
 SHELL_MASS_LIMIT = 1e-8  # box-truncation gate on |u0|^2 in the outer 10% shell
 
@@ -210,7 +210,7 @@ def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord):
             for side, failed in (("blowup", report.failed_blowup), ("global", report.failed_global))
         )
     probe = monotonicity_probe(record, verdict=verdict, f_x0=report.f_x0 if report.f_x0 == report.f_x0 else None)
-    below = max(prods) < prod_gs
+    below = _side(max(prods) - prod_gs, prod_gs) < 0
     with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
         fh.write("verdict,termination,consistent,note\n")
         fh.write(f"{verdict},{kind},{consistent},{note}\n")

@@ -6,7 +6,10 @@ function f(x) whose stationary point x0 calibrates the virial argument, the
 admission condition on I'(0), and the hypothesis conjunctions that turn those
 numbers into a verdict.  The two reference branches (free profile when the
 negative part of V vanishes, potential-pinned profile otherwise) are chosen
-by the caller; classify() validates the choice against the potential.
+by the caller; classify() validates the choice against the potential.  Every
+comparison reads its margin through _side: above, below or inside a band of
+STRICTNESS times a scale.  A strict hypothesis (ME > 1, the product against
+Q's) must clear the band; a non-strict one ((1.8), the sign of I'(0)) may touch it.
 """
 
 from __future__ import annotations
@@ -30,9 +33,14 @@ from .potentials import (
 )
 from .spectral import Field, PeriodicBasis, shell_fraction
 
-# strict theorem inequalities count as satisfied only beyond this
-# margin-to-scale ratio, so grid noise cannot flip a verdict silently
+# half-width of the noise band, as a ratio of margin to scale; read by _side only
 STRICTNESS = 1e-8
+
+
+def _side(margin: float, scale: float = 1.0) -> int:
+    """+1 above the band STRICTNESS * scale about zero, -1 below it, 0 inside it or for nan."""
+    band = STRICTNESS * scale
+    return 1 if margin > band else -1 if margin < -band else 0
 
 
 def s_crit(gamma: float) -> float:
@@ -179,68 +187,61 @@ class Condition18:
     ME (1 - I'(0)^2 / (32 E I(0))) <= 1.  The companion form
     z'(0)^2 >= x0/2 is strictly stronger whenever x0 > 0; when the data falls
     in the window between the two boundaries, agrees is False and the note
-    says so.  Disagreement outside that window would be a bug and raises."""
+    says so; disagreement outside it raises ArithmeticError.  The defaults
+    are those of a degenerate result, a condition that cannot be evaluated."""
 
-    satisfied: bool
-    margin: float  # 1 - LHS; nonnegative means satisfied
-    lhs: float
-    z_prime_sq: float
-    x0_half: float
-    z_sq_boundary: float  # 8E (1 - 1/ME), the exact threshold of the stated form
-    paper_form_satisfied: bool
-    agrees: bool
-    degenerate: bool = False
+    satisfied: bool = False
+    margin: float = -math.inf  # 1 - LHS; nonnegative means satisfied
+    lhs: float = math.nan
+    z_prime_sq: float = math.nan
+    x0_half: float = math.nan
+    z_sq_boundary: float = math.nan  # 8E (1 - 1/ME), the exact threshold of the stated form
+    paper_form_satisfied: bool = False
+    agrees: bool = True
+    degenerate: bool = True
     note: str = ""
 
 
-def check_condition_1_8(u0: FunctionalSnapshot, gs: GroundState, gamma: float) -> Condition18:
-    """Evaluate the admission condition and its companion slope form."""
+def check_condition_1_8(u0: FunctionalSnapshot, me: float, x0: float) -> Condition18:
+    """Evaluate the admission condition and its companion slope form, given
+    the data's me_ratio and x0_solve (x0 is not read when me is nan)."""
     i0 = u0.variance_I
     i1 = u0.virial_I1
     energy = u0.energy
     if i0 <= 0:
-        return Condition18(
-            satisfied=False, margin=-math.inf, lhs=math.inf, z_prime_sq=math.nan,
-            x0_half=math.nan, z_sq_boundary=math.nan, paper_form_satisfied=False,
-            agrees=True, degenerate=True,
-            note="I(0) = 0: variance degenerate, condition cannot be evaluated",
-        )
-    me = me_ratio(u0, gs, gamma)
+        return Condition18(lhs=math.inf, note="I(0) = 0: variance degenerate, condition cannot be evaluated")
+    z_prime_sq = i1 * i1 / (4.0 * i0)
     if math.isnan(me):
         return Condition18(
-            satisfied=False, margin=-math.inf, lhs=math.nan, z_prime_sq=i1 * i1 / (4.0 * i0),
-            x0_half=math.nan, z_sq_boundary=math.nan, paper_form_satisfied=False,
-            agrees=True, degenerate=True,
-            note="E <= 0: ME undefined, condition not applicable (convexity regime)",
+            z_prime_sq=z_prime_sq, note="E <= 0: ME undefined, condition not applicable (convexity regime)"
         )
     lhs = me * (1.0 - i1 * i1 / (32.0 * energy * i0))
     margin = 1.0 - lhs
-    satisfied = lhs <= 1.0 + STRICTNESS
+    satisfied = _side(lhs - 1.0) <= 0
 
-    z_prime_sq = i1 * i1 / (4.0 * i0)
-    x0 = x0_solve(energy, u0.mass, gs.c_q, gamma)
     x0_half = x0 / 2.0
     boundary = 8.0 * energy * (1.0 - 1.0 / me)
     scale = max(abs(x0_half), abs(boundary), z_prime_sq, 1e-300)
-    paper_sat = z_prime_sq >= x0_half - STRICTNESS * scale
+    paper_side = _side(z_prime_sq - x0_half, scale)
+    paper_sat = paper_side >= 0
     agrees = paper_sat == satisfied
     note = ""
     if not agrees:
-        if boundary - STRICTNESS * scale <= z_prime_sq < x0_half + STRICTNESS * scale:
+        if _side(z_prime_sq - boundary, scale) >= 0 and paper_side <= 0:
             note = (
                 "z'(0)^2 lies between the stated boundary 8E(1-1/ME) and x0/2; "
                 "the two printed forms of the condition differ in this window "
                 "and the stated form is authoritative"
             )
         else:
-            raise AssertionError(
+            raise ArithmeticError(
                 f"condition forms disagree outside the boundary window: "
                 f"z'^2={z_prime_sq}, boundary={boundary}, x0/2={x0_half}"
             )
     return Condition18(
         satisfied=satisfied, margin=margin, lhs=lhs, z_prime_sq=z_prime_sq,
         x0_half=x0_half, z_sq_boundary=boundary, paper_form_satisfied=paper_sat,
-        agrees=agrees, note=note,
+        agrees=agrees, degenerate=False, note=note,
     )
 
 
@@ -327,48 +328,28 @@ def classify(
 
     me = me_ratio(snap, gs, gamma)
     energy = snap.energy
-
-    # scalars that exist whenever they are defined at all
-    x0 = math.nan
-    f_x0 = math.nan
+    me_side = _side(me - 1.0)
+    # x0 and f(x0) exist wherever ME does
+    x0 = f_x0 = math.nan
     if not math.isnan(me):
         x0 = x0_solve(energy, snap.mass, gs.c_q, gamma)
         f_x0 = f_eval(x0, energy, snap.mass, gs.c_q, gamma)
-        scale16 = max(abs(16.0 * energy), 1e-300)
-        me_above = me > 1.0 + STRICTNESS
-        me_below = me < 1.0 - STRICTNESS
-        if (me_above and x0 < -STRICTNESS * scale16) or (me_below and x0 > STRICTNESS * scale16):
-            raise AssertionError(
-                f"ME > 1 and x0 > 0 must agree: me={me}, x0={x0}, 16E={16.0 * energy}"
-            )
-
-    cond18 = check_condition_1_8(snap, gs, gamma)
+        if me_side * _side(x0, max(abs(16.0 * energy), 1e-300)) < 0:
+            raise ArithmeticError(f"ME > 1 and x0 > 0 must agree: me={me}, x0={x0}, 16E={16.0 * energy}")
+    cond18 = check_condition_1_8(snap, me, x0)
 
     mp_u = mp_product(snap.mass, snap.p_value, gamma)
     mp_q = mp_product(gs.mass, gs.snapshot.p_value, gamma)
     mp_margin = mp_u - mp_q
+    mp_side = _side(mp_margin, mp_q)
     mp_rec = {
-        "product_u": mp_u,
-        "product_gs": mp_q,
-        "margin": mp_margin,
-        "scale": mp_q,
-        "gt_satisfied": mp_margin > STRICTNESS * mp_q,
-        "lt_satisfied": mp_margin < -STRICTNESS * mp_q,
+        "product_u": mp_u, "product_gs": mp_q, "margin": mp_margin, "scale": mp_q,
+        "gt_satisfied": mp_side > 0, "lt_satisfied": mp_side < 0,
     }
-
-    me_rec = {
-        "value": me,
-        "margin": me - 1.0 if not math.isnan(me) else math.nan,
-        "satisfied": (not math.isnan(me)) and me > 1.0 + STRICTNESS,
-    }
-
+    me_rec = {"value": me, "margin": me - 1.0, "satisfied": me_side > 0}
     i1 = snap.virial_I1
-    i1_tol = STRICTNESS * (math.sqrt(32.0 * abs(energy) * snap.variance_I) + abs(i1))
-    i1_nonpos = i1 <= i1_tol
-    i1_nonneg = i1 >= -i1_tol
-
+    i1_side = _side(i1, math.sqrt(32.0 * abs(energy) * snap.variance_I) + abs(i1))
     sign_ok_blowup = sign_w in ("nonnegative", "zero")
-    sign_ok_global = sign_w in ("nonpositive", "zero")
 
     # negative-energy data bypasses ME (nan there, so me_gt_1 fails): convexity
     # closes the argument only when the weight keeps e(t) >= 0, otherwise
@@ -376,18 +357,18 @@ def classify(
     localized = [("sigma_membership", sigma_ok), ("admissible_potential", adm.admissible)]
     if energy < 0:
         blowup_hyps = localized + [("weight_sign_nonnegative", sign_ok_blowup)]
-        global_hyps = blowup_hyps + [("me_gt_1", me_rec["satisfied"])]
+        global_hyps = blowup_hyps + [("me_gt_1", me_side > 0)]
     else:
-        common = localized + [("me_gt_1", me_rec["satisfied"]), ("virial_bound_1_8", cond18.satisfied)]
+        common = localized + [("me_gt_1", me_side > 0), ("virial_bound_1_8", cond18.satisfied)]
         blowup_hyps = common + [
-            ("I1_nonpositive", i1_nonpos),
+            ("I1_nonpositive", i1_side <= 0),
             ("weight_sign_nonnegative", sign_ok_blowup),
-            ("mp_product_above", mp_rec["gt_satisfied"]),
+            ("mp_product_above", mp_side > 0),
         ]
         global_hyps = common + [
-            ("I1_nonnegative", i1_nonneg),
-            ("weight_sign_nonpositive", sign_ok_global),
-            ("mp_product_below", mp_rec["lt_satisfied"]),
+            ("I1_nonnegative", i1_side >= 0),
+            ("weight_sign_nonpositive", sign_w in ("nonpositive", "zero")),
+            ("mp_product_below", mp_side < 0),
         ]
     failed_blowup = [name for name, ok in blowup_hyps if not ok]
     failed_global = [name for name, ok in global_hyps if not ok]
@@ -422,9 +403,9 @@ def classify(
 def _subthreshold_record(
     snap: FunctionalSnapshot, vfield: Field | None, wfield: Field | None, gs: GroundState, gamma: float, me: float
 ) -> dict:
-    """Sub-threshold comparison record; verdict NotApplicable unless ME < 1,
-    V >= 0 pointwise, and the reference is the free profile.  vfield and
-    wfield are the sampled V and 2V + x.grad V, None for the zero potential."""
+    """Sub-threshold comparison record; verdict NotApplicable unless ME < 1 and
+    V >= 0, which classify has tied to a free reference.  vfield and wfield
+    are the sampled V and 2V + x.grad V, None for the zero potential."""
     grid = gs.field.grid
     regime = "native" if (gamma == 3.0 and grid.dim == 5) else "heuristic-extension"
     rec = {
@@ -435,21 +416,19 @@ def _subthreshold_record(
         "margin": math.nan,
         "notes": [],
     }
-    if math.isnan(me) or me >= 1.0 - STRICTNESS:
+    if _side(me - 1.0) >= 0:
         rec["notes"].append("ME is not below 1")
         return rec
-    if vfield is not None and value_sign(vfield.values) not in ("nonnegative", "zero"):
-        rec["notes"].append("V takes negative values; the sub-threshold result needs V >= 0")
-        return rec
     if not gs.potential.is_zero:
-        rec["notes"].append("reference is not the free profile")
+        rec["notes"].append("V takes negative values; the sub-threshold result needs V >= 0")
         return rec
 
     prod_u = math.sqrt(max(snap.hv_sq, 0.0) * snap.mass)
     prod_q = math.sqrt(gs.snapshot.hv_sq * gs.mass)
     margin = prod_u - prod_q
     rec.update(product_u=prod_u, product_gs=prod_q, margin=margin)
-    if margin < -STRICTNESS * prod_q:
+    side = _side(margin, prod_q)
+    if side < 0:
         rec["verdict"] = "GlobalScattersPredicted"
         if vfield is not None:
             xg = wfield.values - 2.0 * vfield.values
@@ -458,7 +437,7 @@ def _subthreshold_record(
                     "scattering additionally needs x.grad V <= 0, which fails here; "
                     "only persistence below the product threshold is predicted"
                 )
-    elif margin > STRICTNESS * prod_q:
+    elif side > 0:
         rec["verdict"] = "BlowUpPredicted"
         if wfield is not None and value_sign(wfield.values) not in ("nonnegative", "zero"):
             rec["notes"].append(

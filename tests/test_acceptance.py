@@ -327,6 +327,27 @@ def test_library_does_not_import_scipy_integrate():
     assert subprocess.run([sys.executable, "-c", code], env=_library_env(), timeout=120).returncode == 0
 
 
+def test_strictness_is_read_only_by_side():
+    """Every threshold comparison goes through threshold._side.
+
+    The noise band STRICTNESS is read nowhere else under src/hartreekit, so
+    each hypothesis meets the same band and widening it is one edit."""
+    found = []
+    for name, tree in _library_modules():
+        inside = {
+            id(node)
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_side"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            reads = (isinstance(node, ast.Name) and node.id == "STRICTNESS" and isinstance(node.ctx, ast.Load)) or (
+                isinstance(node, ast.Attribute) and node.attr == "STRICTNESS"
+            )
+            if reads and id(node) not in inside:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_grid_sums_do_not_depend_on_blas_threads():
     """The library's numbers are the same at one and at two BLAS threads.
 

@@ -750,6 +750,23 @@ def test_noncoercive_well_fails_the_groundstate_stage(tmp_path, capsys):
     assert os.listdir(out) == ["manifest.json"]
 
 
+def test_disagreeing_me_and_x0_end_the_classify_run(tmp_path, capsys):
+    # the 32^3 reference at L 16 is too coarse for this Gaussian: its ME reads
+    # above 1 while x0 reads below 0, which is an arithmetic failure of the
+    # reference, reported as a run error with a manifest, not a crash
+    out = str(tmp_path / "cls")
+    path = write_cfg(
+        tmp_path,
+        "[run]\nmode = classify\n[grid]\npoints = 32\nhalf_length = 16.0\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.12857142857142856\nwidth = 2.0\nlambda = 0.18\n",
+    )
+    assert main(["classify", "--config", path, "--out", out]) == 1
+    assert "error: classify: ME > 1 and x0 > 0 must agree" in capsys.readouterr().err
+    files = read_json(os.path.join(out, "manifest.json"))["files"]
+    assert {"ground_state.fld", "ground_state.fld.meta.json", "groundstate_report.json"} <= set(files)
+    assert "classify_report.json" not in files
+
+
 def test_validate_deterministic_reruns(tmp_path):
     path = write_cfg(tmp_path, "[run]\nmode = validate\nseed = 5\n" + SMALL_GRID)
     outs = []

@@ -47,6 +47,13 @@ def gaussian_data(grid, a, w, lam):
     return Field(grid, a * np.exp(-r2 / (2.0 * w * w)) * np.exp(1j * lam * r2))
 
 
+def condition_1_8(snap, gs):
+    """check_condition_1_8 on the ME and x0 that classify hands it."""
+    me = me_ratio(snap, gs, GAMMA)
+    x0 = math.nan if math.isnan(me) else x0_solve(snap.energy, snap.mass, gs.c_q, GAMMA)
+    return check_condition_1_8(snap, me, x0)
+
+
 def test_s_crit_values():
     assert s_crit(2.5) == pytest.approx(0.25, abs=0)
     assert s_crit(3.0) == pytest.approx(0.5, abs=0)
@@ -149,7 +156,7 @@ def test_condition_disagreement_window(gs_wide):
     # one is authoritative and the report must say so rather than raise
     u = gaussian_data(gs_wide.field.grid, 0.32, 1.5, 0.03)
     snap = take_snapshot(u, 0.0, None, None, GAMMA)
-    c = check_condition_1_8(snap, gs_wide, GAMMA)
+    c = condition_1_8(snap, gs_wide)
     assert c.satisfied and not c.paper_form_satisfied and not c.agrees
     assert c.z_sq_boundary < c.z_prime_sq < c.x0_half
     assert "authoritative" in c.note
@@ -161,11 +168,11 @@ def test_condition_agreement_outside_window(gs_wide):
     # strongly chirped data: both forms satisfied
     u = gaussian_data(gs_wide.field.grid, 0.34, 1.5, 0.04)
     snap = take_snapshot(u, 0.0, None, None, GAMMA)
-    c = check_condition_1_8(snap, gs_wide, GAMMA)
+    c = condition_1_8(snap, gs_wide)
     assert c.satisfied and c.paper_form_satisfied and c.agrees and not c.degenerate
     # real data below threshold: z' = 0, x0 < 0, both forms again agree
     u2 = Field(gs_wide.field.grid, 1.1 * gs_wide.field.values)
-    c2 = check_condition_1_8(take_snapshot(u2, 0.0, None, None, GAMMA), gs_wide, GAMMA)
+    c2 = condition_1_8(take_snapshot(u2, 0.0, None, None, GAMMA), gs_wide)
     assert c2.satisfied and c2.paper_form_satisfied and c2.agrees
     assert c2.z_prime_sq == pytest.approx(0.0, abs=1e-10)
     assert c2.x0_half < 0.0
@@ -174,7 +181,7 @@ def test_condition_agreement_outside_window(gs_wide):
 def test_condition_degenerate_branches(gs_wide):
     # E <= 0 routes to the convexity regime
     u = Field(gs_wide.field.grid, 1.3 * gs_wide.field.values)
-    c = check_condition_1_8(take_snapshot(u, 0.0, None, None, GAMMA), gs_wide, GAMMA)
+    c = condition_1_8(take_snapshot(u, 0.0, None, None, GAMMA), gs_wide)
     assert c.degenerate and not c.satisfied
     assert "convexity" in c.note
     # I(0) = 0 cannot be normalized into z'(0)
@@ -182,7 +189,7 @@ def test_condition_degenerate_branches(gs_wide):
         time=0.0, mass=1.0, energy=0.5, grad_sq=1.0, hv_sq=1.0,
         p_value=1.0, variance_I=0.0, virial_I1=0.0, virial_I2=0.0, e_term=0.0,
     )
-    c0 = check_condition_1_8(snap, gs_wide, GAMMA)
+    c0 = condition_1_8(snap, gs_wide)
     assert c0.degenerate and not c0.satisfied
     assert c0.margin == -math.inf
 
@@ -286,6 +293,18 @@ def test_subthreshold_predictions(gs_wide):
     # ME > 1 likewise
     rec4 = subthreshold(chirped(gs_wide, 1.1, -0.2))
     assert rec4["verdict"] == "NotApplicable"
+
+
+def test_subthreshold_needs_a_nonnegative_potential():
+    # a well has a negative part, so its reference is pinned and the
+    # sub-threshold comparison, stated for V >= 0, does not apply
+    well = PotentialSpec(kind="gaussian_bump", amplitude=-0.5, sigma=1.0)
+    gsp = solve_ground_state(Grid(3, 32, 10.0), well, GAMMA)
+    assert gsp.converged
+    rep = classify(Field(gsp.field.grid, 0.5 * gsp.field.values), well, gsp, GAMMA)
+    assert rep.branch == "pinned" and rep.me < 1.0
+    assert rep.subthreshold["verdict"] == "NotApplicable"
+    assert rep.subthreshold["notes"] == ["V takes negative values; the sub-threshold result needs V >= 0"]
 
 
 def test_subthreshold_embedded_in_dichotomy_report(gs_wide):
