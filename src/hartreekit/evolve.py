@@ -281,7 +281,8 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     under 1e-12 after a rejection means the requested tolerance is
     unreachable at this resolution, and the run ends as
     ResolutionExhausted; so does a run whose state is not finite, at t = 0
-    when u0 is not.
+    when u0 is not.  u0's values are read in place, never written; only
+    values that are not complex are copied, to complex.
 
     extras holds accepted_dts, n_step_attempts and n_rejected_steps
     (attempts = accepted + rejected), transform_basis, the basis's name,
@@ -294,7 +295,7 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
     approx = potential.xgrad_is_distributional
 
-    u = np.array(u0.values, dtype=complex, copy=True)
+    u = np.asarray(u0.values, dtype=complex)
     uhat = fftn(u)
     t = 0.0
     snapshots = [take_snapshot(Field(grid, u), t, vfield, wfield, cfg.gamma, e_term_approximate=approx, uhat=uhat)]

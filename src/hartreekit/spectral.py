@@ -204,11 +204,29 @@ def integrate(f: Field):
 
 
 def gradient(f: Field) -> list:
-    """Spectral gradient, one Field per axis; real for a real f."""
-    basis = PeriodicBasis(f.grid)
-    fhat = fftn(f.values)
-    grads = (basis.derivative(fhat, ax) for ax in range(f.grid.dim))
-    return [Field(f.grid, g.real if np.isrealobj(f.values) else g) for g in grads]
+    """Spectral gradient, one Field per axis; real for a real f.
+
+    A complex f takes fftn and one ifftn per axis.  A real f takes rfftn and
+    one irfftn per axis, which is the real part of the complex route: along
+    the derivative's own axis the multiplier i xi is zero on the Nyquist
+    plane, whose term is imaginary for a real f.  The real part drops that
+    term, while irfftn, which takes its input to be a real field's half
+    spectrum, would fold it back in."""
+    grid = f.grid
+    if np.iscomplexobj(f.values):
+        basis = PeriodicBasis(grid)
+        fhat = fftn(f.values)
+        return [Field(grid, basis.derivative(fhat, ax)) for ax in range(grid.dim)]
+    n = grid.points
+    fhat = sfft.rfftn(f.values)
+    xi = 1j * grid.freq_axis
+    xi[n // 2] = 0.0
+    grads = []
+    for ax in range(grid.dim):
+        m = xi[: n // 2 + 1] if ax == grid.dim - 1 else xi
+        m = m.reshape([-1 if a == ax else 1 for a in range(grid.dim)])
+        grads.append(Field(grid, sfft.irfftn(m * fhat, f.values.shape, overwrite_x=True)))
+    return grads
 
 
 def riesz_convolve(f: Field, gamma_exp: float) -> Field:
@@ -393,8 +411,15 @@ class EvenOctant(PeriodicBasis):
 
 
 def is_even(a: np.ndarray) -> bool:
-    """a[j] == a[(n - j) % n] along every axis, exactly: a is even about the grid centre."""
-    return all(np.array_equal(a, np.take(a, -np.arange(n) % n, axis=ax)) for ax, n in enumerate(a.shape))
+    """a[j] == a[(n - j) % n] along every axis, exactly: a is even about the grid centre.
+
+    Index 0 is its own mirror, so along each axis a[1:] is compared with its
+    reverse, a[:0:-1], as views: no copy of the grid.  The point at index 0
+    on every axis is in no comparison; it is compared with itself, which
+    fails only for a NaN there."""
+    whole = (slice(None),) * a.ndim
+    halves = ((a[whole[:ax] + (slice(1, None),)], a[whole[:ax] + (slice(None, 0, -1),)]) for ax in range(a.ndim))
+    return bool(a.flat[0] == a.flat[0]) and all(np.array_equal(p, q) for p, q in halves)
 
 
 def transform_basis(grid: Grid, *arrays) -> PeriodicBasis:

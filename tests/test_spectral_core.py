@@ -133,6 +133,37 @@ def test_gradient_plane_wave(grid32):
     assert gradient_routes_defect(checkerboard) > 0.5
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_real_gradient_is_the_real_part_of_the_complex_route(n):
+    # a real field goes through rfftn/irfftn, which must drop each axis's
+    # Nyquist plane as taking the real part of the complex route does
+    grid = Grid(3, n, 10.0)
+    f = np.random.default_rng(n).standard_normal(grid.shape)
+    fhat = np.fft.fftn(f)
+    for ax, g in enumerate(gradient(Field(grid, f))):
+        ref = np.fft.ifftn(1j * grid.freqs[ax] * fhat).real
+        assert g.values.dtype == np.float64
+        assert np.abs(g.values - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape", [(7, 8, 9), (6,), (5, 5), (4, 6, 8)])
+def test_is_even_matches_its_definition(shape):
+    # a[j] == a[(n - j) % n] along every axis, on odd, 1-D, 2-D and non-cubic shapes
+    def mirrored(a, ax):
+        return np.take(a, -np.arange(a.shape[ax]) % a.shape[ax], axis=ax)
+
+    a = np.random.default_rng(len(shape)).standard_normal(shape)
+    even = a
+    for ax in range(a.ndim):
+        even = even + mirrored(even, ax)
+    # index 0 on every axis is its own mirror: only a NaN there breaks it
+    corner_nan = even.copy()
+    corner_nan.flat[0] = np.nan
+    for arr, expected in ((even, True), (a, False), (corner_nan, False)):
+        assert all(np.array_equal(arr, mirrored(arr, ax)) for ax in range(arr.ndim)) == expected
+        assert is_even(arr) == expected
+
+
 def test_riesz_convolve_gaussian_origin(grid48):
     """(|x|^-gamma * e^{-|x|^2}) at 0 against scalar radial quadrature."""
     assert riesz_origin_defect(grid48, GAMMA) < 1e-4
