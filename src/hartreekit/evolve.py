@@ -261,8 +261,9 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     The state is carried in Fourier space from step to step, as the
     coefficients of a basis: fftn(u) on the periodic grid, or, when u0 and
     V are both exactly even (spectral.transform_basis), the octant's DCT-I.
-    The t = 0 snapshot reads fftn(u0) on the full grid either way; every
-    later one reads the basis.  An attempt is one Blanes-Moan step of order
+    The t = 0 snapshot reads fftn(u0), V and its weight on the full grid
+    either way; every later one reads the basis, and only the basis's takes
+    of V and the weight are kept.  An attempt is one Blanes-Moan step of order
     4 with its embedded order-3 partner (_embedded_step: 17 complex and 16
     real transforms; the kinetic factors are rebuilt per attempt, never
     cached, since adaptive dt rarely repeats a value).  err is the relative
@@ -303,7 +304,8 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     if basis.name != "periodic":
         uhat = basis.forward(basis.take(u), overwrite_x=True)
     vvals, wvals = (None if f is None else basis.take(f.values) for f in (vfield, wfield))
-    del u
+    # on the octant the full-grid V and weight are read only by the t = 0 snapshot
+    del u, vfield, wfield
     grad_sq_0 = snapshots[0].grad_sq
     extras: dict = {"accepted_dts": [], "n_step_attempts": 0, "n_rejected_steps": 0, "transform_basis": basis.name}
     dt = cfg.dt0

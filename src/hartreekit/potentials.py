@@ -148,7 +148,7 @@ def eval_virial_weight(spec: PotentialSpec, grid: Grid) -> Field:
         vals = 2.0 * spec.amplitude * (r2 <= spec.radius**2).astype(float)
     elif k == "grid_sampled":
         v = np.asarray(spec.values, dtype=float)
-        vals = 2.0 * v + sum(x * d.values for x, d in zip(grid.coords, gradient(Field(grid, v))))
+        vals = 2.0 * v + sum(map(lambda x, d: x * d.values, grid.coords, gradient(Field(grid, v))))
     return Field(grid, vals)
 
 
@@ -160,7 +160,11 @@ def kato_constant(dim: int) -> float:
 
 
 def kato_norm(v: Field) -> float:
-    """sup_x C_d int |V(y)| |x-y|^{2-d} dy, evaluated as a grid max of the Riesz potential."""
+    """sup_x C_d int |V(y)| |x-y|^{2-d} dy, evaluated as a grid max of the Riesz potential.
+
+    An even |V|, as every centred kind gives, is convolved on the octant as
+    DCT-Is with the octant's own gamma = d - 2 multiplier (riesz_convolve),
+    so no full-grid multiplier is built for it."""
     grid = v.grid
     if grid.dim < 3:
         raise ValueError("Kato norm defined for dim >= 3")

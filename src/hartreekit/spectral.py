@@ -161,18 +161,25 @@ class Grid:
         """
         key = ("riesz", gamma_exp)
         if key not in self._cache:
-            if not 0.0 < gamma_exp < self.dim:
-                raise ValueError(f"riesz kernel needs 0 < gamma_exp < dim, got {gamma_exp}")
-            c = riesz_constant(self.dim, gamma_exp)
-            with np.errstate(divide="ignore"):
-                m = c * self.k_sq ** ((gamma_exp - self.dim) / 2.0)
-            edge = 2.0 * self.half_length
-            zero_mode = -c * (2.0 * np.pi / edge) ** (gamma_exp - self.dim) * epstein_zeta(
-                self.dim - gamma_exp, self.dim
-            )
-            m[(0,) * self.dim] = zero_mode
-            self._cache[key] = m
+            self._cache[key] = self.riesz_symbol(self.k_sq, gamma_exp)
         return self._cache[key]
+
+    def riesz_symbol(self, k_sq: np.ndarray, gamma_exp: float) -> np.ndarray:
+        """riesz_multiplier's values on the modes whose |xi|^2 is k_sq, mode 0 first; not cached.
+
+        Each entry depends only on its own |xi|^2, so the multiplier on a
+        subset of the modes (EvenOctant's) is built without the full grid's,
+        and equals its slice bit for bit."""
+        if not 0.0 < gamma_exp < self.dim:
+            raise ValueError(f"riesz kernel needs 0 < gamma_exp < dim, got {gamma_exp}")
+        c = riesz_constant(self.dim, gamma_exp)
+        with np.errstate(divide="ignore"):
+            m = c * k_sq ** ((gamma_exp - self.dim) / 2.0)
+        edge = 2.0 * self.half_length
+        m[(0,) * self.dim] = -c * (2.0 * np.pi / edge) ** (gamma_exp - self.dim) * epstein_zeta(
+            self.dim - gamma_exp, self.dim
+        )
+        return m
 
     def field_from_function(self, fn) -> "Field":
         """Sample fn(*coords) on the grid."""
@@ -193,7 +200,12 @@ class Field:
 
 
 def abs_sq(a: np.ndarray) -> np.ndarray:
-    """|a|^2 as a real array: the density of samples, the power spectrum of a transform."""
+    """|a|^2 as a real array: the density of samples, the power spectrum of a transform.
+
+    A real a gives a * a, which is the complex formula's a * a + 0 * 0 bit
+    for bit, without a zero imaginary part to square."""
+    if np.isrealobj(a):
+        return a * a
     return a.real * a.real + a.imag * a.imag
 
 
@@ -203,30 +215,32 @@ def integrate(f: Field):
     return float(s.real) if np.isrealobj(f.values) else complex(s)
 
 
-def gradient(f: Field) -> list:
-    """Spectral gradient, one Field per axis; real for a real f.
+def gradient(f: Field):
+    """Spectral gradient, yielded one Field per axis; real for a real f.
 
-    A complex f takes fftn and one ifftn per axis.  A real f takes rfftn and
-    one irfftn per axis, which is the real part of the complex route: along
-    the derivative's own axis the multiplier i xi is zero on the Nyquist
-    plane, whose term is imaginary for a real f.  The real part drops that
-    term, while irfftn, which takes its input to be a real field's half
-    spectrum, would fold it back in."""
+    Each axis's derivative is made when the caller asks for the next one,
+    so a caller that reads them in turn and drops each holds one derivative
+    and the transform of f, not all of them.  A complex f takes fftn and one
+    ifftn per axis.  A real f takes rfftn and one irfftn per axis, which is
+    the real part of the complex route: along the derivative's own axis the
+    multiplier i xi is zero on the Nyquist plane, whose term is imaginary
+    for a real f.  The real part drops that term, while irfftn, which takes
+    its input to be a real field's half spectrum, would fold it back in."""
     grid = f.grid
     if np.iscomplexobj(f.values):
         basis = PeriodicBasis(grid)
         fhat = fftn(f.values)
-        return [Field(grid, basis.derivative(fhat, ax)) for ax in range(grid.dim)]
+        for ax in range(grid.dim):
+            yield Field(grid, basis.derivative(fhat, ax))
+        return
     n = grid.points
     fhat = sfft.rfftn(f.values)
     xi = 1j * grid.freq_axis
     xi[n // 2] = 0.0
-    grads = []
     for ax in range(grid.dim):
         m = xi[: n // 2 + 1] if ax == grid.dim - 1 else xi
         m = m.reshape([-1 if a == ax else 1 for a in range(grid.dim)])
-        grads.append(Field(grid, sfft.irfftn(m * fhat, f.values.shape, overwrite_x=True)))
-    return grads
+        yield Field(grid, sfft.irfftn(m * fhat, f.values.shape, overwrite_x=True))
 
 
 def riesz_convolve(f: Field, gamma_exp: float) -> Field:
@@ -235,9 +249,13 @@ def riesz_convolve(f: Field, gamma_exp: float) -> Field:
     The zero mode follows the renormalized lattice rule (see
     Grid.riesz_multiplier), so for sources well contained in the box the
     result tracks the free-space potential; residual error is set by the
-    periodic images and the source's far tail.
+    periodic images and the source's far tail.  An exactly even f
+    (transform_basis) is convolved on the octant as DCT-Is, with the
+    octant's own multiplier, and expanded to the grid; any other f on the
+    full grid.  The two routes agree to rounding.
     """
-    return Field(f.grid, PeriodicBasis(f.grid).apply(f.values, f.grid.riesz_multiplier(gamma_exp)))
+    basis = transform_basis(f.grid, f.values)
+    return Field(f.grid, basis.expand(basis.apply(basis.take(f.values), basis.multiplier(gamma_exp))))
 
 
 class PeriodicBasis:
@@ -290,9 +308,12 @@ class PeriodicBasis:
         to be even in xi (so the result is real); the half spectrum is the
         first n/2 + 1 entries of m along the last axis."""
         if np.isrealobj(a):
-            half = m[..., : a.shape[-1] // 2 + 1] * sfft.rfftn(a)
+            half = sfft.rfftn(a)
+            half *= m[..., : a.shape[-1] // 2 + 1]
             return sfft.irfftn(half, a.shape, overwrite_x=True)
-        return ifftn(m * fftn(a), overwrite_x=True)
+        c = fftn(a)
+        c *= m
+        return ifftn(c, overwrite_x=True)
 
     def convolve(self, rho: np.ndarray, gamma_exp: float) -> np.ndarray:
         """|x|^{-gamma_exp} * rho for a temporary rho, whose memory it may reuse."""
@@ -356,8 +377,7 @@ class EvenOctant(PeriodicBasis):
     def multiplier(self, gamma_exp):
         key = ("riesz_octant", gamma_exp)
         if key not in self.grid._cache:
-            octant = (self._modes,) * self.dim
-            self.grid._cache[key] = self.grid.riesz_multiplier(gamma_exp)[octant].copy()
+            self.grid._cache[key] = self.grid.riesz_symbol(self.k_sq, gamma_exp)
         return self.grid._cache[key]
 
     def take(self, a):
@@ -376,7 +396,9 @@ class EvenOctant(PeriodicBasis):
         return sfft.idctn(c, type=1, overwrite_x=overwrite_x)
 
     def apply(self, a, m, overwrite_x=False):
-        return self.inverse(m * self.forward(a, overwrite_x), overwrite_x=True)
+        c = self.forward(a, overwrite_x)
+        c *= m
+        return self.inverse(c, overwrite_x=True)
 
     def derivative(self, c, ax):
         """The odd part of the derivative, and the periodic grid's Nyquist term on the plane x_ax = -L.

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -55,6 +57,21 @@ def fft_counts(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, counted)
     return counts
+
+
+def traced_peak(fn, grid):
+    """The peak of the memory fn() allocates, in complex grid arrays (16 bytes a point).
+
+    tracemalloc counts only what is allocated after it starts, so the
+    arrays fn's arguments hold and the caches already filled are not in
+    it; a memory test states its bound in these units."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * math.prod(grid.shape))
 
 
 def random_threshold_tuple(rng, dim=3):

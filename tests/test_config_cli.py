@@ -4,7 +4,6 @@ import ctypes
 import json
 import math
 import os
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +26,7 @@ from hartreekit.runner import RunError, build_initial
 from hartreekit.spectral import Field, Grid, center_of_mass
 from hartreekit.threshold import mp_product
 
-from conftest import GAMMA
+from conftest import GAMMA, traced_peak
 
 VERDICTS = {"BlowUp", "Global", "BlowUpNegativeEnergy", "Indeterminate"}
 
@@ -771,22 +770,20 @@ def test_disagreeing_me_and_x0_end_the_classify_run(tmp_path, capsys):
 
 
 def test_validate_holds_one_gates_arrays_at_a_time(tmp_path):
-    # each gate's grid arrays die with the gate and the library reads its
-    # inputs without copying them, so the suite's traced peak is about 6.4
-    # complex grid arrays at 32^3; keeping every finished gate's arrays
-    # alive reads 10.9
+    # each gate's grid arrays die with the gate, the library reads its inputs
+    # without copying them, a full-grid reader holds one transient array
+    # beyond its inputs, and even Riesz convolutions (the Kato norms, the
+    # origin gate) run on the octant, so the suite's traced peak is about 5.0
+    # complex grid arrays at 32^3; with the readers' extra arrays it read 6.4,
+    # and keeping every finished gate's arrays alive 10.9
     path = write_cfg(tmp_path, "[run]\nmode = validate\nseed = 20301\n[grid]\npoints = 32\nhalf_length = 10.0\n")
     cfg = parse_config(path)
     # the grid caches a run's first stage fills, as the benchmark fills them before timing
     cfg.grid.r_sq, cfg.grid.k_sq, cfg.grid.riesz_multiplier(cfg.gamma)
-    tracemalloc.start()
-    try:
-        # the 32^3 grid fails the Pohozaev and Kato-ball gates by resolution; only memory is tested here
-        runner.run_validate(cfg, str(tmp_path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 16 * cfg.grid.points**3
+    # the 32^3 grid fails the Pohozaev and Kato-ball gates by resolution; only memory is tested here
+    assert traced_peak(lambda: runner.run_validate(cfg, str(tmp_path)), cfg.grid) <= 5.5
+    # the Kato norms' gamma = d - 2 multiplier exists on the octant only
+    assert ("riesz", 1.0) not in cfg.grid._cache and ("riesz_octant", 1.0) in cfg.grid._cache
 
 
 def test_validate_deterministic_reruns(tmp_path):

@@ -1,6 +1,7 @@
 """Grid, transform, and Riesz-convolution invariants."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -102,8 +103,15 @@ def test_abs_sq_is_the_sum_of_real_squares():
         assert np.array_equal(got, loop)
         old = (a * a.conj()).real
         assert np.all(np.abs(got - old) <= eps * old)
-    real = rng.standard_normal(1000)
-    assert np.array_equal(abs_sq(real), real * real)
+    # a real a takes a * a, with no zero imaginary part to square; the
+    # complex formula's a * a + 0 * 0 gives the same bits, special values too
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e-200, 1e200, -3.0])
+    for real in (specials, rng.standard_normal(1000), rng.standard_normal((8, 8, 8))[:, ::2]):
+        with np.errstate(over="ignore"):
+            old = real.real * real.real + real.imag * real.imag
+            got = abs_sq(real)
+            assert np.array_equal(got, real * real, equal_nan=True)
+        assert got.dtype == np.float64 and got.tobytes() == old.tobytes()
 
 
 def test_parseval_mass(grid32):
@@ -131,6 +139,26 @@ def test_gradient_plane_wave(grid32):
     # the Nyquist mode; the Parseval route keeps it, so the routes part
     checkerboard = Field(grid32, np.cos(np.pi * (x + grid32.half_length) / grid32.spacing) * np.ones(grid32.shape))
     assert gradient_routes_defect(checkerboard) > 0.5
+
+
+def test_gradient_is_a_generator_of_the_per_axis_derivatives():
+    # gradient yields each axis's derivative when asked for it, and each is
+    # bit-equal to the derivative of the route it takes: fftn and ifftn for
+    # a complex field, rfftn and irfftn without the Nyquist plane for a real one
+    grid = Grid(3, 16, 10.0)
+    rng = np.random.default_rng(16)
+    f = rng.standard_normal(grid.shape)
+    z = f + 1j * rng.standard_normal(grid.shape)
+    assert inspect.isgenerator(gradient(Field(grid, f)))
+    fhat = scipy.fft.fftn(z)
+    for ax, g in enumerate(gradient(Field(grid, z))):
+        assert g.values.tobytes() == scipy.fft.ifftn(1j * grid.freqs[ax] * fhat).tobytes()
+    xi = 1j * grid.freq_axis
+    xi[8] = 0.0
+    rhat = scipy.fft.rfftn(f)
+    for ax, g in enumerate(gradient(Field(grid, f))):
+        m = (xi[:9] if ax == 2 else xi).reshape([-1 if a == ax else 1 for a in range(3)])
+        assert g.values.tobytes() == scipy.fft.irfftn(m * rhat, f.shape).tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -208,6 +236,37 @@ def test_riesz_convolve_is_symmetric_positive(grid32):
     c = riesz_convolve(g_even, GAMMA).values.real
     n = grid32.points
     assert np.allclose(c[1:, 1:, 1:], c[1:, 1:, 1:][::-1, ::-1, ::-1], atol=1e-12 * c.max())
+
+
+def test_riesz_convolve_takes_the_octant_for_even_input(grid32, fft_counts):
+    # an even input, real or complex, is convolved as DCT-Is on the octant
+    # and matches the periodic route to 1e-14; a shifted bump is not even and
+    # stays on the full grid, bit for bit
+    periodic = PeriodicBasis(grid32)
+    bump = np.exp(-grid32.r_sq / 3.0)
+    for gamma in (1.0, GAMMA):
+        for values in (bump, (0.4 - 0.7j) * bump):
+            want = periodic.apply(values, grid32.riesz_multiplier(gamma))
+            fft_counts.clear()
+            got = riesz_convolve(Field(grid32, values), gamma).values
+            assert set(fft_counts) == {"dctn", "idctn"}
+            assert got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    shifted = np.roll(bump, 3, axis=1)
+    fft_counts.clear()
+    got = riesz_convolve(Field(grid32, shifted), GAMMA).values
+    assert set(fft_counts) == {"rfftn", "irfftn"}
+    assert got.tobytes() == periodic.apply(shifted, grid32.riesz_multiplier(GAMMA)).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.5])
+def test_octant_multiplier_is_the_full_multipliers_slice(gamma):
+    # the octant's multiplier is built from its own |xi|^2, without the full
+    # grid's, and equals the full multiplier's slice bit for bit
+    grid = Grid(3, 16, 7.0)
+    m = EvenOctant(grid).multiplier(gamma)
+    assert ("riesz", gamma) not in grid._cache
+    assert m.tobytes() == grid.riesz_multiplier(gamma)[(slice(0, 9),) * 3].tobytes()
 
 
 def test_riesz_constant_d3_coulomb():
