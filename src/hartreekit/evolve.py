@@ -107,10 +107,6 @@ class TrajectoryRecord:
     def times(self) -> list:
         return [s.time for s in self.snapshots]
 
-    @property
-    def z_series(self) -> list:
-        return [s.z for s in self.snapshots]
-
     def write_csv(self, path) -> None:
         lines = [",".join(CSV_COLUMNS)]
         for s in self.snapshots:
@@ -366,48 +362,37 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     return TrajectoryRecord(snapshots=snapshots, termination=termination, config=cfg, extras=extras)
 
 
-def _fd_interior(ts, ys):
-    """Non-uniform 3-point first and second derivatives at interior nodes: (first, second)."""
-    first, second = [], []
-    for i in range(1, len(ts) - 1):
-        hm = ts[i] - ts[i - 1]
-        hp = ts[i + 1] - ts[i]
-        first.append(
-            (hm * hm * ys[i + 1] - hp * hp * ys[i - 1] - (hm * hm - hp * hp) * ys[i])
-            / (hm * hp * (hm + hp))
-        )
-        second.append(2.0 * (hm * ys[i + 1] + hp * ys[i - 1] - (hm + hp) * ys[i]) / (hm * hp * (hm + hp)))
-    return first, second
+def _quadrature_gap(ts, y, dy) -> float:
+    """max over the record of |y(t) - y(0) - int_0^t y'| / max_{s <= t} |y(s)|, the integral a cumulative trapezoid."""
+    integral = np.cumsum(0.5 * np.diff(ts) * (dy[1:] + dy[:-1]))
+    scale = np.maximum(np.maximum.accumulate(np.abs(y))[1:], 1e-300)
+    return float(np.max(np.abs(y[1:] - y[0] - integral) / scale))
 
 
 def virial_consistency(record: TrajectoryRecord) -> dict:
-    """Finite differences of the recorded I(t) against the virial columns.
+    """The recorded I(t) and I'(t) against the integrals of the virial columns over the snapshots.
 
-    Relative deviations use max(|column value|, sup over the record) as the
-    scale, so zero crossings do not blow the ratio up.  max_snapshot_dt, the
-    largest gap between recorded times, sets the finite differences' own
-    error, so it is reported next to them.  When the record's config is
-    linear, the recorded second-derivative column is corrected by +2 gamma P,
-    since the nonlinear pressure term is absent from the dynamics but present
-    in the stored functional."""
+    i1_gap checks I against I' and i2_gap checks I' against I'' by
+    _quadrature_gap (Glassey, J. Math. Phys. 18 (1977) 1794-1797), so each
+    is the largest drift of an integrated identity relative to the running
+    max of the integrated column.  max_snapshot_dt, the largest gap between
+    recorded times, sets the trapezoid's own error, O(max_snapshot_dt^2),
+    so it is reported next to them.  When the record's config is linear,
+    the recorded second-derivative column is corrected by +2 gamma P, since
+    the nonlinear pressure term is absent from the dynamics but present in
+    the stored functional."""
     snaps = record.snapshots
-    if len(snaps) < 5:
-        raise ValueError(f"virial consistency needs at least 5 snapshots, got {len(snaps)}")
-    ts = [s.time for s in snaps]
-    ii = [s.variance_I for s in snaps]
-    i1_rec = [s.virial_I1 for s in snaps]
+    if len(snaps) < 2:
+        raise ValueError(f"virial consistency needs at least 2 snapshots, got {len(snaps)}")
+    ts = np.array(record.times)
+    ii, i1, i2 = (np.array([getattr(s, c) for s in snaps]) for c in ("variance_I", "virial_I1", "virial_I2"))
     if record.config.linear:
-        i2_rec = [s.virial_I2 + 2.0 * record.config.gamma * s.p_value for s in snaps]
-    else:
-        i2_rec = [s.virial_I2 for s in snaps]
-
-    fd1, fd2 = _fd_interior(ts, ii)
-    sup1 = max(abs(v) for v in i1_rec) or 1e-300
-    sup2 = max(abs(v) for v in i2_rec) or 1e-300
-    dev1 = max(abs(f - r) / max(abs(r), sup1) for f, r in zip(fd1, i1_rec[1:-1]))
-    dev2 = max(abs(f - r) / max(abs(r), sup2) for f, r in zip(fd2, i2_rec[1:-1]))
-    max_gap = max(b - a for a, b in zip(ts, ts[1:]))
-    return {"i1_max_rel_dev": dev1, "i2_max_rel_dev": dev2, "max_snapshot_dt": max_gap}
+        i2 += 2.0 * record.config.gamma * np.array([s.p_value for s in snaps])
+    return {
+        "i1_gap": _quadrature_gap(ts, ii, i1),
+        "i2_gap": _quadrature_gap(ts, i1, i2),
+        "max_snapshot_dt": float(np.max(np.diff(ts))),
+    }
 
 
 def monotonicity_probe(record: TrajectoryRecord, verdict: str | None = None, f_x0: float | None = None) -> dict:
@@ -415,18 +400,15 @@ def monotonicity_probe(record: TrajectoryRecord, verdict: str | None = None, f_x
 
     Derivatives of z = sqrt(I) come from the recorded virial columns,
     z' = I'/(2z) and z'' = (2 I I'' - I'^2) / (4 I^{3/2}), which are exact
-    at each sample; finite differences of the sampled z alias the fast core
-    oscillations near collapse (sub-stride breathing shows up as spurious
-    convex stretches) and are reported separately as *_fd diagnostics.
+    at each sample; no finite difference of the sampled z is taken, since it
+    would alias the fast core oscillations near collapse.
     BlowUp branch: fraction of interior times with z'' < 0.  Global branch:
     minimum z' against the floor 2 sqrt(f(x0)) (transient-trimmed).  Values
     are recorded, never judged."""
     if verdict is None or not (verdict.startswith("BlowUp") or verdict == "Global"):
         return {}
     snaps = record.snapshots
-    ts = record.times
-    zs = record.z_series
-    if len(ts) < 3:
+    if len(snaps) < 3:
         return {}
     out: dict = {"branch": verdict}
     if verdict.startswith("BlowUp"):
@@ -437,8 +419,6 @@ def monotonicity_probe(record: TrajectoryRecord, verdict: str | None = None, f_x
         ]
         out["z2_negative_fraction"] = sum(1 for v in zpp if v < 0) / len(zpp)
         out["interior_points"] = len(zpp)
-        _, z2_fd = _fd_interior(ts, zs)
-        out["z2_negative_fraction_fd"] = sum(1 for v in z2_fd if v < 0) / len(z2_fd)
     else:
         z1 = [s.virial_I1 / (2.0 * max(s.z, 1e-300)) for s in snaps]
         skip = max(1, len(z1) // 10)  # drop the initial transient

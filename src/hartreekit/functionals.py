@@ -100,13 +100,9 @@ def mass(u: Field) -> float:
     return _integral(PeriodicBasis(u.grid), abs_sq(u.values))
 
 
-def hv_norm_sq(u: Field, v: Field | None = None) -> float:
-    """||u||_{HV}^2 = ||grad u||^2 (Parseval) + int V|u|^2."""
-    basis = PeriodicBasis(u.grid)
-    out = _grad_sq(basis, abs_sq(fftn(u.values)))
-    if v is not None:
-        out += _integral(basis, abs_sq(u.values), v.values)
-    return out
+def hv_norm_sq(u: Field) -> float:
+    """||u||_{HV}^2 at V = 0, ||grad u||^2 by Parseval; take_snapshot's hv_sq adds int V|u|^2."""
+    return _grad_sq(PeriodicBasis(u.grid), abs_sq(fftn(u.values)))
 
 
 @dataclass

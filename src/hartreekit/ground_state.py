@@ -264,16 +264,15 @@ def _petviashvili(basis, vvals, gamma, omega_sq, u0, tol, max_iter, history):
     return u, max_iter, res, False, richardson
 
 
-def _initial_profile(grid: Grid, initial: Field | None = None) -> np.ndarray:
-    """The iteration's first profile: exp(-|x|^2 / 2), or a copy of initial's real part."""
-    return np.exp(-grid.r_sq / 2.0) if initial is None else np.array(initial.values.real, dtype=float, copy=True)
+def _initial_profile(grid: Grid) -> np.ndarray:
+    """The iteration's first profile, exp(-|x|^2 / 2)."""
+    return np.exp(-grid.r_sq / 2.0)
 
 
 def solve_ground_state(
     grid: Grid,
     potential: PotentialSpec,
     gamma: float,
-    initial: Field | None = None,
     **settings,
 ) -> GroundState:
     """Compute the ground-state profile.
@@ -292,7 +291,7 @@ def solve_ground_state(
     tol, max_iter = opts.tol, opts.max_iter
 
     vfull = None if potential.is_zero else eval_potential(potential, grid).values
-    u = _initial_profile(grid, initial)
+    u = _initial_profile(grid)
     basis = transform_basis(grid, u, vfull)
     u = basis.take(u)
     vvals = None if vfull is None else basis.take(vfull)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .spectral import Field, Grid, gradient, integrate, riesz_convolve
+from .spectral import Field, Grid, gradient, integrate, transform_basis
 
 # the [potential] keys each kind reads; a sampled potential's values come from its file
 _PARAMS = {
@@ -162,15 +162,16 @@ def kato_constant(dim: int) -> float:
 def kato_norm(v: Field) -> float:
     """sup_x C_d int |V(y)| |x-y|^{2-d} dy, evaluated as a grid max of the Riesz potential.
 
-    An even |V|, as every centred kind gives, is convolved on the octant as
-    DCT-Is with the octant's own gamma = d - 2 multiplier (riesz_convolve),
-    so no full-grid multiplier is built for it."""
+    The max is taken on the points where the basis ran the convolution
+    (riesz_convolve's route, unexpanded): an even |V|, as every centred kind
+    gives, is convolved on the octant as DCT-Is with the octant's own
+    gamma = d - 2 multiplier, and the octant holds every value of the grid."""
     grid = v.grid
     if grid.dim < 3:
         raise ValueError("Kato norm defined for dim >= 3")
-    absv = Field(grid, np.abs(v.values))
-    pot = riesz_convolve(absv, float(grid.dim - 2))
-    return float(kato_constant(grid.dim) * pot.values.max())
+    absv = np.abs(v.values)
+    basis = transform_basis(grid, absv)
+    return float(kato_constant(grid.dim) * basis.apply(basis.take(absv), basis.multiplier(float(grid.dim - 2))).max())
 
 
 @dataclass

@@ -8,13 +8,18 @@ import pytest
 from hartreekit.functionals import _integral, _p, _virial_first, hv_norm_sq, mass, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
 from hartreekit.runner import smooth_random_field, variational_defects, virial_dual_defect
-from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, is_even, riesz_convolve
+from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, abs_sq, is_even, riesz_convolve
 
 from conftest import GAMMA, traced_peak
 
 
 def snap(u, v=None, w=None):
     return take_snapshot(u, 0.0, v, w, GAMMA)
+
+
+def hv_sq(u, v):
+    """||u||_{HV}^2 from the single-quantity routes: hv_norm_sq(u) + int V|u|^2."""
+    return hv_norm_sq(u) + _integral(PeriodicBasis(u.grid), abs_sq(u.values), v.values)
 
 
 def test_mass_is_l2_squared(grid32):
@@ -30,8 +35,8 @@ def test_hv_decomposition(grid32):
     v = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=0.4, sigma=1.1), grid32)
     vterm = float(((u.values * u.values.conj()).real * v.values).sum() * grid32.cell_volume)
     grad_sq = snap(u).grad_sq
-    assert abs(hv_norm_sq(u, v) - (grad_sq + vterm)) < 1e-11 * hv_norm_sq(u, v)
-    assert abs(hv_norm_sq(u, None) - grad_sq) < 1e-14 * grad_sq
+    assert abs(hv_sq(u, v) - (grad_sq + vterm)) < 1e-11 * hv_sq(u, v)
+    assert abs(hv_norm_sq(u) - grad_sq) < 1e-14 * grad_sq
 
 
 def test_energy_definition(grid32):
@@ -40,7 +45,7 @@ def test_energy_definition(grid32):
     v = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=-0.2, sigma=1.3), grid32)
     s = snap(u, v)
     e = s.energy
-    assert abs(e - (0.5 * hv_norm_sq(u, v) - 0.25 * s.p_value)) < 1e-11 * (abs(e) + 1.0)
+    assert abs(e - (0.5 * hv_sq(u, v) - 0.25 * s.p_value)) < 1e-11 * (abs(e) + 1.0)
 
 
 def test_p_functional_positive_and_quartic(grid32):
@@ -103,7 +108,7 @@ def test_virial_second_forms_agree(grid32):
     # the weight's e-term matches the route that never differentiates V
     assert virial_dual_defect(u, v, w) == 0.0
     s = snap(u, v, w)
-    expect = 8.0 * hv_norm_sq(u, v) - 2.0 * GAMMA * s.p_value - s.e_term
+    expect = 8.0 * hv_sq(u, v) - 2.0 * GAMMA * s.p_value - s.e_term
     assert abs(s.virial_I2 - expect) < 1e-9 * (abs(s.virial_I2) + 1.0)
 
 
@@ -146,7 +151,7 @@ def test_snapshot_consistency(grid32):
     s = take_snapshot(u, 1.25, v, w, GAMMA)
     assert s.time == 1.25
     assert abs(s.mass - mass(u)) < 1e-12 * s.mass
-    assert abs(s.hv_sq - hv_norm_sq(u, v)) < 1e-12 * s.hv_sq
+    assert abs(s.hv_sq - hv_sq(u, v)) < 1e-12 * s.hv_sq
     assert abs(s.z - np.sqrt(s.variance_I)) < 1e-14
     assert virial_dual_defect(u, v, w) == 0.0
 

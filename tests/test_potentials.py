@@ -14,7 +14,7 @@ from hartreekit.potentials import (
     value_sign,
 )
 from hartreekit.runner import kato_ball_defect, kato_sandwich_excess, smooth_random_field
-from hartreekit.spectral import Field
+from hartreekit.spectral import Field, riesz_convolve, transform_basis
 
 
 def test_kato_ball_closed_form(grid64):
@@ -35,6 +35,19 @@ def test_kato_norm_sign_blind(grid32):
     pos = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=0.4, sigma=1.2), grid32)
     neg = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=-0.4, sigma=1.2), grid32)
     assert abs(kato_norm(pos) - kato_norm(neg)) < 1e-12
+
+
+@pytest.mark.parametrize("shift", [0, 3])
+def test_kato_norm_is_the_max_over_the_bases_points(grid32, shift):
+    """kato_norm reads the max where its basis convolved, bit-equal to the expanded grid's max.
+
+    The centred bump is even and takes the octant; the shifted one takes the
+    periodic grid."""
+    v = eval_potential(PotentialSpec(kind="gaussian_bump", amplitude=-0.4, sigma=1.2), grid32)
+    v = Field(grid32, np.roll(v.values, shift, axis=0))
+    assert transform_basis(grid32, v.values).name == ("even_octant" if shift == 0 else "periodic")
+    expanded = kato_constant(3) * float(riesz_convolve(Field(grid32, np.abs(v.values)), 1.0).values.max())
+    assert kato_norm(v) == expanded
 
 
 def test_kato_constant_d3():
