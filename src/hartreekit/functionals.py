@@ -24,11 +24,11 @@ the Parseval weights (spectral.EvenOctant):
 take_snapshot evaluates all of them from one rho and one u-hat; a caller
 that wants several of these quantities reads them off a snapshot.  On the
 full grid a snapshot given fftn(u) costs 3 ifftn (I') and one rfftn (P); on
-the octant, given the coefficients, a DST-I along each axis with an idctn
-along the others (I') and one dctn (P).  The two single-quantity calls, mass
-and hv_norm_sq, serve the validate gates that read only M, ||grad u||^2,
-int V|u|^2 or e (the last two through _integral and _e_term) and would
-otherwise pay for a whole snapshot.
+the octant, given the coefficients, a DST-I along each axis with an
+inverse DCT-I along the others (I') and one forward DCT-I (P).  The two
+single-quantity calls, mass and hv_norm_sq, serve the validate gates that
+read only M, ||grad u||^2, int V|u|^2 or e (the last two through _integral
+and _e_term) and would otherwise pay for a whole snapshot.
 """
 
 from __future__ import annotations

@@ -5,6 +5,9 @@ boundary conditions; derivatives and nonlocal convolutions are diagonal in the
 discrete Fourier basis with frequencies xi_k = pi*k/L.  The box is a surrogate
 for R^d: every routine here assumes the data decays well inside the boundary,
 and `outer_shell_mass_fraction` quantifies when that assumption is violated.
+Every transform of the periodic grid goes through scipy.fft.  An even
+field's octant (EvenOctant) takes its DCT-Is as cached matrix products up to
+_MATRIX_DCT_POINTS points per axis, and through scipy.fft above.
 """
 
 from __future__ import annotations
@@ -26,6 +29,14 @@ from scipy.special import gamma as gamma_fn, gammaincc
 # count, which a run sets for its own duration with scipy.fft.set_workers.
 def _in_place(a: np.ndarray, overwrite_x: bool):
     return (a, overwrite_x) if overwrite_x or not np.iscomplexobj(a) else (a.copy(), True)
+
+
+# An octant of at most this many points per axis takes its DCT-Is as matrix
+# products (_dct1), a larger one scipy.fft's dctn/idctn.  At m = 9, 17, ..., 49
+# the products took 0.3-0.8 of pocketfft's time, real and complex, with the
+# same bytes at one and two BLAS threads; at m = 65 their bytes moved with the
+# thread count (BENCH_23.json, dct_routes).
+_MATRIX_DCT_POINTS = 49
 
 
 def fftn(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
@@ -345,6 +356,38 @@ class PeriodicBasis:
         return math.sqrt(self.norm_sq(a))
 
 
+def _dct1(a: np.ndarray, matrix: np.ndarray, wide: np.ndarray, axes, overwrite_x: bool) -> np.ndarray:
+    """matrix, m x m, applied along each of axes of the octant array a, as batched matrix products.
+
+    A complex a is read as its interleaved float64 view, on whose last axis
+    wide = kron(matrix, I_2) acts.  Each axis is a stack of small GEMMs,
+    s = m or 2m being the last axis's length in floats: (m x m)(m x s) along
+    an inner axis, one per index of the other axes but the last, and
+    (m x s)(s x s) along the last, one per index of the axes before the last
+    two.  These are the package's only BLAS products.  At m <= _MATRIX_DCT_POINTS OpenBLAS gives
+    them the same bytes at one and two threads, where one (m^2 x m)(m x m)
+    product for a whole axis moves in its last bits already at m = 33.
+    overwrite_x lets a's memory be the second of the two buffers the axes
+    alternate between."""
+    x = np.ascontiguousarray(a)
+    buffers = [np.empty_like(x), x if overwrite_x else None]
+    m = matrix.shape[0]
+    for i, ax in enumerate(axes):
+        if buffers[i % 2] is None:
+            buffers[1] = np.empty_like(x)
+        out = buffers[i % 2]
+        xf, yf = x.view(np.float64), out.view(np.float64)
+        s = xf.shape[-1]
+        if ax == x.ndim - 1:
+            shape = (-1, m, s) if x.ndim > 1 else (1, s)
+            np.matmul(xf.reshape(shape), (matrix if s == m else wide).T, out=yf.reshape(shape))
+        else:
+            shape = (m**ax, m, -1, s)
+            np.matmul(matrix, xf.reshape(shape).swapaxes(1, 2), out=yf.reshape(shape).swapaxes(1, 2))
+        x = out
+    return x
+
+
 class EvenOctant(PeriodicBasis):
     """Fields even about the grid centre on every axis, carried on one octant as its DCT-I.
 
@@ -356,7 +399,15 @@ class EvenOctant(PeriodicBasis):
     mode 0 < m < n/2 stands for the two m and n - m of its axis, so the
     Parseval weights are 1, 2, ..., 2, 1 per axis, in space and in
     frequency.  Pointwise products and even multipliers keep a field even,
-    so the Hartree flow with an even potential never leaves the octant."""
+    so the Hartree flow with an even potential never leaves the octant.
+
+    The DCT-I has scipy.fft's scaling (type=1, norm=None).  Up to
+    _MATRIX_DCT_POINTS points per axis it is the matrix
+    C[k, j] = cos(pi k j / (m - 1)), columns 1 ... m - 2 doubled, applied
+    along each axis by _dct1, and its inverse is C / (2 (m - 1)); the
+    matrices are built on first use and kept on the instance, which
+    transform_basis keeps on the grid.  Above, it is scipy.fft's dctn and
+    idctn."""
 
     name = "even_octant"
 
@@ -389,11 +440,29 @@ class EvenOctant(PeriodicBasis):
     def weigh(self, a):
         return self._weight * a
 
-    def forward(self, a, overwrite_x=False):
-        return sfft.dctn(a, type=1, overwrite_x=overwrite_x)
+    @cached_property
+    def _matrices(self):
+        """(C, kron(C, I_2)) of the forward DCT-I and of its inverse, or None above _MATRIX_DCT_POINTS."""
+        m = self.grid.points // 2 + 1
+        if m > _MATRIX_DCT_POINTS:
+            return None
+        k = np.arange(m)
+        c = np.cos(np.pi / (m - 1) * (np.outer(k, k) % (2 * (m - 1))))
+        c[:, 1:-1] *= 2.0
+        return tuple((a, np.kron(a, np.eye(2))) for a in (c, c / (2 * (m - 1))))
 
-    def inverse(self, c, overwrite_x=False):
-        return sfft.idctn(c, type=1, overwrite_x=overwrite_x)
+    def forward(self, a, overwrite_x=False):
+        return self._dct(a, False, overwrite_x)
+
+    def inverse(self, c, overwrite_x=False, axes=None):
+        """The inverse DCT-I along axes, every axis by default."""
+        return self._dct(c, True, overwrite_x, axes)
+
+    def _dct(self, a, inverse, overwrite_x, axes=None):
+        axes = tuple(range(self.dim)) if axes is None else axes
+        if self._matrices is None:
+            return (sfft.idctn if inverse else sfft.dctn)(a, type=1, axes=axes, overwrite_x=overwrite_x)
+        return _dct1(a, *self._matrices[inverse], axes, overwrite_x)
 
     def apply(self, a, m, overwrite_x=False):
         c = self.forward(a, overwrite_x)
@@ -410,8 +479,8 @@ class EvenOctant(PeriodicBasis):
         x_ax cancel in mirror pairs except on the plane x_ax = -L, which has
         no mirror.  So the array is that term there and the odd part elsewhere:
         paired with x_ax times an even field by the Parseval weights, it gives
-        the periodic grid's sum.  idctn along the other axes takes it back to
-        the points."""
+        the periodic grid's sum.  The inverse DCT-I along the other axes takes
+        it back to the points."""
         half = self.grid.points // 2
 
         def along(s):
@@ -424,7 +493,7 @@ class EvenOctant(PeriodicBasis):
         edge = along(half)
         d[edge] = (1j * (-1) ** half * self.freq_axis[half] / self.grid.points) * c[edge]
         others = tuple(a for a in range(self.dim) if a != ax)
-        return sfft.idctn(d, type=1, axes=others, overwrite_x=True)
+        return self.inverse(d, overwrite_x=True, axes=others)
 
     def riesz_pairing(self, rho, gamma_exp):
         power = abs_sq(self.forward(rho))
@@ -445,9 +514,15 @@ def is_even(a: np.ndarray) -> bool:
 
 
 def transform_basis(grid: Grid, *arrays) -> PeriodicBasis:
-    """EvenOctant when every array given is even (None stands for zero), PeriodicBasis otherwise."""
-    even = all(a is None or is_even(a) for a in arrays)
-    return EvenOctant(grid) if even else PeriodicBasis(grid)
+    """EvenOctant when every array given is even (None stands for zero), PeriodicBasis otherwise.
+
+    The grid keeps its one EvenOctant, with the DCT matrices it builds, in
+    its _cache, so every caller on the grid shares them."""
+    if not all(a is None or is_even(a) for a in arrays):
+        return PeriodicBasis(grid)
+    if "even_octant" not in grid._cache:
+        grid._cache["even_octant"] = EvenOctant(grid)
+    return grid._cache["even_octant"]
 
 
 def shell_fraction(basis: PeriodicBasis, density: np.ndarray, cut: float, spectral: bool = False) -> float:

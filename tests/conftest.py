@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 import scipy.fft
 
-from hartreekit.spectral import Grid
+from hartreekit.spectral import EvenOctant, Grid
 from hartreekit.potentials import PotentialSpec
 from hartreekit.ground_state import solve_ground_state
 
@@ -45,17 +45,28 @@ def gs64(grid64):
 
 @pytest.fixture
 def fft_counts(monkeypatch):
-    """Calls per scipy.fft transform name from here on, in a Counter (0 for a name never called).
+    """Calls per transform name from here on, in a Counter (0 for a name never called).
 
-    Every transform of the package goes through a scipy.fft attribute, so
-    wrapping those counts them all; clear() starts the count again."""
+    Every periodic-grid transform of the package goes through a scipy.fft
+    attribute, counted under its name.  Every DCT-I of an even octant goes
+    through EvenOctant.forward or EvenOctant.inverse (the derivative's
+    along the other axes too), counted as octant_forward and octant_inverse:
+    up to spectral._MATRIX_DCT_POINTS points per axis as matrix products,
+    above as scipy.fft's dctn and idctn, which are then counted under their
+    names as well.  clear() starts the count again."""
     counts = Counter()
+
+    def count(owner, name, key):
+        def counted(*args, _fn=getattr(owner, name), **kwargs):
+            counts[key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn",
                  "dct", "idct", "dctn", "idctn", "dst", "idst", "dstn", "idstn"):
-        def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(scipy.fft, name, counted)
+        count(scipy.fft, name, name)
+    for name in ("forward", "inverse"):
+        count(EvenOctant, name, "octant_" + name)
     return counts
 
 

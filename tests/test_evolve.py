@@ -624,16 +624,17 @@ def test_fft_counts_per_adaptive_step(fft_counts):
     34 real.
 
     Even octant, on the radial u0: the t = 0 snapshot still reads fftn(u0),
-    (1 + 3, 1), and the state is the octant's dctn (1 dctn).  Every
-    transform of an attempt is a DCT-I: its 17 forward ones are dctn and its
-    16 inverse ones idctn.  detect_blowup reads the octant's coefficients
-    (0).  The closing snapshot stays on the octant: one idctn turns the state
-    back, I' takes per axis one idst along it and one idctn along the
-    others (3 idst, 3 idctn), and P one dctn of |u|^2.  One step: 4 complex,
-    1 real, 19 dctn, 20 idctn and 3 idst.  Two steps: 4, 1, 36, 36 and 3."""
+    (1 + 3, 1), and the state is the octant's forward DCT-I (1).  Every
+    transform of an attempt is a DCT-I: 17 forward and 16 inverse, counted
+    at EvenOctant.forward and .inverse.  detect_blowup reads the octant's
+    coefficients (0).  The closing snapshot stays on the octant: one inverse
+    DCT-I turns the state back, I' takes per axis one idst along it and one
+    inverse DCT-I along the others (3 idst, 3 inverse), and P one forward
+    DCT-I of |u|^2.  One step: 4 complex, 1 real, 19 forward, 20 inverse and
+    3 idst.  Two steps: 4, 1, 36, 36 and 3."""
     def complex_real_dct():
         c = fft_counts
-        out = (c["fftn"] + c["ifftn"], c["rfftn"] + c["irfftn"], c["dctn"], c["idctn"], c["idst"])
+        out = (c["fftn"] + c["ifftn"], c["rfftn"] + c["irfftn"], c["octant_forward"], c["octant_inverse"], c["idst"])
         c.clear()
         return out
 
@@ -684,8 +685,8 @@ def test_transform_basis_engagement(g32, monkeypatch):
 
     def no_dct(*args, **kwargs):
         raise AssertionError("strang_step took a DCT")
-    monkeypatch.setattr(scipy.fft, "dctn", no_dct)
-    monkeypatch.setattr(scipy.fft, "idctn", no_dct)
+    monkeypatch.setattr(EvenOctant, "forward", no_dct)
+    monkeypatch.setattr(EvenOctant, "inverse", no_dct)
     strang_step(radial, 1e-3, BUMP, GAMMA)
 
 

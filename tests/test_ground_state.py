@@ -90,13 +90,14 @@ def test_petviashvili_real_ffts_per_iteration(fft_counts, monkeypatch):
     solve is Richardson's and every residual transforms A u.
 
     On the even octant, the radial guess with V = 0 or with a centred well,
-    every one of these is a DCT-I (dctn/idctn), with the same counts; the
-    closing residual is the expanded profile's on the full grid, 4 real FFTs
-    and no DCT.  The well rolled by one point is not even, so that solve
-    takes rfftn/irfftn throughout.  Each residual's cost is (real FFTs,
-    DCTs)."""
+    every one of these is a DCT-I (EvenOctant.forward/inverse), with the same
+    counts; the closing residual is the expanded profile's on the full grid,
+    4 real FFTs and no DCT.  The well rolled by one point is not even, so
+    that solve takes rfftn/irfftn throughout.  Each residual's cost is (real
+    FFTs, DCTs)."""
     def real_dct():
-        return fft_counts["rfftn"] + fft_counts["irfftn"], fft_counts["dctn"] + fft_counts["idctn"]
+        return (fft_counts["rfftn"] + fft_counts["irfftn"],
+                fft_counts["octant_forward"] + fft_counts["octant_inverse"])
 
     starts, costs = [], []
     residual = ground_state_module._residual

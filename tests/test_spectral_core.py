@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 import hartreekit.runner as runner
+import hartreekit.spectral as spectral
 from hartreekit.functionals import take_snapshot
 from hartreekit.runner import gradient_routes_defect, parseval_defect, riesz_origin_defect, smooth_random_field
 from hartreekit.spectral import (
@@ -51,6 +52,36 @@ def test_out_of_place_transforms_leave_the_input_and_the_bits(grid32):
             got = ours(x)
             assert x.tobytes() == keep.tobytes()
             assert got.tobytes() == theirs(keep).tobytes()
+
+
+def test_octant_dct_is_scipys_dct_i_at_every_size():
+    # up to _MATRIX_DCT_POINTS points per axis the octant's DCT-I is a matrix
+    # product within 1e-14 of scipy.fft's dctn/idctn(type=1), forward, inverse
+    # and along some axes, real and complex, and the round trip returns the
+    # input; the input is left as it was unless overwrite_x, which gives the
+    # same bits; above, it is scipy's, bit for bit.  transform_basis hands
+    # out the one EvenOctant its grid keeps, matrices and all.
+    rng = np.random.default_rng(16)
+    for m in range(3, spectral._MATRIX_DCT_POINTS + 2):
+        grid = Grid(3, 2 * (m - 1), 10.0)
+        octant = spectral.transform_basis(grid, None)
+        assert octant is spectral.transform_basis(grid, np.zeros(grid.shape)) is grid._cache["even_octant"]
+        a = rng.standard_normal((m,) * 3)
+        for x in (a, a + 1j * rng.standard_normal(a.shape)):
+            keep = x.copy()
+            pairs = ((octant.forward(x), scipy.fft.dctn(x, type=1)), (octant.inverse(x), scipy.fft.idctn(x, type=1)),
+                     (octant.inverse(x, axes=(0, 2)), scipy.fft.idctn(x, type=1, axes=(0, 2))))
+            assert x.tobytes() == keep.tobytes()
+            for got, want in pairs:
+                assert got.dtype == want.dtype
+                if m > spectral._MATRIX_DCT_POINTS:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            back = octant.inverse(octant.forward(x))
+            assert np.abs(back - x).max() <= 1e-14 * np.abs(x).max()
+            assert octant.forward(x.copy(), overwrite_x=True).tobytes() == pairs[0][0].tobytes()
+    assert octant._matrices is None
 
 
 def test_even_octant_is_the_dft_of_even_fields(grid32):
@@ -249,7 +280,7 @@ def test_riesz_convolve_takes_the_octant_for_even_input(grid32, fft_counts):
             want = periodic.apply(values, grid32.riesz_multiplier(gamma))
             fft_counts.clear()
             got = riesz_convolve(Field(grid32, values), gamma).values
-            assert set(fft_counts) == {"dctn", "idctn"}
+            assert set(fft_counts) == {"octant_forward", "octant_inverse"}
             assert got.dtype == want.dtype
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     shifted = np.roll(bump, 3, axis=1)
