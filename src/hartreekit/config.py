@@ -11,15 +11,14 @@ Presets ship as config files under hartreekit/presets.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .evolve import EvolveConfig
 from .fieldio import load_field
 from .ground_state import GroundStateSettings, gamma_window_problem
-from .potentials import _PARAMS, PotentialSpec, suggest
-from .spectral import Grid
+from .potentials import _PARAMS, PotentialSpec
+from .spectral import Grid, _check_section, suggest
 
 MODES = ("groundstate", "classify", "evolve", "full_pipeline", "validate")
 # the keys each initial-data kind reads; all but lambda are required
@@ -39,10 +38,6 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.violations))
 
 
-# Each section dataclass reports every problem of its keys in one ValueError,
-# joined by "; ".
-
-
 @dataclass
 class RunSettings:
     """The [run] keys."""
@@ -53,17 +48,12 @@ class RunSettings:
     threads: int = 1
 
     def __post_init__(self):
-        problems = []
-        if self.mode is None:
-            problems.append("mode is required (or pass a CLI verb)")
-        elif self.mode not in MODES:
-            problems.append(f"mode '{self.mode}' is not one of {'/'.join(MODES)}{suggest(self.mode, MODES)}")
-        if self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
-        if self.threads < 1:
-            problems.append(f"threads must be >= 1, got {self.threads}")
-        if problems:
-            raise ValueError("; ".join(problems))
+        _check_section([
+            (self.mode is not None, "mode is required (or pass a CLI verb)"),
+            ("mode", self.mode, MODES),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            (self.threads >= 1, f"threads must be >= 1, got {self.threads}"),
+        ])
 
 
 @dataclass
@@ -85,28 +75,17 @@ class InitialSpec:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in INITIAL_KINDS:
-            raise ValueError(
-                f"kind '{self.kind}' is not one of {'/'.join(INITIAL_KINDS)}{suggest(self.kind, INITIAL_KINDS)}"
-            )
-        # written as `not 0 < x < inf` so that NaN fails too
-        problems = [
-            f"{key} must be positive and finite, got {x}"
-            for key, x in (("width", self.width), ("scale", self.scale))
-            if x is not None and not 0 < x < math.inf
-        ]
-        problems += [
-            f"{key} must be finite, got {x}"
-            for key, x in (("amplitude", self.amplitude), ("lambda", self.lam))
-            if x is not None and not math.isfinite(x)
-        ]
+        _check_section([("kind", self.kind, INITIAL_KINDS)])
         required = [key for key in _READS[self.kind] if key != "lambda"]
-        if any(getattr(self, _FIELD["initial_data"].get(key, key)) is None for key in required):
-            problems.append(f"kind {self.kind} requires {' and '.join(required)}")
-        elif self.kind == "file" and not os.path.exists(self.path):
-            problems.append(f"file not found: {self.path}")
-        if problems:
-            raise ValueError("; ".join(problems))
+        missing = any(getattr(self, _FIELD["initial_data"].get(key, key)) is None for key in required)
+        _check_section([
+            ("width", self.width, "positive"),
+            ("scale", self.scale, "positive"),
+            ("amplitude", self.amplitude, "finite"),
+            ("lambda", self.lam, "finite"),
+            (not missing, f"kind {self.kind} requires {' and '.join(required)}"),
+            (missing or self.kind != "file" or os.path.exists(self.path), f"file not found: {self.path}"),
+        ])
 
 
 SECTIONS = {

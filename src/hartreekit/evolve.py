@@ -37,7 +37,7 @@ import numpy as np
 
 from .functionals import CSV_COLUMNS, _grad_sq, take_snapshot
 from .potentials import PotentialSpec, eval_potential, eval_virial_weight
-from .spectral import Field, Grid, PeriodicBasis, abs_sq, fftn, ifftn, shell_fraction, transform_basis
+from .spectral import Field, Grid, PeriodicBasis, _check_section, abs_sq, fftn, ifftn, shell_fraction, transform_basis
 
 # The 6-stage palindromic ABA composition of order 4 of Blanes & Moan,
 # J. Comput. Appl. Math. 142 (2002) 313-330: kinetic weights a_1..a_7 and
@@ -70,24 +70,16 @@ class EvolveConfig:
     record_dt: float | None = None  # steps land on its multiples; None: t_max / 4
     # not a field, so not a key: every run is adaptive.  bench/spans.py still
     # reads it; it goes when the benchmark reads the step counts off the
-    # record (ROADMAP item 1)
+    # record (ROADMAP item 4)
     adaptive = True
 
     def __post_init__(self):
-        # written as `not 0 < x < inf` so that NaN and inf fail too; every problem is reported
-        problems = [
-            f"{name} must be positive and finite, got {getattr(self, name)}"
-            for name in ("dt0", "t_max", "tol_step", "record_dt")
-            if getattr(self, name) is not None and not 0 < getattr(self, name) < math.inf
-        ]
-        if not self.blowup_grad_factor > 1:
-            problems.append(f"blowup_grad_factor must exceed 1, got {self.blowup_grad_factor}")
-        if self.record_stride < 1:
-            problems.append(f"record_stride must be >= 1, got {self.record_stride}")
-        if not 0 < self.blowup_tail_frac <= 1:
-            problems.append(f"blowup_tail_frac must lie in (0, 1], got {self.blowup_tail_frac}")
-        if problems:
-            raise ValueError("; ".join(problems))
+        _check_section([
+            *((name, getattr(self, name), "positive") for name in ("dt0", "t_max", "tol_step", "record_dt")),
+            (self.blowup_grad_factor > 1, f"blowup_grad_factor must exceed 1, got {self.blowup_grad_factor}"),
+            (self.record_stride >= 1, f"record_stride must be >= 1, got {self.record_stride}"),
+            (0 < self.blowup_tail_frac <= 1, f"blowup_tail_frac must lie in (0, 1], got {self.blowup_tail_frac}"),
+        ])
 
 
 @dataclass

@@ -59,17 +59,21 @@ def dump_field(path, f: Field, header: dict, sidecar: dict | None = None) -> Non
 
 
 def load_field(path) -> tuple:
-    """Read a dump; returns (Field, header dict).  A payload with a NaN or an inf is rejected."""
+    """Read a dump; returns (Field, header dict).  A file that is not a whole dump, or whose
+    payload holds a NaN or an inf, raises a ValueError naming the path."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a field dump (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        head = json.loads(fh.read(hlen).decode())
-        grid = Grid(int(head["dim"]), int(head["points"]), float(head["half_length"]))
-        count = grid.points**grid.dim
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+        try:
+            (hlen,) = struct.unpack("<Q", fh.read(8))
+            head = json.loads(fh.read(hlen).decode())
+            grid = Grid(int(head["dim"]), int(head["points"]), float(head["half_length"]))
+            count = grid.points**grid.dim
+            data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+        except (struct.error, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed field dump ({exc!r})") from exc
     vals = data.reshape(grid.shape).astype(float)
     if not np.isfinite(vals).all():
         raise ValueError(f"{path}: the payload holds non-finite values (NaN or inf)")

@@ -13,7 +13,7 @@ for even fields one octant with DCT-I coefficients, where every sum takes
 the Parseval weights (spectral.EvenOctant):
 
     M, int V|u|^2, I    _integral(basis, rho, weight)   weight none, V, |x|^2
-    e                   _e_term(basis, rho, 2V + x.grad V)
+    e                   4 _integral(basis, rho, 2V + x.grad V)
     ||grad u||^2        _grad_sq(basis, |u-hat|^2)
     P                   _p(basis, rho, gamma)       one real transform of rho
     I'                  _virial_first(basis, u, u-hat)
@@ -27,41 +27,23 @@ full grid a snapshot given fftn(u) costs 3 ifftn (I') and one rfftn (P); on
 the octant, given the coefficients, a DST-I along each axis with an
 inverse DCT-I along the others (I') and one forward DCT-I (P).  The two
 single-quantity calls, mass and hv_norm_sq, serve the validate gates that
-read only M, ||grad u||^2, int V|u|^2 or e (the last two through _integral
-and _e_term) and would otherwise pay for a whole snapshot.
+read only M, ||grad u||^2, int V|u|^2 or e (the last two through _integral)
+and would otherwise pay for a whole snapshot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .spectral import Field, PeriodicBasis, abs_sq, fftn
 
-CSV_COLUMNS = (
-    "t",
-    "mass",
-    "energy",
-    "grad_sq",
-    "hv_sq",
-    "p_value",
-    "variance_I",
-    "virial_I1",
-    "virial_I2",
-    "e_term",
-    "z",
-)
-
 
 def _integral(basis: PeriodicBasis, rho, weight=None) -> float:
     """int weight |u|^2 by box quadrature over the basis's points; no weight gives the mass."""
     return float(basis.weigh(rho if weight is None else weight * rho).sum() * basis.grid.cell_volume)
-
-
-def _e_term(basis: PeriodicBasis, rho, virial_weight) -> float:
-    return 4.0 * _integral(basis, rho, virial_weight)
 
 
 def _grad_sq(basis: PeriodicBasis, power) -> float:
@@ -126,7 +108,7 @@ class FunctionalSnapshot:
         return math.sqrt(max(self.variance_I, 0.0))
 
     def csv_row(self) -> list:
-        return [self.time, *(getattr(self, c) for c in CSV_COLUMNS[1:])]
+        return [getattr(self, name) for name in _ROW]
 
     def to_dict(self) -> dict:
         return {**asdict(self), "z": self.z}
@@ -149,6 +131,11 @@ class FunctionalSnapshot:
         return self.variance_I * (
             self.hv_sq - p ** (2.0 / gamma) / (c_q * m ** ((4.0 - gamma) / gamma))
         ) - (self.virial_I1 / 4.0) ** 2
+
+
+# a trajectory.csv row: the snapshot's fields in order but the flag, then z; time is the column t
+_ROW = tuple(f.name for f in fields(FunctionalSnapshot) if f.name != "e_term_approximate") + ("z",)
+CSV_COLUMNS = tuple("t" if name == "time" else name for name in _ROW)
 
 
 def take_snapshot(
@@ -177,7 +164,7 @@ def take_snapshot(
     var = _integral(basis, rho, basis.r_sq)
     p = _p(basis, rho, gamma)
     vt = _integral(basis, rho, v) if v is not None else 0.0
-    e = _e_term(basis, rho, virial_weight) if virial_weight is not None else 0.0
+    e = 4.0 * _integral(basis, rho, virial_weight) if virial_weight is not None else 0.0
     del rho
     if uhat is None:
         uhat = basis.forward(u)

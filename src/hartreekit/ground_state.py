@@ -26,11 +26,12 @@ import numpy as np
 
 from .fieldio import dump_field
 from .functionals import FunctionalSnapshot, _grad_sq, _integral, take_snapshot
-from .potentials import PotentialSpec, eval_potential, eval_virial_weight, suggest
-from .spectral import Field, Grid, PeriodicBasis, abs_sq, transform_basis
+from .potentials import PotentialSpec, eval_potential, eval_virial_weight
+from .spectral import Field, Grid, PeriodicBasis, _check_section, abs_sq, transform_basis
 
 OMEGA_MODES = ("fixed", "self_consistent")
 ANDERSON_DEPTH = 2  # earlier Petviashvili outputs mixed into each new iterate
+HELMHOLTZ_TOL, HELMHOLTZ_MAX_ITER = 1e-12, 600  # the inner Richardson solve's relative residual target and cap
 
 
 class ConvergenceError(RuntimeError):
@@ -55,21 +56,12 @@ class GroundStateSettings:
     max_iter: int = 2000
 
     def __post_init__(self):
-        # written as `not 0 < x < inf` so that NaN and inf fail too
-        problems = [
-            f"{name} must be positive and finite, got {getattr(self, name)}"
-            for name in ("omega", "tol")
-            if not 0 < getattr(self, name) < math.inf
-        ]
-        if self.omega_mode not in OMEGA_MODES:
-            problems.append(
-                f"omega_mode '{self.omega_mode}' is not one of {'/'.join(OMEGA_MODES)}"
-                f"{suggest(self.omega_mode, OMEGA_MODES)}"
-            )
-        if self.max_iter < 1:
-            problems.append(f"max_iter must be >= 1, got {self.max_iter}")
-        if problems:
-            raise ValueError("; ".join(problems))
+        _check_section([
+            ("omega", self.omega, "positive"),
+            ("tol", self.tol, "positive"),
+            ("omega_mode", self.omega_mode, OMEGA_MODES),
+            (self.max_iter >= 1, f"max_iter must be >= 1, got {self.max_iter}"),
+        ])
 
 
 @dataclass
@@ -108,7 +100,7 @@ class GroundState:
         return self.snapshot.energy
 
 
-def _solve_helmholtz(basis: PeriodicBasis, vvals, omega_sq: float, rhs, w0=None, tol: float = 1e-12, max_iter: int = 600):
+def _solve_helmholtz(basis: PeriodicBasis, vvals, omega_sq: float, rhs, w0=None):
     """Solve (-Lap + V + omega^2) w = rhs for real fields on the basis's points; returns (w, corrections applied).
 
     V = None: exact Fourier inverse, no corrections.  Otherwise Richardson
@@ -125,11 +117,11 @@ def _solve_helmholtz(basis: PeriodicBasis, vvals, omega_sq: float, rhs, w0=None,
         return np.zeros(rhs.shape), 0
     last = np.inf
     stall = 0
-    for it in range(max_iter):
+    for it in range(HELMHOLTZ_MAX_ITER):
         aw = basis.apply(w, op) + vvals * w
         res = rhs - aw
         rnorm = basis.norm(res) / rhs_norm
-        if rnorm < tol:
+        if rnorm < HELMHOLTZ_TOL:
             return w, it
         if rnorm >= last:
             stall += 1
@@ -144,7 +136,7 @@ def _solve_helmholtz(basis: PeriodicBasis, vvals, omega_sq: float, rhs, w0=None,
             stall = 0
         last = rnorm
         w = w + basis.apply(res, inv)
-    raise ConvergenceError(f"helmholtz solve did not reach {tol:.1e} in {max_iter} iterations")
+    raise ConvergenceError(f"helmholtz solve did not reach {HELMHOLTZ_TOL:.1e} in {HELMHOLTZ_MAX_ITER} iterations")
 
 
 def _residual(basis, vvals, gamma, omega_sq, u, au=None):
@@ -279,10 +271,12 @@ def solve_ground_state(
 
     settings are GroundStateSettings fields (omega, omega_mode, tol,
     max_iter), checked there; the ones not given take its defaults.
-    omega_mode 'fixed' solves at the given omega; 'self_consistent' adjusts
-    omega^2 <- (4-gamma) ||Q||_{HV}^2 / (gamma M(Q)) with 0.5 relaxation until
-    the dilation identity int (2V + x.grad V) Q^2 = 0 holds, which pins the
-    omega used by the potential-branch threshold quantities.
+    omega_mode 'fixed' solves at the given omega; 'self_consistent' moves
+    omega^2 to the target (4-gamma) ||Q||_{HV}^2 / (gamma M(Q)) of the profile
+    solved at it, first by re-substitution, then by secant steps clipped to
+    [0.2, 5] times omega^2, until the two agree to 1e-8 relative: the dilation
+    identity int (2V + x.grad V) Q^2 = 0, which pins the omega used by the
+    potential-branch threshold quantities.
     """
     problem = gamma_window_problem(gamma, grid.dim)
     if problem:

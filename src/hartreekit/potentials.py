@@ -8,16 +8,14 @@ the negative-part Kato norm that gates admissibility of the quadratic form
 
 from __future__ import annotations
 
-import difflib
 import hashlib
-import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .spectral import Field, Grid, gradient, integrate, transform_basis
+from .spectral import Field, Grid, _check_section, gradient, integrate, transform_basis
 
 # the [potential] keys each kind reads; a sampled potential's values come from its file
 _PARAMS = {
@@ -29,12 +27,6 @@ _PARAMS = {
     "grid_sampled": ("file",),
 }
 KINDS = tuple(_PARAMS)
-
-
-def suggest(name: str, options) -> str:
-    """The hint " (did you mean 'x'?)" for the option closest to a misspelt name, or ""."""
-    close = difflib.get_close_matches(name, options, n=1)
-    return f" (did you mean '{close[0]}'?)" if close else ""
 
 
 @dataclass
@@ -51,23 +43,18 @@ class PotentialSpec:
     values: np.ndarray | None = None  # grid_sampled only
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind '{self.kind}' is not one of {'/'.join(KINDS)}{suggest(self.kind, KINDS)}")
+        _check_section([("kind", self.kind, KINDS)])
         if self.kind == "grid_sampled" and self.values is None:
             raise ValueError("grid_sampled potential needs a values array")
-        # written as `not 0 < x < inf` so that NaN fails too; every problem is reported
+        # only the keys the kind reads are checked, and each problem names the kind
+        rules = (("sigma", "positive"), ("radius", "positive"), ("amplitude", "finite"))
         params = _PARAMS[self.kind]
-        problems = [
-            f"{self.kind}: {name} must be positive and finite, got {getattr(self, name)}"
-            for name in ("sigma", "radius")
-            if name in params and not 0 < getattr(self, name) < math.inf
-        ]
-        if "amplitude" in params and not math.isfinite(self.amplitude):
-            problems.append(f"{self.kind}: amplitude must be finite, got {self.amplitude}")
-        if "exponent" in params and not (self.exponent >= 1 and float(self.exponent).is_integer()):
-            problems.append(f"inverse_poly: exponent must be a positive integer, got {self.exponent}")
-        if problems:
-            raise ValueError("; ".join(problems))
+        integer = self.exponent >= 1 and float(self.exponent).is_integer()
+        _check_section(
+            [(key, getattr(self, key), rule) for key, rule in rules if key in params]
+            + [("exponent" not in params or integer, f"exponent must be a positive integer, got {self.exponent}")],
+            f"{self.kind}: ",
+        )
 
     @property
     def is_zero(self) -> bool:

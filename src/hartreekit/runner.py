@@ -24,7 +24,7 @@ from scipy.special import gamma as gamma_fn
 from .config import RunConfig
 from .evolve import EvolveConfig, TrajectoryRecord, evolve, monotonicity_probe, virial_consistency
 from .fieldio import load_field, read_json, write_json
-from .functionals import CSV_COLUMNS, _e_term, _integral, hv_norm_sq, mass, take_snapshot
+from .functionals import CSV_COLUMNS, _integral, hv_norm_sq, mass, take_snapshot
 from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state, summary
 from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm, on_free_branch
 from .spectral import (
@@ -81,7 +81,10 @@ def build_initial(cfg: RunConfig, gs=None) -> Field:
             raise RunError("initial_data", "ground_state_scaled requires a solved ground state")
         vals = spec.scale * gs.field.values.real
     elif spec.kind == "file":
-        f, _head = load_field(spec.path)
+        try:
+            f, _head = load_field(spec.path)
+        except (OSError, ValueError) as exc:
+            raise RunError("initial_data", str(exc)) from exc
         if f.grid != grid:
             raise RunError("initial_data", f"grid of {spec.path} does not match the run grid")
         f = recenter(f)  # variance and virial quantities assume a mass-centered field
@@ -295,7 +298,7 @@ def virial_dual_defect(u: Field, v: Field, virial_weight: Field) -> float:
     rho = abs_sq(u.values)
     basis = PeriodicBasis(g)
     vt = _integral(basis, rho, v.values)
-    e = _e_term(basis, rho, virial_weight.values)
+    e = 4.0 * _integral(basis, rho, virial_weight.values)
     # int V x_j d_j rho, one axis at a time, so that no sum of the terms is held
     xgrad = sum(map(lambda x, d: _integral(basis, x * d.values, v.values), g.coords, gradient(Field(g, rho))))
     e_ibp = 8.0 * vt - 4.0 * (g.dim * vt + xgrad)
@@ -549,7 +552,10 @@ def emit_plot_data(run_dir, out_dir=None) -> list:
         raise ValueError(f"{traj}: not a diagnostics CSV (header {headers!r})")
     if not os.path.exists(man):
         raise FileNotFoundError(f"no manifest.json in {run_dir}; the product series needs the run's gamma")
-    gamma = read_json(man)["config"]["gamma"]
+    try:
+        gamma = read_json(man)["config"]["gamma"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{man}: the run's gamma cannot be read ({exc!r})") from exc
     out_dir = out_dir or os.path.join(run_dir, "plots")
     os.makedirs(out_dir, exist_ok=True)
     written = []

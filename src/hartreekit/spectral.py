@@ -12,6 +12,7 @@ _MATRIX_DCT_POINTS points per axis, and through scipy.fft above.
 
 from __future__ import annotations
 
+import difflib
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -88,6 +89,39 @@ def riesz_constant(dim: int, gamma_exp: float) -> float:
     )
 
 
+def suggest(name: str, options) -> str:
+    """The hint " (did you mean 'x'?)" for the option closest to a misspelt name, or ""."""
+    close = difflib.get_close_matches(name, options, n=1)
+    return f" (did you mean '{close[0]}'?)" if close else ""
+
+
+def _check_section(checks, prefix: str = "") -> None:
+    """Raise one ValueError listing every failed check of a config section's fields, in order, joined by "; ".
+
+    A check is (key, value, rule), which a None value passes: "positive" is
+    `0 < value < inf`, so that NaN and inf fail too, "finite" is
+    math.isfinite, and a tuple admits its values, naming the closest one on
+    failure.  Any other check is (ok, problem).  prefix starts each problem."""
+    problems = []
+    for check in checks:
+        if len(check) == 3:
+            key, x, rule = check
+            if x is None:
+                continue
+            if rule == "positive":
+                check = (0 < x < math.inf, f"{key} must be positive and finite, got {x}")
+            elif rule == "finite":
+                check = (math.isfinite(x), f"{key} must be finite, got {x}")
+            elif x not in rule:
+                check = (False, f"{key} '{x}' is not one of {'/'.join(rule)}{suggest(x, rule)}")
+            else:
+                continue
+        if not check[0]:
+            problems.append(prefix + check[1])
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [-half_length, half_length)^dim.
@@ -104,16 +138,11 @@ class Grid:
     half_length: float = 10.0
 
     def __post_init__(self):
-        # written as `not 0 < x < inf` so that NaN and inf fail too; every problem is reported
-        problems = []
-        if self.dim < 1:
-            problems.append(f"dim must be >= 1, got {self.dim}")
-        if self.points < 4 or self.points % 2:
-            problems.append(f"points must be an even integer >= 4, got {self.points}")
-        if not 0 < self.half_length < math.inf:
-            problems.append(f"half_length must be positive and finite, got {self.half_length}")
-        if problems:
-            raise ValueError("; ".join(problems))
+        _check_section([
+            (self.dim >= 1, f"dim must be >= 1, got {self.dim}"),
+            (self.points >= 4 and self.points % 2 == 0, f"points must be an even integer >= 4, got {self.points}"),
+            ("half_length", self.half_length, "positive"),
+        ])
 
     @cached_property
     def _cache(self) -> dict:
@@ -162,25 +191,19 @@ class Grid:
         return sum(f ** 2 for f in self.freqs)
 
     def riesz_multiplier(self, gamma_exp: float) -> np.ndarray:
-        """Fourier multiplier of |x|^{-gamma_exp} convolution on this grid.
+        """Fourier multiplier of |x|^{-gamma_exp} convolution on the full grid (PeriodicBasis.multiplier)."""
+        return PeriodicBasis(self).multiplier(gamma_exp)
+
+    def riesz_symbol(self, k_sq: np.ndarray, gamma_exp: float) -> np.ndarray:
+        """The Riesz multiplier c(d,g) |xi|^{g-d} on the modes whose |xi|^2 is k_sq, mode 0 first; not cached.
 
         The singular xi = 0 entry is replaced by the renormalized lattice
         limit -c(d,g) (2pi/a)^{g-d} Z_d(d-g) (a = box edge), which cancels the
         leading periodization bias for smooth localized sources: the periodic
         result then matches the free-space potential to the order of the
-        image-tail terms.
-        """
-        key = ("riesz", gamma_exp)
-        if key not in self._cache:
-            self._cache[key] = self.riesz_symbol(self.k_sq, gamma_exp)
-        return self._cache[key]
-
-    def riesz_symbol(self, k_sq: np.ndarray, gamma_exp: float) -> np.ndarray:
-        """riesz_multiplier's values on the modes whose |xi|^2 is k_sq, mode 0 first; not cached.
-
-        Each entry depends only on its own |xi|^2, so the multiplier on a
-        subset of the modes (EvenOctant's) is built without the full grid's,
-        and equals its slice bit for bit."""
+        image-tail terms.  Each entry depends only on its own |xi|^2, so the
+        multiplier on a subset of the modes (EvenOctant's) is built without
+        the full grid's, and equals its slice bit for bit."""
         if not 0.0 < gamma_exp < self.dim:
             raise ValueError(f"riesz kernel needs 0 < gamma_exp < dim, got {gamma_exp}")
         c = riesz_constant(self.dim, gamma_exp)
@@ -258,7 +281,7 @@ def riesz_convolve(f: Field, gamma_exp: float) -> Field:
     """Free-space Riesz potential (|x|^{-gamma_exp} * f), periodically aliased.
 
     The zero mode follows the renormalized lattice rule (see
-    Grid.riesz_multiplier), so for sources well contained in the box the
+    Grid.riesz_symbol), so for sources well contained in the box the
     result tracks the free-space potential; residual error is set by the
     periodic images and the source's far tail.  An exactly even f
     (transform_basis) is convolved on the octant as DCT-Is, with the
@@ -295,7 +318,11 @@ class PeriodicBasis:
         self.coords, self.r_sq, self.k_sq = grid.coords, grid.r_sq, grid.k_sq
 
     def multiplier(self, gamma_exp: float) -> np.ndarray:
-        return self.grid.riesz_multiplier(gamma_exp)
+        """The Riesz multiplier of gamma_exp on this basis's modes (Grid.riesz_symbol), cached by basis and gamma."""
+        key = ("riesz", self.name, gamma_exp)
+        if key not in self.grid._cache:
+            self.grid._cache[key] = self.grid.riesz_symbol(self.k_sq, gamma_exp)
+        return self.grid._cache[key]
 
     def take(self, a: np.ndarray) -> np.ndarray:
         return a
@@ -346,7 +373,7 @@ class PeriodicBasis:
         each entry counts twice, except on the last axis's planes 0 and n/2,
         which are their own mirror images (Grid makes n even)."""
         power = abs_sq(sfft.rfftn(rho))
-        power *= self.grid.riesz_multiplier(gamma_exp)[..., : power.shape[-1]]
+        power *= self.multiplier(gamma_exp)[..., : power.shape[-1]]
         return 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
 
     def norm_sq(self, c: np.ndarray) -> float:
@@ -424,12 +451,6 @@ class EvenOctant(PeriodicBasis):
         self.coords = tuple(np.meshgrid(*([grid.axis[self._points]] * self.dim), indexing="ij", sparse=True))
         self.r_sq = sum(c**2 for c in self.coords)
         self.k_sq = sum(f**2 for f in np.meshgrid(*([self.freq_axis] * self.dim), indexing="ij", sparse=True))
-
-    def multiplier(self, gamma_exp):
-        key = ("riesz_octant", gamma_exp)
-        if key not in self.grid._cache:
-            self.grid._cache[key] = self.grid.riesz_symbol(self.k_sq, gamma_exp)
-        return self.grid._cache[key]
 
     def take(self, a):
         return a[self._take]
@@ -552,13 +573,13 @@ def shell_fraction(basis: PeriodicBasis, density: np.ndarray, cut: float, spectr
     return float(density[mask].sum()) / total
 
 
-def outer_shell_mass_fraction(f: Field, shell: float = 0.1) -> float:
-    """Fraction of integral(|f|^2) carried by points with max_i |x_i| >= (1-shell)*L.
+def outer_shell_mass_fraction(f: Field) -> float:
+    """Fraction of integral(|f|^2) carried by the outer 10% shell, the points with max_i |x_i| >= 0.9 L.
 
     The sup-norm shell matches the box geometry; small values certify the
     field is effectively compactly supported inside the box.
     """
-    return shell_fraction(PeriodicBasis(f.grid), abs_sq(f.values), (1.0 - shell) * f.grid.half_length)
+    return shell_fraction(PeriodicBasis(f.grid), abs_sq(f.values), 0.9 * f.grid.half_length)
 
 
 def center_of_mass(f: Field) -> np.ndarray:

@@ -10,6 +10,8 @@ the shipped preset detects 6x on the rise to the second peak).
 """
 
 import ast
+import importlib
+import json
 import math
 import os
 import subprocess
@@ -312,6 +314,37 @@ def test_every_library_function_has_a_library_caller():
                 used.add(node.attr)
     assert sorted(defined - used - set(CALLED_FROM_OUTSIDE)) == []
     assert set(CALLED_FROM_OUTSIDE) <= defined
+
+
+def test_benchmark_paths_outside_its_self_tests_still_run(tmp_path):
+    """The two library paths that only bench/run.py takes still fit the library.
+
+    bench/ is frozen, and `python -m pytest bench` runs neither path:
+    child.py's setup mode, which parses a config and fills the grid caches
+    (Grid.riesz_multiplier among them) in a fresh interpreter, and the
+    hartreekit names that kernels.time_kernels imports for a traced run."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    src = os.path.dirname(os.path.dirname(hartreekit.__file__))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nmode = evolve\n[grid]\npoints = 16\n[initial_data]\nkind = gaussian\namplitude = 0.3\nwidth = 1\n")
+    child = os.path.join(bench, "child.py")
+    argv = [sys.executable, child, src, str(cfg), str(tmp_path / "out"), str(time.monotonic_ns()), "setup"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["setup_s"] > 0
+
+    with open(os.path.join(bench, "kernels.py")) as fh:
+        tree = ast.parse(fh.read())
+    time_kernels = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "time_kernels")
+    names = [
+        (node.module, alias.name)
+        for node in ast.walk(time_kernels)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("hartreekit")
+        for alias in node.names
+    ]
+    assert names
+    missing = [f"{module}.{name}" for module, name in names if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def test_library_does_not_import_scipy_integrate():

@@ -4,6 +4,7 @@ import ctypes
 import json
 import math
 import os
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.fft
 
 from hartreekit.cli import main
 from hartreekit.config import (
+    _SCHEMA,
     ConfigError,
     parse_config,
     preset_names,
@@ -19,7 +21,7 @@ from hartreekit.config import (
     resolve_config_arg,
 )
 from hartreekit.evolve import EvolveConfig, Termination, TrajectoryRecord
-from hartreekit.fieldio import dump_field, read_json
+from hartreekit.fieldio import MAGIC, dump_field, read_json
 from hartreekit.functionals import take_snapshot
 from hartreekit import runner
 from hartreekit.runner import RunError, build_initial
@@ -141,6 +143,67 @@ def test_solver_settings_reject_nonfinite_and_list_each(tmp_path):
     ]
 
 
+_POSITIVE = "{key} must be positive and finite, got {x}"
+# every key a section's dataclass checks through spectral._check_section: the
+# section, the key, the section's other keys, the violation for the value x,
+# and which of 0, -1, nan and inf pass
+_SECTION_CHECKS = [
+    ("run", "mode", "", "mode '{x}' is not one of groundstate/classify/evolve/full_pipeline/validate", ()),
+    ("run", "seed", "mode = groundstate", "seed must be >= 0, got {x}", ("0",)),
+    ("run", "threads", "mode = groundstate", "threads must be >= 1, got {x}", ()),
+    ("grid", "dim", "", "dim must be >= 1, got {x}", ()),
+    ("grid", "points", "", "points must be an even integer >= 4, got {x}", ()),
+    ("grid", "half_length", "", _POSITIVE, ()),
+    ("groundstate", "omega", "", _POSITIVE, ()),
+    ("groundstate", "omega_mode", "", "omega_mode '{x}' is not one of fixed/self_consistent", ()),
+    ("groundstate", "tol", "", _POSITIVE, ()),
+    ("groundstate", "max_iter", "", "max_iter must be >= 1, got {x}", ()),
+    ("evolve", "dt0", "", _POSITIVE, ()),
+    ("evolve", "t_max", "", _POSITIVE, ()),
+    ("evolve", "tol_step", "", _POSITIVE, ()),
+    ("evolve", "record_dt", "", _POSITIVE, ()),
+    ("evolve", "blowup_grad_factor", "", "blowup_grad_factor must exceed 1, got {x}", ("inf",)),
+    ("evolve", "record_stride", "", "record_stride must be >= 1, got {x}", ()),
+    ("evolve", "blowup_tail_frac", "", "blowup_tail_frac must lie in (0, 1], got {x}", ()),
+    ("initial_data", "kind", "", "kind '{x}' is not one of gaussian/ground_state_scaled/file", ()),
+    ("initial_data", "amplitude", "kind = gaussian\nwidth = 1", "amplitude must be finite, got {x}", ("0", "-1")),
+    ("initial_data", "width", "kind = gaussian\namplitude = 1", _POSITIVE, ()),
+    ("initial_data", "scale", "kind = ground_state_scaled", _POSITIVE, ()),
+    ("initial_data", "lambda", "kind = gaussian\namplitude = 1\nwidth = 1",
+     "lambda must be finite, got {x}", ("0", "-1")),
+    (
+        "potential", "kind", "",
+        "kind '{x}' is not one of zero/gaussian_bump/smooth_compact_bump/inverse_poly/ball_indicator/grid_sampled", (),
+    ),
+    ("potential", "amplitude", "kind = gaussian_bump", "gaussian_bump: amplitude must be finite, got {x}", ("0", "-1")),
+    ("potential", "sigma", "kind = gaussian_bump", "gaussian_bump: " + _POSITIVE, ()),
+    ("potential", "radius", "kind = ball_indicator", "ball_indicator: " + _POSITIVE, ()),
+    ("potential", "exponent", "kind = inverse_poly", "inverse_poly: exponent must be a positive integer, got {x}", ()),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, others, violation, passes", _SECTION_CHECKS, ids=[f"{row[0]}-{row[1]}" for row in _SECTION_CHECKS]
+)
+def test_section_checks_name_each_bad_value(tmp_path, section, key, others, violation, passes):
+    # an int key cannot parse nan or inf, which is its own violation
+    tag = _SCHEMA[section][key][0]
+    run = "" if section == "run" else "[run]\nmode = groundstate\n"
+    for raw in ("0", "-1", "nan", "inf"):
+        path = write_cfg(tmp_path, f"{run}[{section}]\n{others}\n{key} = {raw}\n")
+        if raw in passes:
+            parse_config(path)
+            continue
+        if tag == "int" and raw in ("nan", "inf"):
+            want = f"[{section}] {key}: cannot parse '{raw}' as int"
+        else:
+            x = {"int": int, "float": float, "str": str}[tag](raw)
+            want = f"[{section}]: " + violation.format(key=key, x=x)
+        with pytest.raises(ConfigError) as ei:
+            parse_config(path)
+        assert ei.value.violations == [want], raw
+
+
 def test_gamma_window_and_grid_checks(tmp_path):
     path = write_cfg(tmp_path, "[run]\nmode = groundstate\n[model]\ngamma = 3.5\n")
     with pytest.raises(ConfigError, match=r"\(2, 3.0\)"):
@@ -258,8 +321,49 @@ def test_initial_data_file_with_a_nan_stops_naming_the_file(tmp_path, capsys):
     )
     assert main(["evolve", "--config", path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert f"error: evolve: {ufile}: the payload holds non-finite values" in err
-    assert "cannot convert" not in err
+    assert err == f"error: initial_data: {ufile}: the payload holds non-finite values (NaN or inf)\n"
+
+
+# .fld files that are not whole dumps, and the error load_field names in each
+_MALFORMED = {
+    "short_preamble": (MAGIC + b"\x10\x00", "error('unpack requires a buffer of 8 bytes')"),
+    "no_grid_keys": (MAGIC + struct.pack("<Q", 19) + b'{"kind": "initial"}', "KeyError('dim')"),
+    "header_length_past_any_read": (
+        MAGIC + struct.pack("<Q", 2**64 - 1) + b"{}", "OverflowError(\"cannot fit 'int' into an index-sized integer\")"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_potential_file_is_a_config_violation(tmp_path, capsys, case):
+    # struct.error and KeyError escaped parse_config, which exited 1 with a traceback
+    data, why = _MALFORMED[case]
+    pfile = tmp_path / "v.fld"
+    pfile.write_bytes(data)
+    path = write_cfg(
+        tmp_path, f"[run]\nmode = groundstate\n[grid]\npoints = 16\n[potential]\nkind = grid_sampled\nfile = {pfile}\n"
+    )
+    with pytest.raises(ConfigError) as ei:
+        parse_config(path)
+    assert ei.value.violations == [f"[potential] file: {pfile}: malformed field dump ({why})"]
+    assert main(["groundstate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_initial_data_file_ends_the_run_with_a_manifest(tmp_path, capsys, case):
+    # the same errors escaped run: a traceback, exit 1 and no manifest.json
+    data, why = _MALFORMED[case]
+    ufile = tmp_path / "u.fld"
+    ufile.write_bytes(data)
+    path = write_cfg(
+        tmp_path, f"[run]\nmode = evolve\n[grid]\npoints = 16\n[initial_data]\nkind = file\nfile = {ufile}\n"
+    )
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: initial_data: {ufile}: malformed field dump ({why})\n"
+    manifest = read_json(out / "manifest.json")
+    assert manifest["files"] == {} and manifest["inputs"]["initial_data"]["path"] == str(ufile)
 
 
 def test_potential_keys_the_kind_does_not_read_are_rejected(tmp_path):
@@ -635,6 +739,11 @@ def test_cli_plot_data_errors(tmp_path, capsys):
     (bare / "trajectory.csv").write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(["1.0"] * len(CSV_COLUMNS)) + "\n")
     assert main(["plot-data", str(bare)]) == 2
     assert "no manifest.json" in capsys.readouterr().err
+    # a manifest without the gamma exited 1 with KeyError: 'gamma'
+    (bare / "manifest.json").write_text('{"config": {}}')
+    assert main(["plot-data", str(bare)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bare / 'manifest.json'}: the run's gamma cannot be read (KeyError('gamma'))\n"
     assert not os.path.exists(bare / "plots")
 
 
@@ -783,7 +892,7 @@ def test_validate_holds_one_gates_arrays_at_a_time(tmp_path):
     # the 32^3 grid fails the Pohozaev and Kato-ball gates by resolution; only memory is tested here
     assert traced_peak(lambda: runner.run_validate(cfg, str(tmp_path)), cfg.grid) <= 5.5
     # the Kato norms' gamma = d - 2 multiplier exists on the octant only
-    assert ("riesz", 1.0) not in cfg.grid._cache and ("riesz_octant", 1.0) in cfg.grid._cache
+    assert ("riesz", "periodic", 1.0) not in cfg.grid._cache and ("riesz", "even_octant", 1.0) in cfg.grid._cache
 
 
 def test_validate_deterministic_reruns(tmp_path):

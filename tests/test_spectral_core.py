@@ -296,7 +296,7 @@ def test_octant_multiplier_is_the_full_multipliers_slice(gamma):
     # grid's, and equals the full multiplier's slice bit for bit
     grid = Grid(3, 16, 7.0)
     m = EvenOctant(grid).multiplier(gamma)
-    assert ("riesz", gamma) not in grid._cache
+    assert ("riesz", "periodic", gamma) not in grid._cache and grid._cache[("riesz", "even_octant", gamma)] is m
     assert m.tobytes() == grid.riesz_multiplier(gamma)[(slice(0, 9),) * 3].tobytes()
 
 
