@@ -76,30 +76,42 @@ class PotentialSpec:
         return {"kind": self.kind, **{name: getattr(self, name) for name in _PARAMS[self.kind]}}
 
 
+def _sample(spec: PotentialSpec, grid: Grid, weight: bool) -> np.ndarray:
+    """The one kind dispatch: V on the grid or, with weight, 2V + x.grad V from that
+    V; a weight of V times a factor is multiplied in place, holding no extra grid array."""
+    r2, a, k = grid.r_sq, spec.amplitude, spec.kind
+    if k == "zero":
+        return np.zeros(grid.shape)
+    if k == "gaussian_bump":
+        v = a * np.exp(-r2 / spec.sigma**2)
+        return np.multiply(v, 2.0 - 2.0 * r2 / spec.sigma**2, out=v) if weight else v
+    if k == "smooth_compact_bump":
+        s = r2 / spec.radius**2
+        inside = s < 1.0
+        si = s[inside]
+        vi = a * np.exp(1.0 - 1.0 / (1.0 - si))
+        vals = np.zeros(grid.shape)
+        vals[inside] = np.multiply(vi, 2.0 - 2.0 * si / (1.0 - si) ** 2, out=vi) if weight else vi
+        return vals
+    if k == "inverse_poly":
+        p = spec.exponent
+        if weight:
+            return 2.0 * a * (1.0 + r2 - p * r2) / (1.0 + r2) ** (p + 1)
+        return a / (1.0 + r2) ** p
+    if k == "ball_indicator":
+        v = a * (r2 <= spec.radius**2).astype(float)
+        return np.multiply(v, 2.0, out=v) if weight else v
+    if spec.values.shape != grid.shape:
+        raise ValueError(f"grid_sampled values shape {spec.values.shape} does not match grid {grid.shape}")
+    v = np.asarray(spec.values, dtype=float)
+    if not weight:
+        return v
+    return 2.0 * v + sum(map(lambda x, d: x * d.values, grid.coords, gradient(Field(grid, v))))
+
+
 def eval_potential(spec: PotentialSpec, grid: Grid) -> Field:
     """Sample V on the grid (real Field)."""
-    r2 = grid.r_sq
-    k = spec.kind
-    if k == "zero":
-        vals = np.zeros(grid.shape)
-    elif k == "gaussian_bump":
-        vals = spec.amplitude * np.exp(-r2 / spec.sigma**2)
-    elif k == "smooth_compact_bump":
-        s = r2 / spec.radius**2
-        vals = np.zeros(grid.shape)
-        inside = s < 1.0
-        vals[inside] = spec.amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside]))
-    elif k == "inverse_poly":
-        vals = spec.amplitude / (1.0 + r2) ** spec.exponent
-    elif k == "ball_indicator":
-        vals = spec.amplitude * (r2 <= spec.radius**2).astype(float)
-    elif k == "grid_sampled":
-        if spec.values.shape != grid.shape:
-            raise ValueError(
-                f"grid_sampled values shape {spec.values.shape} does not match grid {grid.shape}"
-            )
-        vals = np.asarray(spec.values, dtype=float)
-    return Field(grid, vals)
+    return Field(grid, _sample(spec, grid, weight=False))
 
 
 def eval_virial_weight(spec: PotentialSpec, grid: Grid) -> Field:
@@ -109,34 +121,13 @@ def eval_virial_weight(spec: PotentialSpec, grid: Grid) -> Field:
     the interior value 2V (flagged via spec.xgrad_is_distributional and a
     warning).  grid_sampled: x.grad V by spectral differentiation.
     """
-    r2 = grid.r_sq
-    k = spec.kind
-    if k == "zero":
-        vals = np.zeros(grid.shape)
-    elif k == "gaussian_bump":
-        vals = spec.amplitude * np.exp(-r2 / spec.sigma**2) * (2.0 - 2.0 * r2 / spec.sigma**2)
-    elif k == "smooth_compact_bump":
-        s = r2 / spec.radius**2
-        vals = np.zeros(grid.shape)
-        inside = s < 1.0
-        si = s[inside]
-        vals[inside] = (
-            spec.amplitude * np.exp(1.0 - 1.0 / (1.0 - si)) * (2.0 - 2.0 * si / (1.0 - si) ** 2)
-        )
-    elif k == "inverse_poly":
-        p = spec.exponent
-        vals = 2.0 * spec.amplitude * (1.0 + r2 - p * r2) / (1.0 + r2) ** (p + 1)
-    elif k == "ball_indicator":
+    if spec.xgrad_is_distributional:
         warnings.warn(
             "ball_indicator: x.grad V has a surface part the grid cannot carry; "
             "using the distributional-interior value 2V",
             stacklevel=2,
         )
-        vals = 2.0 * spec.amplitude * (r2 <= spec.radius**2).astype(float)
-    elif k == "grid_sampled":
-        v = np.asarray(spec.values, dtype=float)
-        vals = 2.0 * v + sum(map(lambda x, d: x * d.values, grid.coords, gradient(Field(grid, v))))
-    return Field(grid, vals)
+    return Field(grid, _sample(spec, grid, weight=True))
 
 
 def kato_constant(dim: int) -> float:
@@ -234,7 +225,10 @@ def value_sign(values, rtol: float = 1e-10) -> str:
     return "nonpositive" if neg else "zero"
 
 
-def on_free_branch(v: Field | None) -> bool:
-    """The threshold branch rule: with V = 0 (v None) or V >= 0 up to 1e-12 of
-    its sup, V_- vanishes and the reference ground state is the free one."""
-    return v is None or value_sign(v.values, rtol=1e-12) in ("nonnegative", "zero")
+def reference_potential(spec: PotentialSpec, v: Field | None) -> PotentialSpec:
+    """The threshold branch rule: the potential the reference ground state is solved
+    with, for spec sampled as v (None for a zero spec, its own free reference).  V >= 0
+    up to 1e-12 of its sup has no V_-: free branch, PotentialSpec().  Else pinned: spec."""
+    if v is not None and value_sign(v.values, rtol=1e-12) in ("nonnegative", "zero"):
+        return PotentialSpec()
+    return spec

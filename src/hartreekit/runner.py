@@ -26,7 +26,7 @@ from .evolve import EvolveConfig, TrajectoryRecord, evolve, monotonicity_probe, 
 from .fieldio import load_field, read_json, write_json
 from .functionals import CSV_COLUMNS, _integral, hv_norm_sq, mass, take_snapshot
 from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state, summary
-from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm, on_free_branch
+from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm, reference_potential
 from .spectral import (
     Field,
     Grid,
@@ -108,12 +108,10 @@ def _check_box_decay(u0: Field, phase: str) -> float:
 
 
 def _solve_gs(cfg: RunConfig, v: Field | None):
-    """Solve the threshold reference for the potential sampled as v (None for V = 0).
-    A nonzero V without a negative part puts the run on the free branch, whose
-    reference is solved with V = 0."""
-    ref = PotentialSpec() if v is not None and on_free_branch(v) else cfg.potential
+    """Solve the threshold reference for the potential sampled as v (None for V = 0),
+    with the potential reference_potential picks: V = 0 on the free branch."""
     try:
-        gs = solve_ground_state(cfg.grid, ref, cfg.gamma, **asdict(cfg.groundstate))
+        gs = solve_ground_state(cfg.grid, reference_potential(cfg.potential, v), cfg.gamma, **asdict(cfg.groundstate))
     except ConvergenceError as exc:
         raise RunError("groundstate", str(exc)) from exc
     if not gs.converged:
@@ -155,9 +153,10 @@ def stage_classify(cfg: RunConfig, outdir, gs, adm):
         report = classify(u0, cfg.potential, gs, cfg.gamma, admissibility=adm)
     except (ZeroDivisionError, OverflowError, FloatingPointError):
         raise
-    except ArithmeticError as exc:
-        # classify's own checks of the reference's arithmetic (x0's identities,
-        # ME against x0, the condition forms) fail on the data, not in the code
+    except (ValueError, ArithmeticError) as exc:
+        # classify's own checks (zero mass, x0's identities, ME against x0,
+        # the condition forms) fail on the data, not in the code; its branch
+        # check cannot fail, as _solve_gs took the same reference_potential
         raise RunError("classify", str(exc)) from exc
     write_json(os.path.join(outdir, "classify_report.json"), asdict(report))
     return u0, report
@@ -191,19 +190,12 @@ def stage_evolve(cfg: RunConfig, outdir, u0: Field) -> TrajectoryRecord:
 
 
 def _consistency(verdict: str, termination_kind: str) -> str:
-    if verdict.startswith("BlowUp"):
-        return {
-            "BlowupDetected": "consistent",
-            "Completed": "inconsistent",
-            "ResolutionExhausted": "inconclusive",
-        }[termination_kind]
-    if verdict == "Global":
-        return {
-            "BlowupDetected": "inconsistent",
-            "Completed": "consistent",
-            "ResolutionExhausted": "inconclusive",
-        }[termination_kind]
-    return "inconclusive"
+    """A run agrees with its verdict when it ends as the verdict predicts; an
+    Indeterminate verdict or a run that ran out of resolution settles nothing."""
+    expected = "BlowupDetected" if verdict.startswith("BlowUp") else "Completed" if verdict == "Global" else None
+    if expected is None or termination_kind == "ResolutionExhausted":
+        return "inconclusive"
+    return "consistent" if termination_kind == expected else "inconsistent"
 
 
 def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord):

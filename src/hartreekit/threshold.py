@@ -6,7 +6,7 @@ function f(x) whose stationary point x0 calibrates the virial argument, the
 admission condition on I'(0), and the hypothesis conjunctions that turn those
 numbers into a verdict.  The two reference branches (free profile when the
 negative part of V vanishes, potential-pinned profile otherwise) are chosen
-by the caller; classify() validates the choice against the potential.  Every
+by the caller; classify() checks the choice against reference_potential.  Every
 comparison reads its margin through _side: above, below or inside a band of
 STRICTNESS times a scale.  A strict hypothesis (ME > 1, the product against
 Q's) must clear the band; a non-strict one ((1.8), the sign of I'(0)) may touch it.
@@ -28,7 +28,7 @@ from .potentials import (
     check_admissible,
     eval_potential,
     eval_virial_weight,
-    on_free_branch,
+    reference_potential,
     value_sign,
 )
 from .spectral import Field, PeriodicBasis, shell_fraction
@@ -281,25 +281,18 @@ def classify(
 ) -> DichotomyReport:
     """Apply the super-threshold dichotomy hypotheses to initial data.
 
-    gs must be the branch-correct reference: the free profile when the
-    negative part of V vanishes, the potential-pinned profile otherwise.
+    gs must be solved with reference_potential's choice for potential.
     Nothing here raises on data that merely fails hypotheses; the verdict
     degrades to Indeterminate with the failures listed.  admissibility is
     check_admissible's report for potential on u0's grid, when the caller
     already has it."""
     grid = u0.grid
     vfield = None if potential.is_zero else eval_potential(potential, grid)
-    free_branch = on_free_branch(vfield)
-    if free_branch and not gs.potential.is_zero:
-        raise ValueError(
-            "V_- vanishes, so the reference must be the free profile; got one "
-            f"solved with potential kind {gs.potential.kind!r}"
-        )
-    if not free_branch and gs.potential.to_dict() != potential.to_dict():
-        raise ValueError(
-            "V_- is nontrivial, so the reference must be pinned to the same "
-            "potential; the provided reference was solved with a different one"
-        )
+    ref = reference_potential(potential, vfield)
+    branch = "free" if ref.is_zero else "pinned"
+    if not (ref.is_zero and gs.potential.is_zero or ref.to_dict() == gs.potential.to_dict()):
+        need = "V = 0" if ref.is_zero else "the same potential"
+        raise ValueError(f"the {branch} branch needs a reference solved with {need}, not with kind {gs.potential.kind!r}")
 
     wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
     snap = take_snapshot(
@@ -393,7 +386,7 @@ def classify(
         I0=snap.variance_I, I1_0=i1, mass=snap.mass, energy=energy,
         cond_me_gt_1=me_rec, cond_1_8=asdict(cond18), sign_2V_xgradV=sign_w,
         cond_mp=mp_rec, sigma_membership=sigma_rec, admissibility=asdict(adm),
-        branch="free" if free_branch else "pinned",
+        branch=branch,
         failed_blowup=failed_blowup, failed_global=failed_global,
         subthreshold=_subthreshold_record(snap, vfield, wfield, gs, gamma, me),
         notes=notes,

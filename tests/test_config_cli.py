@@ -601,7 +601,8 @@ def test_run_without_mallopt_is_a_silent_no_op(tmp_path, monkeypatch, capsys, fr
 def test_fft_workers_hold_for_the_run_only(tmp_path, monkeypatch):
     # --threads is the FFT worker count of that run: the ground-state solve
     # sees it, the caller sees scipy's default again once the run returns, and
-    # the artifacts do not depend on it
+    # the artifacts do not depend on it, for V = 0 and on the pinned branch,
+    # whose Richardson solve, Kato norms and octant with V the V = 0 run skips
     seen = []
     solve = runner.solve_ground_state
 
@@ -610,23 +611,26 @@ def test_fft_workers_hold_for_the_run_only(tmp_path, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(runner, "solve_ground_state", recording)
-    path = write_cfg(
-        tmp_path,
-        "[run]\nmode = full_pipeline\n[grid]\npoints = 16\nhalf_length = 8.0\n"
-        "[initial_data]\nkind = gaussian\namplitude = 0.3\nwidth = 1.5\n"
-        "[evolve]\nt_max = 0.05\n",
-    )
-    outs = {}
-    for threads in (1, 2):
-        outs[threads] = tmp_path / f"threads{threads}"
-        assert main(["pipeline", "--config", path, "--out", str(outs[threads]), "--threads", str(threads)]) == 0
-        assert seen.pop() == threads
-        assert scipy.fft.get_workers() == 1
-    names = sorted(os.listdir(outs[1]))
-    assert names == sorted(os.listdir(outs[2])) and "trajectory.csv" in names
-    for name in names:
-        if name != "manifest.json":
-            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+    for branch, potential in (("free", ""), ("pinned", "kind = gaussian_bump\namplitude = -0.5\nsigma = 1.0\n")):
+        path = write_cfg(
+            tmp_path,
+            "[run]\nmode = full_pipeline\n[grid]\npoints = 16\nhalf_length = 8.0\n"
+            f"[potential]\n{potential}[initial_data]\nkind = gaussian\namplitude = 0.3\nwidth = 1.5\n"
+            "[evolve]\nt_max = 0.05\n",
+            name=f"{branch}.cfg",
+        )
+        outs = {}
+        for threads in (1, 2):
+            outs[threads] = tmp_path / f"{branch}{threads}"
+            assert main(["pipeline", "--config", path, "--out", str(outs[threads]), "--threads", str(threads)]) == 0
+            assert seen.pop() == threads
+            assert scipy.fft.get_workers() == 1
+        assert read_json(outs[1] / "groundstate_report.json")["branch"] == branch
+        names = sorted(os.listdir(outs[1]))
+        assert names == sorted(os.listdir(outs[2])) and "trajectory.csv" in names
+        for name in names:
+            if name != "manifest.json":
+                assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), (branch, name)
 
 
 def test_cli_groundstate_run(tmp_path):
@@ -793,6 +797,47 @@ def test_indeterminate_note_names_both_sides_in_one_field(tmp_path, grid32):
     assert row.split(",")[3] == (
         "blowup fails weight_sign_nonnegative / global fails I1_nonnegative;weight_sign_nonpositive;mp_product_below"
     )
+
+
+# comparison.csv's consistency for each verdict and the termination its run ended with
+_CONSISTENCY = [
+    ("BlowUp", "BlowupDetected", "consistent"),
+    ("BlowUp", "Completed", "inconsistent"),
+    ("BlowUp", "ResolutionExhausted", "inconclusive"),
+    ("BlowUpNegativeEnergy", "BlowupDetected", "consistent"),
+    ("BlowUpNegativeEnergy", "Completed", "inconsistent"),
+    ("BlowUpNegativeEnergy", "ResolutionExhausted", "inconclusive"),
+    ("Global", "BlowupDetected", "inconsistent"),
+    ("Global", "Completed", "consistent"),
+    ("Global", "ResolutionExhausted", "inconclusive"),
+    ("Indeterminate", "BlowupDetected", "inconclusive"),
+    ("Indeterminate", "Completed", "inconclusive"),
+    ("Indeterminate", "ResolutionExhausted", "inconclusive"),
+]
+
+
+@pytest.mark.parametrize("verdict, end, consistency", _CONSISTENCY)
+def test_consistency_of_each_verdict_and_run_end(verdict, end, consistency):
+    assert runner._consistency(verdict, end) == consistency
+
+
+@pytest.mark.parametrize("initial", ["gaussian", "file"])
+def test_zero_mass_initial_data_ends_the_classify_stage(tmp_path, capsys, initial):
+    # classify's ValueError escaped stage_classify: run printed
+    # "error: full_pipeline: initial data has zero mass" and a traceback
+    if initial == "gaussian":
+        data = "kind = gaussian\namplitude = 0.0\nwidth = 1.5\n"
+    else:
+        grid = Grid(3, 16, 8.0)
+        ufile = str(tmp_path / "zero.fld")
+        dump_field(ufile, Field(grid, np.zeros(grid.shape, dtype=complex)), {})
+        data = f"kind = file\nfile = {ufile}\n"
+    path = write_cfg(tmp_path, "[run]\nmode = full_pipeline\n[grid]\npoints = 16\nhalf_length = 8.0\n[initial_data]\n" + data)
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: classify: initial data has zero mass\n"
+    files = read_json(out / "manifest.json")["files"]
+    assert "groundstate_report.json" in files and "classify_report.json" not in files
 
 
 def test_nonnegative_potential_pipeline_uses_the_free_reference(tmp_path):

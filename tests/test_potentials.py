@@ -11,10 +11,11 @@ from hartreekit.potentials import (
     eval_virial_weight,
     kato_constant,
     kato_norm,
+    reference_potential,
     value_sign,
 )
 from hartreekit.runner import kato_ball_defect, kato_sandwich_excess, smooth_random_field
-from hartreekit.spectral import Field, riesz_convolve, transform_basis
+from hartreekit.spectral import Field, Grid, riesz_convolve, transform_basis
 
 
 def test_kato_ball_closed_form(grid64):
@@ -129,6 +130,66 @@ def test_virial_weight_gaussian_analytic(grid32):
     sampled = PotentialSpec(kind="grid_sampled", values=eval_potential(wide, grid32).values)
     expect = eval_virial_weight(wide, grid32).values
     assert np.abs(eval_virial_weight(sampled, grid32).values - expect).max() <= 1e-8 * np.abs(expect).max()
+
+
+# each analytic kind's closed-form weight against the spectral x.grad V of its
+# own sampled V on 64^3, L 8, over the points with max|x_i| <= L/2.  The bound
+# is the spectral route's own error there: round-off for the Gaussian; the
+# bump's steep rim and inverse_poly's algebraic core hold it near 3e-4 of the sup
+_WEIGHT_ROUTES = [
+    pytest.param(PotentialSpec(kind="gaussian_bump", amplitude=-0.37, sigma=1.0), 1e-12, id="gaussian_bump"),
+    pytest.param(PotentialSpec(kind="smooth_compact_bump", amplitude=0.3, radius=7.6), 1e-3, id="smooth_compact_bump"),
+    pytest.param(PotentialSpec(kind="inverse_poly", amplitude=0.3, exponent=1), 1e-3, id="inverse_poly_p1"),
+    pytest.param(PotentialSpec(kind="inverse_poly", amplitude=-0.3, exponent=2), 1e-3, id="inverse_poly_p2"),
+]
+
+
+@pytest.mark.parametrize("spec, bound", _WEIGHT_ROUTES)
+def test_virial_weight_matches_the_spectral_route_of_its_own_v(spec, bound):
+    grid = Grid(3, 64, 8.0)
+    w = eval_virial_weight(spec, grid).values
+    sampled = PotentialSpec(kind="grid_sampled", values=eval_potential(spec, grid).values)
+    inner = np.max(np.abs(np.broadcast_arrays(*grid.coords)), axis=0) <= grid.half_length / 2
+    assert np.abs(eval_virial_weight(sampled, grid).values - w)[inner].max() <= bound * np.abs(w).max()
+
+
+def _dipped(depth):
+    """A grid_sampled V >= 0 with sup 1, but for one sample of -depth."""
+    grid = Grid(3, 16, 8.0)
+    vals = np.exp(-grid.r_sq / 4.0)
+    vals /= vals.max()
+    vals[0, 0, 0] = -depth
+    return PotentialSpec(kind="grid_sampled", values=vals)
+
+
+_BRANCH_CASES = [
+    pytest.param(PotentialSpec(), "own", id="zero"),
+    pytest.param(PotentialSpec(kind="gaussian_bump", amplitude=0.0), "own", id="gaussian_bump-amplitude0"),
+    pytest.param(_dipped(1e-13), "free", id="grid_sampled-dip1e-13"),
+    pytest.param(_dipped(1e-11), "pinned", id="grid_sampled-dip1e-11"),
+    pytest.param(PotentialSpec(kind="grid_sampled", values=np.ones((16,) * 3)), "free", id="grid_sampled+"),
+    pytest.param(PotentialSpec(kind="grid_sampled", values=-np.ones((16,) * 3)), "pinned", id="grid_sampled-"),
+] + [
+    pytest.param(PotentialSpec(kind=kind, amplitude=sign * 0.3, **params), branch, id=f"{kind}{'+-'[sign < 0]}")
+    for kind, params in (
+        ("gaussian_bump", {"sigma": 1.0}),
+        ("smooth_compact_bump", {"radius": 2.0}),
+        ("inverse_poly", {"exponent": 1}),
+        ("ball_indicator", {"radius": 1.5}),
+    )
+    for sign, branch in ((1, "free"), (-1, "pinned"))
+]
+
+
+@pytest.mark.parametrize("spec, branch", _BRANCH_CASES)
+def test_reference_potential_is_free_exactly_when_v_has_no_negative_part(spec, branch):
+    # free: V >= 0 up to 1e-12 of its sup; own: a zero spec is its own free reference
+    v = None if spec.is_zero else eval_potential(spec, Grid(3, 16, 8.0))
+    ref = reference_potential(spec, v)
+    if branch == "free":
+        assert ref is not spec and ref.to_dict() == {"kind": "zero"}
+    else:
+        assert ref is spec and ref.is_zero == (branch == "own")
 
 
 def test_virial_weight_zero_potential(grid32):
