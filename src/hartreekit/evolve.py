@@ -391,7 +391,7 @@ def virial_consistency(record: TrajectoryRecord) -> dict:
     }
 
 
-def monotonicity_probe(record: TrajectoryRecord, verdict: str | None = None, f_x0: float | None = None) -> dict:
+def monotonicity_probe(record: TrajectoryRecord, verdict: str, f_x0: float | None = None) -> dict:
     """Empirical z(t) shape diagnostics keyed to the classified branch.
 
     Derivatives of z = sqrt(I) come from the recorded virial columns,
@@ -401,7 +401,7 @@ def monotonicity_probe(record: TrajectoryRecord, verdict: str | None = None, f_x
     BlowUp branch: fraction of interior times with z'' < 0.  Global branch:
     minimum z' against the floor 2 sqrt(f(x0)) (transient-trimmed).  Values
     are recorded, never judged."""
-    if verdict is None or not (verdict.startswith("BlowUp") or verdict == "Global"):
+    if not (verdict.startswith("BlowUp") or verdict == "Global"):
         return {}
     snaps = record.snapshots
     if len(snaps) < 3:

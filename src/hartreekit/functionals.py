@@ -7,28 +7,33 @@ I' = 4 Im int conj(u) x.grad u and
 I'' = 8 ||u||_{HV}^2 - 2g P - e,   e = 4 int (2V + x.grad V)|u|^2.
 
 Each quantity is computed by one function, which takes the shared inputs
-rho = |u|^2 and u-hat, the transform of u, rather than recomputing them, and
+rho = |u|^2 and u's points or transform, rather than recomputing them, and
 reads them on a basis (spectral.PeriodicBasis): the full periodic grid, or
 for even fields one octant with DCT-I coefficients, where every sum takes
 the Parseval weights (spectral.EvenOctant):
 
     M, int V|u|^2, I    _integral(basis, rho, weight)   weight none, V, |x|^2
     e                   4 _integral(basis, rho, 2V + x.grad V)
-    ||grad u||^2        _grad_sq(basis, |u-hat|^2)
+    ||grad u||^2        _grad_sq(basis, |u-hat|^2), or per axis from the
+                        power of u's transform along that axis alone
     P                   _p(basis, rho, gamma)       one real transform of rho
-    I'                  _virial_first(basis, u, u-hat)
+    I'                  _virial_first(basis, u)     0 for a real u
     E, I''              take_snapshot
     Weinstein quotient  FunctionalSnapshot.weinstein
     Cauchy-Schwarz gap  FunctionalSnapshot.cauchy_schwarz_gap
 
-take_snapshot evaluates all of them from one rho and one u-hat; a caller
-that wants several of these quantities reads them off a snapshot.  On the
-full grid a snapshot given fftn(u) costs 3 ifftn (I') and one rfftn (P); on
-the octant, given the coefficients, a DST-I along each axis with an
-inverse DCT-I along the others (I') and one forward DCT-I (P).  The two
-single-quantity calls, mass and hv_norm_sq, serve the validate gates that
-read only M, ||grad u||^2, int V|u|^2 or e (the last two through _integral)
-and would otherwise pay for a whole snapshot.
+take_snapshot evaluates all of them from one rho, and a caller that wants
+several of these quantities reads them off a snapshot.  I' takes its
+derivatives from u's points, one transform pair along each axis: on the
+full grid an fft and an ifft, on the octant a forward DCT-I and an idst.
+Given u-hat, ||grad u||^2 is read off it; without, off the same transforms
+along each axis, so a full-grid snapshot of a complex u costs 3 fft and
+3 ifft (I', ||grad u||^2) and one rfftn (P), with no transform of the
+whole grid.  A real u has I' = 0 exactly and takes no derivative: one
+forward transform of the basis for ||grad u||^2.  The two single-quantity
+calls, mass and hv_norm_sq, serve the validate gates that read only M,
+||grad u||^2, int V|u|^2 or e (the last two through _integral) and would
+otherwise pay for a whole snapshot.
 """
 
 from __future__ import annotations
@@ -46,9 +51,16 @@ def _integral(basis: PeriodicBasis, rho, weight=None) -> float:
     return float(basis.weigh(rho if weight is None else weight * rho).sum() * basis.grid.cell_volume)
 
 
-def _grad_sq(basis: PeriodicBasis, power) -> float:
-    """||grad u||^2 via Parseval from the power spectrum |u-hat|^2 on the basis's modes."""
+def _grad_sq(basis: PeriodicBasis, power, ax: int | None = None) -> float:
+    """||grad u||^2 via Parseval from the power spectrum |u-hat|^2 on the basis's modes.
+
+    With ax, ||d_ax u||^2 instead, from the power of u's transform along ax
+    alone summed over the other axes with the weights (basis.power_line):
+    the axis's xi^2 takes the place of k_sq, and its n points that of the
+    grid's n^d."""
     g = basis.grid
+    if ax is not None:
+        return float((basis.freq_axis**2 * power).sum() * (g.cell_volume / g.points))
     return float(basis.weigh(basis.k_sq * power).sum() * (g.cell_volume / g.points**g.dim))
 
 
@@ -58,24 +70,29 @@ def _p(basis: PeriodicBasis, rho, gamma: float) -> float:
     return float(basis.riesz_pairing(rho, gamma) * (g.cell_volume / g.points**g.dim))
 
 
-def _virial_first(basis: PeriodicBasis, u, uhat) -> float:
-    """I' = 4 Im sum_j int conj(u) x_j d_j u, each term one derivative and one sum.
+def _virial_first(basis: PeriodicBasis, u, grad: bool = False) -> tuple:
+    """I' = 4 Im sum_j int conj(u) x_j d_j u from u's points, each term one transform pair along axis j.
 
     Each term's product is formed in its derivative's own buffer, as
-    conj(x_j d_j u) u, the conjugate of the integrand, whose imaginary part
-    is summed and subtracted.  That is the integrand's sum up to rounding:
+    conj(d_j u) u, the conjugate of the integrand, and summed over the other
+    axes to a line along j (basis.line), whose imaginary part is weighted
+    by x_j and subtracted.  That is the integrand's sum up to rounding:
     numpy's complex product may fuse a multiply-add, so the two orders can
-    differ in the last bits (2.4e-16 of I' on the presets)."""
-    acc = 0.0
+    differ in the last bits.  With grad, ||grad u||^2 is read off the same
+    transforms along each axis (_grad_sq), for a caller that holds no u-hat.
+    Returns (I', ||grad u||^2 or None)."""
+    acc, gs = 0.0, 0.0 if grad else None
     for ax, x in enumerate(basis.coords):
-        du = basis.derivative(uhat, ax)
-        du *= x
-        du = basis.weigh(du)
+        c = basis.axis_forward(u, ax)
+        if grad:
+            gs += _grad_sq(basis, basis.power_line(c, ax), ax)
+        du = basis.derivative(u, ax, c)
+        del c  # the full grid's derivative took its memory; the octant's frees it
         np.conjugate(du, out=du)
         du *= u
-        acc -= du.sum().imag
-        del du  # before the next axis's derivative
-    return float(acc) * (4.0 * basis.grid.cell_volume)
+        acc -= (x.ravel() * basis.line(du, ax).imag).sum()
+        del du  # before the next axis's transform
+    return float(acc) * (4.0 * basis.grid.cell_volume), gs
 
 
 def mass(u: Field) -> float:
@@ -153,8 +170,8 @@ def take_snapshot(
     u, v and virial_weight are Fields on the grid (v and virial_weight may be
     None).  With basis given, they are arrays on the basis's points instead,
     and every sum runs there with its Parseval weights.  uhat is u's
-    transform on the basis (fftn(u.values) without one) when the caller
-    already holds it."""
+    transform on the basis (fftn(u.values) on the full grid) when the caller
+    already holds it; ||grad u||^2 is then read off it."""
     if basis is None:
         basis = PeriodicBasis(u.grid)
         u, v, virial_weight = (None if f is None else f.values for f in (u, v, virial_weight))
@@ -166,10 +183,14 @@ def take_snapshot(
     vt = _integral(basis, rho, v) if v is not None else 0.0
     e = 4.0 * _integral(basis, rho, virial_weight) if virial_weight is not None else 0.0
     del rho
-    if uhat is None:
+    # a real u has a real gradient, so I' is 0 exactly and takes no derivative
+    real = np.isrealobj(u)
+    if uhat is None and real:
         uhat = basis.forward(u)
-    gs = _grad_sq(basis, abs_sq(uhat))
-    i1 = _virial_first(basis, u, uhat)
+    # without u-hat, ||grad u||^2 comes from I''s transforms along each axis
+    i1, gs = (0.0, None) if real else _virial_first(basis, u, grad=uhat is None)
+    if uhat is not None:
+        gs = _grad_sq(basis, abs_sq(uhat))
     hv = gs + vt
     return FunctionalSnapshot(
         time=t,

@@ -351,7 +351,6 @@ def solve_ground_state(
         u, 0.0, vvals, wvals, gamma,
         e_term_approximate=potential.xgrad_is_distributional, basis=basis,
     )
-    snap.virial_I1 = 0.0  # exact for a real profile
     if snap.hv_sq <= 0:
         raise ConvergenceError(
             f"ground-state form norm ||Q||_HV^2 = {snap.hv_sq:.3e} is not positive: "

@@ -13,9 +13,10 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.special import gamma as gamma_fn
 
-from .spectral import Field, Grid, _check_section, gradient, integrate, transform_basis
+from .spectral import Field, Grid, _check_section, _on_axis, gradient, integrate, transform_basis
 
 # the [potential] keys each kind reads; a sampled potential's values come from its file
 _PARAMS = {
@@ -104,9 +105,33 @@ def _sample(spec: PotentialSpec, grid: Grid, weight: bool) -> np.ndarray:
     if spec.values.shape != grid.shape:
         raise ValueError(f"grid_sampled values shape {spec.values.shape} does not match grid {grid.shape}")
     v = np.asarray(spec.values, dtype=float)
-    if not weight:
-        return v
+    return _spectral_weight(grid, v) if weight else v
+
+
+def _spectral_weight(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """2V + x.grad V from the samples v, x.grad V by spectral differentiation."""
     return 2.0 * v + sum(map(lambda x, d: x * d.values, grid.coords, gradient(Field(grid, v))))
+
+
+def weight_band_error(v: Field) -> float:
+    """A two-level estimate of the error of a sampled V's weight 2V + x.grad V, over its sup.
+
+    The weight is recomputed from V with its spectrum cut to the inner half
+    of the band, |k_i| < n/4 on every axis.  The estimate is the largest gap
+    between that weight and the full band's on the inner half box,
+    |x_i| < L/2, over the full-band weight's sup.  On the measured smooth
+    kinds it was never below the true error, and up to 10^8 above it where
+    V is resolved, so it can flag a weight, not correct it."""
+    grid, n = v.grid, v.grid.points
+    cut = np.abs(np.fft.fftfreq(n) * n) < n // 4
+    half = sfft.rfftn(v.values)
+    for ax in range(grid.dim):
+        half *= _on_axis(cut[: n // 2 + 1] if ax == grid.dim - 1 else cut, ax, grid.dim)
+    full = _spectral_weight(grid, v.values)
+    gap = full - _spectral_weight(grid, sfft.irfftn(half, v.values.shape, overwrite_x=True))
+    inner = np.ix_(*[np.abs(grid.axis) < grid.half_length / 2] * grid.dim)
+    scale = float(np.abs(full).max())
+    return float(np.abs(gap[inner]).max()) / scale if scale > 0 else 0.0
 
 
 def eval_potential(spec: PotentialSpec, grid: Grid) -> Field:
@@ -170,6 +195,8 @@ class AdmissibilityReport:
     kato_integral_threshold: float  # 1 / C_d
     ld2_norm: float  # L^{d/2} norm over the box
     compact_support: bool
+    # weight_band_error of a grid_sampled V; None for an analytic kind or V = 0
+    weight_band_error: float | None = None
     notes: list = dc_field(default_factory=list)
 
 
@@ -182,7 +209,7 @@ def check_admissible(spec: PotentialSpec, v: Field | None, grid: Grid) -> Admiss
     sandwich keeps a positive lower constant.  Finiteness of the K cap
     L^{d/2} membership is automatic for bounded data on a box; the report
     records the numbers and flags non-compact tails informatively rather
-    than failing them.
+    than failing them, and a grid_sampled V's weight_band_error.
     """
     cd = kato_constant(grid.dim)
     kneg = kfull = ld2 = 0.0
@@ -209,6 +236,7 @@ def check_admissible(spec: PotentialSpec, v: Field | None, grid: Grid) -> Admiss
         kato_integral_threshold=1.0 / cd,
         ld2_norm=ld2,
         compact_support=spec.compact_support,
+        weight_band_error=weight_band_error(v) if spec.kind == "grid_sampled" else None,
         notes=notes,
     )
 

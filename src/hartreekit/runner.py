@@ -230,18 +230,30 @@ def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord):
 
 
 def smooth_random_field(grid: Grid, rng, amplitude=0.5) -> Field:
-    """Superposition of three random off-center complex Gaussians; decays well inside the box."""
-    vals = np.zeros(grid.shape, dtype=complex)
+    """Superposition of three random off-center complex Gaussians; decays well inside the box.
+
+    exp(-|x - c|^2 / 2w^2) is the product of 1-D factors, so each bump takes
+    one full-grid product, of its partial product over the other axes with
+    its last axis's factor.  The first is written straight into the sum and
+    the others into one reused buffer; adding 0.0 to the first turns a -0.0
+    into 0.0, as adding it to a zero-filled sum does."""
+    *inner, last = grid.coords
+    vals = buf = None
     for _ in range(3):
         c = rng.uniform(-0.2 * grid.half_length, 0.2 * grid.half_length, size=grid.dim)
         w = rng.uniform(0.8, 1.8)
         amp = amplitude * rng.uniform(0.4, 1.0)
         ph = rng.uniform(0.0, 2.0 * np.pi)
-        # exp(-|x - c|^2 / 2w^2) is the product of 1-D factors, so only the last product is full-grid
         bump = amp * np.exp(1j * ph)
-        for x, ci in zip(grid.coords, c):
+        for x, ci in zip(inner, c):
             bump = bump * np.exp(-((x - ci) ** 2) / (2.0 * w * w))
-        vals += bump
+        factor = np.exp(-((last - c[-1]) ** 2) / (2.0 * w * w))
+        if vals is None:
+            vals = np.multiply(bump, factor)
+            vals += 0.0
+        else:
+            buf = np.multiply(bump, factor, out=buf)
+            vals += buf
     return Field(grid, vals)
 
 

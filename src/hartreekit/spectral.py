@@ -243,6 +243,11 @@ def abs_sq(a: np.ndarray) -> np.ndarray:
     return a.real * a.real + a.imag * a.imag
 
 
+def _on_axis(line: np.ndarray, ax: int, dim: int) -> np.ndarray:
+    """The 1-D array line as a view that broadcasts along axis ax of a dim-axis array."""
+    return line.reshape([-1 if a == ax else 1 for a in range(dim)])
+
+
 def integrate(f: Field):
     """Box quadrature h^d * sum; spectrally accurate for smooth periodic data."""
     s = f.values.sum() * f.grid.cell_volume
@@ -253,28 +258,26 @@ def gradient(f: Field):
     """Spectral gradient, yielded one Field per axis; real for a real f.
 
     Each axis's derivative is made when the caller asks for the next one,
-    so a caller that reads them in turn and drops each holds one derivative
-    and the transform of f, not all of them.  A complex f takes fftn and one
-    ifftn per axis.  A real f takes rfftn and one irfftn per axis, which is
-    the real part of the complex route: along the derivative's own axis the
-    multiplier i xi is zero on the Nyquist plane, whose term is imaginary
-    for a real f.  The real part drops that term, while irfftn, which takes
-    its input to be a real field's half spectrum, would fold it back in."""
+    from one transform pair along that axis alone, so a caller that reads
+    them in turn and drops each holds one derivative and no transform of
+    the whole grid.  A complex f takes fft and ifft along each axis
+    (PeriodicBasis.derivative).  A real f takes rfft and irfft along each
+    axis, which is the real part of the complex route: i xi times the
+    Nyquist mode is imaginary for a real f, and irfft, which reads its input
+    as a real line's half spectrum, discards the Nyquist mode's imaginary
+    part as the real part does."""
     grid = f.grid
     if np.iscomplexobj(f.values):
         basis = PeriodicBasis(grid)
-        fhat = fftn(f.values)
         for ax in range(grid.dim):
-            yield Field(grid, basis.derivative(fhat, ax))
+            yield Field(grid, basis.derivative(f.values, ax))
         return
     n = grid.points
-    fhat = sfft.rfftn(f.values)
-    xi = 1j * grid.freq_axis
-    xi[n // 2] = 0.0
+    xi = 1j * grid.freq_axis[: n // 2 + 1]
     for ax in range(grid.dim):
-        m = xi[: n // 2 + 1] if ax == grid.dim - 1 else xi
-        m = m.reshape([-1 if a == ax else 1 for a in range(grid.dim)])
-        yield Field(grid, sfft.irfftn(m * fhat, f.values.shape, overwrite_x=True))
+        c = sfft.rfft(f.values, axis=ax)
+        c *= _on_axis(xi, ax, grid.dim)
+        yield Field(grid, sfft.irfft(c, n, axis=ax, overwrite_x=True))
 
 
 def riesz_convolve(f: Field, gamma_exp: float) -> Field:
@@ -299,11 +302,13 @@ class PeriodicBasis:
     carry a grid field to the basis's points and back, forward and inverse
     transform there, and apply multiplies by a multiplier given on the
     basis's modes (k_sq, or the Riesz multiplier(gamma)); convolve is the
-    Riesz convolution of a real density.  weigh multiplies by the Parseval
-    weights, so that weigh(a).sum() over the points or the modes is the sum
-    over the whole grid; norm_sq is the weighted squared norm, by Parseval
-    n^d times the grid's for coefficients.  Here take, expand and weigh are
-    the identity."""
+    Riesz convolution of a real density.  axis_forward transforms along one
+    axis alone, and derivative differentiates a field on the points along
+    one axis by one transform pair along it.  weigh multiplies by the
+    Parseval weights, so that weigh(a).sum() over the points or the modes
+    is the sum over the whole grid, and line sums weigh(a) down to one axis;
+    norm_sq is the weighted squared norm, by Parseval n^d times the grid's
+    for coefficients.  Here take, expand and weigh are the identity."""
 
     name = "periodic"
     # one axis's points and modes, as indices of the grid's
@@ -357,13 +362,44 @@ class PeriodicBasis:
         """|x|^{-gamma_exp} * rho for a temporary rho, whose memory it may reuse."""
         return self.apply(rho, self.multiplier(gamma_exp), overwrite_x=True)
 
-    def derivative(self, c: np.ndarray, ax: int) -> np.ndarray:
-        """The spectral derivative along axis ax of the field whose coefficients are c.
+    def axis_forward(self, a: np.ndarray, ax: int) -> np.ndarray:
+        """a's transform along axis ax alone, in new memory: modes along ax, points along the others."""
+        a, overwrite_x = _in_place(a, False)
+        return sfft.fft(a, axis=ax, overwrite_x=overwrite_x)
 
-        A basis may return another array that pairs with x_ax and a field on
-        its points to the same sum (EvenOctant.derivative); this one returns
-        the derivative itself."""
-        return ifftn(1j * self.grid.freqs[ax] * c, overwrite_x=True)
+    def derivative(self, u: np.ndarray, ax: int, c: np.ndarray | None = None) -> np.ndarray:
+        """The spectral derivative along axis ax of the field whose points are u, by one transform pair along ax.
+
+        c is axis_forward(u, ax) when the caller already holds it; its
+        memory becomes the result's.  A basis may return another array that
+        pairs with x_ax and a field on its points to the same sum
+        (EvenOctant.derivative); this one returns the derivative itself."""
+        c = self.axis_forward(u, ax) if c is None else c
+        c *= _on_axis(1j * self.freq_axis, ax, self.dim)
+        return sfft.ifft(c, axis=ax, overwrite_x=True)
+
+    def line(self, a: np.ndarray, ax: int) -> np.ndarray:
+        """weigh(a) summed over every axis but ax, one axis at a time from the last: a line along ax.
+
+        Summing one axis at a time keeps each sum to at most n terms in a
+        row, where numpy would add the n^(d-1) planes of all the other axes
+        at once one after another."""
+        a = self.weigh(a)
+        for b in reversed(range(self.dim)):
+            if b != ax:
+                a = a.sum(axis=b)
+        return a
+
+    def power_line(self, c: np.ndarray, ax: int) -> np.ndarray:
+        """line(|c|^2, ax), from |c|^2 on an eighth of axis 0's planes at a time.
+
+        So it holds no temporary the size of the grid, where |c|^2 at once
+        would hold half a complex grid array, and its square parts one more;
+        at 64^3 it also took a third of the time.  Along ax = 0 the blocks' lines are pieces of the line; along another
+        axis, parts of its sum."""
+        step = max(1, len(c) // 8)
+        lines = [self.line(abs_sq(c[i : i + step]), ax) for i in range(0, len(c), step)]
+        return np.concatenate(lines) if ax == 0 else sum(lines)
 
     def riesz_pairing(self, rho: np.ndarray, gamma_exp: float):
         """sum_xi m(xi) |rho-hat(xi)|^2 over the full spectrum, m the Riesz multiplier, from one real transform.
@@ -472,12 +508,19 @@ class EvenOctant(PeriodicBasis):
         c[:, 1:-1] *= 2.0
         return tuple((a, np.kron(a, np.eye(2))) for a in (c, c / (2 * (m - 1))))
 
-    def forward(self, a, overwrite_x=False):
-        return self._dct(a, False, overwrite_x)
+    def forward(self, a, overwrite_x=False, axes=None):
+        """The DCT-I along axes, every axis by default."""
+        return self._dct(a, False, overwrite_x, axes)
 
-    def inverse(self, c, overwrite_x=False, axes=None):
-        """The inverse DCT-I along axes, every axis by default."""
-        return self._dct(c, True, overwrite_x, axes)
+    def inverse(self, c, overwrite_x=False):
+        return self._dct(c, True, overwrite_x)
+
+    def axis_forward(self, a, ax):
+        return self.forward(a, axes=(ax,))
+
+    def power_line(self, c, ax):
+        # the octant's arrays are an eighth of the grid's, so |c|^2 is formed at once
+        return self.line(abs_sq(c), ax)
 
     def _dct(self, a, inverse, overwrite_x, axes=None):
         axes = tuple(range(self.dim)) if axes is None else axes
@@ -490,31 +533,32 @@ class EvenOctant(PeriodicBasis):
         c *= m
         return self.inverse(c, overwrite_x=True)
 
-    def derivative(self, c, ax):
+    def derivative(self, u, ax, c=None):
         """The odd part of the derivative, and the periodic grid's Nyquist term on the plane x_ax = -L.
 
-        Along ax, the modes 0 < k < n/2 of an even field give an odd
-        derivative, -idst(xi_k c_k, type=1) on the points 0 < m < n/2, which
-        is 0 at x = 0 and at x = -L.  The Nyquist mode k = n/2 gives the even
-        term i xi_{n/2} c_{n/2} (-1)^m / n on point m, whose products with
-        x_ax cancel in mirror pairs except on the plane x_ax = -L, which has
-        no mirror.  So the array is that term there and the odd part elsewhere:
-        paired with x_ax times an even field by the Parseval weights, it gives
-        the periodic grid's sum.  The inverse DCT-I along the other axes takes
-        it back to the points."""
+        c is the forward DCT-I of u along ax alone (axis_forward).  Along ax,
+        the modes 0 < k < n/2 of an even field give an odd derivative,
+        -idst(xi_k c_k, type=1) on the points 0 < m < n/2, which is 0 at
+        x = 0 and at x = -L.  The Nyquist mode k = n/2 gives the even term
+        i xi_{n/2} c_{n/2} (-1)^m / n on point m, whose products with x_ax
+        cancel in mirror pairs except on the plane x_ax = -L, which has no
+        mirror.  So the array is that term there and the odd part elsewhere:
+        paired with x_ax times an even field by the Parseval weights, it
+        gives the periodic grid's sum.  The other axes stay on the points,
+        so it takes two passes, the DCT-I and the idst, along ax alone."""
+        c = self.axis_forward(u, ax) if c is None else c
         half = self.grid.points // 2
 
         def along(s):
             return tuple(s if a == ax else slice(None) for a in range(self.dim))
 
         inner = along(slice(1, half))
-        xi = self.freq_axis[1:half].reshape([-1 if a == ax else 1 for a in range(self.dim)])
+        xi = _on_axis(self.freq_axis[1:half], ax, self.dim)
         d = np.zeros(c.shape, dtype=complex)
         d[inner] = sfft.idst(-xi * c[inner], type=1, axis=ax, overwrite_x=True)
         edge = along(half)
         d[edge] = (1j * (-1) ** half * self.freq_axis[half] / self.grid.points) * c[edge]
-        others = tuple(a for a in range(self.dim) if a != ax)
-        return self.inverse(d, overwrite_x=True, axes=others)
+        return d
 
     def riesz_pairing(self, rho, gamma_exp):
         power = abs_sq(self.forward(rho))

@@ -50,7 +50,7 @@ def fft_counts(monkeypatch):
     Every periodic-grid transform of the package goes through a scipy.fft
     attribute, counted under its name.  Every DCT-I of an even octant goes
     through EvenOctant.forward or EvenOctant.inverse (the derivative's
-    along the other axes too), counted as octant_forward and octant_inverse:
+    along its own axis too), counted as octant_forward and octant_inverse:
     up to spectral._MATRIX_DCT_POINTS points per axis as matrix products,
     above as scipy.fft's dctn and idctn, which are then counted under their
     names as well.  clear() starts the count again."""

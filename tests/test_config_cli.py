@@ -882,6 +882,7 @@ def test_pipeline_computes_admissibility_once(tmp_path, monkeypatch):
     gs_adm = gs_rep["admissibility"]
     assert gs_adm == read_json(os.path.join(out, "classify_report.json"))["admissibility"]
     assert gs_adm["kato_norm_negative_part"] > 0
+    assert gs_adm["weight_band_error"] is None  # an analytic kind
 
 
 def test_noncoercive_well_fails_the_groundstate_stage(tmp_path, capsys):
@@ -938,6 +939,54 @@ def test_validate_holds_one_gates_arrays_at_a_time(tmp_path):
     assert traced_peak(lambda: runner.run_validate(cfg, str(tmp_path)), cfg.grid) <= 5.5
     # the Kato norms' gamma = d - 2 multiplier exists on the octant only
     assert ("riesz", "periodic", 1.0) not in cfg.grid._cache and ("riesz", "even_octant", 1.0) in cfg.grid._cache
+
+
+def test_validate_transforms_by_class(tmp_path, fft_counts):
+    """Counter gate on every transform of run_validate at 32^3, L 10.
+
+    Full grid: parseval_mass, gradient_routes_agree's Parseval route,
+    virial_dual_form's ||grad u||^2, the ten kato_sandwich trials and the
+    mass-drift evolve's fftn(u0) take one fftn each (14).  Each derivative
+    is one transform pair along its axis: gradient_routes_agree's complex
+    gradient and the t = 0 snapshot take 3 fft and 3 ifft, and each of the
+    ten variational trials' snapshots 3 and 3, for I' and ||grad u||^2 with
+    no fftn (36 and 36).  virial_dual_form's gradient of the real |u|^2
+    takes 3 rfft and 3 irfft.  The snapshots' P is one rfftn each.  The
+    ground state, the Kato norms, the origin gate and the evolve's steps run
+    on the even octant; the closing snapshot's I' takes 3 forward DCT-Is
+    along one axis and 3 idst, and the ground state's real profile none."""
+    path = write_cfg(tmp_path, "[run]\nmode = validate\nseed = 20301\n[grid]\npoints = 32\nhalf_length = 10.0\n")
+    runner.run_validate(parse_config(path), str(tmp_path))
+    assert {name: n for name, n in fft_counts.items() if n} == {
+        "fftn": 14, "fft": 36, "ifft": 36, "rfftn": 13, "irfftn": 2, "rfft": 3, "irfft": 3,
+        "octant_forward": 117, "octant_inverse": 107, "idst": 3,
+    }
+
+
+def _zero_filled_random_field(grid, rng, amplitude=0.5):
+    """smooth_random_field's values as they were first built: three full-grid bumps added to zeros."""
+    vals = np.zeros(grid.shape, dtype=complex)
+    for _ in range(3):
+        c = rng.uniform(-0.2 * grid.half_length, 0.2 * grid.half_length, size=grid.dim)
+        w = rng.uniform(0.8, 1.8)
+        amp = amplitude * rng.uniform(0.4, 1.0)
+        ph = rng.uniform(0.0, 2.0 * np.pi)
+        bump = amp * np.exp(1j * ph)
+        for x, ci in zip(grid.coords, c):
+            bump = bump * np.exp(-((x - ci) ** 2) / (2.0 * w * w))
+        vals += bump
+    return vals
+
+
+@pytest.mark.parametrize("grid", [Grid(3, 16, 10.0), Grid(3, 32, 10.0), Grid(3, 32, 100.0), Grid(3, 64, 10.6), Grid(2, 16, 10.0)],
+                         ids=["16-L10", "32-L10", "32-L100", "64-L10.6", "2d-16"])
+def test_smooth_random_field_has_the_bytes_of_the_zero_filled_sum(grid):
+    # one full-grid product per bump keeps every byte, signed zeros
+    # included: at L 100 the bumps underflow, and seed 1 leaves a -0.0 in
+    # all three at some points, which adding to zeros made 0.0
+    for seed in range(5):
+        got = runner.smooth_random_field(grid, np.random.default_rng(seed)).values
+        assert got.tobytes() == _zero_filled_random_field(grid, np.random.default_rng(seed)).tobytes()
 
 
 def test_validate_deterministic_reruns(tmp_path):

@@ -248,14 +248,19 @@ def test_monotonicity_probe_global_branch(g32):
 
 
 def test_monotonicity_probe_off_branches(blowup_record):
-    assert monotonicity_probe(blowup_record, None) == {}
-    assert monotonicity_probe(blowup_record, "Indeterminate") == {}
+    # the verdict is required; Indeterminate, on neither branch, gets no
+    # probe on any record, and neither branch gets one on under 3 snapshots
     short = TrajectoryRecord(
         snapshots=blowup_record.snapshots[:2],
         termination=blowup_record.termination,
         config=blowup_record.config,
     )
+    with pytest.raises(TypeError):
+        monotonicity_probe(blowup_record)
+    for rec in (blowup_record, short):
+        assert monotonicity_probe(rec, "Indeterminate") == {}
     assert monotonicity_probe(short, "BlowUp") == {}
+    assert monotonicity_probe(short, "Global") == {}
 
 
 def test_virial_consistency_nonlinear(g32):
@@ -608,33 +613,37 @@ def test_fft_counts_per_adaptive_step(fft_counts):
     real.  The partner shares the first three and the fourth one's physical
     input and convolution, so its own fourth sub-flow costs only the forward
     transform (1 complex), and its last two cost (4, 4): an attempt is 17
-    complex and 16 real transforms.  A snapshot given the state's full
-    transform costs 3 ifftn for I' and one rfftn for P (3 complex, 1 real):
-    P is read off the half spectrum of |u|^2 by Parseval, with no transform
-    back.  detect_blowup reads the transform in hand (0).  record_dt = t_max,
-    so no step is clipped short of the end.
+    complex and 16 real transforms.  A snapshot takes I' from the state's
+    points, one transform pair along each axis, and reads ||grad u||^2 off
+    the state's transform: 3 fft and 3 ifft for I' and one rfftn for P
+    (6 one-axis, 1 real), where P is read off the half spectrum of |u|^2 by
+    Parseval, with no transform back.  detect_blowup reads the transform in
+    hand (0).  record_dt = t_max, so no step is clipped short of the end.
 
     Periodic basis, on a datum that is not even, u0 (1 + 0.1 x_1): an
     attempt's transforms are fftn/ifftn and rfftn/irfftn, and the state is
     fftn(u), turned back by one ifftn for a snapshot after a step.  One
-    step, record_stride 1: fftn(u0) (1); the t = 0 snapshot (3, 1); one
-    attempt (17, 16); the closing snapshot (1 + 3, 1).  Total 25 complex and
-    18 real.  Two steps, record_stride 2: the same, with two attempts (34,
-    32) and no snapshot, so no ifftn, after the first step: 42 complex and
-    34 real.
+    step, record_stride 1: fftn(u0) (1); the t = 0 snapshot (6 one-axis,
+    1 real); one attempt (17, 16); the closing snapshot (1 complex,
+    6 one-axis, 1 real).  Total 19 complex, 18 real and 12 one-axis.  Two
+    steps, record_stride 2: the same, with two attempts (34, 32) and no
+    snapshot, so no ifftn, after the first step: 36 complex, 34 real and
+    12 one-axis.
 
-    Even octant, on the radial u0: the t = 0 snapshot still reads fftn(u0),
-    (1 + 3, 1), and the state is the octant's forward DCT-I (1).  Every
-    transform of an attempt is a DCT-I: 17 forward and 16 inverse, counted
-    at EvenOctant.forward and .inverse.  detect_blowup reads the octant's
-    coefficients (0).  The closing snapshot stays on the octant: one inverse
-    DCT-I turns the state back, I' takes per axis one idst along it and one
-    inverse DCT-I along the others (3 idst, 3 inverse), and P one forward
-    DCT-I of |u|^2.  One step: 4 complex, 1 real, 19 forward, 20 inverse and
-    3 idst.  Two steps: 4, 1, 36, 36 and 3."""
+    Even octant, on the radial u0: the t = 0 snapshot still reads fftn(u0)
+    and takes the full grid's (1 complex, 6 one-axis, 1 real), and the
+    state is the octant's forward DCT-I (1).  Every transform of an attempt
+    is a DCT-I: 17 forward and 16 inverse, counted at EvenOctant.forward and
+    .inverse.  detect_blowup reads the octant's coefficients (0).  The
+    closing snapshot stays on the octant: one inverse DCT-I turns the state
+    back, I' takes per axis one forward DCT-I along it and one idst
+    (3 forward, 3 idst), and P one forward DCT-I of |u|^2.  One step: 1
+    complex, 1 real, 6 one-axis, 22 forward, 17 inverse and 3 idst.  Two
+    steps: 1, 1, 6, 39, 33 and 3."""
     def complex_real_dct():
         c = fft_counts
-        out = (c["fftn"] + c["ifftn"], c["rfftn"] + c["irfftn"], c["octant_forward"], c["octant_inverse"], c["idst"])
+        out = (c["fftn"] + c["ifftn"], c["rfftn"] + c["irfftn"], c["fft"] + c["ifft"], c["octant_forward"],
+               c["octant_inverse"], c["idst"])
         c.clear()
         return out
 
@@ -645,7 +654,8 @@ def test_fft_counts_per_adaptive_step(fft_counts):
                        record_dt=1e-3, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     cfg2 = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=2e-3, tol_step=1e-2, record_stride=2,
                         record_dt=2e-3, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
-    for u0, one, two in ((tilted, (25, 18, 0, 0, 0), (42, 34, 0, 0, 0)), (radial, (4, 1, 19, 20, 3), (4, 1, 36, 36, 3))):
+    for u0, one, two in ((tilted, (19, 18, 12, 0, 0, 0), (36, 34, 12, 0, 0, 0)),
+                         (radial, (1, 1, 6, 22, 17, 3), (1, 1, 6, 39, 33, 3))):
         rec = evolve(u0, ZERO, cfg)
         assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
         assert complex_real_dct() == one
@@ -659,9 +669,9 @@ def test_fft_counts_per_adaptive_step(fft_counts):
     complex_real_dct()
     assert not detect_blowup(uhat, 1.0, cfg, PeriodicBasis(grid))
     assert not detect_blowup(c, 1.0, cfg, octant)
-    assert complex_real_dct() == (0, 0, 0, 0, 0)
+    assert complex_real_dct() == (0, 0, 0, 0, 0, 0)
     assert not detect_blowup(radial, 1.0, cfg)
-    assert complex_real_dct() == (1, 0, 0, 0, 0)
+    assert complex_real_dct() == (1, 0, 0, 0, 0, 0)
 
 
 def test_transform_basis_engagement(g32, monkeypatch):

@@ -219,17 +219,43 @@ def test_periodic_snapshot_holds_one_transient_array_beyond_its_transform():
 
 
 def test_virial_first_in_the_derivative_buffer_is_the_conjugate_product():
-    """I' summed as -Im conj(x_j d_j u) u, in the derivative's buffer, is the
-    integrand's sum Im conj(u) x_j d_j u to 1e-14 of I', on the full grid and
-    on the octant; numpy's complex product may fuse a multiply-add, so the
-    two orders can differ in the last bits."""
+    """I' summed as -Im of the line of conj(d_j u) u over the other axes,
+    weighted by x_j, in the derivative's buffer, is the integrand's sum
+    Im conj(u) x_j d_j u to 1e-14 of I', on the full grid and on the octant;
+    numpy's complex product may fuse a multiply-add, so the two orders can
+    differ in the last bits."""
     grid = Grid(3, 32, 10.0)
     chirped = 0.5 * np.exp(-grid.r_sq / 4.0) * np.exp(-0.3j * grid.r_sq)
     for basis in (PeriodicBasis(grid), EvenOctant(grid)):
         u = basis.take(chirped)
-        uhat = basis.forward(u)
         want = 0.0
         for ax, x in enumerate(basis.coords):
-            want += (u.conj() * basis.weigh(x * basis.derivative(uhat, ax))).sum().imag
+            want += (u.conj() * basis.weigh(x * basis.derivative(u, ax))).sum().imag
         want *= 4.0 * grid.cell_volume
-        assert abs(_virial_first(basis, u, uhat) - want) <= 1e-14 * abs(want), basis.name
+        assert abs(_virial_first(basis, u)[0] - want) <= 1e-14 * abs(want), basis.name
+
+
+def test_snapshot_transforms_by_class(grid32, fft_counts):
+    """Counter gate on a 32^3 snapshot's transforms.  A complex u without
+    u-hat takes 3 fft and 3 ifft, one pair along each axis, for I' and
+    ||grad u||^2, and one rfftn for P: no transform of the whole grid.  A
+    real u reads I' = 0 exactly and takes no derivative and no inverse
+    transform: one forward transform of its basis for ||grad u||^2 (fftn on
+    the full grid, the DCT-I on the octant) and one real one for P."""
+    def taken():
+        out = {name: n for name, n in fft_counts.items() if n}
+        fft_counts.clear()
+        return out
+
+    u = smooth_random_field(grid32, np.random.default_rng(5))
+    snap(u)  # fills the grid's caches
+    taken()
+    snap(u)
+    assert taken() == {"fft": 3, "ifft": 3, "rfftn": 1}
+    real = snap(Field(grid32, np.abs(u.values)))
+    assert real.virial_I1 == 0.0
+    assert taken() == {"fftn": 1, "rfftn": 1}
+    octant = EvenOctant(grid32)
+    profile = octant.take(np.exp(-grid32.r_sq / 4.0))
+    assert take_snapshot(profile, 0.0, None, None, GAMMA, basis=octant).virial_I1 == 0.0
+    assert taken() == {"octant_forward": 2}

@@ -200,3 +200,24 @@ def test_virial_weight_zero_potential(grid32):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         PotentialSpec(kind="wendigo")
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("spec", [
+    PotentialSpec(kind="gaussian_bump", amplitude=-0.5, sigma=1.0),
+    PotentialSpec(kind="smooth_compact_bump", amplitude=-0.3, radius=4.0),
+    PotentialSpec(kind="inverse_poly", amplitude=-0.05, exponent=2),
+], ids=["gaussian_bump", "smooth_compact_bump", "inverse_poly_p2"])
+def test_weight_band_error_is_not_below_the_weight_error_of_a_sampled_copy(spec, n):
+    # a grid_sampled copy of an analytic V on L 10: the two-level estimate in
+    # its admissibility report is not below the true error of its weight on
+    # the inner half box, over the sup; an analytic kind and V = 0 report None
+    grid = Grid(3, n, 10.0)
+    v = eval_potential(spec, grid)
+    copy = PotentialSpec(kind="grid_sampled", values=v.values)
+    w = eval_virial_weight(spec, grid).values
+    inner = np.ix_(*[np.abs(grid.axis) < grid.half_length / 2] * 3)
+    error = np.abs(eval_virial_weight(copy, grid).values - w)[inner].max() / np.abs(w).max()
+    assert check_admissible(copy, v, grid).weight_band_error >= error
+    assert check_admissible(spec, v, grid).weight_band_error is None
+    assert check_admissible(PotentialSpec(), None, grid).weight_band_error is None

@@ -57,7 +57,7 @@ def test_out_of_place_transforms_leave_the_input_and_the_bits(grid32):
 def test_octant_dct_is_scipys_dct_i_at_every_size():
     # up to _MATRIX_DCT_POINTS points per axis the octant's DCT-I is a matrix
     # product within 1e-14 of scipy.fft's dctn/idctn(type=1), forward, inverse
-    # and along some axes, real and complex, and the round trip returns the
+    # and forward along each axis alone, real and complex, and the round trip returns the
     # input; the input is left as it was unless overwrite_x, which gives the
     # same bits; above, it is scipy's, bit for bit.  transform_basis hands
     # out the one EvenOctant its grid keeps, matrices and all.
@@ -70,7 +70,7 @@ def test_octant_dct_is_scipys_dct_i_at_every_size():
         for x in (a, a + 1j * rng.standard_normal(a.shape)):
             keep = x.copy()
             pairs = ((octant.forward(x), scipy.fft.dctn(x, type=1)), (octant.inverse(x), scipy.fft.idctn(x, type=1)),
-                     (octant.inverse(x, axes=(0, 2)), scipy.fft.idctn(x, type=1, axes=(0, 2))))
+                     *((octant.forward(x, axes=(ax,)), scipy.fft.dctn(x, type=1, axes=(ax,))) for ax in range(3)))
             assert x.tobytes() == keep.tobytes()
             for got, want in pairs:
                 assert got.dtype == want.dtype
@@ -172,10 +172,16 @@ def test_gradient_plane_wave(grid32):
     assert gradient_routes_defect(checkerboard) > 0.5
 
 
+def _close(got, want):
+    """got is want to 1e-14 of want's sup."""
+    return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_gradient_is_a_generator_of_the_per_axis_derivatives():
-    # gradient yields each axis's derivative when asked for it, and each is
-    # bit-equal to the derivative of the route it takes: fftn and ifftn for
-    # a complex field, rfftn and irfftn without the Nyquist plane for a real one
+    # gradient yields each axis's derivative when asked for it, from one
+    # transform pair along that axis, and each is within 1e-14 of its sup of
+    # the full-transform route: fftn and ifftn for a complex field, rfftn
+    # and irfftn without the Nyquist plane for a real one
     grid = Grid(3, 16, 10.0)
     rng = np.random.default_rng(16)
     f = rng.standard_normal(grid.shape)
@@ -183,13 +189,47 @@ def test_gradient_is_a_generator_of_the_per_axis_derivatives():
     assert inspect.isgenerator(gradient(Field(grid, f)))
     fhat = scipy.fft.fftn(z)
     for ax, g in enumerate(gradient(Field(grid, z))):
-        assert g.values.tobytes() == scipy.fft.ifftn(1j * grid.freqs[ax] * fhat).tobytes()
+        assert _close(g.values, scipy.fft.ifftn(1j * grid.freqs[ax] * fhat))
     xi = 1j * grid.freq_axis
     xi[8] = 0.0
     rhat = scipy.fft.rfftn(f)
     for ax, g in enumerate(gradient(Field(grid, f))):
         m = (xi[:9] if ax == 2 else xi).reshape([-1 if a == ax else 1 for a in range(3)])
-        assert g.values.tobytes() == scipy.fft.irfftn(m * rhat, f.shape).tobytes()
+        assert g.values.dtype == np.float64
+        assert _close(g.values, scipy.fft.irfftn(m * rhat, f.shape))
+
+
+def _octant_full_route(octant, u, ax):
+    """The octant's derivative array (EvenOctant.derivative) from u's DCT-I on every axis:
+    the idst and the Nyquist term along ax, then the inverse DCT-I along the others."""
+    n, half = octant.grid.points, octant.grid.points // 2
+    plane = lambda s: tuple(s if a == ax else slice(None) for a in range(3))
+    c = scipy.fft.dctn(u, type=1)
+    xi = octant.freq_axis[1:half].reshape([-1 if a == ax else 1 for a in range(3)])
+    d = np.zeros(c.shape, dtype=complex)
+    d[plane(slice(1, half))] = scipy.fft.idst(-xi * c[plane(slice(1, half))], type=1, axis=ax)
+    d[plane(half)] = (1j * (-1) ** half * octant.freq_axis[half] / n) * c[plane(half)]
+    return scipy.fft.idctn(d, type=1, axes=[a for a in range(3) if a != ax])
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_one_axis_derivatives_match_the_full_transform_routes(n):
+    # a derivative from one transform pair along its axis is the route
+    # through the transform of the whole grid to 1e-14 of its sup, on both
+    # bases, complex and real: on the full grid ifftn(i xi fftn(u)), on the
+    # octant the derivative array from the DCT-I on every axis
+    grid = Grid(3, n, 10.0)
+    rng = np.random.default_rng(n)
+    periodic, octant = PeriodicBasis(grid), EvenOctant(grid)
+    f = rng.standard_normal(grid.shape)
+    g = rng.standard_normal(octant.shape)
+    for u, v in ((f, g), (f + 1j * rng.standard_normal(f.shape), g + 1j * rng.standard_normal(g.shape))):
+        fhat = scipy.fft.fftn(u)
+        for ax in range(3):
+            assert _close(periodic.derivative(u, ax), scipy.fft.ifftn(1j * grid.freqs[ax] * fhat))
+            assert _close(octant.derivative(v, ax), _octant_full_route(octant, v, ax))
+            # a caller's own transform along ax is the one the derivative takes
+            assert np.array_equal(octant.derivative(v, ax, octant.axis_forward(v, ax)), octant.derivative(v, ax))
 
 
 @pytest.mark.parametrize("n", [16, 32])
