@@ -70,7 +70,7 @@ class EvolveConfig:
     record_dt: float | None = None  # steps land on its multiples; None: t_max / 4
     # not a field, so not a key: every run is adaptive.  bench/spans.py still
     # reads it; it goes when the benchmark reads the step counts off the
-    # record (ROADMAP item 4)
+    # record (ROADMAP item 6)
     adaptive = True
 
     def __post_init__(self):

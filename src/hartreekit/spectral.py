@@ -34,9 +34,10 @@ def _in_place(a: np.ndarray, overwrite_x: bool):
 
 # An octant of at most this many points per axis takes its DCT-Is as matrix
 # products (_dct1), a larger one scipy.fft's dctn/idctn.  At m = 9, 17, ..., 49
-# the products took 0.3-0.8 of pocketfft's time, real and complex, with the
-# same bytes at one and two BLAS threads; at m = 65 their bytes moved with the
-# thread count (BENCH_23.json, dct_routes).
+# a transform along every axis took 0.3-0.9 of pocketfft's time, real and
+# complex, with the same bytes at one and two BLAS threads (BENCH_27.json,
+# dct_routes).  A complex transform along one axis alone moved its bytes with
+# the thread count at m = 57 and 65.
 _MATRIX_DCT_POINTS = 49
 
 
@@ -420,29 +421,51 @@ class PeriodicBasis:
 
 
 def _dct1(a: np.ndarray, matrix: np.ndarray, wide: np.ndarray, axes, overwrite_x: bool) -> np.ndarray:
-    """matrix, m x m, applied along each of axes of the octant array a, as batched matrix products.
+    """matrix, m x m, applied along each of axes of the octant array a, as matrix products.
 
-    A complex a is read as its interleaved float64 view, on whose last axis
-    wide = kron(matrix, I_2) acts.  Each axis is a stack of small GEMMs,
-    s = m or 2m being the last axis's length in floats: (m x m)(m x s) along
-    an inner axis, one per index of the other axes but the last, and
-    (m x s)(s x s) along the last, one per index of the axes before the last
-    two.  These are the package's only BLAS products.  At m <= _MATRIX_DCT_POINTS OpenBLAS gives
-    them the same bytes at one and two threads, where one (m^2 x m)(m x m)
-    product for a whole axis moves in its last bits already at m = 33.
-    overwrite_x lets a's memory be the second of the two buffers the axes
-    alternate between."""
+    Along every axis it is one GEMM per axis.  The contiguous a, read as an
+    (m, R) matrix X whose rows are its first axis, becomes X^T matrix^T, an
+    (R, m) product that contracts the first axis and puts its modes last;
+    d of them cycle the axes back into order.  A complex a is read as its
+    float64 view, whose re/im index then leads, and is interleaved once at
+    the end.  Along fewer axes (EvenOctant.derivative's one) each axis is a
+    stack of small GEMMs, s = m or 2m being the last axis's length in
+    floats: (m x m)(m x s) along an inner axis, one per index of the other
+    axes but the last, and (m x s)(s x s) along the last, one per index of
+    the axes before the last two, where wide = kron(matrix, I_2) acts on a
+    complex a's interleaved floats.  These are the package's only BLAS
+    products.  Up to _MATRIX_DCT_POINTS both routes give the same bytes at
+    one and two BLAS threads (test_grid_sums_do_not_depend_on_blas_threads),
+    where the same full transform taken as matrix X, with the short side m
+    as rows, moved in its last bits already at m = 33.  overwrite_x lets
+    a's memory be the second of the two buffers the passes alternate
+    between."""
     x = np.ascontiguousarray(a)
     buffers = [np.empty_like(x), x if overwrite_x else None]
     m = matrix.shape[0]
-    for i, ax in enumerate(axes):
+
+    def buffer(i):
         if buffers[i % 2] is None:
             buffers[1] = np.empty_like(x)
-        out = buffers[i % 2]
+        return buffers[i % 2]
+
+    if len(axes) == x.ndim:
+        # between the passes a complex x's memory holds floats in the cycled layout
+        for i in range(x.ndim):
+            out = buffer(i)
+            np.matmul(x.view(np.float64).reshape(m, -1).T, matrix.T, out=out.view(np.float64).reshape(-1, m))
+            x = out
+        if np.isrealobj(x):
+            return x
+        out = buffer(x.ndim)
+        out.real, out.imag = x.view(np.float64).reshape((2,) + x.shape)
+        return out
+    for i, ax in enumerate(axes):
+        out = buffer(i)
         xf, yf = x.view(np.float64), out.view(np.float64)
         s = xf.shape[-1]
         if ax == x.ndim - 1:
-            shape = (-1, m, s) if x.ndim > 1 else (1, s)
+            shape = (-1, m, s)
             np.matmul(xf.reshape(shape), (matrix if s == m else wide).T, out=yf.reshape(shape))
         else:
             shape = (m**ax, m, -1, s)
@@ -467,10 +490,11 @@ class EvenOctant(PeriodicBasis):
     The DCT-I has scipy.fft's scaling (type=1, norm=None).  Up to
     _MATRIX_DCT_POINTS points per axis it is the matrix
     C[k, j] = cos(pi k j / (m - 1)), columns 1 ... m - 2 doubled, applied
-    along each axis by _dct1, and its inverse is C / (2 (m - 1)); the
-    matrices are built on first use and kept on the instance, which
-    transform_basis keeps on the grid.  Above, it is scipy.fft's dctn and
-    idctn."""
+    by _dct1 as one GEMM per axis, and its inverse is C / (2 (m - 1)).  Along
+    one axis alone (derivative) it is a stack of small GEMMs, with
+    kron(C, I_2) on the last axis of a complex array.  The matrices are
+    built on first use and kept on the instance, which transform_basis
+    keeps on the grid.  Above, it is scipy.fft's dctn and idctn."""
 
     name = "even_octant"
 
@@ -499,7 +523,9 @@ class EvenOctant(PeriodicBasis):
 
     @cached_property
     def _matrices(self):
-        """(C, kron(C, I_2)) of the forward DCT-I and of its inverse, or None above _MATRIX_DCT_POINTS."""
+        """(C, kron(C, I_2)) of the forward DCT-I and of its inverse, or None above _MATRIX_DCT_POINTS.
+
+        kron(C, I_2) serves only a complex array's transform along its last axis alone."""
         m = self.grid.points // 2 + 1
         if m > _MATRIX_DCT_POINTS:
             return None

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 import scipy.fft
 
@@ -67,6 +68,23 @@ def fft_counts(monkeypatch):
         count(scipy.fft, name, name)
     for name in ("forward", "inverse"):
         count(EvenOctant, name, "octant_" + name)
+    return counts
+
+
+@pytest.fixture
+def gemm_counts(monkeypatch):
+    """The BLAS GEMMs np.matmul is asked for from here on, one list entry per call.
+
+    A call multiplies one pair of matrices per index of its operands'
+    broadcast stack dimensions, so its entry is their product: 1 for two
+    matrices.  sum() is the GEMM count; clear() starts it again."""
+    counts = []
+
+    def counted(a, b, *args, _fn=np.matmul, **kwargs):
+        counts.append(math.prod(np.broadcast_shapes(np.shape(a)[:-2], np.shape(b)[:-2])))
+        return _fn(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
     return counts
 
 

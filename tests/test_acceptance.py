@@ -389,10 +389,11 @@ def test_grid_sums_do_not_depend_on_blas_threads():
     BLAS moves in its last bits with OPENBLAS_NUM_THREADS, and every artifact
     hash with it.  The probe reads I' of a snapshot and the c_q and residual
     of a ground state, whose Anderson mixing takes inner products.  It reads
-    the bytes of the octant's forward and inverse DCT-I, which are matrix
-    products, on a random real and complex octant at every size up to
-    spectral._MATRIX_DCT_POINTS, and the last snapshot of a short even 32^3
-    evolve."""
+    the bytes of the octant's DCT-Is, which are matrix products, on a random
+    real and complex octant at every size up to spectral._MATRIX_DCT_POINTS:
+    forward and inverse along every axis, forward along each axis alone, and
+    apply with a Riesz multiplier.  It reads the last snapshot of a short
+    even 32^3 evolve as well."""
     code = (
         "import hashlib\n"
         "import numpy as np\n"
@@ -411,6 +412,9 @@ def test_grid_sums_do_not_depend_on_blas_threads():
         "    a = rng.standard_normal((m,) * 3)\n"
         "    for x in (a, a + 1j * rng.standard_normal(a.shape)):\n"
         "        h.update(octant.forward(x).tobytes() + octant.inverse(x).tobytes())\n"
+        "        h.update(octant.apply(x, octant.multiplier(2.5)).tobytes())\n"
+        "        for ax in range(3):\n"
+        "            h.update(octant.forward(x, axes=(ax,)).tobytes())\n"
         "print(h.hexdigest())\n"
         "grid = Grid(3, 32, 10.0)\n"
         "cfg = EvolveConfig(grid=grid, gamma=2.5, dt0=1e-3, t_max=0.02, record_dt=0.02)\n"

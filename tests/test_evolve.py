@@ -603,6 +603,21 @@ def test_rotate_half_angle_form_is_exact_to_rounding():
     assert np.abs(got - u * np.exp(0.25j * theta)).max() <= 4 * eps * np.abs(u).max()
 
 
+def test_octant_step_gemm_count(gemm_counts):
+    """Counter gate: one attempt on a 32^3 grid's 17^3 octant takes 99 BLAS GEMMs.
+
+    An attempt is 17 complex and 16 real DCT-Is along every axis
+    (_embedded_step), each one GEMM per axis: 33 x 3 = 99.  The stacked
+    route took m = 17 per axis, 33 x 51 = 1,683."""
+    grid = Grid(3, 32, 10.0)
+    u0 = 0.8 * np.exp(-grid.r_sq / 2.0) + 0j
+    basis = transform_basis(grid, u0)
+    uhat = basis.forward(basis.take(u0))
+    gemm_counts.clear()
+    _embedded_step(basis, uhat, 1e-3, None, GAMMA, False)
+    assert len(gemm_counts) == sum(gemm_counts) == 99
+
+
 def test_fft_counts_per_adaptive_step(fft_counts):
     """Counter gate on the transforms of adaptive steps at 16^3, on both bases.
 

@@ -84,6 +84,28 @@ def test_octant_dct_is_scipys_dct_i_at_every_size():
     assert octant._matrices is None
 
 
+def test_full_octant_dct_is_one_gemm_per_axis(gemm_counts):
+    """Counter gate: a DCT-I along every axis of an m^3 octant is 3 BLAS GEMMs.
+
+    Each axis is one (m^2 x m)(m x m) product, (2 m^2 x m)(m x m) for a
+    complex octant's floats, forward and inverse alike; the stacked route
+    took 3m, one per index of the axes the product did not touch.  Along one
+    axis alone it stays a stack of m GEMMs."""
+    rng = np.random.default_rng(27)
+    for m in (9, 17, 33, 49):
+        octant = spectral.transform_basis(Grid(3, 2 * (m - 1), 10.0), None)
+        a = rng.standard_normal((m,) * 3)
+        for x in (a, a + 1j * rng.standard_normal(a.shape)):
+            for transform in (octant.forward, octant.inverse):
+                gemm_counts.clear()
+                transform(x)
+                assert gemm_counts == [1, 1, 1]
+            for ax in range(3):
+                gemm_counts.clear()
+                octant.forward(x, axes=(ax,))
+                assert sum(gemm_counts) == m
+
+
 def test_even_octant_is_the_dft_of_even_fields(grid32):
     # a field even about the grid centre is its octant; the octant's DCT-I is
     # the field's fftn on mode min(k, n - k) of each axis, with the sign
