@@ -157,8 +157,7 @@ def _embedded_step(basis: PeriodicBasis, uhat, dt: float, vvals, gamma: float, l
     second inverse or convolution); 17 complex in linear mode, which has no
     convolution.  On the periodic basis these are fftn/ifftn and
     rfftn/irfftn, on the even octant all of them are DCT-Is
-    (EvenOctant.forward and inverse: matrix products on small octants,
-    scipy.fft's dctn/idctn on large ones)."""
+    (EvenOctant.forward and inverse: one matrix product per axis)."""
 
     def enter(uhat, a):
         w = basis.inverse(_kinetic(basis, a * dt) * uhat, overwrite_x=True)
@@ -251,12 +250,11 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     The state is carried in Fourier space from step to step, as the
     coefficients of a basis: fftn(u) on the periodic grid, or, when u0 and
     V are both exactly even (spectral.transform_basis), the octant's DCT-I,
-    which EvenOctant takes as matrix products up to
-    spectral._MATRIX_DCT_POINTS points per axis.  The t = 0 snapshot reads
-    fftn(u0), V and its weight on the full grid either way; every later one
-    reads the basis, and only the basis's takes of V and the weight are
-    kept.  An attempt is one Blanes-Moan step of order
-    4 with its embedded order-3 partner (_embedded_step: 17 complex and 16
+    which EvenOctant takes as one matrix product per axis.  The t = 0
+    snapshot reads fftn(u0), V and its weight on the full grid either way;
+    every later one reads the basis, and only the basis's takes of V and
+    the weight are kept.  An attempt is one Blanes-Moan step of order 4
+    with its embedded order-3 partner (_embedded_step: 17 complex and 16
     real transforms; the kinetic factors are rebuilt per attempt, never
     cached, since adaptive dt rarely repeats a value).  err is the relative
     L2 difference of the two, taken on the coefficients with the basis's

@@ -24,13 +24,15 @@ the Parseval weights (spectral.EvenOctant):
 
 take_snapshot evaluates all of them from one rho, and a caller that wants
 several of these quantities reads them off a snapshot.  I' takes its
-derivatives from u's points, one transform pair along each axis: on the
-full grid an fft and an ifft, on the octant a forward DCT-I and an idst.
-Given u-hat, ||grad u||^2 is read off it; without, off the same transforms
-along each axis, so a full-grid snapshot of a complex u costs 3 fft and
-3 ifft (I', ||grad u||^2) and one rfftn (P), with no transform of the
-whole grid.  A real u has I' = 0 exactly and takes no derivative: one
-forward transform of the basis for ||grad u||^2.  The two single-quantity
+derivatives from u's points along each axis: on the full grid one fft
+and one ifft, on the octant one matrix pass (EvenOctant.derivative).
+Given u-hat, ||grad u||^2 is read off it; without, off the transforms
+along each axis alone, which the full grid's derivatives reuse, so a
+full-grid snapshot of a complex u costs 3 fft and 3 ifft (I',
+||grad u||^2) and one rfftn (P), with no transform of the whole grid,
+and an octant one 3 one-axis DCT-Is more than with u-hat.  A real u has
+I' = 0 exactly and takes no derivative: one forward transform of the
+basis for ||grad u||^2.  The two single-quantity
 calls, mass and hv_norm_sq, serve the validate gates that read only M,
 ||grad u||^2, int V|u|^2 or e (the last two through _integral) and would
 otherwise pay for a whole snapshot.
@@ -71,23 +73,24 @@ def _p(basis: PeriodicBasis, rho, gamma: float) -> float:
 
 
 def _virial_first(basis: PeriodicBasis, u, grad: bool = False) -> tuple:
-    """I' = 4 Im sum_j int conj(u) x_j d_j u from u's points, each term one transform pair along axis j.
+    """I' = 4 Im sum_j int conj(u) x_j d_j u from u's points, each term one derivative along axis j.
 
     Each term's product is formed in its derivative's own buffer, as
     conj(d_j u) u, the conjugate of the integrand, and summed over the other
     axes to a line along j (basis.line), whose imaginary part is weighted
     by x_j and subtracted.  That is the integrand's sum up to rounding:
     numpy's complex product may fuse a multiply-add, so the two orders can
-    differ in the last bits.  With grad, ||grad u||^2 is read off the same
-    transforms along each axis (_grad_sq), for a caller that holds no u-hat.
+    differ in the last bits.  With grad, ||grad u||^2 is read off u's
+    transform along each axis (_grad_sq), for a caller that holds no u-hat,
+    which the full grid's derivative then reuses.
     Returns (I', ||grad u||^2 or None)."""
     acc, gs = 0.0, 0.0 if grad else None
     for ax, x in enumerate(basis.coords):
-        c = basis.axis_forward(u, ax)
+        c = basis.axis_forward(u, ax) if grad else None
         if grad:
             gs += _grad_sq(basis, basis.power_line(c, ax), ax)
         du = basis.derivative(u, ax, c)
-        del c  # the full grid's derivative took its memory; the octant's frees it
+        del c  # the full grid's derivative took its memory; the octant's does not read it
         np.conjugate(du, out=du)
         du *= u
         acc -= (x.ravel() * basis.line(du, ax).imag).sum()

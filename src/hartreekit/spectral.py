@@ -6,8 +6,8 @@ discrete Fourier basis with frequencies xi_k = pi*k/L.  The box is a surrogate
 for R^d: every routine here assumes the data decays well inside the boundary,
 and `outer_shell_mass_fraction` quantifies when that assumption is violated.
 Every transform of the periodic grid goes through scipy.fft.  An even
-field's octant (EvenOctant) takes its DCT-Is as cached matrix products up to
-_MATRIX_DCT_POINTS points per axis, and through scipy.fft above.
+field's octant (EvenOctant) takes its DCT-Is and its derivatives as cached
+matrix products (_dct1) at every size.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ from scipy.special import gamma as gamma_fn, gammaincc
 # count, which a run sets for its own duration with scipy.fft.set_workers.
 def _in_place(a: np.ndarray, overwrite_x: bool):
     return (a, overwrite_x) if overwrite_x or not np.iscomplexobj(a) else (a.copy(), True)
-
-
-# An octant of at most this many points per axis takes its DCT-Is as matrix
-# products (_dct1), a larger one scipy.fft's dctn/idctn.  At m = 9, 17, ..., 49
-# a transform along every axis took 0.3-0.9 of pocketfft's time, real and
-# complex, with the same bytes at one and two BLAS threads (BENCH_27.json,
-# dct_routes).  A complex transform along one axis alone moved its bytes with
-# the thread count at m = 57 and 65.
-_MATRIX_DCT_POINTS = 49
 
 
 def fftn(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
@@ -305,7 +296,7 @@ class PeriodicBasis:
     basis's modes (k_sq, or the Riesz multiplier(gamma)); convolve is the
     Riesz convolution of a real density.  axis_forward transforms along one
     axis alone, and derivative differentiates a field on the points along
-    one axis by one transform pair along it.  weigh multiplies by the
+    one axis, here by one transform pair along it.  weigh multiplies by the
     Parseval weights, so that weigh(a).sum() over the points or the modes
     is the sum over the whole grid, and line sums weigh(a) down to one axis;
     norm_sq is the weighted squared norm, by Parseval n^d times the grid's
@@ -372,9 +363,10 @@ class PeriodicBasis:
         """The spectral derivative along axis ax of the field whose points are u, by one transform pair along ax.
 
         c is axis_forward(u, ax) when the caller already holds it; its
-        memory becomes the result's.  A basis may return another array that
-        pairs with x_ax and a field on its points to the same sum
-        (EvenOctant.derivative); this one returns the derivative itself."""
+        memory becomes the result's.  A basis may ignore c and return
+        another array that pairs with x_ax and a field on its points to the
+        same sum (EvenOctant.derivative); this one returns the derivative
+        itself."""
         c = self.axis_forward(u, ax) if c is None else c
         c *= _on_axis(1j * self.freq_axis, ax, self.dim)
         return sfft.ifft(c, axis=ax, overwrite_x=True)
@@ -420,26 +412,22 @@ class PeriodicBasis:
         return math.sqrt(self.norm_sq(a))
 
 
-def _dct1(a: np.ndarray, matrix: np.ndarray, wide: np.ndarray, axes, overwrite_x: bool) -> np.ndarray:
-    """matrix, m x m, applied along each of axes of the octant array a, as matrix products.
+def _dct1(a: np.ndarray, matrix: np.ndarray, axes, overwrite_x: bool) -> np.ndarray:
+    """matrix, m x m, applied along each of axes of the octant array a, as one GEMM per axis.
 
-    Along every axis it is one GEMM per axis.  The contiguous a, read as an
-    (m, R) matrix X whose rows are its first axis, becomes X^T matrix^T, an
-    (R, m) product that contracts the first axis and puts its modes last;
-    d of them cycle the axes back into order.  A complex a is read as its
-    float64 view, whose re/im index then leads, and is interleaved once at
-    the end.  Along fewer axes (EvenOctant.derivative's one) each axis is a
-    stack of small GEMMs, s = m or 2m being the last axis's length in
-    floats: (m x m)(m x s) along an inner axis, one per index of the other
-    axes but the last, and (m x s)(s x s) along the last, one per index of
-    the axes before the last two, where wide = kron(matrix, I_2) acts on a
-    complex a's interleaved floats.  These are the package's only BLAS
-    products.  Up to _MATRIX_DCT_POINTS both routes give the same bytes at
-    one and two BLAS threads (test_grid_sums_do_not_depend_on_blas_threads),
-    where the same full transform taken as matrix X, with the short side m
-    as rows, moved in its last bits already at m = 33.  overwrite_x lets
-    a's memory be the second of the two buffers the passes alternate
-    between."""
+    Each of the d passes reads the contiguous array as an (m, R) matrix X
+    whose rows are its first axis and writes the (R, m) matrix X^T matrix^T
+    on an axis in axes, X^T itself, a transposing copy, on any other.
+    Either way the first axis goes last, so d passes cycle the axes back
+    into order, and a transform along some axes takes the GEMMs that one
+    along every axis takes for them.  A complex a is read as its float64
+    view, whose re/im index then leads, and is interleaved once at the end.
+    These are the package's only BLAS products.  Each output entry is one K-sum of
+    m terms, which OpenBLAS keeps whole on every thread count, since it
+    splits the long R side (test_grid_sums_do_not_depend_on_blas_threads);
+    the same product taken as matrix X, with the short side m as rows, moved
+    in its last bits already at m = 33.  overwrite_x lets a's memory be the
+    second of the two buffers the passes alternate between."""
     x = np.ascontiguousarray(a)
     buffers = [np.empty_like(x), x if overwrite_x else None]
     m = matrix.shape[0]
@@ -449,29 +437,20 @@ def _dct1(a: np.ndarray, matrix: np.ndarray, wide: np.ndarray, axes, overwrite_x
             buffers[1] = np.empty_like(x)
         return buffers[i % 2]
 
-    if len(axes) == x.ndim:
-        # between the passes a complex x's memory holds floats in the cycled layout
-        for i in range(x.ndim):
-            out = buffer(i)
-            np.matmul(x.view(np.float64).reshape(m, -1).T, matrix.T, out=out.view(np.float64).reshape(-1, m))
-            x = out
-        if np.isrealobj(x):
-            return x
-        out = buffer(x.ndim)
-        out.real, out.imag = x.view(np.float64).reshape((2,) + x.shape)
-        return out
-    for i, ax in enumerate(axes):
+    # between the passes a complex x's memory holds floats in the cycled layout
+    for i in range(x.ndim):
         out = buffer(i)
-        xf, yf = x.view(np.float64), out.view(np.float64)
-        s = xf.shape[-1]
-        if ax == x.ndim - 1:
-            shape = (-1, m, s)
-            np.matmul(xf.reshape(shape), (matrix if s == m else wide).T, out=yf.reshape(shape))
+        xt, y = x.view(np.float64).reshape(m, -1).T, out.view(np.float64).reshape(-1, m)
+        if i in axes:
+            np.matmul(xt, matrix.T, out=y)
         else:
-            shape = (m**ax, m, -1, s)
-            np.matmul(matrix, xf.reshape(shape).swapaxes(1, 2), out=yf.reshape(shape).swapaxes(1, 2))
+            y[...] = xt
         x = out
-    return x
+    if np.isrealobj(x):
+        return x
+    out = buffer(x.ndim)
+    out.real, out.imag = x.view(np.float64).reshape((2,) + x.shape)
+    return out
 
 
 class EvenOctant(PeriodicBasis):
@@ -487,14 +466,12 @@ class EvenOctant(PeriodicBasis):
     frequency.  Pointwise products and even multipliers keep a field even,
     so the Hartree flow with an even potential never leaves the octant.
 
-    The DCT-I has scipy.fft's scaling (type=1, norm=None).  Up to
-    _MATRIX_DCT_POINTS points per axis it is the matrix
-    C[k, j] = cos(pi k j / (m - 1)), columns 1 ... m - 2 doubled, applied
-    by _dct1 as one GEMM per axis, and its inverse is C / (2 (m - 1)).  Along
-    one axis alone (derivative) it is a stack of small GEMMs, with
-    kron(C, I_2) on the last axis of a complex array.  The matrices are
-    built on first use and kept on the instance, which transform_basis
-    keeps on the grid.  Above, it is scipy.fft's dctn and idctn."""
+    The DCT-I has scipy.fft's scaling (type=1, norm=None): the matrix
+    C[k, j] = cos(pi k j / (m - 1)), columns 1 ... m - 2 doubled, whose
+    inverse is C / (2 (m - 1)), and derivative takes a third matrix D along
+    its axis.  _dct1 applies each along the axes asked for, as one GEMM per
+    axis.  The matrices are built on first use and kept on the instance,
+    which transform_basis keeps on the grid."""
 
     name = "even_octant"
 
@@ -523,23 +500,32 @@ class EvenOctant(PeriodicBasis):
 
     @cached_property
     def _matrices(self):
-        """(C, kron(C, I_2)) of the forward DCT-I and of its inverse, or None above _MATRIX_DCT_POINTS.
+        """(C, C / (2 (m - 1)), D): the forward DCT-I, its inverse and the derivative's matrix.
 
-        kron(C, I_2) serves only a complex array's transform along its last axis alone."""
-        m = self.grid.points // 2 + 1
-        if m > _MATRIX_DCT_POINTS:
-            return None
+        D takes an even field's points along one axis to derivative's array
+        there: D = S diag(-xi) C / (m - 1) on the points 0 < p < n/2, S[p, k] =
+        sin(pi p k / (m - 1)) on the modes 0 < k < n/2, which is the DST-I
+        inverse of the odd modes; 0 at x = 0; and the Nyquist row
+        (-1)^(n/2) xi_{n/2} C[n/2] / n at x = -L, which derivative turns
+        imaginary.  Its sums are numpy reductions, so no transform or BLAS
+        product is taken to build it."""
+        n = self.grid.points
+        m = n // 2 + 1
         k = np.arange(m)
         c = np.cos(np.pi / (m - 1) * (np.outer(k, k) % (2 * (m - 1))))
         c[:, 1:-1] *= 2.0
-        return tuple((a, np.kron(a, np.eye(2))) for a in (c, c / (2 * (m - 1))))
+        xi = self.freq_axis
+        s = np.sin(np.pi / (m - 1) * (np.outer(k, k[1:-1]) % (2 * (m - 1))))
+        d = (s[:, :, None] * (-xi[1:-1, None] * c[1:-1])).sum(axis=1) / (m - 1)
+        d[-1] = (-1) ** (m - 1) * xi[-1] / n * c[-1]
+        return c, c / (2 * (m - 1)), d
 
     def forward(self, a, overwrite_x=False, axes=None):
         """The DCT-I along axes, every axis by default."""
-        return self._dct(a, False, overwrite_x, axes)
+        return _dct1(a, self._matrices[0], range(self.dim) if axes is None else axes, overwrite_x)
 
     def inverse(self, c, overwrite_x=False):
-        return self._dct(c, True, overwrite_x)
+        return _dct1(c, self._matrices[1], range(self.dim), overwrite_x)
 
     def axis_forward(self, a, ax):
         return self.forward(a, axes=(ax,))
@@ -547,12 +533,6 @@ class EvenOctant(PeriodicBasis):
     def power_line(self, c, ax):
         # the octant's arrays are an eighth of the grid's, so |c|^2 is formed at once
         return self.line(abs_sq(c), ax)
-
-    def _dct(self, a, inverse, overwrite_x, axes=None):
-        axes = tuple(range(self.dim)) if axes is None else axes
-        if self._matrices is None:
-            return (sfft.idctn if inverse else sfft.dctn)(a, type=1, axes=axes, overwrite_x=overwrite_x)
-        return _dct1(a, *self._matrices[inverse], axes, overwrite_x)
 
     def apply(self, a, m, overwrite_x=False):
         c = self.forward(a, overwrite_x)
@@ -562,28 +542,17 @@ class EvenOctant(PeriodicBasis):
     def derivative(self, u, ax, c=None):
         """The odd part of the derivative, and the periodic grid's Nyquist term on the plane x_ax = -L.
 
-        c is the forward DCT-I of u along ax alone (axis_forward).  Along ax,
-        the modes 0 < k < n/2 of an even field give an odd derivative,
-        -idst(xi_k c_k, type=1) on the points 0 < m < n/2, which is 0 at
-        x = 0 and at x = -L.  The Nyquist mode k = n/2 gives the even term
-        i xi_{n/2} c_{n/2} (-1)^m / n on point m, whose products with x_ax
-        cancel in mirror pairs except on the plane x_ax = -L, which has no
-        mirror.  So the array is that term there and the odd part elsewhere:
-        paired with x_ax times an even field by the Parseval weights, it
-        gives the periodic grid's sum.  The other axes stay on the points,
-        so it takes two passes, the DCT-I and the idst, along ax alone."""
-        c = self.axis_forward(u, ax) if c is None else c
-        half = self.grid.points // 2
-
-        def along(s):
-            return tuple(s if a == ax else slice(None) for a in range(self.dim))
-
-        inner = along(slice(1, half))
-        xi = _on_axis(self.freq_axis[1:half], ax, self.dim)
-        d = np.zeros(c.shape, dtype=complex)
-        d[inner] = sfft.idst(-xi * c[inner], type=1, axis=ax, overwrite_x=True)
-        edge = along(half)
-        d[edge] = (1j * (-1) ** half * self.freq_axis[half] / self.grid.points) * c[edge]
+        Along ax, the modes 0 < k < n/2 of an even field give an odd
+        derivative, which is 0 at x = 0 and at x = -L.  The Nyquist mode
+        k = n/2 gives the even term i xi_{n/2} c_{n/2} (-1)^p / n on point p,
+        whose products with x_ax cancel in mirror pairs except on the plane
+        x_ax = -L, which has no mirror.  So the array is that term there and
+        the odd part elsewhere: paired with x_ax times an even field by the
+        Parseval weights, it gives the periodic grid's sum.  It is one pass
+        of the matrix D along ax on u's points (_matrices), so c, a transform
+        the caller holds, is not read."""
+        d = _dct1(u, self._matrices[2], (ax,), False).astype(complex, copy=False)
+        d[tuple(-1 if a == ax else slice(None) for a in range(self.dim))] *= 1j
         return d
 
     def riesz_pairing(self, rho, gamma_exp):

@@ -50,11 +50,10 @@ def fft_counts(monkeypatch):
 
     Every periodic-grid transform of the package goes through a scipy.fft
     attribute, counted under its name.  Every DCT-I of an even octant goes
-    through EvenOctant.forward or EvenOctant.inverse (the derivative's
-    along its own axis too), counted as octant_forward and octant_inverse:
-    up to spectral._MATRIX_DCT_POINTS points per axis as matrix products,
-    above as scipy.fft's dctn and idctn, which are then counted under their
-    names as well.  clear() starts the count again."""
+    through EvenOctant.forward or EvenOctant.inverse, counted as
+    octant_forward and octant_inverse, as matrix products at every size.
+    The octant's derivative is one matrix pass of its own, which is no
+    transform and not counted.  clear() starts the count again."""
     counts = Counter()
 
     def count(owner, name, key):

@@ -37,7 +37,7 @@ from hartreekit.runner import (
     threshold_defects,
     variational_defects,
 )
-from hartreekit.spectral import Field, Grid
+from hartreekit.spectral import Field, Grid, _dct1
 from hartreekit.threshold import me_from_scalars, mp_product, x0_solve
 
 from conftest import GAMMA, closed_form_c_q, random_threshold_tuple
@@ -389,24 +389,24 @@ def test_grid_sums_do_not_depend_on_blas_threads():
     BLAS moves in its last bits with OPENBLAS_NUM_THREADS, and every artifact
     hash with it.  The probe reads I' of a snapshot and the c_q and residual
     of a ground state, whose Anderson mixing takes inner products.  It reads
-    the bytes of the octant's DCT-Is, which are matrix products, on a random
-    real and complex octant at every size up to spectral._MATRIX_DCT_POINTS:
-    forward and inverse along every axis, forward along each axis alone, and
-    apply with a Riesz multiplier.  It reads the last snapshot of a short
-    even 32^3 evolve as well."""
+    the bytes of the octant's matrix products (spectral._dct1) on a random
+    real and complex octant at every size up to m = 65, a 128^3 grid's:
+    forward and inverse along every axis, forward and the derivative along
+    each axis alone, and apply with a Riesz multiplier.  It reads the last
+    snapshot of a short even 32^3 evolve as well."""
     code = (
         "import hashlib\n"
         "import numpy as np\n"
         "from hartreekit import EvolveConfig, Field, Grid, PotentialSpec, solve_ground_state, take_snapshot\n"
         "from hartreekit.evolve import evolve\n"
         "from hartreekit.runner import smooth_random_field\n"
-        "from hartreekit.spectral import _MATRIX_DCT_POINTS, transform_basis\n"
+        "from hartreekit.spectral import transform_basis\n"
         "rng = np.random.default_rng(0)\n"
         "u = smooth_random_field(Grid(3, 32, 10.0), rng)\n"
         "gs = solve_ground_state(Grid(3, 48, 10.0), PotentialSpec(kind='zero'), 2.5)\n"
         "print(repr((take_snapshot(u, 0.0, None, None, 2.5).virial_I1, gs.c_q, gs.residual)))\n"
         "h = hashlib.sha256()\n"
-        "for m in range(3, _MATRIX_DCT_POINTS + 1):\n"
+        "for m in range(3, 66):\n"
         "    grid = Grid(3, 2 * (m - 1), 10.0)\n"
         "    octant = transform_basis(grid, np.zeros(grid.shape))\n"
         "    a = rng.standard_normal((m,) * 3)\n"
@@ -414,7 +414,7 @@ def test_grid_sums_do_not_depend_on_blas_threads():
         "        h.update(octant.forward(x).tobytes() + octant.inverse(x).tobytes())\n"
         "        h.update(octant.apply(x, octant.multiplier(2.5)).tobytes())\n"
         "        for ax in range(3):\n"
-        "            h.update(octant.forward(x, axes=(ax,)).tobytes())\n"
+        "            h.update(octant.forward(x, axes=(ax,)).tobytes() + octant.derivative(x, ax).tobytes())\n"
         "print(h.hexdigest())\n"
         "grid = Grid(3, 32, 10.0)\n"
         "cfg = EvolveConfig(grid=grid, gamma=2.5, dt0=1e-3, t_max=0.02, record_dt=0.02)\n"
@@ -441,16 +441,18 @@ def test_library_takes_no_blas_products():
     numpy's own reductions instead.  Two exceptions stay, each too small for
     OpenBLAS to split its sums over threads.  np.linalg.lstsq on the Anderson
     Gram matrix is at most 3x3, and its entries are such sums.  matmul and @
-    are allowed inside spectral._dct1, the even octant's DCT-I, whose GEMMs
-    each sum m <= spectral._MATRIX_DCT_POINTS terms;
+    are allowed inside the one kernel of the even octant's matrix products,
+    spectral._dct1, whose GEMMs each sum m = n/2 + 1 terms along the short
+    side, which OpenBLAS does not split;
     test_grid_sums_do_not_depend_on_blas_threads reads its bytes at one and
-    two threads at every size it serves."""
+    two threads at every size up to m = 65."""
     banned = {"vdot", "dot", "inner", "matmul", "einsum", "tensordot"}
     found = []
     for name, tree in _library_modules():
         kernel = {
             id(node)
-            for fn in ast.walk(tree) if name == "spectral.py" and isinstance(fn, ast.FunctionDef) and fn.name == "_dct1"
+            for fn in ast.walk(tree)
+            if name == "spectral.py" and isinstance(fn, ast.FunctionDef) and fn.name == _dct1.__name__
             for node in ast.walk(fn)
         }
         for node in ast.walk(tree):

@@ -953,13 +953,14 @@ def test_validate_transforms_by_class(tmp_path, fft_counts):
     no fftn (36 and 36).  virial_dual_form's gradient of the real |u|^2
     takes 3 rfft and 3 irfft.  The snapshots' P is one rfftn each.  The
     ground state, the Kato norms, the origin gate and the evolve's steps run
-    on the even octant; the closing snapshot's I' takes 3 forward DCT-Is
-    along one axis and 3 idst, and the ground state's real profile none."""
+    on the even octant; the closing snapshot's I' takes no transform, one
+    matrix pass per axis (EvenOctant.derivative), and the ground state's
+    real profile none."""
     path = write_cfg(tmp_path, "[run]\nmode = validate\nseed = 20301\n[grid]\npoints = 32\nhalf_length = 10.0\n")
     runner.run_validate(parse_config(path), str(tmp_path))
     assert {name: n for name, n in fft_counts.items() if n} == {
         "fftn": 14, "fft": 36, "ifft": 36, "rfftn": 13, "irfftn": 2, "rfft": 3, "irfft": 3,
-        "octant_forward": 117, "octant_inverse": 107, "idst": 3,
+        "octant_forward": 114, "octant_inverse": 107,
     }
 
 

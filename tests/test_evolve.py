@@ -651,10 +651,10 @@ def test_fft_counts_per_adaptive_step(fft_counts):
     is a DCT-I: 17 forward and 16 inverse, counted at EvenOctant.forward and
     .inverse.  detect_blowup reads the octant's coefficients (0).  The
     closing snapshot stays on the octant: one inverse DCT-I turns the state
-    back, I' takes per axis one forward DCT-I along it and one idst
-    (3 forward, 3 idst), and P one forward DCT-I of |u|^2.  One step: 1
-    complex, 1 real, 6 one-axis, 22 forward, 17 inverse and 3 idst.  Two
-    steps: 1, 1, 6, 39, 33 and 3."""
+    back, I' takes per axis one matrix pass along it, which is neither
+    (EvenOctant.derivative), and P one forward DCT-I of |u|^2.  One step:
+    1 complex, 1 real, 6 one-axis, 19 forward, 17 inverse and no idst.  Two
+    steps: 1, 1, 6, 36, 33 and 0."""
     def complex_real_dct():
         c = fft_counts
         out = (c["fftn"] + c["ifftn"], c["rfftn"] + c["irfftn"], c["fft"] + c["ifft"], c["octant_forward"],
@@ -670,7 +670,7 @@ def test_fft_counts_per_adaptive_step(fft_counts):
     cfg2 = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=2e-3, tol_step=1e-2, record_stride=2,
                         record_dt=2e-3, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     for u0, one, two in ((tilted, (19, 18, 12, 0, 0, 0), (36, 34, 12, 0, 0, 0)),
-                         (radial, (1, 1, 6, 22, 17, 3), (1, 1, 6, 39, 33, 3))):
+                         (radial, (1, 1, 6, 19, 17, 0), (1, 1, 6, 36, 33, 0))):
         rec = evolve(u0, ZERO, cfg)
         assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
         assert complex_real_dct() == one

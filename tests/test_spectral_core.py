@@ -55,14 +55,14 @@ def test_out_of_place_transforms_leave_the_input_and_the_bits(grid32):
 
 
 def test_octant_dct_is_scipys_dct_i_at_every_size():
-    # up to _MATRIX_DCT_POINTS points per axis the octant's DCT-I is a matrix
-    # product within 1e-14 of scipy.fft's dctn/idctn(type=1), forward, inverse
-    # and forward along each axis alone, real and complex, and the round trip returns the
+    # the octant's DCT-I is a matrix product within 1e-14 of scipy.fft's
+    # dctn/idctn(type=1) at every size, forward, inverse and forward along
+    # each axis alone, real and complex, and the round trip returns the
     # input; the input is left as it was unless overwrite_x, which gives the
-    # same bits; above, it is scipy's, bit for bit.  transform_basis hands
-    # out the one EvenOctant its grid keeps, matrices and all.
+    # same bits.  transform_basis hands out the one EvenOctant its grid
+    # keeps, matrices and all.
     rng = np.random.default_rng(16)
-    for m in range(3, spectral._MATRIX_DCT_POINTS + 2):
+    for m in (*range(3, 51), 57, 65):
         grid = Grid(3, 2 * (m - 1), 10.0)
         octant = spectral.transform_basis(grid, None)
         assert octant is spectral.transform_basis(grid, np.zeros(grid.shape)) is grid._cache["even_octant"]
@@ -74,25 +74,23 @@ def test_octant_dct_is_scipys_dct_i_at_every_size():
             assert x.tobytes() == keep.tobytes()
             for got, want in pairs:
                 assert got.dtype == want.dtype
-                if m > spectral._MATRIX_DCT_POINTS:
-                    assert got.tobytes() == want.tobytes()
-                else:
-                    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
             back = octant.inverse(octant.forward(x))
             assert np.abs(back - x).max() <= 1e-14 * np.abs(x).max()
             assert octant.forward(x.copy(), overwrite_x=True).tobytes() == pairs[0][0].tobytes()
-    assert octant._matrices is None
 
 
 def test_full_octant_dct_is_one_gemm_per_axis(gemm_counts):
-    """Counter gate: a DCT-I along every axis of an m^3 octant is 3 BLAS GEMMs.
+    """Counter gate: a DCT-I along every axis of an m^3 octant is 3 BLAS GEMMs, along one axis 1.
 
     Each axis is one (m^2 x m)(m x m) product, (2 m^2 x m)(m x m) for a
     complex octant's floats, forward and inverse alike; the stacked route
-    took 3m, one per index of the axes the product did not touch.  Along one
-    axis alone it stays a stack of m GEMMs."""
+    took 3m, one per index of the axes the product did not touch.  A
+    transform along one axis alone, and the derivative along it, take that
+    axis's GEMM and transposing copies for the others; the stacked route
+    took m."""
     rng = np.random.default_rng(27)
-    for m in (9, 17, 33, 49):
+    for m in (9, 17, 33, 49, 65):
         octant = spectral.transform_basis(Grid(3, 2 * (m - 1), 10.0), None)
         a = rng.standard_normal((m,) * 3)
         for x in (a, a + 1j * rng.standard_normal(a.shape)):
@@ -101,9 +99,29 @@ def test_full_octant_dct_is_one_gemm_per_axis(gemm_counts):
                 transform(x)
                 assert gemm_counts == [1, 1, 1]
             for ax in range(3):
-                gemm_counts.clear()
-                octant.forward(x, axes=(ax,))
-                assert sum(gemm_counts) == m
+                for one_axis in (octant.axis_forward, octant.derivative):
+                    gemm_counts.clear()
+                    one_axis(x, ax)
+                    assert gemm_counts == [1]
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_octant_snapshot_gemm_count(n, gemm_counts):
+    """Counter gate: a trajectory snapshot on a 17^3 or 33^3 octant takes 9 BLAS GEMMs.
+
+    evolve's snapshot turns the state back (one inverse DCT-I, 3 GEMMs),
+    reads ||grad u||^2 off the state it holds, takes P from one forward
+    DCT-I of |u|^2 (3) and I' from one derivative along each axis (1 each).
+    The derivative's stacked route took a one-axis DCT-I of m GEMMs and an
+    idst per axis: 57 at 17^3 and 105 at 33^3."""
+    grid = Grid(3, n, 10.0)
+    u0 = 0.8 * np.exp(-grid.r_sq / 2.0) * np.exp(0.1j * grid.r_sq)
+    basis = spectral.transform_basis(grid, u0)
+    uhat = basis.forward(basis.take(u0))
+    gemm_counts.clear()
+    snapshot = take_snapshot(basis.inverse(uhat), 0.0, None, None, GAMMA, uhat=uhat, basis=basis)
+    assert snapshot.virial_I1 != 0.0
+    assert len(gemm_counts) == sum(gemm_counts) == 9
 
 
 def test_even_octant_is_the_dft_of_even_fields(grid32):
@@ -224,33 +242,36 @@ def test_gradient_is_a_generator_of_the_per_axis_derivatives():
 def _octant_full_route(octant, u, ax):
     """The octant's derivative array (EvenOctant.derivative) from u's DCT-I on every axis:
     the idst and the Nyquist term along ax, then the inverse DCT-I along the others."""
-    n, half = octant.grid.points, octant.grid.points // 2
-    plane = lambda s: tuple(s if a == ax else slice(None) for a in range(3))
+    n, half, dim = octant.grid.points, octant.grid.points // 2, octant.dim
+    plane = lambda s: tuple(s if a == ax else slice(None) for a in range(dim))
     c = scipy.fft.dctn(u, type=1)
-    xi = octant.freq_axis[1:half].reshape([-1 if a == ax else 1 for a in range(3)])
+    xi = octant.freq_axis[1:half].reshape([-1 if a == ax else 1 for a in range(dim)])
     d = np.zeros(c.shape, dtype=complex)
     d[plane(slice(1, half))] = scipy.fft.idst(-xi * c[plane(slice(1, half))], type=1, axis=ax)
     d[plane(half)] = (1j * (-1) ** half * octant.freq_axis[half] / n) * c[plane(half)]
-    return scipy.fft.idctn(d, type=1, axes=[a for a in range(3) if a != ax])
+    others = [a for a in range(dim) if a != ax]
+    return scipy.fft.idctn(d, type=1, axes=others) if others else d
 
 
-@pytest.mark.parametrize("n", [16, 32])
-def test_one_axis_derivatives_match_the_full_transform_routes(n):
+@pytest.mark.parametrize("dim, n", [(3, 16), (3, 32), (3, 100), (1, 4), (1, 16), (2, 16), (2, 32)],
+                         ids=["16", "32", "100", "1d-4", "1d-16", "2d-16", "2d-32"])
+def test_one_axis_derivatives_match_the_full_transform_routes(dim, n):
     # a derivative from one transform pair along its axis is the route
     # through the transform of the whole grid to 1e-14 of its sup, on both
     # bases, complex and real: on the full grid ifftn(i xi fftn(u)), on the
-    # octant the derivative array from the DCT-I on every axis
-    grid = Grid(3, n, 10.0)
+    # octant the derivative array from the DCT-I on every axis, which its
+    # one matrix pass along ax also matches in 1-D and 2-D
+    grid = Grid(dim, n, 10.0)
     rng = np.random.default_rng(n)
     periodic, octant = PeriodicBasis(grid), EvenOctant(grid)
     f = rng.standard_normal(grid.shape)
     g = rng.standard_normal(octant.shape)
     for u, v in ((f, g), (f + 1j * rng.standard_normal(f.shape), g + 1j * rng.standard_normal(g.shape))):
         fhat = scipy.fft.fftn(u)
-        for ax in range(3):
+        for ax in range(dim):
             assert _close(periodic.derivative(u, ax), scipy.fft.ifftn(1j * grid.freqs[ax] * fhat))
             assert _close(octant.derivative(v, ax), _octant_full_route(octant, v, ax))
-            # a caller's own transform along ax is the one the derivative takes
+            # a caller's own transform along ax changes nothing
             assert np.array_equal(octant.derivative(v, ax, octant.axis_forward(v, ax)), octant.derivative(v, ax))
 
 
