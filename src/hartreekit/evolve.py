@@ -11,17 +11,17 @@ next (Gustafsson, ACM Trans. Math. Softw. 20 (1994) 496-517), which grows
 by orders of magnitude on the way into collapse.  B is one _phase_step, a
 rotation by the Hartree convolution that the caller computes.  The
 integrator carries the Fourier state between steps: the kinetic factors act
-on it directly, built per step as outer products of 1-D exponentials with
-no cache, only the phase sub-flows go to physical space, and the state
-itself goes back only when a snapshot is taken.  The state is fftn(u) on
-the periodic grid, except when u0 and V are exactly even about the grid
-centre on every axis: the flow keeps them even, and the state is then the
-DCT-I of one octant, (n/2 + 1)^d points (spectral.EvenOctant).  The step,
-the snapshots after t = 0 and the blow-up detector are each written once
-against the basis, and read the octant's points and coefficients with its
-Parseval weights.  strang_step, Strang's second-order A(dt/2) B(dt)
-A(dt/2) on the periodic grid, stands apart as the reference the tests
-compare against.
+on it directly, built per attempt as outer products of 1-D exponentials
+with no cache across attempts, only the phase sub-flows go to physical
+space, and the state itself goes back only when a snapshot is taken.  The
+state is fftn(u) on the periodic grid, except when u0 and V are exactly
+even about the grid centre on every axis: the flow keeps them even, and the
+state is then the DCT-I of one octant, (n/2 + 1)^d points
+(spectral.EvenOctant).  The step, the snapshots and the blow-up detector
+are each written once against the basis, and read the octant's points and
+coefficients with its Parseval weights.  strang_step, Strang's
+second-order A(dt/2) B(dt) A(dt/2) on the periodic grid, stands apart as
+the reference the tests compare against.
 Collapse is detected, never resolved: once the gradient blows past its
 threshold or the upper frequency band fills, integration stops and the
 record says so.
@@ -151,33 +151,43 @@ def _embedded_step(basis: PeriodicBasis, uhat, dt: float, vvals, gamma: float, l
     on the basis's points, where vvals is sampled.  The partner shares
     A(a_1) ... A(a_4) and the fourth phase sub-flow's input and convolution,
     rotates that input by its own weight, and ends on two sub-flows of its
-    own.  A phase sub-flow costs an inverse transform in, a real pair for its
-    convolution and a forward transform out, so the step and its partner cost
-    17 complex and 16 real transforms (the shared fourth input takes no
-    second inverse or convolution); 17 complex in linear mode, which has no
-    convolution.  On the periodic basis these are fftn/ifftn and
+    own.  A(a) multiplies by the factor exp(-i a dt |k|^2), and the step's
+    weights are palindromic, so an attempt builds 7 factors, not 10: a_1 ...
+    a_4 once each, and the partner's own three.  It holds a_1, a_2 and a_3
+    for their second use, and multiplies every state but uhat in its own
+    memory, so it holds 1.5 arrays of the basis more than one that builds
+    each factor at its use.  A phase sub-flow costs an inverse transform in,
+    a real pair for its convolution and a forward transform out, so the step
+    and its partner cost 17 complex and 16 real transforms (the shared
+    fourth input takes no second inverse or convolution); 17 complex in
+    linear mode, which has no convolution.  On the periodic basis these are fftn/ifftn and
     rfftn/irfftn, on the even octant all of them are DCT-Is
     (EvenOctant.forward and inverse: one matrix product per axis)."""
 
-    def enter(uhat, a):
-        w = basis.inverse(_kinetic(basis, a * dt) * uhat, overwrite_x=True)
+    def enter(c, factor):
+        # the product goes into c's own memory unless c is the caller's state
+        w = basis.inverse(np.multiply(factor, c, out=None if c is uhat else c), overwrite_x=True)
         return w, None if linear else basis.convolve(abs_sq(w), gamma)
 
-    def flows(uhat, kin, phase):
-        for a, b in zip(kin, phase):
-            w, conv = enter(uhat, a)
-            uhat = basis.forward(_phase_step(w, b * dt, vvals, conv), overwrite_x=True)
-        return uhat
+    def flows(c, factors, phase):
+        for factor, b in zip(factors, phase):
+            w, conv = enter(c, factor)
+            c = basis.forward(_phase_step(w, b * dt, vvals, conv), overwrite_x=True)
+        return c
 
-    w, conv = enter(flows(uhat, _KIN[:3], _PHASE[:3]), _KIN[3])
+    # the step's weights are palindromic, a_5, a_6, a_7 = a_3, a_2, a_1, so it
+    # keeps those three factors for their second use, and never writes into them
+    kin = [_kinetic(basis, a * dt) for a in _KIN[:3]]
+    w, conv = enter(flows(uhat, kin, _PHASE[:3]), _kinetic(basis, _KIN[3] * dt))
     # in linear mode at V = 0 the phase sub-flow returns w itself, so the
     # partner's transform must leave w intact for the step's
     third = basis.forward(_phase_step(w, _PHASE_HAT[0] * dt, vvals, conv))
     fourth = basis.forward(_phase_step(w, _PHASE[3] * dt, vvals, conv), overwrite_x=True)
     del w, conv
-    fourth = flows(fourth, _KIN[4:6], _PHASE[4:])
-    fourth *= _kinetic(basis, _KIN[6] * dt)
-    third = flows(third, _KIN_HAT[:2], _PHASE_HAT[1:])
+    fourth = flows(fourth, kin[:0:-1], _PHASE[4:])
+    fourth *= kin[0]
+    del kin
+    third = flows(third, (_kinetic(basis, a * dt) for a in _KIN_HAT[:2]), _PHASE_HAT[1:])
     third *= _kinetic(basis, _KIN_HAT[2] * dt)
     return fourth, third
 
@@ -250,17 +260,18 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     The state is carried in Fourier space from step to step, as the
     coefficients of a basis: fftn(u) on the periodic grid, or, when u0 and
     V are both exactly even (spectral.transform_basis), the octant's DCT-I,
-    which EvenOctant takes as one matrix product per axis.  The t = 0
-    snapshot reads fftn(u0), V and its weight on the full grid either way;
-    every later one reads the basis, and only the basis's takes of V and
-    the weight are kept.  An attempt is one Blanes-Moan step of order 4
-    with its embedded order-3 partner (_embedded_step: 17 complex and 16
-    real transforms; the kinetic factors are rebuilt per attempt, never
-    cached, since adaptive dt rarely repeats a value).  err is the relative
-    L2 difference of the two, taken on the coefficients with the basis's
-    Parseval weights, where it is the same number; the attempt is accepted
-    when err <= tol_step, which a NaN err from a non-finite state fails, and
-    the order-4 state is kept.  The blow-up detector reads its coefficients
+    which EvenOctant takes as one matrix product per axis.  Either way the
+    coefficients at t = 0 are read off the one fftn(u0)
+    (PeriodicBasis.from_spectrum), V and its weight are sampled on the grid
+    and only the basis's takes of them are kept, and every snapshot, the
+    t = 0 one too, reads the basis.  An attempt is one Blanes-Moan step of
+    order 4 with its embedded order-3 partner (_embedded_step: 17 complex
+    and 16 real transforms; the kinetic factors are rebuilt per attempt,
+    never cached across attempts, since adaptive dt rarely repeats a
+    value).  err is the relative L2 difference of the two, taken on the
+    coefficients with the basis's Parseval weights, where it is the same
+    number; the attempt is accepted when err <= tol_step, which a NaN err
+    from a non-finite state fails, and the order-4 state is kept.  The blow-up detector reads its coefficients
     as they are, and it is turned back with one inverse transform only for
     a snapshot.  After every attempt the proposal follows _propose.  Its
     trend is max(1, C/C_prev) after an accepted attempt with err > 0, where
@@ -281,21 +292,18 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     grid = u0.grid
     if cfg.grid != grid:
         raise ValueError(f"the config's grid {cfg.grid} is not the initial data's {grid}")
-    vvals = None if potential.is_zero else eval_potential(potential, grid).values
-    vfield = None if potential.is_zero else Field(grid, vvals)
-    wfield = None if potential.is_zero else eval_virial_weight(potential, grid)
     approx = potential.xgrad_is_distributional
-
     u = np.asarray(u0.values, dtype=complex)
-    uhat = fftn(u)
-    t = 0.0
-    snapshots = [take_snapshot(Field(grid, u), t, vfield, wfield, cfg.gamma, e_term_approximate=approx, uhat=uhat)]
+    vvals = None if potential.is_zero else eval_potential(potential, grid).values
     basis = transform_basis(grid, u, vvals)
-    if basis.name != "periodic":
-        uhat = basis.forward(basis.take(u), overwrite_x=True)
-    vvals, wvals = (None if f is None else basis.take(f.values) for f in (vfield, wfield))
-    # on the octant the full-grid V and weight are read only by the t = 0 snapshot
-    del u, vfield, wfield
+    # each full-grid sample is dropped as soon as the basis has its take
+    vvals = None if vvals is None else basis.take(vvals)
+    wvals = None if potential.is_zero else basis.take(eval_virial_weight(potential, grid).values)
+    uhat = basis.from_spectrum(fftn(u))
+    u = basis.take(u)
+    t = 0.0
+    snapshots = [take_snapshot(u, t, vvals, wvals, cfg.gamma, e_term_approximate=approx, uhat=uhat, basis=basis)]
+    del u
     grad_sq_0 = snapshots[0].grad_sq
     extras: dict = {"accepted_dts": [], "n_step_attempts": 0, "n_rejected_steps": 0, "transform_basis": basis.name}
     dt = cfg.dt0

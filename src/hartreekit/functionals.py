@@ -103,8 +103,14 @@ def mass(u: Field) -> float:
 
 
 def hv_norm_sq(u: Field) -> float:
-    """||u||_{HV}^2 at V = 0, ||grad u||^2 by Parseval; take_snapshot's hv_sq adds int V|u|^2."""
-    return _grad_sq(PeriodicBasis(u.grid), abs_sq(fftn(u.values)))
+    """||u||_{HV}^2 at V = 0, ||grad u||^2 by Parseval; take_snapshot's hv_sq adds int V|u|^2.
+
+    |u-hat|^2 is formed in the transform's own memory: its float view is
+    squared, and each mode's two squares are added into its real part, so
+    no temporary holds them as abs_sq's two would.  The sums are abs_sq's."""
+    c = fftn(u.values).view(np.float64).reshape(u.values.shape + (2,))
+    c *= c
+    return _grad_sq(PeriodicBasis(u.grid), np.add(c[..., 0], c[..., 1], out=c[..., 0]))
 
 
 @dataclass

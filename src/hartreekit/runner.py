@@ -303,8 +303,16 @@ def virial_dual_defect(u: Field, v: Field, virial_weight: Field) -> float:
     basis = PeriodicBasis(g)
     vt = _integral(basis, rho, v.values)
     e = 4.0 * _integral(basis, rho, virial_weight.values)
-    # int V x_j d_j rho, one axis at a time, so that no sum of the terms is held
-    xgrad = sum(map(lambda x, d: _integral(basis, x * d.values, v.values), g.coords, gradient(Field(g, rho))))
+
+    def xgrad_term(x, d):
+        """int V x_j d_j rho, formed in the derivative's own memory."""
+        d = d.values
+        d *= x
+        d *= v.values
+        return _integral(basis, d)
+
+    # one axis at a time, so that no sum of the terms is held
+    xgrad = sum(map(xgrad_term, g.coords, gradient(Field(g, rho))))
     e_ibp = 8.0 * vt - 4.0 * (g.dim * vt + xgrad)
     scale = abs(e) + abs(e_ibp) + 8.0 * abs(vt) + 8.0 * hv
     return math.inf if abs(e - e_ibp) > 1e-5 * max(scale, 1e-300) else 0.0

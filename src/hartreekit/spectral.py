@@ -208,8 +208,15 @@ class Grid:
         return m
 
     def field_from_function(self, fn) -> "Field":
-        """Sample fn(*coords) on the grid."""
-        return Field(self, np.asarray(fn(*self.coords), dtype=complex) + np.zeros(self.shape))
+        """Sample fn(*coords) on the grid.
+
+        The samples are added to a complex zero array, built once they are
+        taken, so that it does not sit beside fn's own temporaries; adding
+        them to zeros turns a -0.0 into 0.0."""
+        samples = fn(*self.coords)
+        values = np.zeros(self.shape, dtype=complex)
+        values += samples
+        return Field(self, values)
 
 
 @dataclass
@@ -269,7 +276,10 @@ def gradient(f: Field):
     for ax in range(grid.dim):
         c = sfft.rfft(f.values, axis=ax)
         c *= _on_axis(xi, ax, grid.dim)
-        yield Field(grid, sfft.irfft(c, n, axis=ax, overwrite_x=True))
+        d = sfft.irfft(c, n, axis=ax, overwrite_x=True)
+        del c
+        yield Field(grid, d)
+        del d  # before the next axis's transform
 
 
 def riesz_convolve(f: Field, gamma_exp: float) -> Field:
@@ -292,8 +302,9 @@ class PeriodicBasis:
 
     Everything that reads a state reads it through a basis.  take and expand
     carry a grid field to the basis's points and back, forward and inverse
-    transform there, and apply multiplies by a multiplier given on the
-    basis's modes (k_sq, or the Riesz multiplier(gamma)); convolve is the
+    transform there, from_spectrum reads a field's coefficients off its
+    fftn over the whole grid, and apply multiplies by a multiplier given on
+    the basis's modes (k_sq, or the Riesz multiplier(gamma)); convolve is the
     Riesz convolution of a real density.  axis_forward transforms along one
     axis alone, and derivative differentiates a field on the points along
     one axis, here by one transform pair along it.  weigh multiplies by the
@@ -335,6 +346,10 @@ class PeriodicBasis:
 
     def inverse(self, c: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         return ifftn(c, overwrite_x)
+
+    def from_spectrum(self, spectrum: np.ndarray) -> np.ndarray:
+        """The coefficients of the field whose fftn over the grid is spectrum: here spectrum itself."""
+        return spectrum
 
     def apply(self, a: np.ndarray, m: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """The multiplier m applied to a; overwrite_x lets it reuse a temporary a's memory.
@@ -526,6 +541,16 @@ class EvenOctant(PeriodicBasis):
 
     def inverse(self, c, overwrite_x=False):
         return _dct1(c, self._matrices[1], range(self.dim), overwrite_x)
+
+    def from_spectrum(self, spectrum):
+        """forward(take(a)) read off fftn(a): the modes 0, ..., n/2 of each axis, times (-1)^(k_1 + ... + k_d).
+
+        That is Martucci's identity in the class docstring, read the other
+        way.  The result is new memory, about 2^-d of spectrum's, so the
+        caller may drop spectrum; a sign flip is exact, so it equals
+        forward(take(a)) to the rounding of the two transforms."""
+        sign = reduce(np.multiply.outer, [(-1.0) ** np.arange(self.shape[0])] * self.dim)
+        return spectrum[(self._modes,) * self.dim] * sign
 
     def axis_forward(self, a, ax):
         return self.forward(a, axes=(ax,))

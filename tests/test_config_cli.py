@@ -927,16 +927,19 @@ def test_disagreeing_me_and_x0_end_the_classify_run(tmp_path, capsys):
 def test_validate_holds_one_gates_arrays_at_a_time(tmp_path):
     # each gate's grid arrays die with the gate, the library reads its inputs
     # without copying them, a full-grid reader holds one transient array
-    # beyond its inputs, and even Riesz convolutions (the Kato norms, the
-    # origin gate) run on the octant, so the suite's traced peak is about 5.0
-    # complex grid arrays at 32^3; with the readers' extra arrays it read 6.4,
-    # and keeping every finished gate's arrays alive 10.9
+    # beyond its inputs, even Riesz convolutions (the Kato norms, the origin
+    # gate) run on the octant, evolve's t = 0 snapshot reads the octant, and
+    # ||grad u||^2 and the dual form's terms are formed in their transforms'
+    # and derivatives' memory, so the suite's traced peak is about 3.9
+    # complex grid arrays at 32^3; with the full-grid t = 0 snapshot and
+    # those temporaries it read 5.3, with the readers' extra arrays 6.4, and
+    # keeping every finished gate's arrays alive 10.9
     path = write_cfg(tmp_path, "[run]\nmode = validate\nseed = 20301\n[grid]\npoints = 32\nhalf_length = 10.0\n")
     cfg = parse_config(path)
     # the grid caches a run's first stage fills, as the benchmark fills them before timing
     cfg.grid.r_sq, cfg.grid.k_sq, cfg.grid.riesz_multiplier(cfg.gamma)
     # the 32^3 grid fails the Pohozaev and Kato-ball gates by resolution; only memory is tested here
-    assert traced_peak(lambda: runner.run_validate(cfg, str(tmp_path)), cfg.grid) <= 5.5
+    assert traced_peak(lambda: runner.run_validate(cfg, str(tmp_path)), cfg.grid) <= 4.2
     # the Kato norms' gamma = d - 2 multiplier exists on the octant only
     assert ("riesz", "periodic", 1.0) not in cfg.grid._cache and ("riesz", "even_octant", 1.0) in cfg.grid._cache
 
@@ -948,18 +951,21 @@ def test_validate_transforms_by_class(tmp_path, fft_counts):
     virial_dual_form's ||grad u||^2, the ten kato_sandwich trials and the
     mass-drift evolve's fftn(u0) take one fftn each (14).  Each derivative
     is one transform pair along its axis: gradient_routes_agree's complex
-    gradient and the t = 0 snapshot take 3 fft and 3 ifft, and each of the
-    ten variational trials' snapshots 3 and 3, for I' and ||grad u||^2 with
-    no fftn (36 and 36).  virial_dual_form's gradient of the real |u|^2
-    takes 3 rfft and 3 irfft.  The snapshots' P is one rfftn each.  The
-    ground state, the Kato norms, the origin gate and the evolve's steps run
-    on the even octant; the closing snapshot's I' takes no transform, one
-    matrix pass per axis (EvenOctant.derivative), and the ground state's
-    real profile none."""
+    gradient takes 3 fft and 3 ifft, and each of the ten variational
+    trials' snapshots 3 and 3, for I' and ||grad u||^2 with no fftn (33 and
+    33).  virial_dual_form's gradient of the real |u|^2 takes 3 rfft and 3
+    irfft.  The ten variational snapshots' P is one rfftn each, and the
+    ground state's full-grid residual takes two real pairs (12 rfftn, 2
+    irfftn).  The ground state's solve, the Kato norms, the origin gate and
+    the whole mass-drift evolve run on the even octant: the evolve's state
+    is read off its fftn(u0), and both of its snapshots' I' take no
+    transform, one matrix pass per axis (EvenOctant.derivative); the ground
+    state's real profile takes none.  With evolve's t = 0 snapshot on the
+    full grid the counts read 36, 36 and 13."""
     path = write_cfg(tmp_path, "[run]\nmode = validate\nseed = 20301\n[grid]\npoints = 32\nhalf_length = 10.0\n")
     runner.run_validate(parse_config(path), str(tmp_path))
     assert {name: n for name, n in fft_counts.items() if n} == {
-        "fftn": 14, "fft": 36, "ifft": 36, "rfftn": 13, "irfftn": 2, "rfft": 3, "irfft": 3,
+        "fftn": 14, "fft": 33, "ifft": 33, "rfftn": 12, "irfftn": 2, "rfft": 3, "irfft": 3,
         "octant_forward": 114, "octant_inverse": 107,
     }
 

@@ -30,7 +30,7 @@ from hartreekit.spectral import (
     transform_basis,
 )
 
-from conftest import GAMMA
+from conftest import GAMMA, traced_peak
 
 ZERO = PotentialSpec(kind="zero")
 BUMP = PotentialSpec(kind="gaussian_bump", amplitude=0.8, sigma=1.5)
@@ -645,16 +645,18 @@ def test_fft_counts_per_adaptive_step(fft_counts):
     snapshot, so no ifftn, after the first step: 36 complex, 34 real and
     12 one-axis.
 
-    Even octant, on the radial u0: the t = 0 snapshot still reads fftn(u0)
-    and takes the full grid's (1 complex, 6 one-axis, 1 real), and the
-    state is the octant's forward DCT-I (1).  Every transform of an attempt
-    is a DCT-I: 17 forward and 16 inverse, counted at EvenOctant.forward and
+    Even octant, on the radial u0: the state is read off fftn(u0) (1
+    complex; EvenOctant.from_spectrum takes no transform), and the t = 0
+    snapshot reads the octant's take of u0 and that state: I' takes per
+    axis one matrix pass, which is no transform (EvenOctant.derivative),
+    and P one forward DCT-I of |u|^2 (1).  Every transform of an attempt is
+    a DCT-I: 17 forward and 16 inverse, counted at EvenOctant.forward and
     .inverse.  detect_blowup reads the octant's coefficients (0).  The
-    closing snapshot stays on the octant: one inverse DCT-I turns the state
-    back, I' takes per axis one matrix pass along it, which is neither
-    (EvenOctant.derivative), and P one forward DCT-I of |u|^2.  One step:
-    1 complex, 1 real, 6 one-axis, 19 forward, 17 inverse and no idst.  Two
-    steps: 1, 1, 6, 36, 33 and 0."""
+    closing snapshot is the t = 0 one's, with one inverse DCT-I to turn
+    the state back.  One step: 1 complex, no real, no one-axis, 19
+    forward, 17 inverse and no idst.  Two steps: 1, 0, 0, 36, 33 and 0;
+    the full-grid t = 0 snapshot took 1 real and 6 one-axis more, and the
+    octant's forward DCT-I of u0 took the place of its P's."""
     def complex_real_dct():
         c = fft_counts
         out = (c["fftn"] + c["ifftn"], c["rfftn"] + c["irfftn"], c["fft"] + c["ifft"], c["octant_forward"],
@@ -670,7 +672,7 @@ def test_fft_counts_per_adaptive_step(fft_counts):
     cfg2 = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=2e-3, tol_step=1e-2, record_stride=2,
                         record_dt=2e-3, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     for u0, one, two in ((tilted, (19, 18, 12, 0, 0, 0), (36, 34, 12, 0, 0, 0)),
-                         (radial, (1, 1, 6, 19, 17, 0), (1, 1, 6, 36, 33, 0))):
+                         (radial, (1, 0, 0, 19, 17, 0), (1, 0, 0, 36, 33, 0))):
         rec = evolve(u0, ZERO, cfg)
         assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
         assert complex_real_dct() == one
@@ -713,6 +715,38 @@ def test_transform_basis_engagement(g32, monkeypatch):
     monkeypatch.setattr(EvenOctant, "forward", no_dct)
     monkeypatch.setattr(EvenOctant, "inverse", no_dct)
     strang_step(radial, 1e-3, BUMP, GAMMA)
+
+
+def test_octant_start_is_the_full_grid_snapshot(g32):
+    # on the octant the t = 0 snapshot reads the takes of u0, V and the
+    # weight and the coefficients read off fftn(u0), and it is the full
+    # grid's snapshot to rounding
+    r2 = g32.r_sq
+    u0 = Field(g32, 0.6 * np.exp(-r2 / (2.0 * 1.4**2)) * np.exp(-0.2j * r2))
+    cfg = EvolveConfig(grid=g32, gamma=GAMMA, dt0=1e-3, t_max=1e-3, record_dt=1e-3,
+                       blowup_grad_factor=50.0, blowup_tail_frac=1.0)
+    rec = evolve(u0, BUMP, cfg)
+    assert rec.extras["transform_basis"] == "even_octant"
+    want = take_snapshot(u0, 0.0, eval_potential(BUMP, g32), eval_virial_weight(BUMP, g32), GAMMA,
+                         uhat=fftn(u0.values))
+    got, want = np.array(rec.snapshots[0].csv_row()), np.array(want.csv_row())
+    assert want[CSV_COLUMNS.index("virial_I1")] != 0.0
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_even_start_holds_no_full_grid_snapshot(g32):
+    """Memory gate: a one-step run of an even datum and V at 32^3 peaks at 2 complex grid arrays.
+
+    V and its weight are sampled on the grid, and only their takes are kept;
+    the coefficients are read off one fftn(u0), and the t = 0 snapshot reads
+    the octant.  The full-grid t = 0 snapshot, with fftn(u0), V and the
+    weight held beside it, read 3.8."""
+    u0 = Field(g32, 0.3 * np.exp(-g32.r_sq / 8.0) * np.exp(0.1j * g32.r_sq))
+    cfg = EvolveConfig(grid=g32, gamma=GAMMA, dt0=1e-3, t_max=1e-3, record_dt=1e-3,
+                       blowup_grad_factor=50.0, blowup_tail_frac=1.0)
+    # the grid's and the octant's caches, which a run's earlier stages fill
+    assert evolve(u0, BUMP, cfg).extras["transform_basis"] == "even_octant"
+    assert traced_peak(lambda: evolve(u0, BUMP, cfg), g32) <= 2.0
 
 
 def test_even_octant_on_grids_whose_spacing_is_not_dyadic():

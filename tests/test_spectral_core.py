@@ -148,6 +148,27 @@ def test_even_octant_is_the_dft_of_even_fields(grid32):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n", [16, 18, 30, 64])
+def test_from_spectrum_is_the_forward_transform_of_the_take(n):
+    # the octant's coefficients are read off the full grid's fftn: modes
+    # 0 ... n/2 of each axis, with the sign (-1)^(k_1 + k_2 + k_3), for real
+    # and complex even data, at odd (n = 16, 64) and even (18, 30) m = n/2 + 1;
+    # the periodic basis keeps the spectrum itself
+    grid = Grid(3, n, 10.0)
+    basis = EvenOctant(grid)
+    rng = np.random.default_rng(n)
+    m = n // 2 + 1
+    real = rng.standard_normal((m,) * 3)
+    for octant in (real, real + 1j * rng.standard_normal((m,) * 3)):
+        a = basis.expand(octant)
+        want = basis.forward(basis.take(a))
+        got = basis.from_spectrum(fftn(a))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    spectrum = fftn(a)
+    assert PeriodicBasis(grid).from_spectrum(spectrum) is spectrum
+
+
 def test_real_input_multiplier_matches_complex_route(grid32):
     # a real field takes the half-spectrum route through rfftn/irfftn
     rng = np.random.default_rng(13)
