@@ -15,7 +15,7 @@ from .functionals import FunctionalSnapshot, hv_norm_sq, mass, take_snapshot
 from .ground_state import GroundState, pohozaev_residuals, solve_ground_state
 from .potentials import PotentialSpec, eval_potential, kato_norm
 from .runner import emit_plot_data, run
-from .spectral import Field, Grid, gradient, integrate, riesz_convolve
+from .spectral import Field, Grid, gradient
 from .threshold import DichotomyReport, check_condition_1_8, classify
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "eval_potential",
     "gradient",
     "hv_norm_sq",
-    "integrate",
     "kato_norm",
     "load_field",
     "mass",
@@ -46,7 +45,6 @@ __all__ = [
     "pohozaev_residuals",
     "preset_names",
     "preset_path",
-    "riesz_convolve",
     "run",
     "dump_field",
     "solve_ground_state",

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldio import dump_field
-from .functionals import FunctionalSnapshot, _grad_sq, _integral, take_snapshot
+from .functionals import FunctionalSnapshot, take_snapshot
 from .potentials import PotentialSpec, eval_potential, eval_virial_weight
-from .spectral import Field, Grid, PeriodicBasis, _check_section, abs_sq, transform_basis
+from .spectral import Field, Grid, PeriodicBasis, _check_section, transform_basis
 
 OMEGA_MODES = ("fixed", "self_consistent")
 ANDERSON_DEPTH = 2  # earlier Petviashvili outputs mixed into each new iterate
@@ -314,11 +314,8 @@ def solve_ground_state(
             richardson += corrections
             if not ok:
                 break
-            rho = abs_sq(u)
-            hv = _grad_sq(basis, abs_sq(basis.forward(u)))
-            if vvals is not None:
-                hv += _integral(basis, rho, vvals)
-            target = (4.0 - gamma) * hv / (gamma * _integral(basis, rho))
+            sn = take_snapshot(u, 0.0, vvals, None, gamma, basis=basis)
+            target = (4.0 - gamma) * sn.hv_sq / (gamma * sn.mass)
             if target <= 0:
                 raise ConvergenceError(
                     "self-consistent omega update became nonpositive; potential too attractive"

@@ -16,7 +16,8 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.special import gamma as gamma_fn
 
-from .spectral import Field, Grid, _check_section, _on_axis, gradient, integrate, transform_basis
+from .functionals import _integral
+from .spectral import Field, Grid, PeriodicBasis, _check_section, _on_axis, gradient, transform_basis
 
 # the [potential] keys each kind reads; a sampled potential's values come from its file
 _PARAMS = {
@@ -166,7 +167,7 @@ def kato_norm(v: Field) -> float:
     """sup_x C_d int |V(y)| |x-y|^{2-d} dy, evaluated as a grid max of the Riesz potential.
 
     The max is taken on the points where the basis ran the convolution
-    (riesz_convolve's route, unexpanded): an even |V|, as every centred kind
+    (PeriodicBasis.convolve, unexpanded): an even |V|, as every centred kind
     gives, is convolved on the octant as DCT-Is with the octant's own
     gamma = d - 2 multiplier, and the octant holds every value of the grid."""
     grid = v.grid
@@ -174,7 +175,7 @@ def kato_norm(v: Field) -> float:
         raise ValueError("Kato norm defined for dim >= 3")
     absv = np.abs(v.values)
     basis = transform_basis(grid, absv)
-    return float(kato_constant(grid.dim) * basis.apply(basis.take(absv), basis.multiplier(float(grid.dim - 2))).max())
+    return float(kato_constant(grid.dim) * basis.convolve(basis.take(absv), float(grid.dim - 2)).max())
 
 
 @dataclass
@@ -217,7 +218,7 @@ def check_admissible(spec: PotentialSpec, v: Field | None, grid: Grid) -> Admiss
         vneg = np.maximum(-v.values, 0.0)
         kneg = kato_norm(Field(grid, vneg)) if vneg.any() else 0.0
         kfull = kato_norm(v)
-        ld2 = float(integrate(Field(grid, np.abs(v.values) ** (grid.dim / 2.0))) ** (2.0 / grid.dim))
+        ld2 = _integral(PeriodicBasis(grid), np.abs(v.values) ** (grid.dim / 2.0)) ** (2.0 / grid.dim)
     notes = []
     if not spec.compact_support and not spec.is_zero:
         notes.append(

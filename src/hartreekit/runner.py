@@ -27,17 +27,7 @@ from .fieldio import load_field, read_json, write_json
 from .functionals import CSV_COLUMNS, _integral, hv_norm_sq, mass, take_snapshot
 from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state, summary
 from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm, reference_potential
-from .spectral import (
-    Field,
-    Grid,
-    PeriodicBasis,
-    abs_sq,
-    fftn,
-    gradient,
-    outer_shell_mass_fraction,
-    recenter,
-    riesz_convolve,
-)
+from .spectral import Field, Grid, PeriodicBasis, abs_sq, fftn, gradient, recenter, shell_fraction, transform_basis
 from .threshold import _side, classify, me_from_scalars, mp_product, s_crit, x0_defects, x0_solve
 
 SHELL_MASS_LIMIT = 1e-8  # box-truncation gate on |u0|^2 in the outer 10% shell
@@ -97,7 +87,8 @@ def build_initial(cfg: RunConfig, gs=None) -> Field:
 
 
 def _check_box_decay(u0: Field, phase: str) -> float:
-    frac = outer_shell_mass_fraction(u0)
+    """The share of |u0|^2 on the outer 10% shell, max_i |x_i| >= 0.9 L; a RunError at or past SHELL_MASS_LIMIT."""
+    frac = shell_fraction(PeriodicBasis(u0.grid), abs_sq(u0.values), 0.9 * u0.grid.half_length)
     if frac >= SHELL_MASS_LIMIT:
         raise RunError(
             phase,
@@ -166,16 +157,16 @@ def stage_evolve(cfg: RunConfig, outdir, u0: Field) -> TrajectoryRecord:
     _check_box_decay(u0, "evolve")
     record = evolve(u0, cfg.potential, cfg.evolve)
     record.write_csv(os.path.join(outdir, "trajectory.csv"))
+    dts = record.extras["accepted_dts"]
     rep = {
         "termination": asdict(record.termination),
         "n_snapshots": len(record.snapshots),
-        "n_accepted_steps": len(record.extras.get("accepted_dts", [])),
+        "n_accepted_steps": len(dts),
         "n_step_attempts": record.extras["n_step_attempts"],
         "n_rejected_steps": record.extras["n_rejected_steps"],
         "transform_basis": record.extras["transform_basis"],
         "final_snapshot": record.snapshots[-1].to_dict(),
     }
-    dts = record.extras.get("accepted_dts", [])
     if dts:
         rep["dt_min"] = min(dts)
         rep["dt_max"] = max(dts)
@@ -211,7 +202,7 @@ def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord):
             f"{side} fails {';'.join(failed)}"
             for side, failed in (("blowup", report.failed_blowup), ("global", report.failed_global))
         )
-    probe = monotonicity_probe(record, verdict=verdict, f_x0=report.f_x0 if report.f_x0 == report.f_x0 else None)
+    probe = monotonicity_probe(record, verdict=verdict, f_x0=None if math.isnan(report.f_x0) else report.f_x0)
     below = _side(max(prods) - prod_gs, prod_gs) < 0
     with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
         fh.write("verdict,termination,consistent,note\n")
@@ -282,9 +273,11 @@ def riesz_origin_defect(grid: Grid, gamma: float) -> float:
 
     The integral, |S^{d-1}| int_0^inf r^{d-1-gamma} e^{-r^2} dr, is taken in
     closed form: the radial part is Gamma((d - gamma)/2) / 2 (substitute
-    s = r^2)."""
-    g0 = grid.field_from_function(lambda *xs: np.exp(-sum(x**2 for x in xs)))
-    conv0 = riesz_convolve(g0, gamma).values[(grid.points // 2,) * grid.dim]
+    s = r^2).  e^{-|x|^2} is even, so it is convolved on the octant, whose
+    first point is the origin; nothing is expanded to the grid."""
+    g0 = np.exp(-grid.r_sq).astype(complex)
+    basis = transform_basis(grid, g0)
+    conv0 = basis.convolve(basis.take(g0), gamma)[(0,) * grid.dim]
     area = 2.0 * np.pi ** (grid.dim / 2.0) / gamma_fn(grid.dim / 2.0)
     ref = 0.5 * gamma_fn((grid.dim - gamma) / 2.0)
     return abs(float(conv0.real) - area * ref) / (area * ref)

@@ -4,7 +4,7 @@ All fields live on a cubic box [-L, L)^d with n points per axis and periodic
 boundary conditions; derivatives and nonlocal convolutions are diagonal in the
 discrete Fourier basis with frequencies xi_k = pi*k/L.  The box is a surrogate
 for R^d: every routine here assumes the data decays well inside the boundary,
-and `outer_shell_mass_fraction` quantifies when that assumption is violated.
+and `shell_fraction` measures when that assumption is violated.
 Every transform of the periodic grid goes through scipy.fft.  An even
 field's octant (EvenOctant) takes its DCT-Is and its derivatives as cached
 matrix products (_dct1) at every size.
@@ -207,17 +207,6 @@ class Grid:
         )
         return m
 
-    def field_from_function(self, fn) -> "Field":
-        """Sample fn(*coords) on the grid.
-
-        The samples are added to a complex zero array, built once they are
-        taken, so that it does not sit beside fn's own temporaries; adding
-        them to zeros turns a -0.0 into 0.0."""
-        samples = fn(*self.coords)
-        values = np.zeros(self.shape, dtype=complex)
-        values += samples
-        return Field(self, values)
-
 
 @dataclass
 class Field:
@@ -247,12 +236,6 @@ def _on_axis(line: np.ndarray, ax: int, dim: int) -> np.ndarray:
     return line.reshape([-1 if a == ax else 1 for a in range(dim)])
 
 
-def integrate(f: Field):
-    """Box quadrature h^d * sum; spectrally accurate for smooth periodic data."""
-    s = f.values.sum() * f.grid.cell_volume
-    return float(s.real) if np.isrealobj(f.values) else complex(s)
-
-
 def gradient(f: Field):
     """Spectral gradient, yielded one Field per axis; real for a real f.
 
@@ -280,21 +263,6 @@ def gradient(f: Field):
         del c
         yield Field(grid, d)
         del d  # before the next axis's transform
-
-
-def riesz_convolve(f: Field, gamma_exp: float) -> Field:
-    """Free-space Riesz potential (|x|^{-gamma_exp} * f), periodically aliased.
-
-    The zero mode follows the renormalized lattice rule (see
-    Grid.riesz_symbol), so for sources well contained in the box the
-    result tracks the free-space potential; residual error is set by the
-    periodic images and the source's far tail.  An exactly even f
-    (transform_basis) is convolved on the octant as DCT-Is, with the
-    octant's own multiplier, and expanded to the grid; any other f on the
-    full grid.  The two routes agree to rounding.
-    """
-    basis = transform_basis(f.grid, f.values)
-    return Field(f.grid, basis.expand(basis.apply(basis.take(f.values), basis.multiplier(gamma_exp))))
 
 
 class PeriodicBasis:
@@ -352,11 +320,13 @@ class PeriodicBasis:
         return spectrum
 
     def apply(self, a: np.ndarray, m: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-        """The multiplier m applied to a; overwrite_x lets it reuse a temporary a's memory.
+        """The multiplier m applied to a.
 
         A real a goes through rfftn/irfftn and comes back real, which takes m
         to be even in xi (so the result is real); the half spectrum is the
-        first n/2 + 1 entries of m along the last axis."""
+        first n/2 + 1 entries of m along the last axis.  Neither route here
+        reads overwrite_x: the first transform always takes new memory.
+        EvenOctant.apply reads it, to let a temporary a's memory be reused."""
         if np.isrealobj(a):
             half = sfft.rfftn(a)
             half *= m[..., : a.shape[-1] // 2 + 1]
@@ -366,7 +336,12 @@ class PeriodicBasis:
         return ifftn(c, overwrite_x=True)
 
     def convolve(self, rho: np.ndarray, gamma_exp: float) -> np.ndarray:
-        """|x|^{-gamma_exp} * rho for a temporary rho, whose memory it may reuse."""
+        """|x|^{-gamma_exp} * rho on the basis's points, for a temporary rho, whose memory it may reuse.
+
+        This is the package's one Riesz convolution, periodically aliased.
+        The zero mode follows the renormalized lattice rule (Grid.riesz_symbol),
+        so for a source well inside the box the result tracks the free-space
+        potential, up to the periodic images and the source's far tail."""
         return self.apply(rho, self.multiplier(gamma_exp), overwrite_x=True)
 
     def axis_forward(self, a: np.ndarray, ax: int) -> np.ndarray:
@@ -635,15 +610,6 @@ def shell_fraction(basis: PeriodicBasis, density: np.ndarray, cut: float, spectr
     if total == 0.0:
         return 0.0
     return float(density[mask].sum()) / total
-
-
-def outer_shell_mass_fraction(f: Field) -> float:
-    """Fraction of integral(|f|^2) carried by the outer 10% shell, the points with max_i |x_i| >= 0.9 L.
-
-    The sup-norm shell matches the box geometry; small values certify the
-    field is effectively compactly supported inside the box.
-    """
-    return shell_fraction(PeriodicBasis(f.grid), abs_sq(f.values), 0.9 * f.grid.half_length)
 
 
 def center_of_mass(f: Field) -> np.ndarray:

@@ -347,6 +347,13 @@ def test_benchmark_paths_outside_its_self_tests_still_run(tmp_path):
     assert missing == []
 
 
+def test_every_name_in_all_is_exported():
+    """A name left in hartreekit.__all__ after its function is gone would make
+    `from hartreekit import *` raise."""
+    assert [name for name in hartreekit.__all__ if not hasattr(hartreekit, name)] == []
+    exec("from hartreekit import *", {})
+
+
 def test_library_does_not_import_scipy_integrate():
     """scipy.integrate costs about 0.3 s to import, and no library path needs it.
 

@@ -26,7 +26,7 @@ from hartreekit.evolve import (
 from hartreekit.functionals import CSV_COLUMNS, _grad_sq, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
 from hartreekit.spectral import (
-    EvenOctant, Field, Grid, PeriodicBasis, abs_sq, fftn, is_even, outer_shell_mass_fraction, shell_fraction,
+    EvenOctant, Field, Grid, PeriodicBasis, abs_sq, fftn, is_even, shell_fraction,
     transform_basis,
 )
 
@@ -303,7 +303,8 @@ def test_virial_consistency_is_exact_on_a_free_linear_gaussian(g32):
                            record_stride=1, linear=True, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
         rec = evolve(u0, ZERO, cfg)
         assert rec.termination.kind == "Completed" and len(rec.snapshots) >= 9
-        edge = outer_shell_mass_fraction(free_gaussian_reference(g32, a, (0.0, 0.0, 0.0), t_max))
+        ref = free_gaussian_reference(g32, a, (0.0, 0.0, 0.0), t_max)
+        edge = shell_fraction(PeriodicBasis(g32), abs_sq(ref.values), 0.9 * g32.half_length)
         return virial_consistency(rec), edge
 
     inside, edge = gaps(0.5)

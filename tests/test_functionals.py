@@ -8,7 +8,7 @@ import pytest
 from hartreekit.functionals import _integral, _p, _virial_first, hv_norm_sq, mass, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
 from hartreekit.runner import smooth_random_field, variational_defects, virial_dual_defect
-from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, abs_sq, is_even, riesz_convolve
+from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, abs_sq, is_even
 
 from conftest import GAMMA, traced_peak
 
@@ -67,7 +67,7 @@ def test_p_from_half_spectrum_matches_physical_route(dim, points, gamma):
     grid = Grid(dim, points, 6.0)
     rho = np.random.default_rng(30 + points + dim).standard_normal(grid.shape)
     basis = PeriodicBasis(grid)
-    want = _integral(basis, rho, riesz_convolve(Field(grid, rho), gamma).values)
+    want = _integral(basis, rho, basis.convolve(rho.copy(), gamma))
     assert abs(_p(basis, rho, gamma) - want) <= 1e-13 * abs(want)
 
 
@@ -83,14 +83,15 @@ def test_phase_gauge_invariance(grid32):
 
 
 def test_virial_first_real_field_vanishes(grid32):
-    u = grid32.field_from_function(lambda x, y, z: np.exp(-(x**2 + y**2 + z**2) / 3.0))
+    # complex, so that I' is summed from derivatives, not set to 0 for a real array
+    u = Field(grid32, np.exp(-grid32.r_sq / 3.0).astype(complex))
     assert abs(snap(u).virial_I1) < 1e-10
 
 
 def test_quadratic_phase_algebra(grid32):
     """u = exp(i lam r^2) g: I' = 8 lam I(g), ||grad u||^2 = ||grad g||^2 + 4 lam^2 I(g)."""
     lam = 0.23
-    g = grid32.field_from_function(lambda x, y, z: 0.8 * np.exp(-(x**2 + y**2 + z**2) / 2.5))
+    g = Field(grid32, (0.8 * np.exp(-grid32.r_sq / 2.5)).astype(complex))
     u = Field(grid32, g.values * np.exp(1j * lam * grid32.r_sq))
     sg, su = snap(g), snap(u)
     ig = sg.variance_I

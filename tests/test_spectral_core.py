@@ -10,7 +10,6 @@ import scipy.fft
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-import hartreekit.runner as runner
 import hartreekit.spectral as spectral
 from hartreekit.functionals import take_snapshot
 from hartreekit.runner import gradient_routes_defect, parseval_defect, riesz_origin_defect, smooth_random_field
@@ -26,13 +25,13 @@ from hartreekit.spectral import (
     gradient,
     ifftn,
     is_even,
-    outer_shell_mass_fraction,
     recenter,
     riesz_constant,
-    riesz_convolve,
+    shell_fraction,
+    transform_basis,
 )
 
-from conftest import GAMMA
+from conftest import GAMMA, traced_peak
 
 
 def test_fft_roundtrip(grid32):
@@ -334,6 +333,16 @@ def test_riesz_convolve_gaussian_origin(grid48):
     assert riesz_origin_defect(Grid(3, 32, 2.0), GAMMA) > 1e-4
 
 
+def test_riesz_origin_gate_expands_nothing():
+    """The gate reads the convolution at the origin on the octant it ran on, so
+    above its entry it holds g0, g0's real samples while they are cast, and
+    octant arrays: 1.57 complex grid arrays at 32^3, where expanding the
+    convolution to the whole grid to read one point held 2.53."""
+    grid = Grid(3, 32, 10.0)
+    riesz_origin_defect(grid, GAMMA)  # fills the grid's caches
+    assert traced_peak(lambda: riesz_origin_defect(grid, GAMMA), grid) <= 1.6
+
+
 @pytest.mark.parametrize("dim, gamma", [(3, 2.5), (3, 2.2), (2, 1.5)])
 def test_riesz_origin_reference_is_the_radial_quadrature(monkeypatch, dim, gamma):
     """The gate's closed-form reference, Gamma((d - g)/2) / 2, is quad of r^{d-1-g} e^{-r^2} over (0, inf).
@@ -342,7 +351,7 @@ def test_riesz_origin_reference_is_the_radial_quadrature(monkeypatch, dim, gamma
     reads only the gap between the gate's reference and quad."""
     area = 2.0 * np.pi ** (dim / 2.0) / gamma_fn(dim / 2.0)
     ref, _err = quad(lambda r: r ** (dim - 1.0 - gamma) * math.exp(-r * r), 0.0, np.inf)
-    monkeypatch.setattr(runner, "riesz_convolve", lambda f, _g: Field(f.grid, np.full(f.grid.shape, area * ref)))
+    monkeypatch.setattr(PeriodicBasis, "convolve", lambda self, rho, _g: np.full(rho.shape, area * ref))
     assert riesz_origin_defect(Grid(dim, 8, 4.0), gamma) <= 1e-12
 
 
@@ -362,36 +371,39 @@ def test_smooth_random_field_matches_dense_formula(grid):
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_riesz_convolve_is_symmetric_positive(grid32):
+def test_convolve_is_symmetric_positive(grid32):
     # kernel is even and positive, so a positive density gives a positive result
-    g0 = grid32.field_from_function(lambda x, y, z: np.exp(-((x - 1) ** 2 + y**2 + z**2)))
-    conv = riesz_convolve(g0, GAMMA).values.real
+    x, y, z = grid32.coords
+    conv = PeriodicBasis(grid32).convolve(np.exp(-((x - 1) ** 2 + y**2 + z**2)), GAMMA)
     assert conv.min() > 0.0
-    g_even = grid32.field_from_function(lambda x, y, z: np.exp(-(x**2 + y**2 + z**2)))
-    c = riesz_convolve(g_even, GAMMA).values.real
-    n = grid32.points
+    # on the full grid, so that the mirror symmetry is not the octant's expansion
+    c = PeriodicBasis(grid32).convolve(np.exp(-grid32.r_sq), GAMMA)
     assert np.allclose(c[1:, 1:, 1:], c[1:, 1:, 1:][::-1, ::-1, ::-1], atol=1e-12 * c.max())
 
 
-def test_riesz_convolve_takes_the_octant_for_even_input(grid32, fft_counts):
-    # an even input, real or complex, is convolved as DCT-Is on the octant
-    # and matches the periodic route to 1e-14; a shifted bump is not even and
-    # stays on the full grid, bit for bit
+def test_convolve_takes_the_octant_for_even_input(grid32, fft_counts):
+    # an even input, real or complex, takes the octant, where it is convolved
+    # as DCT-Is and, expanded, matches the periodic route to 1e-14; a shifted
+    # bump is not even and stays on the full grid, bit for bit
     periodic = PeriodicBasis(grid32)
     bump = np.exp(-grid32.r_sq / 3.0)
     for gamma in (1.0, GAMMA):
         for values in (bump, (0.4 - 0.7j) * bump):
             want = periodic.apply(values, grid32.riesz_multiplier(gamma))
+            basis = transform_basis(grid32, values)
             fft_counts.clear()
-            got = riesz_convolve(Field(grid32, values), gamma).values
+            got = basis.expand(basis.convolve(basis.take(values), gamma))
+            assert basis.name == "even_octant"
             assert set(fft_counts) == {"octant_forward", "octant_inverse"}
             assert got.dtype == want.dtype
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     shifted = np.roll(bump, 3, axis=1)
+    want = periodic.apply(shifted, grid32.riesz_multiplier(GAMMA))
+    basis = transform_basis(grid32, shifted)
     fft_counts.clear()
-    got = riesz_convolve(Field(grid32, shifted), GAMMA).values
-    assert set(fft_counts) == {"rfftn", "irfftn"}
-    assert got.tobytes() == periodic.apply(shifted, grid32.riesz_multiplier(GAMMA)).tobytes()
+    got = basis.expand(basis.convolve(basis.take(shifted), GAMMA))
+    assert basis.name == "periodic" and set(fft_counts) == {"rfftn", "irfftn"}
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.5])
@@ -435,18 +447,19 @@ def test_epstein_zeta_theta_integral(s):
     assert abs(epstein_zeta(s, 3) - ref) < 1e-10 * abs(ref)
 
 
-def test_outer_shell_mass_fraction_gaussian(grid48):
-    sig = 1.2
-    u = grid48.field_from_function(lambda x, y, z: np.exp(-(x * x + y * y + z * z) / (2 * sig * sig)))
-    frac = outer_shell_mass_fraction(u)
+def test_outer_shell_fraction_gaussian(grid48):
+    def outer_shell(width_sq):
+        return shell_fraction(PeriodicBasis(grid48), np.exp(-grid48.r_sq / width_sq), 0.9 * grid48.half_length)
+
+    frac = outer_shell(1.2**2)
     # mass beyond 0.9L for a tight Gaussian: erfc-level tiny
     assert frac < 1e-12
-    broad = grid48.field_from_function(lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 50.0))
-    assert outer_shell_mass_fraction(broad) > frac
+    assert outer_shell(25.0) > frac
 
 
 def test_recenter_moves_center_of_mass(grid32):
-    u = grid32.field_from_function(lambda x, y, z: np.exp(-((x - 1.25) ** 2 + (y + 0.625) ** 2 + z**2)))
+    x, y, z = grid32.coords
+    u = Field(grid32, np.exp(-((x - 1.25) ** 2 + (y + 0.625) ** 2 + z**2)))
     c0 = center_of_mass(u)
     assert abs(c0[0] - 1.25) < 1e-6
     v = recenter(u)
