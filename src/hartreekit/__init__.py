@@ -15,7 +15,7 @@ from .functionals import FunctionalSnapshot, hv_norm_sq, mass, take_snapshot
 from .ground_state import GroundState, pohozaev_residuals, solve_ground_state
 from .potentials import PotentialSpec, eval_potential, kato_norm
 from .runner import emit_plot_data, run
-from .spectral import Field, Grid, gradient
+from .spectral import Field, Grid
 from .threshold import DichotomyReport, check_condition_1_8, classify
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "detect_blowup",
     "emit_plot_data",
     "eval_potential",
-    "gradient",
     "hv_norm_sq",
     "kato_norm",
     "load_field",

@@ -169,11 +169,13 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     overrides maps (section, key) -> raw string, applied before validation
     (the CLI feeds --seed/--threads/--out/mode through here so the manifest
     echo always reflects what actually ran)."""
-    if not os.path.exists(path):
-        raise ConfigError([f"config file not found: {path}"])
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read(path)
+        with open(path) as fh:
+            cp.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:  # ConfigParser.read would skip a directory, running the defaults
+        why = exc.reason if isinstance(exc, UnicodeDecodeError) else exc.strerror
+        raise ConfigError([f"config file cannot be read: {path} ({why})"]) from exc
     except configparser.Error as exc:
         raise ConfigError([f"config syntax: {exc}"]) from exc
 

@@ -11,6 +11,7 @@ diagnostic scalars so the dump is inspectable without parsing binary.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -60,7 +61,8 @@ def dump_field(path, f: Field, header: dict, sidecar: dict | None = None) -> Non
 
 def load_field(path) -> tuple:
     """Read a dump; returns (Field, header dict).  A file that is not a whole dump, or whose
-    payload holds a NaN or an inf, raises a ValueError naming the path."""
+    payload holds a NaN or an inf, raises a ValueError naming the path; a header that claims
+    more points than the file holds is one, caught before the payload is read."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -71,6 +73,9 @@ def load_field(path) -> tuple:
             head = json.loads(fh.read(hlen).decode())
             grid = Grid(int(head["dim"]), int(head["points"]), float(head["half_length"]))
             count = grid.points**grid.dim
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left < count * 8:
+                raise ValueError(f"the header's {count} points need {count * 8} bytes, the file holds {left}")
             data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
         except (struct.error, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed field dump ({exc!r})") from exc

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldio import dump_field
-from .functionals import FunctionalSnapshot, take_snapshot
+from .functionals import FunctionalSnapshot, _integral, take_snapshot
 from .potentials import PotentialSpec, eval_potential, eval_virial_weight
 from .spectral import Field, Grid, PeriodicBasis, _check_section, transform_basis
 
@@ -197,7 +197,6 @@ def _petviashvili(basis, vvals, gamma, omega_sq, u0, tol, max_iter, history):
     (N(u), the solve) after the first, which costs 6, and a restart for a
     lost weight costs 2 (N(u)).  With V the solve is Richardson's, A u is
     computed afresh, and an iteration costs 4 plus the solve's."""
-    h_d = basis.grid.cell_volume
     u = u0.copy()
     w = au = None
     res = last = np.inf
@@ -218,8 +217,8 @@ def _petviashvili(basis, vvals, gamma, omega_sq, u0, tol, max_iter, history):
             since_best += 1
             if since_best >= 40:
                 return u, it, res, False, richardson  # stalled above tolerance
-        num = float(basis.weigh(u * au).sum() * h_d)
-        den = float(basis.weigh(u * nl).sum() * h_d)
+        num = _integral(basis, u, au)
+        den = _integral(basis, u, nl)
         mixed = len(outputs) > 1
         if mixed and den <= 0:
             _, u, au = outputs[0]  # restart from the plain output of the iterate before the mix

@@ -11,13 +11,13 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 import numpy as np
-import scipy.fft as sfft
 from scipy.special import gamma as gamma_fn
 
 from .functionals import _integral
-from .spectral import Field, Grid, PeriodicBasis, _check_section, _on_axis, gradient, transform_basis
+from .spectral import Field, Grid, PeriodicBasis, _check_section, transform_basis
 
 # the [potential] keys each kind reads; a sampled potential's values come from its file
 _PARAMS = {
@@ -111,25 +111,24 @@ def _sample(spec: PotentialSpec, grid: Grid, weight: bool) -> np.ndarray:
 
 def _spectral_weight(grid: Grid, v: np.ndarray) -> np.ndarray:
     """2V + x.grad V from the samples v, x.grad V by spectral differentiation."""
-    return 2.0 * v + sum(map(lambda x, d: x * d.values, grid.coords, gradient(Field(grid, v))))
+    # each axis's derivative is a temporary, dropped before the next is taken
+    return 2.0 * v + sum(x * PeriodicBasis(grid).derivative(v, ax) for ax, x in enumerate(grid.coords))
 
 
 def weight_band_error(v: Field) -> float:
     """A two-level estimate of the error of a sampled V's weight 2V + x.grad V, over its sup.
 
     The weight is recomputed from V with its spectrum cut to the inner half
-    of the band, |k_i| < n/4 on every axis.  The estimate is the largest gap
+    of the band, |k_i| < n/4 on every axis, which PeriodicBasis.apply takes
+    as the 0/1 multiplier of that cut.  The estimate is the largest gap
     between that weight and the full band's on the inner half box,
     |x_i| < L/2, over the full-band weight's sup.  On the measured smooth
     kinds it was never below the true error, and up to 10^8 above it where
     V is resolved, so it can flag a weight, not correct it."""
     grid, n = v.grid, v.grid.points
-    cut = np.abs(np.fft.fftfreq(n) * n) < n // 4
-    half = sfft.rfftn(v.values)
-    for ax in range(grid.dim):
-        half *= _on_axis(cut[: n // 2 + 1] if ax == grid.dim - 1 else cut, ax, grid.dim)
+    low = reduce(np.multiply.outer, [(np.abs(np.fft.fftfreq(n) * n) < n // 4).astype(float)] * grid.dim)
     full = _spectral_weight(grid, v.values)
-    gap = full - _spectral_weight(grid, sfft.irfftn(half, v.values.shape, overwrite_x=True))
+    gap = full - _spectral_weight(grid, PeriodicBasis(grid).apply(v.values, low))
     inner = np.ix_(*[np.abs(grid.axis) < grid.half_length / 2] * grid.dim)
     scale = float(np.abs(full).max())
     return float(np.abs(gap[inner]).max()) / scale if scale > 0 else 0.0

@@ -5,9 +5,9 @@ boundary conditions; derivatives and nonlocal convolutions are diagonal in the
 discrete Fourier basis with frequencies xi_k = pi*k/L.  The box is a surrogate
 for R^d: every routine here assumes the data decays well inside the boundary,
 and `shell_fraction` measures when that assumption is violated.
-Every transform of the periodic grid goes through scipy.fft.  An even
-field's octant (EvenOctant) takes its DCT-Is and its derivatives as cached
-matrix products (_dct1) at every size.
+Every transform of the package is taken here: the periodic grid's through
+scipy.fft, and an even field's octant (EvenOctant) takes its DCT-Is and its
+derivatives as cached matrix products (_dct1) at every size.
 """
 
 from __future__ import annotations
@@ -231,40 +231,6 @@ def abs_sq(a: np.ndarray) -> np.ndarray:
     return a.real * a.real + a.imag * a.imag
 
 
-def _on_axis(line: np.ndarray, ax: int, dim: int) -> np.ndarray:
-    """The 1-D array line as a view that broadcasts along axis ax of a dim-axis array."""
-    return line.reshape([-1 if a == ax else 1 for a in range(dim)])
-
-
-def gradient(f: Field):
-    """Spectral gradient, yielded one Field per axis; real for a real f.
-
-    Each axis's derivative is made when the caller asks for the next one,
-    from one transform pair along that axis alone, so a caller that reads
-    them in turn and drops each holds one derivative and no transform of
-    the whole grid.  A complex f takes fft and ifft along each axis
-    (PeriodicBasis.derivative).  A real f takes rfft and irfft along each
-    axis, which is the real part of the complex route: i xi times the
-    Nyquist mode is imaginary for a real f, and irfft, which reads its input
-    as a real line's half spectrum, discards the Nyquist mode's imaginary
-    part as the real part does."""
-    grid = f.grid
-    if np.iscomplexobj(f.values):
-        basis = PeriodicBasis(grid)
-        for ax in range(grid.dim):
-            yield Field(grid, basis.derivative(f.values, ax))
-        return
-    n = grid.points
-    xi = 1j * grid.freq_axis[: n // 2 + 1]
-    for ax in range(grid.dim):
-        c = sfft.rfft(f.values, axis=ax)
-        c *= _on_axis(xi, ax, grid.dim)
-        d = sfft.irfft(c, n, axis=ax, overwrite_x=True)
-        del c
-        yield Field(grid, d)
-        del d  # before the next axis's transform
-
-
 class PeriodicBasis:
     """The full periodic grid, whose state is carried as fftn(u).
 
@@ -275,7 +241,8 @@ class PeriodicBasis:
     the basis's modes (k_sq, or the Riesz multiplier(gamma)); convolve is the
     Riesz convolution of a real density.  axis_forward transforms along one
     axis alone, and derivative differentiates a field on the points along
-    one axis, here by one transform pair along it.  weigh multiplies by the
+    one axis, here by one transform pair along it; both take a real field
+    through real transforms and give it back real.  weigh multiplies by the
     Parseval weights, so that weigh(a).sum() over the points or the modes
     is the sum over the whole grid, and line sums weigh(a) down to one axis;
     norm_sq is the weighted squared norm, by Parseval n^d times the grid's
@@ -352,13 +319,21 @@ class PeriodicBasis:
     def derivative(self, u: np.ndarray, ax: int, c: np.ndarray | None = None) -> np.ndarray:
         """The spectral derivative along axis ax of the field whose points are u, by one transform pair along ax.
 
-        c is axis_forward(u, ax) when the caller already holds it; its
-        memory becomes the result's.  A basis may ignore c and return
-        another array that pairs with x_ax and a field on its points to the
-        same sum (EvenOctant.derivative); this one returns the derivative
+        A real u goes through rfft and irfft along ax and comes back real, the
+        complex route's real part: irfft reads its input as a real line's half
+        spectrum and drops i xi times the Nyquist mode, imaginary for a real
+        u.  For a complex u, c is axis_forward(u, ax) when the caller already
+        holds it; its memory becomes the result's.  A basis may ignore c and
+        return another array that pairs with x_ax and a field on its points to
+        the same sum (EvenOctant.derivative); this one returns the derivative
         itself."""
+        along = [-1 if a == ax else 1 for a in range(self.dim)]  # a line's shape along ax
+        if np.isrealobj(u):
+            half = sfft.rfft(u, axis=ax)
+            half *= (1j * self.freq_axis[: u.shape[ax] // 2 + 1]).reshape(along)
+            return sfft.irfft(half, u.shape[ax], axis=ax, overwrite_x=True)
         c = self.axis_forward(u, ax) if c is None else c
-        c *= _on_axis(1j * self.freq_axis, ax, self.dim)
+        c *= (1j * self.freq_axis).reshape(along)
         return sfft.ifft(c, axis=ax, overwrite_x=True)
 
     def line(self, a: np.ndarray, ax: int) -> np.ndarray:

@@ -368,6 +368,31 @@ def test_library_does_not_import_scipy_integrate():
     assert subprocess.run([sys.executable, "-c", code], env=_library_env(), timeout=120).returncode == 0
 
 
+def test_transforms_are_taken_only_in_spectral():
+    """Every transform of the library is a call into spectral.py.
+
+    No other library module reads an attribute of scipy.fft or numpy.fft but
+    set_workers, which sets a run's worker count, and fftfreq, which takes no
+    transform; so a transform tally kept in spectral.py sees every one."""
+    allowed = {"set_workers", "fftfreq"}
+    found = []
+    for name, tree in _library_modules():
+        if name == "spectral.py":
+            continue
+        aliases = {"scipy.fft", "np.fft", "numpy.fft"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases |= {a.asname for a in node.names if a.name in ("scipy.fft", "numpy.fft") and a.asname}
+            elif isinstance(node, ast.ImportFrom) and node.module in ("scipy", "numpy"):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "fft"}
+            elif isinstance(node, ast.ImportFrom) and node.module in ("scipy.fft", "numpy.fft"):
+                found += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name not in allowed]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr not in allowed and ast.unparse(node.value) in aliases:
+                found.append(f"{name}:{node.lineno} {node.attr}")
+    assert found == []
+
+
 def test_strictness_is_read_only_by_side():
     """Every threshold comparison goes through threshold._side.
 

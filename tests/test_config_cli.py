@@ -331,6 +331,11 @@ _MALFORMED = {
     "header_length_past_any_read": (
         MAGIC + struct.pack("<Q", 2**64 - 1) + b"{}", "OverflowError(\"cannot fit 'int' into an index-sized integer\")"
     ),
+    # read whole, this header's payload would take 512 GiB and raise a MemoryError
+    "points_past_the_payload": (
+        MAGIC + struct.pack("<Q", 46) + b'{"dim": 3, "points": 4096, "half_length": 8.0}' + bytes(64),
+        "ValueError(\"the header's 68719476736 points need 549755813888 bytes, the file holds 64\")",
+    ),
 }
 
 
@@ -456,6 +461,24 @@ def test_overrides_reach_the_parsed_config(tmp_path):
     cfg = parse_config(path, overrides={("run", "seed"): "7", ("run", "out"): "/tmp/x"})
     assert cfg.run.seed == 7
     assert cfg.run.out == "/tmp/x"
+
+
+def test_config_that_cannot_be_read_is_rejected(tmp_path, capsys):
+    # ConfigParser.read skips a path it cannot open, so a directory ran the
+    # defaults and died writing its manifest: a traceback, exit 1, no manifest
+    with pytest.raises(ConfigError) as ei:
+        parse_config(str(tmp_path))
+    assert ei.value.violations == [f"config file cannot be read: {tmp_path} (Is a directory)"]
+    out = tmp_path / "o"
+    assert main(["validate", "--config", str(tmp_path), "--out", str(out)]) == 2
+    assert "cannot be read" in capsys.readouterr().err
+    assert not out.exists()
+    # a file that is not text escaped as a UnicodeDecodeError traceback
+    binary = tmp_path / "run.cfg"
+    binary.write_bytes(b"\xff\xfe[run]\n")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(str(binary))
+    assert ei.value.violations == [f"config file cannot be read: {binary} (invalid start byte)"]
 
 
 def test_preset_resolution(tmp_path):
