@@ -290,11 +290,11 @@ def preset_path(name: str) -> str:
 
 
 def resolve_config_arg(value: str) -> str:
-    """Accept either a config file path or a shipped preset name."""
+    """value itself if that path exists, else the file of the shipped preset named value.
+
+    A path that does not exist is no preset, even where its file name is one's."""
     if os.path.exists(value):
         return value
-    base = os.path.splitext(os.path.basename(value))[0]
-    try:
-        return preset_path(base)
-    except ConfigError:
-        raise ConfigError([f"config file not found: {value} (and no preset of that name)"])
+    if value in preset_names():
+        return preset_path(value)
+    raise ConfigError([f"config file not found: {value} (and no preset of that name)"])

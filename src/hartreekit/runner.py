@@ -27,7 +27,7 @@ from .fieldio import load_field, read_json, write_json
 from .functionals import CSV_COLUMNS, _integral, hv_norm_sq, mass, take_snapshot
 from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state, summary
 from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm, reference_potential
-from .spectral import Field, Grid, PeriodicBasis, abs_sq, fftn, recenter, shell_fraction, transform_basis
+from .spectral import Field, Grid, PeriodicBasis, abs_sq, fftn, recenter, shell_fraction, tally, transform_basis
 from .threshold import _side, classify, me_from_scalars, mp_product, s_crit, x0_defects, x0_solve
 
 SHELL_MASS_LIMIT = 1e-8  # box-truncation gate on |u0|^2 in the outer 10% shell
@@ -124,12 +124,14 @@ def _gs_report(cfg: RunConfig, gs, adm) -> dict:
         "richardson_iterations": gs.richardson_iterations,
         "transform_basis": gs.transform_basis,
         "admissibility": asdict(adm),
+        "transforms": dict(tally),
     }
 
 
 def stage_groundstate(cfg: RunConfig, outdir):
     """Solve and save the ground state; returns it with the potential's admissibility
     report, which the classify stage reuses rather than recomputing its Kato norms."""
+    tally.clear()
     v = None if cfg.potential.is_zero else eval_potential(cfg.potential, cfg.grid)
     gs = _solve_gs(cfg, v)
     adm = check_admissible(cfg.potential, v, cfg.grid)
@@ -139,6 +141,7 @@ def stage_groundstate(cfg: RunConfig, outdir):
 
 
 def stage_classify(cfg: RunConfig, outdir, gs, adm):
+    tally.clear()
     u0 = build_initial(cfg, gs=gs)
     try:
         report = classify(u0, cfg.potential, gs, cfg.gamma, admissibility=adm)
@@ -149,11 +152,12 @@ def stage_classify(cfg: RunConfig, outdir, gs, adm):
         # the condition forms) fail on the data, not in the code; its branch
         # check cannot fail, as _solve_gs took the same reference_potential
         raise RunError("classify", str(exc)) from exc
-    write_json(os.path.join(outdir, "classify_report.json"), asdict(report))
+    write_json(os.path.join(outdir, "classify_report.json"), {**asdict(report), "transforms": dict(tally)})
     return u0, report
 
 
 def stage_evolve(cfg: RunConfig, outdir, u0: Field) -> TrajectoryRecord:
+    tally.clear()
     _check_box_decay(u0, "evolve")
     record = evolve(u0, cfg.potential, cfg.evolve)
     record.write_csv(os.path.join(outdir, "trajectory.csv"))
@@ -166,6 +170,7 @@ def stage_evolve(cfg: RunConfig, outdir, u0: Field) -> TrajectoryRecord:
         "n_rejected_steps": record.extras["n_rejected_steps"],
         "transform_basis": record.extras["transform_basis"],
         "final_snapshot": record.snapshots[-1].to_dict(),
+        "transforms": dict(tally),
     }
     if dts:
         rep["dt_min"] = min(dts)
@@ -372,6 +377,7 @@ def _drift_datum(grid: Grid) -> Field:
 
 def run_validate(cfg: RunConfig, outdir) -> int:
     """Seeded invariant suites; writes a pass/fail table and returns the failure count."""
+    tally.clear()
     rng = np.random.default_rng(cfg.run.seed)
     grid, gamma = cfg.grid, cfg.gamma
     rows = []
@@ -440,7 +446,7 @@ def run_validate(cfg: RunConfig, outdir) -> int:
     failures = sum(1 for r in rows if r["status"] == "FAIL")
     write_json(
         os.path.join(outdir, "validate_report.json"),
-        {"seed": cfg.run.seed, "checks": rows, "failures": failures},
+        {"seed": cfg.run.seed, "checks": rows, "failures": failures, "transforms": dict(tally)},
     )
     return failures
 
@@ -497,7 +503,11 @@ def run(cfg: RunConfig) -> int:
     if not outdir:
         print("error: no output directory (set [run] out or pass --out)", file=sys.stderr)
         return 2
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {outdir} ({exc.strerror or exc})", file=sys.stderr)
+        return 2
     _keep_heap()
     status = 0
     # the FFT worker count holds for this run's stages only
@@ -546,14 +556,21 @@ def emit_plot_data(run_dir, out_dir=None) -> list:
     headers = None
     rows = []
     with open(traj) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if headers is None:
                 headers = line.split(",")
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            # a bad row is rejected here, before any series file is written
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"{traj}: line {lineno}: {exc}") from None
+            if len(row) != len(headers):
+                raise ValueError(f"{traj}: line {lineno}: {len(row)} fields, the header has {len(headers)}")
+            rows.append(row)
     if headers != list(CSV_COLUMNS) or not rows:
         raise ValueError(f"{traj}: not a diagnostics CSV (header {headers!r})")
     if not os.path.exists(man):

@@ -7,19 +7,36 @@ for R^d: every routine here assumes the data decays well inside the boundary,
 and `shell_fraction` measures when that assumption is violated.
 Every transform of the package is taken here: the periodic grid's through
 scipy.fft, and an even field's octant (EvenOctant) takes its DCT-Is and its
-derivatives as cached matrix products (_dct1) at every size.
+derivatives as cached matrix products (_dct1) at every size.  Each one is
+counted in tally, by name: a scipy.fft transform under its own name (_fft),
+the octant's passes as octant_forward, octant_inverse and octant_derivative.
 """
 
 from __future__ import annotations
 
 import difflib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.fft as sfft
 from scipy.special import gamma as gamma_fn, gammaincc
+
+
+# calls per kernel name since the last clear(); each run stage clears it at its
+# start and writes it into its report as "transforms"
+tally = Counter()
+
+
+def _fft(name: str, *args, **kwargs) -> np.ndarray:
+    """scipy.fft's transform name applied to args, counted in tally.
+
+    The name is looked up at each call, so a wrapper set on scipy.fft since
+    import (bench/spans.py's) still sees every transform."""
+    tally[name] += 1
+    return getattr(sfft, name)(*args, **kwargs)
 
 
 # overwrite_x=True lets a transform work in place in its input's memory; pass
@@ -34,12 +51,12 @@ def _in_place(a: np.ndarray, overwrite_x: bool):
 
 def fftn(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     a, overwrite_x = _in_place(a, overwrite_x)
-    return sfft.fftn(a, overwrite_x=overwrite_x)
+    return _fft("fftn", a, overwrite_x=overwrite_x)
 
 
 def ifftn(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     a, overwrite_x = _in_place(a, overwrite_x)
-    return sfft.ifftn(a, overwrite_x=overwrite_x)
+    return _fft("ifftn", a, overwrite_x=overwrite_x)
 
 
 @lru_cache(maxsize=64)
@@ -295,9 +312,9 @@ class PeriodicBasis:
         reads overwrite_x: the first transform always takes new memory.
         EvenOctant.apply reads it, to let a temporary a's memory be reused."""
         if np.isrealobj(a):
-            half = sfft.rfftn(a)
+            half = _fft("rfftn", a)
             half *= m[..., : a.shape[-1] // 2 + 1]
-            return sfft.irfftn(half, a.shape, overwrite_x=True)
+            return _fft("irfftn", half, a.shape, overwrite_x=True)
         c = fftn(a)
         c *= m
         return ifftn(c, overwrite_x=True)
@@ -314,7 +331,7 @@ class PeriodicBasis:
     def axis_forward(self, a: np.ndarray, ax: int) -> np.ndarray:
         """a's transform along axis ax alone, in new memory: modes along ax, points along the others."""
         a, overwrite_x = _in_place(a, False)
-        return sfft.fft(a, axis=ax, overwrite_x=overwrite_x)
+        return _fft("fft", a, axis=ax, overwrite_x=overwrite_x)
 
     def derivative(self, u: np.ndarray, ax: int, c: np.ndarray | None = None) -> np.ndarray:
         """The spectral derivative along axis ax of the field whose points are u, by one transform pair along ax.
@@ -329,12 +346,12 @@ class PeriodicBasis:
         itself."""
         along = [-1 if a == ax else 1 for a in range(self.dim)]  # a line's shape along ax
         if np.isrealobj(u):
-            half = sfft.rfft(u, axis=ax)
+            half = _fft("rfft", u, axis=ax)
             half *= (1j * self.freq_axis[: u.shape[ax] // 2 + 1]).reshape(along)
-            return sfft.irfft(half, u.shape[ax], axis=ax, overwrite_x=True)
+            return _fft("irfft", half, u.shape[ax], axis=ax, overwrite_x=True)
         c = self.axis_forward(u, ax) if c is None else c
         c *= (1j * self.freq_axis).reshape(along)
-        return sfft.ifft(c, axis=ax, overwrite_x=True)
+        return _fft("ifft", c, axis=ax, overwrite_x=True)
 
     def line(self, a: np.ndarray, ax: int) -> np.ndarray:
         """weigh(a) summed over every axis but ax, one axis at a time from the last: a line along ax.
@@ -366,7 +383,7 @@ class PeriodicBasis:
         rho is real and m even, so rfftn's half spectrum stands for the whole:
         each entry counts twice, except on the last axis's planes 0 and n/2,
         which are their own mirror images (Grid makes n even)."""
-        power = abs_sq(sfft.rfftn(rho))
+        power = abs_sq(_fft("rfftn", rho))
         power *= self.multiplier(gamma_exp)[..., : power.shape[-1]]
         return 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
 
@@ -487,9 +504,11 @@ class EvenOctant(PeriodicBasis):
 
     def forward(self, a, overwrite_x=False, axes=None):
         """The DCT-I along axes, every axis by default."""
+        tally["octant_forward"] += 1
         return _dct1(a, self._matrices[0], range(self.dim) if axes is None else axes, overwrite_x)
 
     def inverse(self, c, overwrite_x=False):
+        tally["octant_inverse"] += 1
         return _dct1(c, self._matrices[1], range(self.dim), overwrite_x)
 
     def from_spectrum(self, spectrum):
@@ -526,6 +545,7 @@ class EvenOctant(PeriodicBasis):
         Parseval weights, it gives the periodic grid's sum.  It is one pass
         of the matrix D along ax on u's points (_matrices), so c, a transform
         the caller holds, is not read."""
+        tally["octant_derivative"] += 1
         d = _dct1(u, self._matrices[2], (ax,), False).astype(complex, copy=False)
         d[tuple(-1 if a == ax else slice(None) for a in range(self.dim))] *= 1j
         return d

@@ -1,12 +1,10 @@
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.fft
 
-from hartreekit.spectral import EvenOctant, Grid
+from hartreekit.spectral import Grid
 from hartreekit.potentials import PotentialSpec
 from hartreekit.ground_state import solve_ground_state
 
@@ -42,32 +40,6 @@ def gs64(grid64):
     gs = solve_ground_state(grid64, PotentialSpec(kind="zero"), GAMMA)
     assert gs.converged
     return gs
-
-
-@pytest.fixture
-def fft_counts(monkeypatch):
-    """Calls per transform name from here on, in a Counter (0 for a name never called).
-
-    Every periodic-grid transform of the package goes through a scipy.fft
-    attribute, counted under its name.  Every DCT-I of an even octant goes
-    through EvenOctant.forward or EvenOctant.inverse, counted as
-    octant_forward and octant_inverse, as matrix products at every size.
-    The octant's derivative is one matrix pass of its own, which is no
-    transform and not counted.  clear() starts the count again."""
-    counts = Counter()
-
-    def count(owner, name, key):
-        def counted(*args, _fn=getattr(owner, name), **kwargs):
-            counts[key] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
-
-    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn",
-                 "dct", "idct", "dctn", "idctn", "dst", "idst", "dstn", "idstn"):
-        count(scipy.fft, name, name)
-    for name in ("forward", "inverse"):
-        count(EvenOctant, name, "octant_" + name)
-    return counts
 
 
 @pytest.fixture

@@ -369,16 +369,18 @@ def test_library_does_not_import_scipy_integrate():
 
 
 def test_transforms_are_taken_only_in_spectral():
-    """Every transform of the library is a call into spectral.py.
+    """Every transform of the library is a call into spectral.py, and there into _fft, which tallies it.
 
-    No other library module reads an attribute of scipy.fft or numpy.fft but
-    set_workers, which sets a run's worker count, and fftfreq, which takes no
-    transform; so a transform tally kept in spectral.py sees every one."""
+    Outside spectral._fft no library module reads an attribute of scipy.fft
+    or numpy.fft, by name or through getattr, but set_workers, which sets a
+    run's worker count, and fftfreq, which takes no transform; so
+    spectral.tally sees every transform of the periodic grid."""
     allowed = {"set_workers", "fftfreq"}
     found = []
     for name, tree in _library_modules():
+        tallied = set()
         if name == "spectral.py":
-            continue
+            tallied = {id(n) for fn in tree.body if getattr(fn, "name", None) == "_fft" for n in ast.walk(fn)}
         aliases = {"scipy.fft", "np.fft", "numpy.fft"}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -388,8 +390,12 @@ def test_transforms_are_taken_only_in_spectral():
             elif isinstance(node, ast.ImportFrom) and node.module in ("scipy.fft", "numpy.fft"):
                 found += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name not in allowed]
         for node in ast.walk(tree):
+            if id(node) in tallied:
+                continue
             if isinstance(node, ast.Attribute) and node.attr not in allowed and ast.unparse(node.value) in aliases:
                 found.append(f"{name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr" and ast.unparse(node.args[0]) in aliases:
+                found.append(f"{name}:{node.lineno} getattr")
     assert found == []
 
 

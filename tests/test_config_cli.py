@@ -495,6 +495,18 @@ def test_preset_resolution(tmp_path):
         assert cfg.run.mode in ("validate", "full_pipeline")
 
 
+def test_missing_config_path_runs_no_preset(tmp_path, monkeypatch, capsys):
+    # a path that does not exist ran the shipped preset of its file name
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    for value in (str(tmp_path / "no" / "such" / "blowup-demo.cfg"), "blowup-demo.cfg"):
+        with pytest.raises(ConfigError, match="no preset of that name"):
+            resolve_config_arg(value)
+        assert main(["pipeline", "--config", value, "--out", str(out)]) == 2
+        assert f"config file not found: {value} (and no preset of that name)" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_build_initial_families(grid32):
     from hartreekit.config import InitialSpec, RunConfig, RunSettings
     from hartreekit.potentials import PotentialSpec
@@ -564,6 +576,16 @@ def test_cli_requires_out(tmp_path, capsys):
     path = write_cfg(tmp_path, "[run]\nmode = groundstate\n" + SMALL_GRID)
     assert main(["groundstate", "--config", path]) == 2
     assert "no output directory" in capsys.readouterr().err
+
+
+def test_cli_out_that_is_a_file(tmp_path, capsys):
+    # os.makedirs raised FileExistsError through a traceback
+    path = write_cfg(tmp_path, "[run]\nmode = groundstate\n" + SMALL_GRID)
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    assert main(["groundstate", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot create output directory {out} (File exists)\n"
+    assert out.read_text() == "kept"
 
 
 class FakeLibc:
@@ -772,6 +794,17 @@ def test_cli_plot_data_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {bare / 'manifest.json'}: the run's gamma cannot be read (KeyError('gamma'))\n"
     assert not os.path.exists(bare / "plots")
+    # a short row raised IndexError after some series files were written, and
+    # a token that is no number was reported without the file or the line
+    n = len(CSV_COLUMNS)
+    row = ",".join(["1.0"] * n)
+    (bare / "manifest.json").write_text('{"config": {"gamma": 2.5}}')
+    for bad_row, problem in ((row[:-4], f"{n - 1} fields, the header has {n}"),
+                             (row[:-3] + "abc", "could not convert string to float: 'abc'")):
+        (bare / "trajectory.csv").write_text(",".join(CSV_COLUMNS) + "\n" + row + "\n" + bad_row + "\n")
+        assert main(["plot-data", str(bare)]) == 2
+        assert capsys.readouterr().err == f"error: {bare / 'trajectory.csv'}: line 3: {problem}\n"
+        assert not os.path.exists(bare / "plots")
 
 
 def test_cli_pipeline_run(tmp_path):
@@ -967,8 +1000,8 @@ def test_validate_holds_one_gates_arrays_at_a_time(tmp_path):
     assert ("riesz", "periodic", 1.0) not in cfg.grid._cache and ("riesz", "even_octant", 1.0) in cfg.grid._cache
 
 
-def test_validate_transforms_by_class(tmp_path, fft_counts):
-    """Counter gate on every transform of run_validate at 32^3, L 10.
+def test_validate_transforms_by_class(tmp_path):
+    """Counter gate on every transform of run_validate at 32^3, L 10, as validate_report.json's transforms.
 
     Full grid: parseval_mass, gradient_routes_agree's Parseval route,
     virial_dual_form's ||grad u||^2, the ten kato_sandwich trials and the
@@ -981,15 +1014,15 @@ def test_validate_transforms_by_class(tmp_path, fft_counts):
     ground state's full-grid residual takes two real pairs (12 rfftn, 2
     irfftn).  The ground state's solve, the Kato norms, the origin gate and
     the whole mass-drift evolve run on the even octant: the evolve's state
-    is read off its fftn(u0), and both of its snapshots' I' take no
-    transform, one matrix pass per axis (EvenOctant.derivative); the ground
+    is read off its fftn(u0), and both of its snapshots' I' take one matrix
+    pass per axis (EvenOctant.derivative, 6 octant_derivative); the ground
     state's real profile takes none.  With evolve's t = 0 snapshot on the
     full grid the counts read 36, 36 and 13."""
     path = write_cfg(tmp_path, "[run]\nmode = validate\nseed = 20301\n[grid]\npoints = 32\nhalf_length = 10.0\n")
     runner.run_validate(parse_config(path), str(tmp_path))
-    assert {name: n for name, n in fft_counts.items() if n} == {
+    assert read_json(os.path.join(tmp_path, "validate_report.json"))["transforms"] == {
         "fftn": 14, "fft": 33, "ifft": 33, "rfftn": 12, "irfftn": 2, "rfft": 3, "irfft": 3,
-        "octant_forward": 114, "octant_inverse": 107,
+        "octant_forward": 114, "octant_inverse": 107, "octant_derivative": 6,
     }
 
 

@@ -26,7 +26,7 @@ from hartreekit.evolve import (
 from hartreekit.functionals import CSV_COLUMNS, _grad_sq, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
 from hartreekit.spectral import (
-    EvenOctant, Field, Grid, PeriodicBasis, abs_sq, fftn, is_even, shell_fraction,
+    EvenOctant, Field, Grid, PeriodicBasis, abs_sq, fftn, is_even, shell_fraction, tally,
     transform_basis,
 )
 
@@ -619,7 +619,7 @@ def test_octant_step_gemm_count(gemm_counts):
     assert len(gemm_counts) == sum(gemm_counts) == 99
 
 
-def test_fft_counts_per_adaptive_step(fft_counts):
+def test_fft_counts_per_adaptive_step():
     """Counter gate on the transforms of adaptive steps at 16^3, on both bases.
 
     An attempt is one Blanes-Moan step, A B A B A B A B A B A B A, with its
@@ -649,22 +649,24 @@ def test_fft_counts_per_adaptive_step(fft_counts):
     Even octant, on the radial u0: the state is read off fftn(u0) (1
     complex; EvenOctant.from_spectrum takes no transform), and the t = 0
     snapshot reads the octant's take of u0 and that state: I' takes per
-    axis one matrix pass, which is no transform (EvenOctant.derivative),
-    and P one forward DCT-I of |u|^2 (1).  Every transform of an attempt is
-    a DCT-I: 17 forward and 16 inverse, counted at EvenOctant.forward and
-    .inverse.  detect_blowup reads the octant's coefficients (0).  The
-    closing snapshot is the t = 0 one's, with one inverse DCT-I to turn
-    the state back.  One step: 1 complex, no real, no one-axis, 19
-    forward, 17 inverse and no idst.  Two steps: 1, 0, 0, 36, 33 and 0;
+    axis one matrix pass (EvenOctant.derivative, tallied as
+    octant_derivative), and P one forward DCT-I of |u|^2 (1).  Every
+    transform of an attempt is a DCT-I: 17 forward and 16 inverse, tallied
+    as octant_forward and octant_inverse.  detect_blowup reads the octant's
+    coefficients (0).  The closing snapshot is the t = 0 one's, with one
+    inverse DCT-I to turn the state back.  One step: 1 complex, no real, no
+    one-axis, 19 forward, 17 inverse and 6 derivative passes.  Two steps:
+    1, 0, 0, 36, 33 and 6;
     the full-grid t = 0 snapshot took 1 real and 6 one-axis more, and the
     octant's forward DCT-I of u0 took the place of its P's."""
     def complex_real_dct():
-        c = fft_counts
+        c = tally
         out = (c["fftn"] + c["ifftn"], c["rfftn"] + c["irfftn"], c["fft"] + c["ifft"], c["octant_forward"],
-               c["octant_inverse"], c["idst"])
+               c["octant_inverse"], c["octant_derivative"])
         c.clear()
         return out
 
+    tally.clear()
     grid = Grid(3, 16, 8.0)
     radial = Field(grid, 0.5 * np.exp(-grid.r_sq / 4.0) + 0j)
     tilted = Field(grid, radial.values * (1.0 + 0.1 * grid.coords[0]))
@@ -673,7 +675,7 @@ def test_fft_counts_per_adaptive_step(fft_counts):
     cfg2 = EvolveConfig(grid=grid, gamma=GAMMA, dt0=1e-3, t_max=2e-3, tol_step=1e-2, record_stride=2,
                         record_dt=2e-3, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     for u0, one, two in ((tilted, (19, 18, 12, 0, 0, 0), (36, 34, 12, 0, 0, 0)),
-                         (radial, (1, 0, 0, 19, 17, 0), (1, 0, 0, 36, 33, 0))):
+                         (radial, (1, 0, 0, 19, 17, 6), (1, 0, 0, 36, 33, 6))):
         rec = evolve(u0, ZERO, cfg)
         assert len(rec.extras["accepted_dts"]) == 1 and len(rec.snapshots) == 2
         assert complex_real_dct() == one
@@ -692,7 +694,7 @@ def test_fft_counts_per_adaptive_step(fft_counts):
     assert complex_real_dct() == (1, 0, 0, 0, 0, 0)
 
 
-def test_transform_basis_engagement(g32, monkeypatch):
+def test_transform_basis_engagement(g32):
     # a run takes the even octant only when u0 and V are both exactly even
     # about the grid centre on every axis; data asymmetric along one axis and
     # strang_step keep the periodic grid
@@ -711,11 +713,9 @@ def test_transform_basis_engagement(g32, monkeypatch):
         assert basis(Field(g32, shifted)) == "periodic"
         assert basis(radial, values=np.roll(bump, 1, axis=ax)) == "periodic"
 
-    def no_dct(*args, **kwargs):
-        raise AssertionError("strang_step took a DCT")
-    monkeypatch.setattr(EvenOctant, "forward", no_dct)
-    monkeypatch.setattr(EvenOctant, "inverse", no_dct)
+    tally.clear()
     strang_step(radial, 1e-3, BUMP, GAMMA)
+    assert dict(tally) == {"fftn": 3, "ifftn": 3}  # periodic transforms only, no octant_* key
 
 
 def test_octant_start_is_the_full_grid_snapshot(g32):

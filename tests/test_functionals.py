@@ -8,7 +8,7 @@ import pytest
 from hartreekit.functionals import _integral, _p, _virial_first, hv_norm_sq, mass, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
 from hartreekit.runner import smooth_random_field, variational_defects, virial_dual_defect
-from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, abs_sq, is_even
+from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, abs_sq, is_even, tally
 
 from conftest import GAMMA, traced_peak
 
@@ -236,7 +236,7 @@ def test_virial_first_in_the_derivative_buffer_is_the_conjugate_product():
         assert abs(_virial_first(basis, u)[0] - want) <= 1e-14 * abs(want), basis.name
 
 
-def test_snapshot_transforms_by_class(grid32, fft_counts):
+def test_snapshot_transforms_by_class(grid32):
     """Counter gate on a 32^3 snapshot's transforms.  A complex u without
     u-hat takes 3 fft and 3 ifft, one pair along each axis, for I' and
     ||grad u||^2, and one rfftn for P: no transform of the whole grid.  A
@@ -244,8 +244,8 @@ def test_snapshot_transforms_by_class(grid32, fft_counts):
     transform: one forward transform of its basis for ||grad u||^2 (fftn on
     the full grid, the DCT-I on the octant) and one real one for P."""
     def taken():
-        out = {name: n for name, n in fft_counts.items() if n}
-        fft_counts.clear()
+        out = dict(tally)
+        tally.clear()
         return out
 
     u = smooth_random_field(grid32, np.random.default_rng(5))

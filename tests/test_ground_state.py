@@ -17,7 +17,7 @@ from hartreekit.ground_state import (
 from hartreekit.potentials import PotentialSpec, eval_potential
 from hartreekit.runner import smooth_random_field, variational_defects
 from hartreekit.cli import main
-from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, is_even
+from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, is_even, tally
 
 from conftest import GAMMA, closed_form_c_q
 
@@ -82,7 +82,7 @@ def test_nonconvergence_returns_history(grid32):
             solve_ground_state(grid32, PotentialSpec(kind="zero"), GAMMA, omega=omega)
 
 
-def test_petviashvili_real_ffts_per_iteration(fft_counts, monkeypatch):
+def test_petviashvili_real_ffts_per_iteration(monkeypatch):
     """A residual costs a real transform pair for N(u) and one for A u; the
     solve costs one more at V = 0.  At V = 0 the solve is the exact Fourier
     inverse, so A u of the next iterate is carried, not transformed: the
@@ -90,14 +90,13 @@ def test_petviashvili_real_ffts_per_iteration(fft_counts, monkeypatch):
     solve is Richardson's and every residual transforms A u.
 
     On the even octant, the radial guess with V = 0 or with a centred well,
-    every one of these is a DCT-I (EvenOctant.forward/inverse), with the same
+    every one of these is a DCT-I (octant_forward/inverse in spectral.tally), with the same
     counts; the closing residual is the expanded profile's on the full grid,
     4 real FFTs and no DCT.  The well rolled by one point is not even, so
     that solve takes rfftn/irfftn throughout.  Each residual's cost is (real
     FFTs, DCTs)."""
     def real_dct():
-        return (fft_counts["rfftn"] + fft_counts["irfftn"],
-                fft_counts["octant_forward"] + fft_counts["octant_inverse"])
+        return tally["rfftn"] + tally["irfftn"], tally["octant_forward"] + tally["octant_inverse"]
 
     starts, costs = [], []
     residual = ground_state_module._residual

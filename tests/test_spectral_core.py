@@ -385,7 +385,7 @@ def test_convolve_is_symmetric_positive(grid32):
     assert np.allclose(c[1:, 1:, 1:], c[1:, 1:, 1:][::-1, ::-1, ::-1], atol=1e-12 * c.max())
 
 
-def test_convolve_takes_the_octant_for_even_input(grid32, fft_counts):
+def test_convolve_takes_the_octant_for_even_input(grid32):
     # an even input, real or complex, takes the octant, where it is convolved
     # as DCT-Is and, expanded, matches the periodic route to 1e-14; a shifted
     # bump is not even and stays on the full grid, bit for bit
@@ -395,18 +395,18 @@ def test_convolve_takes_the_octant_for_even_input(grid32, fft_counts):
         for values in (bump, (0.4 - 0.7j) * bump):
             want = periodic.apply(values, grid32.riesz_multiplier(gamma))
             basis = transform_basis(grid32, values)
-            fft_counts.clear()
+            spectral.tally.clear()
             got = basis.expand(basis.convolve(basis.take(values), gamma))
             assert basis.name == "even_octant"
-            assert set(fft_counts) == {"octant_forward", "octant_inverse"}
+            assert set(spectral.tally) == {"octant_forward", "octant_inverse"}
             assert got.dtype == want.dtype
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     shifted = np.roll(bump, 3, axis=1)
     want = periodic.apply(shifted, grid32.riesz_multiplier(GAMMA))
     basis = transform_basis(grid32, shifted)
-    fft_counts.clear()
+    spectral.tally.clear()
     got = basis.expand(basis.convolve(basis.take(shifted), GAMMA))
-    assert basis.name == "periodic" and set(fft_counts) == {"rfftn", "irfftn"}
+    assert basis.name == "periodic" and set(spectral.tally) == {"rfftn", "irfftn"}
     assert got.tobytes() == want.tobytes()
 
 
