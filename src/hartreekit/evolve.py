@@ -284,7 +284,9 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     unreachable at this resolution, and the run ends as
     ResolutionExhausted; so does a run whose state is not finite, at t = 0
     when u0 is not.  u0's values are read in place, never written; only
-    values that are not complex are copied, to complex.
+    values that are not complex are copied, to complex, and where the basis
+    has taken its points off that copy, the copy is transformed in its own
+    memory.
 
     extras holds accepted_dts, n_step_attempts and n_rejected_steps
     (attempts = accepted + rejected), transform_basis, the basis's name,
@@ -293,14 +295,15 @@ def evolve(u0: Field, potential: PotentialSpec, cfg: EvolveConfig) -> Trajectory
     if cfg.grid != grid:
         raise ValueError(f"the config's grid {cfg.grid} is not the initial data's {grid}")
     approx = potential.xgrad_is_distributional
-    u = np.asarray(u0.values, dtype=complex)
     vvals = None if potential.is_zero else eval_potential(potential, grid).values
-    basis = transform_basis(grid, u, vvals)
-    # each full-grid sample is dropped as soon as the basis has its take
+    basis = transform_basis(grid, u0.values, vvals)
+    # each full-grid sample is dropped as soon as the basis has its take, before u0 is copied to complex
     vvals = None if vvals is None else basis.take(vvals)
     wvals = None if potential.is_zero else basis.take(eval_virial_weight(potential, grid).values)
-    uhat = basis.from_spectrum(fftn(u))
-    u = basis.take(u)
+    full = np.asarray(u0.values, dtype=complex)
+    u = basis.take(full)
+    uhat = basis.from_spectrum(fftn(full, overwrite_x=full is not u0.values and u is not full))
+    del full
     t = 0.0
     snapshots = [take_snapshot(u, t, vvals, wvals, cfg.gamma, e_term_approximate=approx, uhat=uhat, basis=basis)]
     del u

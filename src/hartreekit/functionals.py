@@ -53,17 +53,19 @@ def _integral(basis: PeriodicBasis, rho, weight=None) -> float:
     return float(basis.weigh(rho if weight is None else weight * rho).sum() * basis.grid.cell_volume)
 
 
-def _grad_sq(basis: PeriodicBasis, power, ax: int | None = None) -> float:
+def _grad_sq(basis: PeriodicBasis, power, ax: int | None = None, overwrite_x: bool = False) -> float:
     """||grad u||^2 via Parseval from the power spectrum |u-hat|^2 on the basis's modes.
 
     With ax, ||d_ax u||^2 instead, from the power of u's transform along ax
     alone summed over the other axes with the weights (basis.power_line):
     the axis's xi^2 takes the place of k_sq, and its n points that of the
-    grid's n^d."""
+    grid's n^d.  With overwrite_x, power is a temporary whose memory takes
+    the product with k_sq."""
     g = basis.grid
     if ax is not None:
         return float((basis.freq_axis**2 * power).sum() * (g.cell_volume / g.points))
-    return float(basis.weigh(basis.k_sq * power).sum() * (g.cell_volume / g.points**g.dim))
+    product = np.multiply(basis.k_sq, power, out=power if overwrite_x else None)
+    return float(basis.weigh(product).sum() * (g.cell_volume / g.points**g.dim))
 
 
 def _p(basis: PeriodicBasis, rho, gamma: float) -> float:
@@ -105,12 +107,10 @@ def mass(u: Field) -> float:
 def hv_norm_sq(u: Field) -> float:
     """||u||_{HV}^2 at V = 0, ||grad u||^2 by Parseval; take_snapshot's hv_sq adds int V|u|^2.
 
-    |u-hat|^2 is formed in the transform's own memory: its float view is
-    squared, and each mode's two squares are added into its real part, so
-    no temporary holds them as abs_sq's two would.  The sums are abs_sq's."""
-    c = fftn(u.values).view(np.float64).reshape(u.values.shape + (2,))
-    c *= c
-    return _grad_sq(PeriodicBasis(u.grid), np.add(c[..., 0], c[..., 1], out=c[..., 0]))
+    |u-hat|^2, and its product with k_sq, are formed in the transform's own
+    memory (abs_sq and _grad_sq with overwrite_x), so the only grid array
+    taken beyond u is the transform."""
+    return _grad_sq(PeriodicBasis(u.grid), abs_sq(fftn(u.values), overwrite_x=True), overwrite_x=True)
 
 
 @dataclass

@@ -7,14 +7,18 @@ iteration with that free inverse as preconditioner.  The stabilizing factor
 M_n^{3/2} (ratio of quadratic forms) tames the cubic homogeneity; M_n -> 1
 at convergence.  The plain update contracts slowly (35-99 iterations on the
 benchmark grids), so each new iterate is an Anderson mix of the last three
-Petviashvili outputs, which converges in 13-15 there.
+Petviashvili outputs, which converges in 13-15 there.  The mixing weights
+solve a least-squares system of at most 2x2 in closed form, so no solve
+calls LAPACK.
 
 The iteration runs on spectral.transform_basis(grid, first profile, V):
 when both are exactly even about the grid centre, as the radial first
 profile and a centred well are, on one octant with DCT-I transforms and
 Parseval-weighted sums, and on the periodic grid otherwise.  The profile is
 returned expanded, so it is exactly even, and its residual is recomputed
-once on the full grid.
+once on the full grid, the solve's largest memory: the expanded profile,
+N(Q) and one real transform pair, with the symbol of -Lap + omega^2 on the
+half spectrum.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .potentials import PotentialSpec, eval_potential, eval_virial_weight
 from .spectral import Field, Grid, PeriodicBasis, _check_section, transform_basis
 
 OMEGA_MODES = ("fixed", "self_consistent")
-ANDERSON_DEPTH = 2  # earlier Petviashvili outputs mixed into each new iterate
+ANDERSON_DEPTH = 2  # earlier Petviashvili outputs mixed into each new iterate; _anderson_weights solves depth <= 2
 HELMHOLTZ_TOL, HELMHOLTZ_MAX_ITER = 1e-12, 600  # the inner Richardson solve's relative residual target and cap
 
 
@@ -107,7 +111,7 @@ def _solve_helmholtz(basis: PeriodicBasis, vvals, omega_sq: float, rhs, w0=None)
     preconditioned by the V = 0 inverse; converges when the potential is
     form-small relative to -Lap + omega^2 (Kato-admissible wells are).
     """
-    op = basis.k_sq + omega_sq
+    op = basis.helmholtz(omega_sq)
     inv = 1.0 / op
     if vvals is None:
         return basis.apply(rhs, inv), 0
@@ -145,27 +149,54 @@ def _residual(basis, vvals, gamma, omega_sq, u, au=None):
     on the basis's points, with norms over the whole grid.
 
     au is A u when the caller already holds it; otherwise it costs a real
-    transform pair."""
+    transform pair, whose symbol takes half a grid array on the periodic
+    grid (PeriodicBasis.helmholtz).  A u - N(u) is squared in its own
+    memory, basis.norm's sum with no second array."""
     nl = basis.convolve(u * u, gamma) * u
     if au is None:
-        au = basis.apply(u, basis.k_sq + omega_sq)
+        au = basis.apply(u, basis.helmholtz(omega_sq))
         if vvals is not None:
             au += vvals * u
     unorm = basis.norm(u)
     if unorm == 0.0:
         raise ConvergenceError("Petviashvili iterate collapsed to zero")
-    return au, nl, basis.norm(au - nl) / unorm
+    r = au - nl
+    r *= r
+    return au, nl, math.sqrt(float(basis.weigh(r).sum())) / unorm
 
 
 def _anderson_weights(gram):
     """Weights a (summing to 1) that minimize ||sum_i a_i f_i||_2, from the Gram
     matrix gram[i, j] = <f_i, f_j> of the fixed-point residuals, newest first.
 
-    Solved as least squares in the differences f_0 - f_j, whose Gram matrix
-    and right-hand side are sums of entries of gram."""
+    Solved as least squares in the differences f_0 - f_j, whose Gram matrix h
+    and right-hand side d are sums of entries of gram.  h is symmetric and
+    1x1 or 2x2, so the system is solved in closed form, as numpy's
+    lstsq(h, d, rcond=None) solves it but with no LAPACK call
+    (whose first call alone takes about 1.1 MiB of workspace): a singular
+    value, here an eigenvalue's magnitude, at or below eps * n of the
+    largest counts as zero, and the solution is the one of least norm.  At
+    full rank that is Cramer's rule; at rank one, d's component along the
+    leading eigenvector over its eigenvalue.  The cutoff keeps the weights
+    finite when the residuals are collinear, where h is singular to
+    rounding and Cramer's rule would divide by that rounding."""
     d = gram[0, 0] - gram[0, 1:]
     h = d[:, None] + d[None, :] - gram[0, 0] + gram[1:, 1:]
-    coef = np.linalg.lstsq(h, d, rcond=None)[0]
+    if len(d) == 1:
+        coef = d / h[0, 0] if h[0, 0] != 0.0 else np.zeros(1)  # a 1x1 h is cut only at 0
+    else:
+        (a, b), (_, c) = h
+        big = 0.5 * (a + c)
+        big += math.copysign(math.hypot(0.5 * (a - c), b), big)  # the eigenvalue of larger magnitude
+        det = a * c - b * b
+        if big == 0.0:
+            coef = np.zeros(2)
+        elif abs(det / big) > 2.0 * np.finfo(float).eps * abs(big):  # det / big is the other eigenvalue
+            coef = np.array([c * d[0] - b * d[1], a * d[1] - b * d[0]]) / det
+        else:
+            # big's eigenvector read off either row of (h - big I) v = 0, the longer: at rank one it is not 0
+            v = np.array([b, big - a] if abs(big - a) >= abs(big - c) else [big - c, b])
+            coef = v * ((v[0] * d[0] + v[1] * d[1]) / ((v[0] * v[0] + v[1] * v[1]) * big))
     return np.concatenate(([1.0 - coef.sum()], coef))
 
 
@@ -179,11 +210,12 @@ def _petviashvili(basis, vvals, gamma, omega_sq, u0, tol, max_iter, history):
     residual norm ||sum_i a_i (g_i - u_i)|| (Anderson mixing; Walker & Ni,
     SIAM J. Numer. Anal. 49 (2011) 1715).  The weights come from the Gram
     matrix of the residuals g_i - u_i, one new row of inner products per
-    iteration.  A mixed iterate that raises the operator residual restarts
-    the mixing: the history is dropped and its plain output g is the next
-    iterate.  A mixed iterate with <u, N(u)> <= 0 has no output; it is
-    dropped with the history, and the plain output of the iterate before it
-    is taken instead.
+    iteration, summed by numpy, and are solved in closed form with lstsq's
+    rank cutoff (_anderson_weights).  A mixed iterate that raises the
+    operator residual restarts the mixing: the history is dropped and its
+    plain output g is the next iterate.  A mixed iterate with
+    <u, N(u)> <= 0 has no output; it is dropped with the history, and the
+    plain output of the iterate before it is taken instead.
 
     Convergence is judged on the relative L2 operator residual, appended to
     history each step.  Returns (profile, iterations, residual, converged,

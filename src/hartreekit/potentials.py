@@ -80,13 +80,26 @@ class PotentialSpec:
 
 def _sample(spec: PotentialSpec, grid: Grid, weight: bool) -> np.ndarray:
     """The one kind dispatch: V on the grid or, with weight, 2V + x.grad V from that
-    V; a weight of V times a factor is multiplied in place, holding no extra grid array."""
+    V; a weight of V times a factor is multiplied in place, holding no extra grid array.
+
+    The Gaussian bump is formed in its own memory, a * exp(-r2 / sigma^2)
+    one operation at a time in that order, and its weight factor
+    2 - 2 r2 / sigma^2 likewise in one more array: the same bits as the
+    expressions, with at most two grid arrays held."""
     r2, a, k = grid.r_sq, spec.amplitude, spec.kind
     if k == "zero":
         return np.zeros(grid.shape)
     if k == "gaussian_bump":
-        v = a * np.exp(-r2 / spec.sigma**2)
-        return np.multiply(v, 2.0 - 2.0 * r2 / spec.sigma**2, out=v) if weight else v
+        s2 = spec.sigma**2
+        v = np.negative(r2)
+        v /= s2
+        np.exp(v, out=v)
+        v *= a
+        if weight:
+            f = np.multiply(r2, 2.0)
+            f /= s2
+            v *= np.subtract(2.0, f, out=f)
+        return v
     if k == "smooth_compact_bump":
         s = r2 / spec.radius**2
         inside = s < 1.0

@@ -30,12 +30,14 @@ from scipy.special import gamma as gamma_fn, gammaincc
 tally = Counter()
 
 
-def _fft(name: str, *args, **kwargs) -> np.ndarray:
+def _fft(name: str, *args, count: bool = True, **kwargs) -> np.ndarray:
     """scipy.fft's transform name applied to args, counted in tally.
 
     The name is looked up at each call, so a wrapper set on scipy.fft since
-    import (bench/spans.py's) still sees every transform."""
-    tally[name] += 1
+    import (bench/spans.py's) still sees every transform.  A transform taken
+    a slab at a time passes count=False for each slab and counts itself once."""
+    if count:
+        tally[name] += 1
     return getattr(sfft, name)(*args, **kwargs)
 
 
@@ -238,13 +240,21 @@ class Field:
             raise ValueError(f"values shape {self.values.shape} != grid shape {self.grid.shape}")
 
 
-def abs_sq(a: np.ndarray) -> np.ndarray:
+def abs_sq(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """|a|^2 as a real array: the density of samples, the power spectrum of a transform.
 
     A real a gives a * a, which is the complex formula's a * a + 0 * 0 bit
-    for bit, without a zero imaginary part to square."""
+    for bit, without a zero imaginary part to square.  With overwrite_x, a
+    complex a is a temporary whose memory takes the result: its float view
+    is squared and each entry's two squares are added into its real part,
+    which is returned as a strided view, the same sums bit for bit with no
+    temporary the size of a."""
     if np.isrealobj(a):
         return a * a
+    if overwrite_x:
+        f = a.view(np.float64).reshape(a.shape + (2,))
+        f *= f
+        return np.add(f[..., 0], f[..., 1], out=f[..., 0])
     return a.real * a.real + a.imag * a.imag
 
 
@@ -255,7 +265,8 @@ class PeriodicBasis:
     carry a grid field to the basis's points and back, forward and inverse
     transform there, from_spectrum reads a field's coefficients off its
     fftn over the whole grid, and apply multiplies by a multiplier given on
-    the basis's modes (k_sq, or the Riesz multiplier(gamma)); convolve is the
+    the basis's modes (k_sq, or the Riesz multiplier(gamma)), or for a real
+    field on the modes it reads (helmholtz's symbol); convolve is the
     Riesz convolution of a real density.  axis_forward transforms along one
     axis alone, and derivative differentiates a field on the points along
     one axis, here by one transform pair along it; both take a real field
@@ -284,6 +295,13 @@ class PeriodicBasis:
             self.grid._cache[key] = self.grid.riesz_symbol(self.k_sq, gamma_exp)
         return self.grid._cache[key]
 
+    def helmholtz(self, omega_sq: float) -> np.ndarray:
+        """|xi|^2 + omega_sq, the symbol of -Lap + omega^2, on the modes apply reads for a real field.
+
+        On the periodic grid that is the half spectrum, so the symbol takes
+        half a grid array, not a whole one; the octant's modes are all read."""
+        return self.k_sq[..., : self.grid.points // 2 + 1] + omega_sq
+
     def take(self, a: np.ndarray) -> np.ndarray:
         return a
 
@@ -308,7 +326,8 @@ class PeriodicBasis:
 
         A real a goes through rfftn/irfftn and comes back real, which takes m
         to be even in xi (so the result is real); the half spectrum is the
-        first n/2 + 1 entries of m along the last axis.  Neither route here
+        first n/2 + 1 entries of m along the last axis, so m may be given on
+        the half spectrum alone.  Neither route here
         reads overwrite_x: the first transform always takes new memory.
         EvenOctant.apply reads it, to let a temporary a's memory be reused."""
         if np.isrealobj(a):
@@ -339,16 +358,28 @@ class PeriodicBasis:
         A real u goes through rfft and irfft along ax and comes back real, the
         complex route's real part: irfft reads its input as a real line's half
         spectrum and drops i xi times the Nyquist mode, imaginary for a real
-        u.  For a complex u, c is axis_forward(u, ax) when the caller already
-        holds it; its memory becomes the result's.  A basis may ignore c and
+        u.  That pair is taken an eighth of the planes across another axis at
+        a time and written into one output, so no half spectrum of the whole
+        field is held beside it; each line's transform is the same, and the
+        pair is counted once.  For a complex u, c is axis_forward(u, ax) when
+        the caller already holds it; its memory becomes the result's.  A basis may ignore c and
         return another array that pairs with x_ax and a field on its points to
         the same sum (EvenOctant.derivative); this one returns the derivative
         itself."""
         along = [-1 if a == ax else 1 for a in range(self.dim)]  # a line's shape along ax
         if np.isrealobj(u):
-            half = _fft("rfft", u, axis=ax)
-            half *= (1j * self.freq_axis[: u.shape[ax] // 2 + 1]).reshape(along)
-            return _fft("irfft", half, u.shape[ax], axis=ax, overwrite_x=True)
+            n = u.shape[ax]
+            ik = (1j * self.freq_axis[: n // 2 + 1]).reshape(along)
+            out = np.empty(u.shape)
+            across = int(ax == 0 and self.dim > 1)  # the slabs' axis, ax itself only for a line
+            step = n if across == ax else max(1, u.shape[across] // 8)
+            for i in range(0, u.shape[across], step):
+                slab = (slice(None),) * across + (slice(i, i + step),)
+                half = _fft("rfft", u[slab], axis=ax, count=False)
+                half *= ik
+                out[slab] = _fft("irfft", half, n, axis=ax, overwrite_x=True, count=False)
+            tally.update(("rfft", "irfft"))
+            return out
         c = self.axis_forward(u, ax) if c is None else c
         c *= (1j * self.freq_axis).reshape(along)
         return _fft("ifft", c, axis=ax, overwrite_x=True)

@@ -426,7 +426,8 @@ def test_grid_sums_do_not_depend_on_blas_threads():
     OpenBLAS splits a long dot product over its threads, so a sum taken by
     BLAS moves in its last bits with OPENBLAS_NUM_THREADS, and every artifact
     hash with it.  The probe reads I' of a snapshot and the c_q and residual
-    of a ground state, whose Anderson mixing takes inner products.  It reads
+    of a ground state, whose Anderson mixing weights come from inner
+    products of its residuals, summed by numpy.  It reads
     the bytes of the octant's matrix products (spectral._dct1) on a random
     real and complex octant at every size up to m = 65, a 128^3 grid's:
     forward and inverse along every axis, forward and the derivative along
@@ -471,20 +472,20 @@ def test_grid_sums_do_not_depend_on_blas_threads():
 
 
 def test_library_takes_no_blas_products():
-    """No grid sum goes through BLAS, whose threaded reductions are not reproducible.
+    """No grid sum goes through BLAS, whose threaded reductions are not reproducible, and nothing calls LAPACK.
 
     np.vdot, np.dot, np.inner, np.matmul, np.einsum, np.tensordot, the
     methods of those names and the @ operator may call OpenBLAS, which sums a
     long vector in a thread-count dependent order; the library sums with
-    numpy's own reductions instead.  Two exceptions stay, each too small for
-    OpenBLAS to split its sums over threads.  np.linalg.lstsq on the Anderson
-    Gram matrix is at most 3x3, and its entries are such sums.  matmul and @
-    are allowed inside the one kernel of the even octant's matrix products,
-    spectral._dct1, whose GEMMs each sum m = n/2 + 1 terms along the short
-    side, which OpenBLAS does not split;
-    test_grid_sums_do_not_depend_on_blas_threads reads its bytes at one and
-    two threads at every size up to m = 65."""
-    banned = {"vdot", "dot", "inner", "matmul", "einsum", "tensordot"}
+    numpy's own reductions instead.  No library module reads or imports
+    linalg (np.linalg, scipy.linalg): the Anderson weights are solved in
+    closed form, and LAPACK's first call alone takes about 1 MiB of
+    workspace.  One exception stays: matmul and @ are allowed inside the one
+    kernel of the even octant's matrix products, spectral._dct1, whose GEMMs
+    each sum m = n/2 + 1 terms along the short side, which OpenBLAS does not
+    split; test_grid_sums_do_not_depend_on_blas_threads reads its bytes at
+    one and two threads at every size up to m = 65."""
+    banned = {"vdot", "dot", "inner", "matmul", "einsum", "tensordot", "linalg"}
     found = []
     for name, tree in _library_modules():
         kernel = {
@@ -499,4 +500,8 @@ def test_library_takes_no_blas_products():
                 found.append(f"{name}:{node.lineno} .{node.attr}")
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult) and not allowed:
                 found.append(f"{name}:{node.lineno} @")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                if any("linalg" in n.split(".") for n in names):
+                    found.append(f"{name}:{node.lineno} import linalg")
     assert found == []

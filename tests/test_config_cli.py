@@ -985,17 +985,18 @@ def test_validate_holds_one_gates_arrays_at_a_time(tmp_path):
     # without copying them, a full-grid reader holds one transient array
     # beyond its inputs, even Riesz convolutions (the Kato norms, the origin
     # gate) run on the octant, evolve's t = 0 snapshot reads the octant, and
-    # ||grad u||^2 and the dual form's terms are formed in their transforms'
-    # and derivatives' memory, so the suite's traced peak is about 3.9
-    # complex grid arrays at 32^3; with the full-grid t = 0 snapshot and
-    # those temporaries it read 5.3, with the readers' extra arrays 6.4, and
-    # keeping every finished gate's arrays alive 10.9
+    # ||grad u||^2, the Parseval and gradient sums, the dual form's terms and
+    # the bump are formed in their transforms', derivatives' and samples' own
+    # memory, so the suite's traced peak is about 3.5 complex grid arrays at
+    # 32^3; with those temporaries it read 3.9, with the full-grid t = 0
+    # snapshot 5.3, with the readers' extra arrays 6.4, and keeping every
+    # finished gate's arrays alive 10.9
     path = write_cfg(tmp_path, "[run]\nmode = validate\nseed = 20301\n[grid]\npoints = 32\nhalf_length = 10.0\n")
     cfg = parse_config(path)
     # the grid caches a run's first stage fills, as the benchmark fills them before timing
     cfg.grid.r_sq, cfg.grid.k_sq, cfg.grid.riesz_multiplier(cfg.gamma)
     # the 32^3 grid fails the Pohozaev and Kato-ball gates by resolution; only memory is tested here
-    assert traced_peak(lambda: runner.run_validate(cfg, str(tmp_path)), cfg.grid) <= 4.2
+    assert traced_peak(lambda: runner.run_validate(cfg, str(tmp_path)), cfg.grid) <= 3.5
     # the Kato norms' gamma = d - 2 multiplier exists on the octant only
     assert ("riesz", "periodic", 1.0) not in cfg.grid._cache and ("riesz", "even_octant", 1.0) in cfg.grid._cache
 

@@ -19,7 +19,7 @@ from hartreekit.runner import smooth_random_field, variational_defects
 from hartreekit.cli import main
 from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, is_even, tally
 
-from conftest import GAMMA, closed_form_c_q
+from conftest import GAMMA, closed_form_c_q, traced_peak
 
 
 def test_converged_flags(gs48):
@@ -168,6 +168,83 @@ def test_anderson_restart_takes_the_plain_step(monkeypatch, fault, restart_from)
     assert iterates[0].shape == basis.shape
     ref = plain(iterates[restart_from])
     assert np.abs(iterates[3] - ref).max() <= 1e-12 * ref.max()
+
+
+def _lstsq_weights(gram):
+    """_anderson_weights' least-squares system solved by LAPACK, the reference; returns (weights, rank)."""
+    d = gram[0, 0] - gram[0, 1:]
+    h = d[:, None] + d[None, :] - gram[0, 0] + gram[1:, 1:]
+    coef, _, rank, _ = np.linalg.lstsq(h, d, rcond=None)
+    return np.concatenate(([1.0 - coef.sum()], coef)), rank
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_anderson_weights_are_lstsqs(size):
+    """The closed-form weights are np.linalg.lstsq's to 1e-12 relative on the
+    Gram matrices of random residuals; both read about 2e-15 apart."""
+    rng = np.random.default_rng(size)
+    for _ in range(500):
+        f = rng.standard_normal((size, 40))
+        want, rank = _lstsq_weights(f @ f.T)
+        assert rank == size - 1
+        got = ground_state_module._anderson_weights(f @ f.T)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_anderson_weights_of_collinear_residuals_are_lstsqs_min_norm():
+    """Collinear residuals make h rank-deficient: lstsq's cutoff drops the
+    null direction and takes the least-norm solution, and so must the
+    closed form.  Integer residuals give an exactly singular h, floats one
+    singular to rounding; equal residuals give h = 0 and the newest output.
+    Cramer's rule alone divides by a determinant of 0 or of rounding."""
+    rng = np.random.default_rng(33)
+    for t in (2.0, -1.0, 0.5, 3.0):
+        for f0, e in (
+            (rng.integers(-5, 6, 40).astype(float), rng.integers(-5, 6, 40).astype(float)),
+            (rng.standard_normal(40), rng.standard_normal(40)),
+        ):
+            f = np.array([f0, f0 + e, f0 + t * e])  # f_2 - f_0 = t (f_1 - f_0)
+            want, rank = _lstsq_weights(f @ f.T)
+            assert rank == 1
+            got = ground_state_module._anderson_weights(f @ f.T)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for size in (2, 3):
+        f = np.tile(rng.standard_normal(40), (size, 1))
+        assert ground_state_module._anderson_weights(f @ f.T).tolist() == [1.0] + [0.0] * (size - 1)
+
+
+def test_rounding_floor_stalls_with_finite_weights(monkeypatch):
+    """A tolerance below the rounding floor ends the solve through the 40-step
+    stall rule, not at max_iter, with every mixing weight finite.
+
+    lstsq read 65 iterations and a residual of 8.4e-15; the closed form
+    reads 99 and 1.3e-14.  No mix along this run reaches the rank cutoff
+    (lstsq's smaller singular value never falls below 3.7e-5 of the
+    larger), so the two stop apart by rounding alone; the collinear case
+    above is the one the cutoff decides."""
+    weights = []
+    closed_form = ground_state_module._anderson_weights
+
+    def recorded(gram):
+        weights.append(closed_form(gram))
+        return weights[-1]
+
+    monkeypatch.setattr(ground_state_module, "_anderson_weights", recorded)
+    gs = solve_ground_state(Grid(3, 32, 10.0), PotentialSpec(kind="zero"), GAMMA, tol=1e-16, max_iter=400)
+    assert not gs.converged and gs.iterations < 400
+    assert gs.residual <= 1e-13
+    assert weights and all(np.isfinite(a).all() for a in weights)
+
+
+def test_full_grid_residual_holds_under_two_and_a_half_arrays():
+    """solve_ground_state's peak is its full-grid reported residual beside the
+    expanded profile: at 32^3 it reads 2.38 complex grid arrays (2.61 with
+    the whole symbol of -Lap + omega^2 and a second array for the square of
+    A Q - N(Q)).  The octant iteration's arrays are an eighth of the grid's.
+    pocketfft's irfftn work array is not traced."""
+    grid = Grid(3, 32, 10.0)
+    solve_ground_state(grid, PotentialSpec(kind="zero"), GAMMA)  # the caches a first solve fills
+    assert traced_peak(lambda: solve_ground_state(grid, PotentialSpec(kind="zero"), GAMMA), grid) <= 2.4
 
 
 def test_strong_wells_raise_convergence_errors():

@@ -119,13 +119,15 @@ def test_sign_classify_virial_weight(grid32):
 
 
 def test_virial_weight_gaussian_analytic(grid32):
-    # w = 2V + x . grad V; for V = a exp(-r^2/s^2): w = (2 - 2 r^2/s^2) V
+    # w = 2V + x . grad V; for V = a exp(-r^2/s^2): w = (2 - 2 r^2/s^2) V.
+    # Both are sampled in place, one operation at a time in the expressions'
+    # order, so they are the expressions' bits
     a, s = 0.37, 1.3
     spec = PotentialSpec(kind="gaussian_bump", amplitude=a, sigma=s)
     v = eval_potential(spec, grid32)
     w = eval_virial_weight(spec, grid32)
-    expect = (2.0 - 2.0 * grid32.r_sq / s**2) * v.values
-    assert np.allclose(w.values, expect, atol=1e-10 * abs(a))
+    assert np.array_equal(v.values, a * np.exp(-grid32.r_sq / s**2))
+    assert np.array_equal(w.values, (2.0 - 2.0 * grid32.r_sq / s**2) * v.values)
     # a grid_sampled copy takes x . grad V from the spectral gradient; sigma 2
     # resolves the bump on grid32, where the two agree to ~4e-10 of the sup
     wide = PotentialSpec(kind="gaussian_bump", amplitude=a, sigma=2.0)

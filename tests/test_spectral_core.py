@@ -192,6 +192,12 @@ def test_abs_sq_is_the_sum_of_real_squares():
         assert np.array_equal(got, loop)
         old = (a * a.conj()).real
         assert np.all(np.abs(got - old) <= eps * old)
+        # with overwrite_x the squares are formed in a's own float view: the
+        # same bits, and the same sum over the strided result
+        spent = a.copy()
+        in_place = abs_sq(spent, overwrite_x=True)
+        assert np.shares_memory(in_place, spent) and np.array_equal(in_place, loop)
+        assert in_place.sum() == got.sum()
     # a real a takes a * a, with no zero imaginary part to square; the
     # complex formula's a * a + 0 * 0 gives the same bits, special values too
     specials = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e-200, 1e200, -3.0])
@@ -297,19 +303,26 @@ def test_one_axis_derivatives_match_the_full_transform_routes(dim, n):
             assert np.array_equal(octant.derivative(v, ax, octant.axis_forward(v, ax)), octant.derivative(v, ax))
 
 
-@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("n", [16, 20, 32])
 def test_real_gradient_is_the_real_part_of_the_complex_route(n):
     # a real field goes through rfft/irfft along the axis, which must drop
-    # the axis's Nyquist plane as taking the real part of the complex route does
+    # the axis's Nyquist plane as taking the real part of the complex route
+    # does.  The pair is taken a slab of planes at a time (n = 20 leaves
+    # slabs of 2), which are the whole field's pair bit for bit and count
+    # once each
     grid = Grid(3, n, 10.0)
     f = np.random.default_rng(n).standard_normal(grid.shape)
     fhat = np.fft.fftn(f)
     basis = PeriodicBasis(grid)
+    spectral.tally.clear()
     for ax in range(3):
         ref = np.fft.ifftn(1j * grid.freqs[ax] * fhat).real
         d = basis.derivative(f, ax)
         assert d.dtype == np.float64
         assert np.abs(d - ref).max() <= 1e-14 * np.abs(ref).max()
+        ik = 1j * grid.freqs[ax][(slice(None),) * ax + (slice(0, n // 2 + 1),)]
+        assert np.array_equal(d, scipy.fft.irfft(scipy.fft.rfft(f, axis=ax) * ik, n, axis=ax))
+    assert spectral.tally == {"rfft": 3, "irfft": 3}
 
 
 @pytest.mark.parametrize("shape", [(7, 8, 9), (6,), (5, 5), (4, 6, 8)])
