@@ -15,7 +15,7 @@ the Parseval weights (spectral.EvenOctant):
     M, int V|u|^2, I    _integral(basis, rho, weight)   weight none, V, |x|^2
     e                   4 _integral(basis, rho, 2V + x.grad V)
     ||grad u||^2        _grad_sq(basis, |u-hat|^2), or per axis from the
-                        power of u's transform along that axis alone
+                        power line of u's transform along that axis alone
     P                   _p(basis, rho, gamma)       one real transform of rho
     I'                  _virial_first(basis, u)     0 for a real u
     E, I''              take_snapshot
@@ -24,15 +24,17 @@ the Parseval weights (spectral.EvenOctant):
 
 take_snapshot evaluates all of them from one rho, and a caller that wants
 several of these quantities reads them off a snapshot.  I' takes its
-derivatives from u's points along each axis: on the full grid one fft
-and one ifft, on the octant one matrix pass (EvenOctant.derivative).
-Given u-hat, ||grad u||^2 is read off it; without, off the transforms
-along each axis alone, which the full grid's derivatives reuse, so a
-full-grid snapshot of a complex u costs 3 fft and 3 ifft (I',
-||grad u||^2) and one rfftn (P), with no transform of the whole grid,
-and an octant one 3 one-axis DCT-Is more than with u-hat.  A real u has
-I' = 0 exactly and takes no derivative: one forward transform of the
-basis for ||grad u||^2.  The two single-quantity
+derivatives from u's points along each axis (basis.axis_lines): on the
+full grid one fft and one ifft, on the octant one matrix pass
+(EvenOctant.derivative).  Given u-hat, ||grad u||^2 is read off it;
+without, off the power of the transforms along each axis alone, which
+the full grid's derivatives reuse, so a full-grid snapshot of a complex
+u costs 3 fft and 3 ifft (I', ||grad u||^2) and one rfftn (P), and an
+octant one 3 one-axis DCT-Is more than with u-hat.  The full grid takes
+each axis's pair a slab of planes at a time (spectral.slabs) and keeps
+only the slabs' sums, so it holds no transform of the whole grid.  A
+real u has I' = 0 exactly and takes no derivative: one forward transform
+of the basis for ||grad u||^2.  The two single-quantity
 calls, mass and hv_norm_sq, serve the validate gates that read only M,
 ||grad u||^2, int V|u|^2 or e (the last two through _integral) and would
 otherwise pay for a whole snapshot.
@@ -57,7 +59,7 @@ def _grad_sq(basis: PeriodicBasis, power, ax: int | None = None, overwrite_x: bo
     """||grad u||^2 via Parseval from the power spectrum |u-hat|^2 on the basis's modes.
 
     With ax, ||d_ax u||^2 instead, from the power of u's transform along ax
-    alone summed over the other axes with the weights (basis.power_line):
+    alone summed over the other axes with the weights (basis.axis_lines):
     the axis's xi^2 takes the place of k_sq, and its n points that of the
     grid's n^d.  With overwrite_x, power is a temporary whose memory takes
     the product with k_sq."""
@@ -77,26 +79,20 @@ def _p(basis: PeriodicBasis, rho, gamma: float) -> float:
 def _virial_first(basis: PeriodicBasis, u, grad: bool = False) -> tuple:
     """I' = 4 Im sum_j int conj(u) x_j d_j u from u's points, each term one derivative along axis j.
 
-    Each term's product is formed in its derivative's own buffer, as
-    conj(d_j u) u, the conjugate of the integrand, and summed over the other
-    axes to a line along j (basis.line), whose imaginary part is weighted
-    by x_j and subtracted.  That is the integrand's sum up to rounding:
-    numpy's complex product may fuse a multiply-add, so the two orders can
-    differ in the last bits.  With grad, ||grad u||^2 is read off u's
-    transform along each axis (_grad_sq), for a caller that holds no u-hat,
-    which the full grid's derivative then reuses.
-    Returns (I', ||grad u||^2 or None)."""
+    Each term is the line along j of conj(d_j u) u, the conjugate of the
+    integrand, summed over the other axes (basis.axis_lines), whose
+    imaginary part is weighted by x_j and subtracted.  That is the
+    integrand's sum up to rounding: numpy's complex product may fuse a
+    multiply-add, so the two orders can differ in the last bits.  With
+    grad, ||grad u||^2 is read off the power of u's transform along each
+    axis, which axis_lines takes with the derivative (_grad_sq), for a
+    caller that holds no u-hat.  Returns (I', ||grad u||^2 or None)."""
     acc, gs = 0.0, 0.0 if grad else None
     for ax, x in enumerate(basis.coords):
-        c = basis.axis_forward(u, ax) if grad else None
+        power, line = basis.axis_lines(u, ax, grad)
         if grad:
-            gs += _grad_sq(basis, basis.power_line(c, ax), ax)
-        du = basis.derivative(u, ax, c)
-        del c  # the full grid's derivative took its memory; the octant's does not read it
-        np.conjugate(du, out=du)
-        du *= u
-        acc -= (x.ravel() * basis.line(du, ax).imag).sum()
-        del du  # before the next axis's transform
+            gs += _grad_sq(basis, power, ax)
+        acc -= (x.ravel() * line.imag).sum()
     return float(acc) * (4.0 * basis.grid.cell_volume), gs
 
 

@@ -27,7 +27,7 @@ from .fieldio import load_field, read_json, write_json
 from .functionals import CSV_COLUMNS, _integral, hv_norm_sq, mass, take_snapshot
 from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state, summary
 from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm, reference_potential
-from .spectral import Field, Grid, PeriodicBasis, abs_sq, fftn, recenter, shell_fraction, tally, transform_basis
+from .spectral import Field, Grid, PeriodicBasis, abs_sq, fftn, recenter, shell_fraction, slabs, tally, transform_basis
 from .threshold import _side, classify, me_from_scalars, mp_product, s_crit, x0_defects, x0_solve
 
 SHELL_MASS_LIMIT = 1e-8  # box-truncation gate on |u0|^2 in the outer 10% shell
@@ -42,7 +42,8 @@ class RunError(RuntimeError):
 
 
 def _git_blob_sha1(path) -> str:
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     h = hashlib.sha1()
     h.update(b"blob %d\0" % len(data))
     h.update(data)
@@ -50,9 +51,14 @@ def _git_blob_sha1(path) -> str:
 
 
 def _sha256(path) -> str:
+    """The file's SHA-256, read 64 KiB at a time.
+
+    Under _keep_heap every chunk comes from the heap, whose top is never
+    given back, so a 1 MiB chunk raised each run's heap by its size at the
+    end of the run; a 64 KiB one fits the holes the run's arrays left."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -228,28 +234,35 @@ def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord):
 def smooth_random_field(grid: Grid, rng, amplitude=0.5) -> Field:
     """Superposition of three random off-center complex Gaussians; decays well inside the box.
 
-    exp(-|x - c|^2 / 2w^2) is the product of 1-D factors, so each bump takes
-    one full-grid product, of its partial product over the other axes with
-    its last axis's factor.  The first is written straight into the sum and
-    the others into one reused buffer; adding 0.0 to the first turns a -0.0
-    into 0.0, as adding it to a zero-filled sum does."""
-    *inner, last = grid.coords
-    vals = buf = None
+    exp(-|x - c|^2 / 2w^2) is the product of 1-D factors, so each bump is
+    its partial product over the other axes times its last axis's factor.
+    The three bumps are drawn first, in order, and their sum is formed a
+    slab of planes across axis 0 at a time (spectral.slabs): the first bump
+    straight into the sum, the others into one slab buffer, so no second
+    grid array is held.  Adding 0.0 to the first turns a -0.0 into 0.0, as
+    adding it to a zero-filled sum does."""
+    bumps = []
     for _ in range(3):
         c = rng.uniform(-0.2 * grid.half_length, 0.2 * grid.half_length, size=grid.dim)
         w = rng.uniform(0.8, 1.8)
         amp = amplitude * rng.uniform(0.4, 1.0)
         ph = rng.uniform(0.0, 2.0 * np.pi)
-        bump = amp * np.exp(1j * ph)
-        for x, ci in zip(inner, c):
-            bump = bump * np.exp(-((x - ci) ** 2) / (2.0 * w * w))
-        factor = np.exp(-((last - c[-1]) ** 2) / (2.0 * w * w))
-        if vals is None:
-            vals = np.multiply(bump, factor)
-            vals += 0.0
-        else:
-            buf = np.multiply(bump, factor, out=buf)
-            vals += buf
+        bumps.append((c, w, amp * np.exp(1j * ph)))
+    vals = np.empty(grid.shape, dtype=complex)
+    parts = slabs(grid.shape, 0)
+    buf = np.empty_like(vals[parts[0]])
+    for s in parts:
+        *inner, last = (grid.coords[0][s],) + grid.coords[1:]
+        out = vals[s]
+        for i, (c, w, bump) in enumerate(bumps):
+            for x, ci in zip(inner, c):
+                bump = bump * np.exp(-((x - ci) ** 2) / (2.0 * w * w))
+            factor = np.exp(-((last - c[-1]) ** 2) / (2.0 * w * w))
+            if i == 0:
+                np.multiply(bump, factor, out=out)
+                out += 0.0
+            else:
+                out += np.multiply(bump, factor, out=buf[: len(out)])
     return Field(grid, vals)
 
 
@@ -265,15 +278,14 @@ def parseval_defect(u: Field) -> float:
     return abs(m_phys - m_four) / m_phys
 
 
-def gradient_routes_defect(u: Field) -> float:
-    """Relative gap between ||grad u||^2 from the spectral gradient and from the Parseval sum."""
+def gradient_routes_defect(u: Field, grad_sq: float) -> float:
+    """Relative gap between ||grad u||^2 from the spectral gradient and grad_sq, the Parseval sum (hv_norm_sq(u))."""
     basis = PeriodicBasis(u.grid)
     # each axis's derivative is a temporary, dropped before the next is taken
     gsq_spec = sum(
         float(abs_sq(basis.derivative(u.values, ax), overwrite_x=True).sum()) for ax in range(u.grid.dim)
     ) * u.grid.cell_volume
-    gsq = hv_norm_sq(u)
-    return abs(gsq_spec - gsq) / max(gsq, 1e-300)
+    return abs(gsq_spec - grad_sq) / max(grad_sq, 1e-300)
 
 
 def riesz_origin_defect(grid: Grid, gamma: float) -> float:
@@ -291,17 +303,17 @@ def riesz_origin_defect(grid: Grid, gamma: float) -> float:
     return abs(float(conv0) - area * ref) / (area * ref)
 
 
-def virial_dual_defect(u: Field, v: Field, virial_weight: Field, grad_sq: float) -> float:
+def virial_dual_defect(rho: Field, v: Field, virial_weight: Field, grad_sq: float) -> float:
     """0 when the sampled weight's e-term agrees with the integration-by-parts route, inf when not.
 
     That route, int (x.grad V)|u|^2 = -int V (d|u|^2 + x.grad|u|^2), never
     differentiates V, so a disagreement beyond 1e-5 of the scale means the
     weight field does not belong to this potential.  A sharp-interface
     potential fails it too: its sampled weight omits the surface term.
+    Both routes read u through its density rho = |u|^2 alone, and
     grad_sq is ||grad u||^2 (hv_norm_sq(u)), which only scales the gate, so
-    that a caller can read it before it samples V and the weight."""
-    g = u.grid
-    rho = abs_sq(u.values)
+    that a caller can drop u before it samples V and the weight."""
+    g, rho = rho.grid, rho.values
     basis = PeriodicBasis(g)
     vt = _integral(basis, rho, v.values)
     e = 4.0 * _integral(basis, rho, virial_weight.values)
@@ -395,15 +407,18 @@ def run_validate(cfg: RunConfig, outdir) -> int:
 
     u = smooth_random_field(grid, rng)
     check("parseval_mass", parseval_defect(u), 1e-12)
-    check("gradient_routes_agree", gradient_routes_defect(u), 1e-11)
-    check("riesz_origin_vs_quadrature", riesz_origin_defect(grid, gamma), 1e-4)
-    vspec = _VALIDATE_BUMP
-    # ||grad u||^2 is read before V and its weight are sampled, so its transform is never held beside them
+    # ||grad u||^2 is read once, for the gradient gate and the dual gate's scale
     gsq = hv_norm_sq(u)
+    check("gradient_routes_agree", gradient_routes_defect(u, gsq), 1e-11)
+    check("riesz_origin_vs_quadrature", riesz_origin_defect(grid, gamma), 1e-4)
+    # the dual gate reads u only as |u|^2, so u is dropped before V and its weight are sampled
+    rho = Field(grid, abs_sq(u.values))
+    del u
+    vspec = _VALIDATE_BUMP
     v, w = eval_potential(vspec, grid), eval_virial_weight(vspec, grid)
-    check("virial_dual_form", virial_dual_defect(u, v, w, gsq), 1.0)
+    check("virial_dual_form", virial_dual_defect(rho, v, w, gsq), 1.0)
     # a gate's grid arrays die with the gate, so the suite's peak is one gate's, not the sum
-    del u, v, w
+    del rho, v, w
 
     try:
         gs = _solve_gs(cfg, None if cfg.potential.is_zero else eval_potential(cfg.potential, grid))

@@ -64,7 +64,11 @@ def traced_peak(fn, grid):
 
     tracemalloc counts only what is allocated after it starts, so the
     arrays fn's arguments hold and the caches already filled are not in
-    it; a memory test states its bound in these units."""
+    it; a memory test states its bound in these units.  It sees only what
+    numpy and Python allocate: pocketfft's own work arrays are not traced
+    (scipy.fft.irfftn over more than one axis takes an input-sized complex
+    temporary beside its output), so a traced gate can pass a change that
+    raises the process's peak RSS."""
     tracemalloc.start()
     try:
         fn()

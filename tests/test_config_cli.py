@@ -1,10 +1,14 @@
 """Config parsing, preset resolution, CLI verbs, artifacts, and plot series."""
 
 import ctypes
+import gc
+import hashlib
 import json
 import math
 import os
 import struct
+import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -1004,9 +1008,10 @@ def test_validate_holds_one_gates_arrays_at_a_time(tmp_path):
 def test_validate_transforms_by_class(tmp_path):
     """Counter gate on every transform of run_validate at 32^3, L 10, as validate_report.json's transforms.
 
-    Full grid: parseval_mass, gradient_routes_agree's Parseval route,
-    virial_dual_form's ||grad u||^2, the ten kato_sandwich trials and the
-    mass-drift evolve's fftn(u0) take one fftn each (14).  Each derivative
+    Full grid: parseval_mass, the ||grad u||^2 that gradient_routes_agree
+    and virial_dual_form share, the ten kato_sandwich trials and the
+    mass-drift evolve's fftn(u0) take one fftn each (13; 14 while the two
+    gates took ||grad u||^2 each).  Each derivative
     is one transform pair along its axis: gradient_routes_agree's complex
     gradient takes 3 fft and 3 ifft, and each of the ten variational
     trials' snapshots 3 and 3, for I' and ||grad u||^2 with no fftn (33 and
@@ -1022,7 +1027,7 @@ def test_validate_transforms_by_class(tmp_path):
     path = write_cfg(tmp_path, "[run]\nmode = validate\nseed = 20301\n[grid]\npoints = 32\nhalf_length = 10.0\n")
     runner.run_validate(parse_config(path), str(tmp_path))
     assert read_json(os.path.join(tmp_path, "validate_report.json"))["transforms"] == {
-        "fftn": 14, "fft": 33, "ifft": 33, "rfftn": 12, "irfftn": 2, "rfft": 3, "irfft": 3,
+        "fftn": 13, "fft": 33, "ifft": 33, "rfftn": 12, "irfftn": 2, "rfft": 3, "irfft": 3,
         "octant_forward": 114, "octant_inverse": 107, "octant_derivative": 6,
     }
 
@@ -1042,15 +1047,53 @@ def _zero_filled_random_field(grid, rng, amplitude=0.5):
     return vals
 
 
-@pytest.mark.parametrize("grid", [Grid(3, 16, 10.0), Grid(3, 32, 10.0), Grid(3, 32, 100.0), Grid(3, 64, 10.6), Grid(2, 16, 10.0)],
-                         ids=["16-L10", "32-L10", "32-L100", "64-L10.6", "2d-16"])
+@pytest.mark.parametrize(
+    "grid",
+    [Grid(3, 16, 10.0), Grid(3, 32, 10.0), Grid(3, 32, 100.0), Grid(3, 48, 10.0), Grid(3, 64, 10.6), Grid(2, 16, 10.0), Grid(1, 16, 10.0)],
+    ids=["16-L10", "32-L10", "32-L100", "48-L10", "64-L10.6", "2d-16", "1d-16"],
+)
 def test_smooth_random_field_has_the_bytes_of_the_zero_filled_sum(grid):
-    # one full-grid product per bump keeps every byte, signed zeros
+    # the bumps' sum formed a slab at a time keeps every byte, signed zeros
     # included: at L 100 the bumps underflow, and seed 1 leaves a -0.0 in
-    # all three at some points, which adding to zeros made 0.0
+    # all three at some points, which adding to zeros made 0.0.  64^3 is
+    # eight slabs, 48^3 four with a short last one, the rest one
     for seed in range(5):
         got = runner.smooth_random_field(grid, np.random.default_rng(seed)).values
         assert got.tobytes() == _zero_filled_random_field(grid, np.random.default_rng(seed)).tobytes()
+
+
+def test_smooth_random_field_holds_no_second_grid_array():
+    # the sum is formed a slab of planes at a time, so above its output the
+    # field holds one slab's buffer and the bumps' partial products: 1.24
+    # complex grid arrays at 64^3, where the whole-grid products read 2.08
+    grid = Grid(3, 64, 10.6)
+    grid.coords  # the grid's coordinates are cached on first use
+    assert traced_peak(lambda: runner.smooth_random_field(grid, np.random.default_rng(0)), grid) <= 1.3
+
+
+def test_sha256_reads_a_file_larger_than_a_chunk(tmp_path):
+    path = tmp_path / "blob"
+    data = np.random.default_rng(3).bytes(5 * (1 << 16) + 7)
+    path.write_bytes(data)
+    assert runner._sha256(str(path)) == hashlib.sha256(data).hexdigest()
+
+
+def test_pipeline_from_a_config_file_leaves_no_file_unclosed(tmp_path, monkeypatch):
+    # an unclosed file warns when it is collected, inside a finalizer, where
+    # an error goes to sys.unraisablehook instead of the caller
+    unraised = []
+    monkeypatch.setattr(sys, "unraisablehook", unraised.append)
+    path = write_cfg(
+        tmp_path,
+        "[run]\nmode = full_pipeline\n[grid]\npoints = 16\nhalf_length = 8.0\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 1.5\n[evolve]\nt_max = 0.01\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(["pipeline", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        gc.collect()
+    assert [str(u.exc_value) for u in unraised] == []
+    assert "config" in read_json(tmp_path / "o" / "manifest.json")["inputs"]
 
 
 def test_validate_deterministic_reruns(tmp_path):

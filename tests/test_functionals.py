@@ -4,17 +4,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from hartreekit.functionals import _integral, _p, _virial_first, hv_norm_sq, mass, take_snapshot
+from hartreekit.functionals import _grad_sq, _integral, _p, _virial_first, hv_norm_sq, mass, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
 from hartreekit.runner import smooth_random_field, variational_defects, virial_dual_defect
-from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, abs_sq, is_even, tally
+from hartreekit.spectral import EvenOctant, Field, Grid, PeriodicBasis, abs_sq, is_even, slabs, tally
 
 from conftest import GAMMA, traced_peak
 
 
 def snap(u, v=None, w=None):
     return take_snapshot(u, 0.0, v, w, GAMMA)
+
+
+def dual(u, v, w):
+    """The dual-form gate on u, which reads it as |u|^2 and ||grad u||^2."""
+    return virial_dual_defect(Field(u.grid, abs_sq(u.values)), v, w, hv_norm_sq(u))
 
 
 def hv_sq(u, v):
@@ -107,7 +113,7 @@ def test_virial_second_forms_agree(grid32):
     v = eval_potential(spec, grid32)
     w = eval_virial_weight(spec, grid32)
     # the weight's e-term matches the route that never differentiates V
-    assert virial_dual_defect(u, v, w, hv_norm_sq(u)) == 0.0
+    assert dual(u, v, w) == 0.0
     s = snap(u, v, w)
     expect = 8.0 * hv_sq(u, v) - 2.0 * GAMMA * s.p_value - s.e_term
     assert abs(s.virial_I2 - expect) < 1e-9 * (abs(s.virial_I2) + 1.0)
@@ -119,7 +125,7 @@ def test_virial_second_inconsistent_weight_raises(grid32):
     spec = PotentialSpec(kind="gaussian_bump", amplitude=0.3, sigma=1.2)
     v = eval_potential(spec, grid32)
     wrong = eval_virial_weight(PotentialSpec(kind="gaussian_bump", amplitude=0.9, sigma=0.7), grid32)
-    assert virial_dual_defect(u, v, wrong, hv_norm_sq(u)) > 1.0
+    assert dual(u, v, wrong) > 1.0
 
 
 def test_virial_second_ball_surface_term(grid32):
@@ -131,7 +137,7 @@ def test_virial_second_ball_surface_term(grid32):
     v = eval_potential(spec, grid32)
     with pytest.warns(UserWarning):
         w = eval_virial_weight(spec, grid32)
-    assert virial_dual_defect(u, v, w, hv_norm_sq(u)) > 1.0
+    assert dual(u, v, w) > 1.0
     assert np.isfinite(snap(u, v, w).virial_I2)
 
 
@@ -154,7 +160,7 @@ def test_snapshot_consistency(grid32):
     assert abs(s.mass - mass(u)) < 1e-12 * s.mass
     assert abs(s.hv_sq - hv_sq(u, v)) < 1e-12 * s.hv_sq
     assert abs(s.z - np.sqrt(s.variance_I)) < 1e-14
-    assert virial_dual_defect(u, v, w, hv_norm_sq(u)) == 0.0
+    assert dual(u, v, w) == 0.0
 
 
 def test_weinstein_scale_invariance(grid48, gs48):
@@ -210,9 +216,10 @@ def test_octant_snapshot_is_the_periodic_snapshot():
 def test_periodic_snapshot_holds_one_transient_array_beyond_its_transform():
     """take_snapshot finishes every read of |u|^2 before it transforms u,
     and forms each I' term in its derivative's buffer, so above its input it
-    holds u-hat and one more grid array (and a half spectrum's scraps): 2.26
-    complex grid arrays at 32^3, where the order rho, u-hat, three
-    derivatives and a conjugate read 3.76."""
+    holds one transform along an axis and its power (and a half spectrum's
+    scraps): 2.06 complex grid arrays at 32^3, which is one slab (1.83 when
+    the power was squared an eighth of the grid at a time), where the order
+    rho, u-hat, three derivatives and a conjugate read 3.76."""
     grid = Grid(3, 32, 10.0)
     u = smooth_random_field(grid, np.random.default_rng(5))
     snap(u)  # fills the grid's caches
@@ -234,6 +241,52 @@ def test_virial_first_in_the_derivative_buffer_is_the_conjugate_product():
             want += (u.conj() * basis.weigh(x * basis.derivative(u, ax))).sum().imag
         want *= 4.0 * grid.cell_volume
         assert abs(_virial_first(basis, u)[0] - want) <= 1e-14 * abs(want), basis.name
+
+
+def _whole_array_lines(basis, u, ax):
+    """axis_lines(u, ax, True) with the transform pair along ax taken over the whole grid at once.
+
+    The product line is line(conj(d_ax u) u); the power line sums
+    |fft(u, axis=ax)|^2 as line does, but adds the planes across axis 0 an
+    eighth at a time and then the eighths, except along axis 0 itself."""
+    c = scipy.fft.fft(u, axis=ax)
+    power = abs_sq(c)
+    step = len(power) if ax == 0 else max(1, len(power) // 8)
+    power_line = sum(basis.line(power[i : i + step], ax) for i in range(0, len(power), step))
+    ik = (1j * basis.freq_axis).reshape([-1 if b == ax else 1 for b in range(basis.dim)])
+    du = scipy.fft.ifft(c * ik, axis=ax)
+    return power_line, basis.line(du.conj() * u, ax)
+
+
+@pytest.mark.parametrize(
+    "dim, n, blocks",
+    [(3, 64, [8] * 8), (3, 48, [14, 14, 14, 6]), (3, 32, [32]), (2, 32, None), (1, 16, None)],
+    ids=["64", "48", "32", "2d-32", "1d-16"],
+)
+def test_streamed_virial_first_is_the_whole_arrays(dim, n, blocks):
+    """I' and ||grad u||^2 taken a slab at a time are the whole-array route's bit for bit, line by line.
+
+    A complex 64^3 field is eight slabs of the byte budget, 48^3 four with a
+    short last one, 32^3 one; a grid of one or two axes is not cut.  The
+    tally still reads one fft and one ifft per axis."""
+    grid = Grid(dim, n, 10.0)
+    if blocks:
+        assert [len(range(n)[s[0]]) for s in slabs(grid.shape, 0)] == blocks
+    basis = PeriodicBasis(grid)
+    rng = np.random.default_rng(n + dim)
+    noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    for u in (noise, 0.5 * np.exp(-grid.r_sq / 4.0) * np.exp(-0.3j * grid.r_sq)):
+        i1 = gs = 0.0
+        for ax, x in enumerate(basis.coords):
+            power, line = _whole_array_lines(basis, u, ax)
+            got = basis.axis_lines(u, ax, True)
+            assert np.array_equal(got[0], power) and np.array_equal(got[1], line), ax
+            assert basis.axis_lines(u, ax)[0] is None
+            gs += _grad_sq(basis, power, ax)
+            i1 -= (x.ravel() * line.imag).sum()
+        tally.clear()
+        assert _virial_first(basis, u, grad=True) == (float(i1) * (4.0 * grid.cell_volume), gs)
+        assert dict(tally) == {"fft": dim, "ifft": dim}
 
 
 def test_snapshot_transforms_by_class(grid32):

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 import hartreekit.spectral as spectral
-from hartreekit.functionals import take_snapshot
+from hartreekit.functionals import hv_norm_sq, take_snapshot
 from hartreekit.runner import gradient_routes_defect, parseval_defect, riesz_origin_defect, smooth_random_field
 from hartreekit.spectral import (
     EvenOctant,
@@ -84,8 +84,9 @@ def test_full_octant_dct_is_one_gemm_per_axis(gemm_counts):
     complex octant's floats, forward and inverse alike; the stacked route
     took 3m, one per index of the axes the product did not touch.  A
     transform along one axis alone, and the derivative along it, take that
-    axis's GEMM and transposing copies for the others; the stacked route
-    took m."""
+    axis's GEMM and transposing copies for the others, so axis_lines takes
+    one GEMM for its derivative and one more for its power; the stacked
+    route took m each."""
     rng = np.random.default_rng(27)
     for m in (9, 17, 33, 49, 65):
         octant = spectral.transform_basis(Grid(3, 2 * (m - 1), 10.0), None)
@@ -96,10 +97,13 @@ def test_full_octant_dct_is_one_gemm_per_axis(gemm_counts):
                 transform(x)
                 assert gemm_counts == [1, 1, 1]
             for ax in range(3):
-                for one_axis in (octant.axis_forward, octant.derivative):
+                for one_axis in (octant.derivative, octant.axis_lines):
                     gemm_counts.clear()
                     one_axis(x, ax)
                     assert gemm_counts == [1]
+                gemm_counts.clear()
+                octant.axis_lines(x, ax, True)  # the one-axis DCT-I for the power, then the derivative
+                assert gemm_counts == [1, 1]
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -230,11 +234,11 @@ def test_gradient_plane_wave(grid32):
     basis = PeriodicBasis(grid32)
     for ax, ki in enumerate(k):
         assert np.allclose(basis.derivative(u.values, ax), 1j * ki * u.values, atol=1e-10)
-    assert gradient_routes_defect(u) < 1e-11
+    assert gradient_routes_defect(u, hv_norm_sq(u)) < 1e-11
     # a real field keeps only the real part of each derivative, which drops
     # the Nyquist mode; the Parseval route keeps it, so the routes part
     checkerboard = Field(grid32, np.cos(np.pi * (x + grid32.half_length) / grid32.spacing) * np.ones(grid32.shape))
-    assert gradient_routes_defect(checkerboard) > 0.5
+    assert gradient_routes_defect(checkerboard, hv_norm_sq(checkerboard)) > 0.5
 
 
 def _close(got, want):
@@ -299,8 +303,10 @@ def test_one_axis_derivatives_match_the_full_transform_routes(dim, n):
             want = scipy.fft.ifftn(1j * grid.freqs[ax] * fhat)
             assert _close(periodic.derivative(u, ax), want.real if np.isrealobj(u) else want)
             assert _close(octant.derivative(v, ax), _octant_full_route(octant, v, ax))
-            # a caller's own transform along ax changes nothing
-            assert np.array_equal(octant.derivative(v, ax, octant.axis_forward(v, ax)), octant.derivative(v, ax))
+            # the octant's axis_lines are its one-axis DCT-I's power and its derivative's conjugate product
+            power, line = octant.axis_lines(v, ax, True)
+            assert np.array_equal(power, octant.line(abs_sq(octant.forward(v, axes=(ax,))), ax))
+            assert np.array_equal(line, octant.line(octant.derivative(v, ax).conj() * v, ax))
 
 
 @pytest.mark.parametrize("n", [16, 20, 32])
