@@ -31,11 +31,11 @@ without, off the power of the transforms along each axis alone, which
 the full grid's derivatives reuse, so a full-grid snapshot of a complex
 u costs 3 fft and 3 ifft (I', ||grad u||^2) and one rfftn (P), and an
 octant one 3 one-axis DCT-Is more than with u-hat.  The full grid takes
-each axis's pair a slab of planes at a time (spectral.slabs) and keeps
-only the slabs' sums, so it holds no transform of the whole grid.  A
-real u has I' = 0 exactly and takes no derivative: one forward transform
-of the basis for ||grad u||^2.  The two single-quantity
-calls, mass and hv_norm_sq, serve the validate gates that read only M,
+each axis's pair in one copy of u and squares its power an eighth of the
+planes at a time (spectral.eighths), so beside u it holds one one-axis
+transform and an eighth of its power.  A real u has I' = 0 exactly and
+takes no derivative: one forward transform of the basis for
+||grad u||^2.  The two single-quantity calls, mass and hv_norm_sq, serve the validate gates that read only M,
 ||grad u||^2, int V|u|^2 or e (the last two through _integral) and would
 otherwise pay for a whole snapshot.
 """

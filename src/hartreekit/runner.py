@@ -27,7 +27,7 @@ from .fieldio import load_field, read_json, write_json
 from .functionals import CSV_COLUMNS, _integral, hv_norm_sq, mass, take_snapshot
 from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state, summary
 from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm, reference_potential
-from .spectral import Field, Grid, PeriodicBasis, abs_sq, fftn, recenter, shell_fraction, slabs, tally, transform_basis
+from .spectral import Field, Grid, PeriodicBasis, abs_sq, eighths, fftn, recenter, shell_fraction, tally, transform_basis
 from .threshold import _side, classify, me_from_scalars, mp_product, s_crit, x0_defects, x0_solve
 
 SHELL_MASS_LIMIT = 1e-8  # box-truncation gate on |u0|^2 in the outer 10% shell
@@ -236,11 +236,11 @@ def smooth_random_field(grid: Grid, rng, amplitude=0.5) -> Field:
 
     exp(-|x - c|^2 / 2w^2) is the product of 1-D factors, so each bump is
     its partial product over the other axes times its last axis's factor.
-    The three bumps are drawn first, in order, and their sum is formed a
-    slab of planes across axis 0 at a time (spectral.slabs): the first bump
-    straight into the sum, the others into one slab buffer, so no second
-    grid array is held.  Adding 0.0 to the first turns a -0.0 into 0.0, as
-    adding it to a zero-filled sum does."""
+    The three bumps are drawn first, in order, and their sum is formed an
+    eighth of the planes across axis 0 at a time (spectral.eighths): the
+    first bump straight into the sum, the others into one block's buffer,
+    so no second grid array is held.  Adding 0.0 to the first turns a -0.0
+    into 0.0, as adding it to a zero-filled sum does."""
     bumps = []
     for _ in range(3):
         c = rng.uniform(-0.2 * grid.half_length, 0.2 * grid.half_length, size=grid.dim)
@@ -249,7 +249,7 @@ def smooth_random_field(grid: Grid, rng, amplitude=0.5) -> Field:
         ph = rng.uniform(0.0, 2.0 * np.pi)
         bumps.append((c, w, amp * np.exp(1j * ph)))
     vals = np.empty(grid.shape, dtype=complex)
-    parts = slabs(grid.shape, 0)
+    parts = eighths(grid.points)
     buf = np.empty_like(vals[parts[0]])
     for s in parts:
         *inner, last = (grid.coords[0][s],) + grid.coords[1:]

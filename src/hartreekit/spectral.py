@@ -35,29 +35,19 @@ def _fft(name: str, *args, count: bool = True, **kwargs) -> np.ndarray:
 
     The name is looked up at each call, so a wrapper set on scipy.fft since
     import (bench/spans.py's) still sees every transform.  A transform taken
-    a slab at a time passes count=False for each slab and counts itself once."""
+    in blocks (eighths) passes count=False for each and counts itself once."""
     if count:
         tally[name] += 1
     return getattr(sfft, name)(*args, **kwargs)
 
 
-# A full-grid pass that feeds a reduction takes its one-axis transforms a slab
-# at a time: a block of planes across a second axis whose complex values fit
-# in SLAB_BYTES, so that a slab's transform, its power and its derivative
-# stay in a 2 MiB L2.  A 32^3 complex field is one slab, a 64^3 one eight.
-# On a 2-vCPU Xeon VM with one FFT worker, repeated on one field, at 64^3
-# I' with ||grad u||^2 took 14.7 ms in 8 slabs (15.0 in 4, 14.3 in 16)
-# against 17.6 whole, and smooth_random_field 2.54 ms (2.59 in 4, 2.82 in
-# 16) against 3.28; at 32^3 8 slabs took 2.32 and 0.67 ms against 1.78 and
-# 0.35 in one.  So a byte budget, not a slab count, sets the blocks.
-SLAB_BYTES = 512 << 10
+def eighths(n: int) -> list:
+    """n planes cut into blocks of max(1, n // 8), as slices; the last block may be short.
 
-
-def slabs(shape: tuple, across: int) -> list:
-    """Index tuples of the blocks of planes across axis across of a complex array of shape,
-    each within SLAB_BYTES; the last block may be short."""
-    step = max(1, SLAB_BYTES * shape[across] // (16 * math.prod(shape)))
-    return [(slice(None),) * across + (slice(i, i + step),) for i in range(0, shape[across], step)]
+    The one rule of every pass taken a block of planes at a time: the real
+    derivative's pairs, axis_lines' power and smooth_random_field's sum."""
+    step = max(1, n // 8)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 # overwrite_x=True lets a transform work in place in its input's memory; pass
@@ -264,12 +254,12 @@ def abs_sq(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
 
     A real a gives a * a, which is the complex formula's a * a + 0 * 0 bit
     for bit, without a zero imaginary part to square.  With overwrite_x, a
-    complex a is a temporary whose memory takes the result: its float view
+    is a temporary whose memory takes the result: a complex a's float view
     is squared and each entry's two squares are added into its real part,
     which is returned as a strided view, the same sums bit for bit with no
-    temporary the size of a."""
+    temporary the size of a; a real a is squared in place."""
     if np.isrealobj(a):
-        return a * a
+        return np.multiply(a, a, out=a if overwrite_x else None)
     if overwrite_x:
         f = a.view(np.float64).reshape(a.shape + (2,))
         f *= f
@@ -292,10 +282,10 @@ class PeriodicBasis:
     weigh multiplies by the Parseval weights, so that weigh(a).sum() over
     the points or the modes is the sum over the whole grid, and line sums
     weigh(a) down to one axis; axis_lines gives a complex field's lines of
-    conj(d_ax u) u and of its transform's power along one axis, here a slab
-    at a time.  norm_sq is the weighted squared norm, by Parseval n^d times
-    the grid's for coefficients.  Here take, expand and weigh are the
-    identity."""
+    conj(d_ax u) u and of its transform's power along one axis, here from
+    one transform pair along it.  norm_sq is the weighted squared norm, by
+    Parseval n^d times the grid's for coefficients.  Here take, expand and
+    weigh are the identity."""
 
     name = "periodic"
     # one axis's points and modes, as indices of the grid's
@@ -375,9 +365,9 @@ class PeriodicBasis:
         complex route's real part: irfft reads its input as a real line's half
         spectrum and drops i xi times the Nyquist mode, imaginary for a real
         u.  That pair is taken an eighth of the planes across another axis at
-        a time and written into one output, so no half spectrum of the whole
-        field is held beside it; each line's transform is the same, and the
-        pair is counted once.  A complex u's pair is taken in one copy of u.
+        a time (eighths) and written into one output, so no half spectrum of
+        the whole field is held beside it; each line's transform is the same,
+        and the pair is counted once.  A complex u's pair is taken in one copy of u.
         A basis may return another array that pairs with x_ax and a field on
         its points to the same sum (EvenOctant.derivative); this one returns
         the derivative itself."""
@@ -386,13 +376,12 @@ class PeriodicBasis:
             n = u.shape[ax]
             ik = (1j * self.freq_axis[: n // 2 + 1]).reshape(along)
             out = np.empty(u.shape)
-            across = int(ax == 0 and self.dim > 1)  # the slabs' axis, ax itself only for a line
-            step = n if across == ax else max(1, u.shape[across] // 8)
-            for i in range(0, u.shape[across], step):
-                slab = (slice(None),) * across + (slice(i, i + step),)
-                half = _fft("rfft", u[slab], axis=ax, count=False)
+            across = int(ax == 0 and self.dim > 1)  # the blocks' axis, ax itself only for a line
+            for s in eighths(u.shape[across]) if across != ax else [slice(None)]:
+                block = (slice(None),) * across + (s,)
+                half = _fft("rfft", u[block], axis=ax, count=False)
                 half *= ik
-                out[slab] = _fft("irfft", half, n, axis=ax, overwrite_x=True, count=False)
+                out[block] = _fft("irfft", half, n, axis=ax, overwrite_x=True, count=False)
             tally.update(("rfft", "irfft"))
             return out
         a, overwrite_x = _in_place(u, False)
@@ -415,46 +404,24 @@ class PeriodicBasis:
     def axis_lines(self, u: np.ndarray, ax: int, power: bool = False) -> tuple:
         """For a complex u, the lines along ax (line) of |u's transform along ax|^2, with power, and of conj(d_ax u) u.
 
-        On three or more axes both are taken a slab of planes across a third
-        axis at a time (slabs): the slab's transform along ax, its power,
-        and in the transform's memory derivative's pair and the conjugate
-        product.  Each slab's terms are summed, as line sums them, over every
-        axis but axis 0, ax and the slab's, and laid into that plane of sums,
-        which line then reduces as it does the whole array's.  So the lines
-        are the whole array's bit for bit and no transform of the whole grid
-        is held; a grid of one or two axes is one slab.  The power's plane
-        is added over axis 0 an eighth of its planes at a time and then the
-        eighths in order, a two-level sum whose rounding grows with n/8 + 8
-        terms, not n.  The pair is counted once.  Returns (power line or
-        None, product line)."""
-        across = int(ax == 0) if self.dim > 2 else None
-        rest = [b for b in range(self.dim) if b not in (0, ax, across)]
-        parts = [(slice(None),) * self.dim] if across is None else slabs(u.shape, across)
-        plane = tuple(1 if b in rest else size for b, size in enumerate(u.shape))
-        pw, prod = np.empty(plane) if power else None, np.empty(plane, complex)
-        ik = (1j * self.freq_axis).reshape([-1 if b == ax else 1 for b in range(self.dim)])
-
-        def lay(out, s, term):
-            for b in reversed(rest):
-                term = term.sum(axis=b, keepdims=True)
-            out[s] = term
-
-        for s in parts:
-            a, overwrite_x = _in_place(u[s], False)
-            c = _fft("fft", a, axis=ax, overwrite_x=overwrite_x, count=False)
-            if power:
-                lay(pw, s, abs_sq(c))
-            c *= ik
-            du = _fft("ifft", c, axis=ax, overwrite_x=True, count=False)
-            np.conjugate(du, out=du)
-            du *= u[s]
-            lay(prod, s, du)
-        tally.update(("fft", "ifft"))
+        u's transform along ax is taken in one copy of u, as derivative's
+        pair.  Its power is squared an eighth of axis 0's planes at a time
+        (eighths), whose lines are pieces of the line along axis 0 and, along
+        any other axis, parts of its sum, added in order: a two-level sum
+        whose rounding grows with n/8 + 8 terms, not n.  The pair then ends
+        in the transform's memory, which takes the conjugate product.  The
+        pair is counted once.  Returns (power line or None, product line)."""
+        a, overwrite_x = _in_place(u, False)
+        c = _fft("fft", a, axis=ax, overwrite_x=overwrite_x)
+        pw = None
         if power:
-            n = len(u)
-            step = n if ax == 0 else max(1, n // 8)  # along axis 0 the eighths' lines would lie end to end
-            pw = sum(self.line(pw[i : i + step], ax) for i in range(0, n, step))
-        return pw, self.line(prod, ax)
+            parts = [self.line(abs_sq(c[s]), ax) for s in eighths(len(u))]
+            pw = np.concatenate(parts) if ax == 0 else sum(parts)
+        c *= (1j * self.freq_axis).reshape([-1 if b == ax else 1 for b in range(self.dim)])
+        du = _fft("ifft", c, axis=ax, overwrite_x=True)
+        np.conjugate(du, out=du)
+        du *= u
+        return pw, self.line(du, ax)
 
     def riesz_pairing(self, rho: np.ndarray, gamma_exp: float):
         """sum_xi m(xi) |rho-hat(xi)|^2 over the full spectrum, m the Riesz multiplier, from one real transform.
@@ -462,8 +429,9 @@ class PeriodicBasis:
         This is n^d / h^d times int (|x|^{-gamma} * rho) rho by Parseval.
         rho is real and m even, so rfftn's half spectrum stands for the whole:
         each entry counts twice, except on the last axis's planes 0 and n/2,
-        which are their own mirror images (Grid makes n even)."""
-        power = abs_sq(_fft("rfftn", rho))
+        which are their own mirror images (Grid makes n even).  The power is
+        squared in the spent transform's memory."""
+        power = abs_sq(_fft("rfftn", rho), overwrite_x=True)
         power *= self.multiplier(gamma_exp)[..., : power.shape[-1]]
         return 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
 
@@ -631,7 +599,7 @@ class EvenOctant(PeriodicBasis):
         return d
 
     def riesz_pairing(self, rho, gamma_exp):
-        power = abs_sq(self.forward(rho))
+        power = abs_sq(self.forward(rho), overwrite_x=True)
         power *= self.multiplier(gamma_exp)
         return self.weigh(power).sum()
 

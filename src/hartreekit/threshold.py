@@ -31,7 +31,7 @@ from .potentials import (
     reference_potential,
     value_sign,
 )
-from .spectral import Field, PeriodicBasis, shell_fraction
+from .spectral import Field, PeriodicBasis, abs_sq, shell_fraction
 
 # half-width of the noise band, as a ratio of margin to scale; read by _side only
 STRICTNESS = 1e-8
@@ -306,7 +306,10 @@ def classify(
     sc = s_crit(gamma)
     adm = check_admissible(potential, vfield, grid) if admissibility is None else admissibility
     # variance density in the outer 10% shell
-    frac = shell_fraction(PeriodicBasis(grid), np.abs(u0.values) ** 2 * grid.r_sq, 0.9 * grid.half_length)
+    density = abs_sq(u0.values)
+    density *= grid.r_sq
+    frac = shell_fraction(PeriodicBasis(grid), density, 0.9 * grid.half_length)
+    del density
     sigma_ok = frac < 1e-6
     sigma_rec = {"shell_fraction": frac, "satisfied": sigma_ok, "threshold": 1e-6}
     if not sigma_ok:

@@ -1,0 +1,42 @@
+"""tools/compare_artifacts.py: the byte-identity report between two checkouts."""
+
+import hashlib
+import json
+import os
+import runpy
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+tool = runpy.run_path(os.path.join(ROOT, "tools", "compare_artifacts.py"))
+
+
+def _run_dir(path, report):
+    # a run directory as runner.run leaves it: its files, then a manifest of their hashes
+    path.mkdir()
+    files = {"report.json": json.dumps(report).encode(), "table.csv": b"a,b\n1,2\n"}
+    for name, data in files.items():
+        (path / name).write_bytes(data)
+    manifest = {"files": {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}}
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    return str(path)
+
+
+def test_compare_runs_names_the_artifact_and_the_key_that_differ(tmp_path):
+    report = {"verdict": "Global", "sigma": {"fraction": 8.2e-10, "margin": float("nan")}, "rows": [1, 2]}
+    parent = _run_dir(tmp_path / "parent", report)
+    same = _run_dir(tmp_path / "same", report)
+    change = _run_dir(tmp_path / "change", {**report, "sigma": {**report["sigma"], "fraction": 8.3e-10}})
+    assert tool["compare_runs"](parent, same) == []
+    assert tool["compare_runs"](parent, change) == ["report.json: differs", "  sigma.fraction: 8.2e-10 -> 8.3e-10"]
+    assert tool["json_diff"]({"rows": [1, 2]}, {"rows": [1, 3]}) == ["rows[1]: 2 -> 3"]
+
+
+def test_the_checkout_matches_itself_on_a_small_pipeline(tmp_path, capsys):
+    # two fresh interpreters run the same 16^3 pipeline from this checkout
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(
+        "[run]\nmode = full_pipeline\n[grid]\npoints = 16\nhalf_length = 8.0\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 1.5\n[evolve]\nt_max = 0.01\n"
+    )
+    assert tool["main"]([ROOT, ROOT, str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("small.cfg: ") and out.rstrip().endswith("artifacts identical"), out

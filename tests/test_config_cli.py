@@ -1049,22 +1049,25 @@ def _zero_filled_random_field(grid, rng, amplitude=0.5):
 
 @pytest.mark.parametrize(
     "grid",
-    [Grid(3, 16, 10.0), Grid(3, 32, 10.0), Grid(3, 32, 100.0), Grid(3, 48, 10.0), Grid(3, 64, 10.6), Grid(2, 16, 10.0), Grid(1, 16, 10.0)],
-    ids=["16-L10", "32-L10", "32-L100", "48-L10", "64-L10.6", "2d-16", "1d-16"],
+    [
+        Grid(3, 16, 10.0), Grid(3, 32, 10.0), Grid(3, 32, 100.0), Grid(3, 44, 10.0), Grid(3, 48, 10.0),
+        Grid(3, 64, 10.6), Grid(2, 16, 10.0), Grid(1, 16, 10.0),
+    ],
+    ids=["16-L10", "32-L10", "32-L100", "44-L10", "48-L10", "64-L10.6", "2d-16", "1d-16"],
 )
 def test_smooth_random_field_has_the_bytes_of_the_zero_filled_sum(grid):
-    # the bumps' sum formed a slab at a time keeps every byte, signed zeros
-    # included: at L 100 the bumps underflow, and seed 1 leaves a -0.0 in
-    # all three at some points, which adding to zeros made 0.0.  64^3 is
-    # eight slabs, 48^3 four with a short last one, the rest one
+    # the bumps' sum formed an eighth of the planes at a time keeps every
+    # byte, signed zeros included: at L 100 the bumps underflow, and seed 1
+    # leaves a -0.0 in all three at some points, which adding to zeros made
+    # 0.0.  44^3 is eight blocks of 5 and a short last one of 4
     for seed in range(5):
         got = runner.smooth_random_field(grid, np.random.default_rng(seed)).values
         assert got.tobytes() == _zero_filled_random_field(grid, np.random.default_rng(seed)).tobytes()
 
 
 def test_smooth_random_field_holds_no_second_grid_array():
-    # the sum is formed a slab of planes at a time, so above its output the
-    # field holds one slab's buffer and the bumps' partial products: 1.24
+    # the sum is formed an eighth of the planes at a time, so above its output
+    # the field holds one block's buffer and the bumps' partial products: 1.19
     # complex grid arrays at 64^3, where the whole-grid products read 2.08
     grid = Grid(3, 64, 10.6)
     grid.coords  # the grid's coordinates are cached on first use

@@ -313,9 +313,9 @@ def test_one_axis_derivatives_match_the_full_transform_routes(dim, n):
 def test_real_gradient_is_the_real_part_of_the_complex_route(n):
     # a real field goes through rfft/irfft along the axis, which must drop
     # the axis's Nyquist plane as taking the real part of the complex route
-    # does.  The pair is taken a slab of planes at a time (n = 20 leaves
-    # slabs of 2), which are the whole field's pair bit for bit and count
-    # once each
+    # does.  The pair is taken an eighth of the planes at a time (n = 20
+    # leaves blocks of 2), which are the whole field's pair bit for bit and
+    # count once each
     grid = Grid(3, n, 10.0)
     f = np.random.default_rng(n).standard_normal(grid.shape)
     fhat = np.fft.fftn(f)
@@ -329,6 +329,15 @@ def test_real_gradient_is_the_real_part_of_the_complex_route(n):
         ik = 1j * grid.freqs[ax][(slice(None),) * ax + (slice(0, n // 2 + 1),)]
         assert np.array_equal(d, scipy.fft.irfft(scipy.fft.rfft(f, axis=ax) * ik, n, axis=ax))
     assert spectral.tally == {"rfft": 3, "irfft": 3}
+
+
+@pytest.mark.parametrize("n, blocks", [(64, [8] * 8), (48, [6] * 8), (44, [5] * 8 + [4]), (6, [1] * 6)])
+def test_eighths_cut_every_blocked_pass(n, blocks):
+    # the real derivative, axis_lines' power and smooth_random_field take
+    # their planes in blocks of max(1, n // 8), in order, the last perhaps short
+    got = spectral.eighths(n)
+    assert [len(range(n)[s]) for s in got] == blocks
+    assert [i for s in got for i in range(n)[s]] == list(range(n))
 
 
 @pytest.mark.parametrize("shape", [(7, 8, 9), (6,), (5, 5), (4, 6, 8)])
