@@ -427,8 +427,7 @@ def monotonicity_probe(record: TrajectoryRecord, verdict: str, f_x0: float | Non
     else:
         z1 = [s.virial_I1 / (2.0 * max(s.z, 1e-300)) for s in snaps]
         skip = max(1, len(z1) // 10)  # drop the initial transient
-        tail = z1[skip:] if len(z1) > skip else z1
-        out["min_z1"] = min(tail)
+        out["min_z1"] = min(z1[skip:])
         out["transient_skipped"] = skip
         if f_x0 is not None:
             out["z1_floor"] = 2.0 * math.sqrt(max(f_x0, 0.0))

@@ -11,13 +11,12 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .functionals import _integral
-from .spectral import Field, Grid, PeriodicBasis, _check_section, transform_basis
+from .spectral import Field, Grid, PeriodicBasis, _check_section, shell_mask, transform_basis
 
 # the [potential] keys each kind reads; a sampled potential's values come from its file
 _PARAMS = {
@@ -132,19 +131,18 @@ def weight_band_error(v: Field) -> float:
     """A two-level estimate of the error of a sampled V's weight 2V + x.grad V, over its sup.
 
     The weight is recomputed from V with its spectrum cut to the inner half
-    of the band, |k_i| < n/4 on every axis, which PeriodicBasis.apply takes
-    as the 0/1 multiplier of that cut.  The estimate is the largest gap
-    between that weight and the full band's on the inner half box,
-    |x_i| < L/2, over the full-band weight's sup.  On the measured smooth
-    kinds it was never below the true error, and up to 10^8 above it where
-    V is resolved, so it can flag a weight, not correct it."""
-    grid, n = v.grid, v.grid.points
-    low = reduce(np.multiply.outer, [(np.abs(np.fft.fftfreq(n) * n) < n // 4).astype(float)] * grid.dim)
+    of the band, |k_i| < n/4 on every axis: the complement of the spectral
+    shell_mask at n/4, which PeriodicBasis.apply takes as the 0/1 multiplier
+    of that cut.  The estimate is the largest gap between that weight and
+    the full band's on the inner half box, |x_i| < L/2 (the complement of
+    the shell_mask at L/2), over the full-band weight's sup.  On the
+    measured smooth kinds it was never below the true error, and up to 10^8
+    above it where V is resolved, so it can flag a weight, not correct it."""
+    grid, basis = v.grid, PeriodicBasis(v.grid)
     full = _spectral_weight(grid, v.values)
-    gap = full - _spectral_weight(grid, PeriodicBasis(grid).apply(v.values, low))
-    inner = np.ix_(*[np.abs(grid.axis) < grid.half_length / 2] * grid.dim)
+    gap = full - _spectral_weight(grid, basis.apply(v.values, ~shell_mask(basis, grid.points // 4, spectral=True)))
     scale = float(np.abs(full).max())
-    return float(np.abs(gap[inner]).max()) / scale if scale > 0 else 0.0
+    return float(np.abs(gap[~shell_mask(basis, grid.half_length / 2)]).max()) / scale if scale > 0 else 0.0
 
 
 def eval_potential(spec: PotentialSpec, grid: Grid) -> Field:
@@ -214,11 +212,12 @@ class AdmissibilityReport:
 
 
 def check_admissible(spec: PotentialSpec, v: Field | None, grid: Grid) -> AdmissibilityReport:
-    """Negative part strictly below the coercivity threshold (with margin), norms finite.
+    """Negative part strictly below the coercivity threshold, clear of _side's band, norms finite.
 
     v is spec sampled on grid, None for the zero potential, whose norms are
     all 0.  The gate is sup_x int |V_-(y)| |x-y|^{2-d} dy < 1/C_d, equivalently
-    kato_norm(V_-) < 1: exactly the condition under which the form norm
+    kato_norm(V_-) < 1, a strict hypothesis that 1 - kato_norm(V_-) must
+    clear _side's band: exactly the condition under which the form norm
     sandwich keeps a positive lower constant.  Finiteness of the K cap
     L^{d/2} membership is automatic for bounded data on a box; the report
     records the numbers and flags non-compact tails informatively rather
@@ -237,7 +236,7 @@ def check_admissible(spec: PotentialSpec, v: Field | None, grid: Grid) -> Admiss
             f"{spec.kind} has unbounded support; box truncation at |x_i| < {grid.half_length} "
             "stands in for the far tail"
         )
-    ok = kneg < 1.0 - 1e-8 and np.isfinite(ld2)
+    ok = _side(1.0 - kneg) > 0 and np.isfinite(ld2)
     if not ok:
         notes.append("negative part reaches the Kato threshold; quadratic form loses coercivity")
     return AdmissibilityReport(
@@ -252,6 +251,18 @@ def check_admissible(spec: PotentialSpec, v: Field | None, grid: Grid) -> Admiss
         weight_band_error=weight_band_error(v) if spec.kind == "grid_sampled" else None,
         notes=notes,
     )
+
+
+# half-width of the noise band, as a ratio of margin to scale; read by _side only
+STRICTNESS = 1e-8
+
+
+def _side(margin: float, scale: float = 1.0) -> int:
+    """+1 above the band STRICTNESS * scale about zero, -1 below it, 0 inside it or for nan.
+
+    Every threshold hypothesis, admissibility included, reads its margin here."""
+    band = STRICTNESS * scale
+    return 1 if margin > band else -1 if margin < -band else 0
 
 
 def value_sign(values, rtol: float = 1e-10) -> str:

@@ -26,9 +26,9 @@ from .evolve import EvolveConfig, TrajectoryRecord, evolve, monotonicity_probe, 
 from .fieldio import load_field, read_json, write_json
 from .functionals import CSV_COLUMNS, _integral, hv_norm_sq, mass, take_snapshot
 from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state, summary
-from .potentials import PotentialSpec, check_admissible, eval_potential, eval_virial_weight, kato_norm, reference_potential
+from .potentials import PotentialSpec, _side, check_admissible, eval_potential, eval_virial_weight, kato_norm, reference_potential
 from .spectral import Field, Grid, PeriodicBasis, abs_sq, eighths, fftn, recenter, shell_fraction, tally, transform_basis
-from .threshold import _side, classify, me_from_scalars, mp_product, s_crit, x0_defects, x0_solve
+from .threshold import classify, me_from_scalars, mp_product, s_crit, x0_defects, x0_solve
 
 SHELL_MASS_LIMIT = 1e-8  # box-truncation gate on |u0|^2 in the outer 10% shell
 
@@ -92,16 +92,15 @@ def build_initial(cfg: RunConfig, gs=None) -> Field:
     return Field(grid, np.asarray(vals, dtype=complex))
 
 
-def _check_box_decay(u0: Field, phase: str) -> float:
-    """The share of |u0|^2 on the outer 10% shell, max_i |x_i| >= 0.9 L; a RunError at or past SHELL_MASS_LIMIT."""
+def _check_box_decay(u0: Field) -> None:
+    """The evolve stage's RunError when the outer 10% shell, max_i |x_i| >= 0.9 L, holds SHELL_MASS_LIMIT of |u0|^2 or more."""
     frac = shell_fraction(PeriodicBasis(u0.grid), abs_sq(u0.values), 0.9 * u0.grid.half_length)
     if frac >= SHELL_MASS_LIMIT:
         raise RunError(
-            phase,
+            "evolve",
             f"initial data carries {frac:.2e} of its mass in the outer 10% shell "
             f"(limit {SHELL_MASS_LIMIT:.0e}); enlarge the box or narrow the data",
         )
-    return frac
 
 
 def _solve_gs(cfg: RunConfig, v: Field | None):
@@ -150,7 +149,7 @@ def stage_classify(cfg: RunConfig, outdir, gs, adm):
     tally.clear()
     u0 = build_initial(cfg, gs=gs)
     try:
-        report = classify(u0, cfg.potential, gs, cfg.gamma, admissibility=adm)
+        report = classify(u0, cfg.potential, gs, admissibility=adm)
     except (ZeroDivisionError, OverflowError, FloatingPointError):
         raise
     except (ValueError, ArithmeticError) as exc:
@@ -164,7 +163,7 @@ def stage_classify(cfg: RunConfig, outdir, gs, adm):
 
 def stage_evolve(cfg: RunConfig, outdir, u0: Field) -> TrajectoryRecord:
     tally.clear()
-    _check_box_decay(u0, "evolve")
+    _check_box_decay(u0)
     record = evolve(u0, cfg.potential, cfg.evolve)
     record.write_csv(os.path.join(outdir, "trajectory.csv"))
     dts = record.extras["accepted_dts"]
@@ -200,9 +199,9 @@ def _consistency(verdict: str, termination_kind: str) -> str:
     return "consistent" if termination_kind == expected else "inconsistent"
 
 
-def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord):
+def stage_compare(outdir, report, record: TrajectoryRecord):
     prod_gs = report.cond_mp["product_gs"]
-    prods = [mp_product(sn.mass, sn.p_value, cfg.gamma) for sn in record.snapshots]
+    prods = [mp_product(sn.mass, sn.p_value, report.gamma) for sn in record.snapshots]
     verdict = report.verdict
     kind = record.termination.kind
     consistent = _consistency(verdict, kind)
@@ -231,8 +230,8 @@ def stage_compare(cfg: RunConfig, outdir, report, record: TrajectoryRecord):
     return rep
 
 
-def smooth_random_field(grid: Grid, rng, amplitude=0.5) -> Field:
-    """Superposition of three random off-center complex Gaussians; decays well inside the box.
+def smooth_random_field(grid: Grid, rng) -> Field:
+    """Superposition of three random off-center complex Gaussians of modulus 0.2-0.5; decays well inside the box.
 
     exp(-|x - c|^2 / 2w^2) is the product of 1-D factors, so each bump is
     its partial product over the other axes times its last axis's factor.
@@ -245,7 +244,7 @@ def smooth_random_field(grid: Grid, rng, amplitude=0.5) -> Field:
     for _ in range(3):
         c = rng.uniform(-0.2 * grid.half_length, 0.2 * grid.half_length, size=grid.dim)
         w = rng.uniform(0.8, 1.8)
-        amp = amplitude * rng.uniform(0.4, 1.0)
+        amp = 0.5 * rng.uniform(0.4, 1.0)
         ph = rng.uniform(0.0, 2.0 * np.pi)
         bumps.append((c, w, amp * np.exp(1j * ph)))
     vals = np.empty(grid.shape, dtype=complex)
@@ -332,10 +331,11 @@ def virial_dual_defect(rho: Field, v: Field, virial_weight: Field, grad_sq: floa
     return math.inf if abs(e - e_ibp) > 1e-5 * max(scale, 1e-300) else 0.0
 
 
-def variational_defects(u: Field, gs: GroundState, gamma: float) -> tuple:
+def variational_defects(u: Field, gs: GroundState) -> tuple:
     """Violations of the sharp inequalities by u, each positive only when violated:
     the scaled Cauchy-Schwarz gap, the interpolation bound P <= C_GN ||u||_HV^g M^{(4-g)/2},
-    and the Weinstein quotient against its maximum C_GN."""
+    and the Weinstein quotient against its maximum C_GN, all at the reference's gamma g."""
+    gamma = gs.gamma
     sn = take_snapshot(u, 0.0, None, None, gamma)
     scale = max(sn.variance_I * sn.hv_sq, 1e-300)
     bound = gs.c_gn * sn.hv_sq ** (gamma / 2.0) * sn.mass ** ((4.0 - gamma) / 2.0)
@@ -429,7 +429,7 @@ def run_validate(cfg: RunConfig, outdir) -> int:
         gs.field = None  # the gates below read the solve's scalars only
         check("ground_state_residual", gs.residual, cfg.groundstate.tol * 1.01)
         check("pohozaev_residuals", pohozaev_residuals(gs)["max_abs"], 1e-4)
-        trials = [variational_defects(smooth_random_field(grid, rng), gs, gamma) for _ in range(10)]
+        trials = [variational_defects(smooth_random_field(grid, rng), gs) for _ in range(10)]
         cs, gn, wm = (_worst(col) for col in zip(*trials))
         check("cauchy_schwarz_gap_nonneg", cs, 1e-8)
         check("interpolation_bound", gn, 1e-6)
@@ -551,7 +551,7 @@ def run(cfg: RunConfig) -> int:
                 gs, adm = stage_groundstate(cfg, outdir)
                 u0, report = stage_classify(cfg, outdir, gs, adm)
                 record = stage_evolve(cfg, outdir, u0)
-                stage_compare(cfg, outdir, report, record)
+                stage_compare(outdir, report, record)
             else:  # validate; RunSettings admits no other mode
                 status = 1 if run_validate(cfg, outdir) else 0
         except RunError as exc:

@@ -628,31 +628,29 @@ def transform_basis(grid: Grid, *arrays) -> PeriodicBasis:
     return grid._cache["even_octant"]
 
 
-def shell_fraction(basis: PeriodicBasis, density: np.ndarray, cut: float, spectral: bool = False) -> float:
-    """Share of the grid's sum(density) on the box shell where some |a_i| >= cut.
+def shell_mask(basis: PeriodicBasis, cut: float, spectral: bool = False) -> np.ndarray:
+    """The box shell where some |a_i| >= cut, as a boolean array on the basis's points or modes.
 
     a_i is the coordinate x_i, or with spectral=True the integer wave index
-    k_i of the fftfreq layout, so the shell is a max-norm one in either space.
-    The caller passes its own density on the basis's points or modes, which
-    weigh carries to the whole grid; the mask is cached on the grid.
-    """
-    grid = basis.grid
-    key = ("shell", cut, spectral, basis.name)
-    mask = grid._cache.get(key)
-    if mask is None:
+    k_i of the fftfreq layout, so the shell is a max-norm one in either
+    space, and its complement is the inner box, every |a_i| < cut.  The
+    mask is cached on the grid and shared: a caller reads it, never writes it."""
+    key, grid = ("shell", cut, spectral, basis.name), basis.grid
+    if key not in grid._cache:
         n = grid.points
         dist = np.abs(np.fft.fftfreq(n) * n)[basis._modes] if spectral else np.abs(grid.axis)[basis._points]
-        mask = np.zeros(basis.shape, dtype=bool)
-        for ax in range(grid.dim):
-            shape = [1] * grid.dim
-            shape[ax] = dist.size
-            mask |= dist.reshape(shape) >= cut
-        grid._cache[key] = mask
+        grid._cache[key] = reduce(np.logical_or.outer, [dist >= cut] * grid.dim)
+    return grid._cache[key]
+
+
+def shell_fraction(basis: PeriodicBasis, density: np.ndarray, cut: float, spectral: bool = False) -> float:
+    """Share of the grid's sum(density) on shell_mask(basis, cut, spectral), for a
+    density on the basis's points or modes, which weigh carries to the whole grid."""
     density = basis.weigh(density)
     total = float(density.sum())
     if total == 0.0:
         return 0.0
-    return float(density[mask].sum()) / total
+    return float(density[shell_mask(basis, cut, spectral)].sum()) / total
 
 
 def center_of_mass(f: Field) -> np.ndarray:

@@ -6,10 +6,11 @@ function f(x) whose stationary point x0 calibrates the virial argument, the
 admission condition on I'(0), and the hypothesis conjunctions that turn those
 numbers into a verdict.  The two reference branches (free profile when the
 negative part of V vanishes, potential-pinned profile otherwise) are chosen
-by the caller; classify() checks the choice against reference_potential.  Every
-comparison reads its margin through _side: above, below or inside a band of
-STRICTNESS times a scale.  A strict hypothesis (ME > 1, the product against
-Q's) must clear the band; a non-strict one ((1.8), the sign of I'(0)) may touch it.
+by the caller; classify() checks the choice against reference_potential and
+reads gamma off the reference.  Every comparison reads its margin through
+potentials._side: above, below or inside a band of STRICTNESS times a scale.
+A strict hypothesis (ME > 1, the product against Q's) must clear the band; a
+non-strict one ((1.8), the sign of I'(0)) may touch it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .ground_state import GroundState
 from .potentials import (
     AdmissibilityReport,
     PotentialSpec,
+    _side,
     check_admissible,
     eval_potential,
     eval_virial_weight,
@@ -32,16 +34,6 @@ from .potentials import (
     value_sign,
 )
 from .spectral import Field, PeriodicBasis, abs_sq, shell_fraction
-
-# half-width of the noise band, as a ratio of margin to scale; read by _side only
-STRICTNESS = 1e-8
-
-
-def _side(margin: float, scale: float = 1.0) -> int:
-    """+1 above the band STRICTNESS * scale about zero, -1 below it, 0 inside it or for nan."""
-    band = STRICTNESS * scale
-    return 1 if margin > band else -1 if margin < -band else 0
-
 
 def s_crit(gamma: float) -> float:
     """Scaling-critical Sobolev index (gamma - 2)/2."""
@@ -80,15 +72,15 @@ def me_from_scalars(mass: float, energy: float, c_q: float, gamma: float) -> flo
     return mass ** (1.0 - sc) * energy**sc / jay**sc
 
 
-def me_ratio(u0: FunctionalSnapshot, gs: GroundState, gamma: float) -> float:
-    """M^{1-s_c} E^{s_c} of the data over the same product of the reference.
+def me_ratio(u0: FunctionalSnapshot, gs: GroundState) -> float:
+    """M^{1-s_c} E^{s_c} of the data over the same product of the reference, s_c at the reference's gamma.
 
     The caller passes the branch-correct reference (free profile for
     vanishing V_-, pinned profile otherwise).  Nonpositive data energy makes
     the fractional power undefined; that is reported as nan rather than an
     exception because the classifier routes those inputs to the convexity
     argument instead."""
-    sc = s_crit(gamma)
+    sc = s_crit(gs.gamma)
     if gs.mass <= 0 or gs.energy <= 0:
         raise ValueError(
             f"reference state has M={gs.mass}, E={gs.energy}; both must be positive"
@@ -276,17 +268,16 @@ def classify(
     u0: Field,
     potential: PotentialSpec,
     gs: GroundState,
-    gamma: float,
     admissibility: AdmissibilityReport | None = None,
 ) -> DichotomyReport:
-    """Apply the super-threshold dichotomy hypotheses to initial data.
+    """Apply the super-threshold dichotomy hypotheses to initial data, at the reference's gamma.
 
     gs must be solved with reference_potential's choice for potential.
     Nothing here raises on data that merely fails hypotheses; the verdict
     degrades to Indeterminate with the failures listed.  admissibility is
     check_admissible's report for potential on u0's grid, when the caller
     already has it."""
-    grid = u0.grid
+    grid, gamma = u0.grid, gs.gamma
     vfield = None if potential.is_zero else eval_potential(potential, grid)
     ref = reference_potential(potential, vfield)
     branch = "free" if ref.is_zero else "pinned"
@@ -322,7 +313,7 @@ def classify(
     if snap.e_term_approximate:
         notes.append("2V + x.grad V has a distributional part; its sign and e-term use the flagged interior value")
 
-    me = me_ratio(snap, gs, gamma)
+    me = me_ratio(snap, gs)
     energy = snap.energy
     me_side = _side(me - 1.0)
     # x0 and f(x0) exist wherever ME does
@@ -391,19 +382,19 @@ def classify(
         cond_mp=mp_rec, sigma_membership=sigma_rec, admissibility=asdict(adm),
         branch=branch,
         failed_blowup=failed_blowup, failed_global=failed_global,
-        subthreshold=_subthreshold_record(snap, vfield, wfield, gs, gamma, me),
+        subthreshold=_subthreshold_record(snap, vfield, wfield, gs, grid.dim, me),
         notes=notes,
     )
 
 
 def _subthreshold_record(
-    snap: FunctionalSnapshot, vfield: Field | None, wfield: Field | None, gs: GroundState, gamma: float, me: float
+    snap: FunctionalSnapshot, vfield: Field | None, wfield: Field | None, gs: GroundState, dim: int, me: float
 ) -> dict:
     """Sub-threshold comparison record; verdict NotApplicable unless ME < 1 and
     V >= 0, which classify has tied to a free reference.  vfield and wfield
-    are the sampled V and 2V + x.grad V, None for the zero potential."""
-    grid = gs.field.grid
-    regime = "native" if (gamma == 3.0 and grid.dim == 5) else "heuristic-extension"
+    are the sampled V and 2V + x.grad V, None for the zero potential; dim is
+    the data's, and gamma the reference's."""
+    regime = "native" if (gs.gamma == 3.0 and dim == 5) else "heuristic-extension"
     rec = {
         "verdict": "NotApplicable",
         "regime": regime,

@@ -83,7 +83,7 @@ def test_weinstein_maximality_and_sharp_constant(gs64):
     rng = np.random.default_rng(1101)
     grid = gs64.field.grid
     for _ in range(100):
-        _gap, interpolation, excess = variational_defects(smooth_random_field(grid, rng), gs64, GAMMA)
+        _gap, interpolation, excess = variational_defects(smooth_random_field(grid, rng), gs64)
         assert excess <= 1e-6 and interpolation <= 1e-6
     ref = closed_form_c_q(GAMMA, gs64.snapshot.mass)
     assert abs(gs64.c_q - ref) <= 1e-4 * ref
@@ -186,7 +186,7 @@ def test_virial_derivative_columns_and_gap_sweep(gs64):
     g = smooth_random_field(grid, rng)
     for lam in np.linspace(-0.5, 0.5, 11):
         u = Field(grid, g.values * np.exp(1j * lam * r2))
-        assert variational_defects(u, gs64, GAMMA)[0] <= 1e-8
+        assert variational_defects(u, gs64)[0] <= 1e-8
 
 
 def test_collapse_pipeline_verdict_and_monotonicity(blowup_run):
@@ -400,10 +400,11 @@ def test_transforms_are_taken_only_in_spectral():
 
 
 def test_strictness_is_read_only_by_side():
-    """Every threshold comparison goes through threshold._side.
+    """Every threshold comparison goes through potentials._side.
 
-    The noise band STRICTNESS is read nowhere else under src/hartreekit, so
-    each hypothesis meets the same band and widening it is one edit."""
+    The noise band potentials.STRICTNESS is read nowhere else under
+    src/hartreekit, so each hypothesis, admissible_potential included, meets
+    the same band and widening it is one edit."""
     found = []
     for name, tree in _library_modules():
         inside = {

@@ -5,6 +5,9 @@ import json
 import os
 import runpy
 
+from hartreekit.config import parse_config
+from hartreekit.spectral import is_even
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 tool = runpy.run_path(os.path.join(ROOT, "tools", "compare_artifacts.py"))
 
@@ -40,3 +43,15 @@ def test_the_checkout_matches_itself_on_a_small_pipeline(tmp_path, capsys):
     assert tool["main"]([ROOT, ROOT, str(cfg)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("small.cfg: ") and out.rstrip().endswith("artifacts identical"), out
+
+
+def test_default_configs_add_three_pipelines_with_a_potential(tmp_path):
+    # the presets and workloads run V = 0 only; the three extra pipelines
+    # reach the pinned solve, the flagged e-term and a sampled V off the octant
+    configs = tool["default_configs"](ROOT, str(tmp_path), 0)
+    assert len(configs) == 9
+    kinds = [parse_config(path).potential.kind for path in configs[-3:]]
+    assert kinds == ["gaussian_bump", "ball_indicator", "grid_sampled"]
+    sampled = parse_config(configs[-1]).potential.values
+    assert sampled.shape == (32, 32, 32) and sampled.min() < 0.0
+    assert not is_even(sampled)  # off-centre, so the run leaves the octant

@@ -847,11 +847,11 @@ def test_indeterminate_note_names_both_sides_in_one_field(tmp_path, grid32):
         [take_snapshot(u, 0.0, None, None, GAMMA)], Termination("BlowupDetected", 0.0), EvolveConfig(grid32, GAMMA)
     )
     report = SimpleNamespace(
-        verdict="Indeterminate", cond_mp={"product_gs": 1.0}, f_x0=float("nan"),
+        verdict="Indeterminate", gamma=GAMMA, cond_mp={"product_gs": 1.0}, f_x0=float("nan"),
         failed_blowup=["weight_sign_nonnegative"],
         failed_global=["I1_nonnegative", "weight_sign_nonpositive", "mp_product_below"],
     )
-    runner.stage_compare(SimpleNamespace(gamma=GAMMA), str(tmp_path), report, record)
+    runner.stage_compare(str(tmp_path), report, record)
     header, row = open(tmp_path / "comparison.csv").read().strip().split("\n")
     assert len(header.split(",")) == len(row.split(",")) == 4
     assert row.split(",")[3] == (
@@ -898,6 +898,45 @@ def test_zero_mass_initial_data_ends_the_classify_stage(tmp_path, capsys, initia
     assert capsys.readouterr().err == "error: classify: initial data has zero mass\n"
     files = read_json(out / "manifest.json")["files"]
     assert "groundstate_report.json" in files and "classify_report.json" not in files
+
+
+def test_evolve_refuses_data_that_reaches_the_box_edge(tmp_path, capsys):
+    # a Gaussian of width 4 at L 10 holds 1.02e-03 of its mass on the outer
+    # 10% shell, far past the evolve stage's limit: no step is taken
+    out = tmp_path / "o"
+    path = write_cfg(
+        tmp_path, "[run]\nmode = evolve\n[grid]\npoints = 16\n[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 4.0\n"
+    )
+    assert main(["evolve", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: evolve: initial data carries 1.02e-03 of its mass in the outer 10% shell "
+        "(limit 1e-08); enlarge the box or narrow the data\n"
+    )
+    assert os.listdir(out) == ["manifest.json"]
+
+
+def test_pipeline_reads_a_sampled_potential_from_its_file(tmp_path, capsys):
+    # the manifest records a sampled V by its values' hash and shape; a file
+    # on another grid is a config violation, reported before anything runs
+    grid = Grid(3, 16, 10.0)
+    vals = -0.3 * np.exp(-grid.r_sq / 2.0)
+    pfile = str(tmp_path / "v.fld")
+    dump_field(pfile, Field(grid, vals), {})
+    text = (
+        "[run]\nmode = full_pipeline\n[grid]\npoints = 16\n"
+        f"[potential]\nkind = grid_sampled\nfile = {pfile}\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 1.5\n[evolve]\nt_max = 0.01\n"
+    )
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert read_json(out / "manifest.json")["config"]["potential"] == {
+        "kind": "grid_sampled", "sha256": hashlib.sha256(vals.tobytes()).hexdigest(), "shape": [16, 16, 16],
+    }
+    assert read_json(out / "groundstate_report.json")["branch"] == "pinned"
+    other = write_cfg(tmp_path, text.replace("points = 16", "points = 32"), name="other.cfg")
+    assert main(["pipeline", "--config", other, "--out", str(tmp_path / "o2")]) == 2
+    assert f"[potential] file: grid of {pfile} does not match [grid]" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o2")
 
 
 def test_nonnegative_potential_pipeline_uses_the_free_reference(tmp_path):
@@ -1118,6 +1157,23 @@ def test_validate_deterministic_reruns(tmp_path):
     statuses = [l.split(",")[1] for l in table[1:]]
     assert all(s in ("PASS", "FAIL") for s in statuses)
     assert rep["failures"] == statuses.count("FAIL")
+
+
+def test_validate_without_a_converged_ground_state(tmp_path):
+    # a solve cut at one iteration fails its own gate and takes the six
+    # gates that read the solve with it; the rest of the suite still runs
+    out = str(tmp_path / "v")
+    path = write_cfg(tmp_path, "[run]\nmode = validate\n[grid]\npoints = 32\n[groundstate]\nmax_iter = 1\n")
+    assert main(["validate", "--config", path, "--out", out]) == 1
+    table = open(os.path.join(out, "validate_table.csv")).read().strip().split("\n")
+    assert "ground_state_converged,FAIL,nan,0.0" in table
+    checks = [row.split(",")[0] for row in table[1:]]
+    solve_gates = {
+        "ground_state_residual", "pohozaev_residuals", "cauchy_schwarz_gap_nonneg",
+        "interpolation_bound", "weinstein_maximality", "threshold_identities",
+    }
+    assert not solve_gates & set(checks)
+    assert checks[-3:] == ["kato_ball_closed_form", "kato_sandwich", "mass_drift_rate"]
 
 
 def test_validate_nan_trial_reads_fail(tmp_path, monkeypatch):

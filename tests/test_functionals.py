@@ -177,18 +177,18 @@ def test_weinstein_maximized_by_ground_state(grid48, gs48):
     wq = snap(gs48.field).weinstein(GAMMA)
     assert abs(wq - gs48.c_gn) < 1e-8 * wq
     for _ in range(20):
-        _gap, interpolation, excess = variational_defects(smooth_random_field(grid48, rng), gs48, GAMMA)
+        _gap, interpolation, excess = variational_defects(smooth_random_field(grid48, rng), gs48)
         assert excess <= 1e-6 and interpolation <= 1e-6
     # against half the sharp constant, Q itself violates all three inequalities
     half = replace(gs48, c_gn=0.5 * gs48.c_gn, c_q=(0.5 * gs48.c_gn) ** (2.0 / GAMMA))
-    gap, interpolation, excess = variational_defects(gs48.field, half, GAMMA)
+    gap, interpolation, excess = variational_defects(gs48.field, half)
     assert gap > 1e-8 and interpolation > 1e-6 and excess > 1e-6
 
 
 def test_cauchy_schwarz_gap_nonnegative(grid48, gs48):
     rng = np.random.default_rng(32)
     for _ in range(20):
-        assert variational_defects(smooth_random_field(grid48, rng), gs48, GAMMA)[0] <= 1e-8
+        assert variational_defects(smooth_random_field(grid48, rng), gs48)[0] <= 1e-8
 
 
 def test_octant_snapshot_is_the_periodic_snapshot():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hartreekit import potentials
 from hartreekit.potentials import (
     AdmissibilityReport,
     PotentialSpec,
@@ -225,3 +226,18 @@ def test_weight_band_error_is_not_below_the_weight_error_of_a_sampled_copy(spec,
     assert check_admissible(copy, v, grid).weight_band_error >= error
     assert check_admissible(spec, v, grid).weight_band_error is None
     assert check_admissible(PotentialSpec(), None, grid).weight_band_error is None
+
+
+def test_admissibility_reads_the_strictness_band(monkeypatch, grid32):
+    """admissible_potential is a strict hypothesis read through _side: widening
+    potentials.STRICTNESS alone moves a well 5e-4 below the Kato threshold out."""
+    unit = PotentialSpec(kind="gaussian_bump", amplitude=-1.0, sigma=1.0)
+    spec = PotentialSpec(kind="gaussian_bump", amplitude=-0.9995 / kato_norm(eval_potential(unit, grid32)), sigma=1.0)
+    v = eval_potential(spec, grid32)
+    rep = check_admissible(spec, v, grid32)
+    assert rep.kato_norm_negative_part == pytest.approx(0.9995, rel=1e-12)
+    assert rep.admissible
+    monkeypatch.setattr(potentials, "STRICTNESS", 1e-3)
+    rep = check_admissible(spec, v, grid32)
+    assert not rep.admissible
+    assert "negative part reaches the Kato threshold; quadratic form loses coercivity" in rep.notes

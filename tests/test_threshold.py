@@ -1,8 +1,9 @@
 """Scalar threshold algebra, the admission condition, and the dichotomy verdicts."""
 
+import inspect
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from hartreekit.functionals import FunctionalSnapshot, take_snapshot
 from hartreekit.ground_state import solve_ground_state
 from hartreekit.potentials import PotentialSpec
-from hartreekit.runner import threshold_defects
+from hartreekit.runner import threshold_defects, variational_defects
 from hartreekit.spectral import Field, Grid
 from hartreekit.threshold import (
     check_condition_1_8,
@@ -49,7 +50,7 @@ def gaussian_data(grid, a, w, lam):
 
 def condition_1_8(snap, gs):
     """check_condition_1_8 on the ME and x0 that classify hands it."""
-    me = me_ratio(snap, gs, GAMMA)
+    me = me_ratio(snap, gs)
     x0 = math.nan if math.isnan(me) else x0_solve(snap.energy, snap.mass, gs.c_q, GAMMA)
     return check_condition_1_8(snap, me, x0)
 
@@ -144,11 +145,11 @@ def test_me_scalar_and_ratio_forms_agree(gs_wide):
     assert abs(me_scalar - 1.0) < 1e-3
     u = chirped(gs_wide, 1.1, -0.2)
     snap = take_snapshot(u, 0.0, None, None, GAMMA)
-    ratio = me_ratio(snap, gs_wide, GAMMA)
+    ratio = me_ratio(snap, gs_wide)
     scalar = me_from_scalars(snap.mass, snap.energy, gs_wide.c_q, GAMMA)
     # both normalize the same product, one against Q, one against c_q
     assert abs(ratio / scalar - 1.0) < 2e-3
-    assert math.isnan(me_ratio(take_snapshot(Field(u.grid, 1.3 * gs_wide.field.values), 0.0, None, None, GAMMA), gs_wide, GAMMA))
+    assert math.isnan(me_ratio(take_snapshot(Field(u.grid, 1.3 * gs_wide.field.values), 0.0, None, None, GAMMA), gs_wide))
 
 
 def test_condition_disagreement_window(gs_wide):
@@ -160,7 +161,7 @@ def test_condition_disagreement_window(gs_wide):
     assert c.satisfied and not c.paper_form_satisfied and not c.agrees
     assert c.z_sq_boundary < c.z_prime_sq < c.x0_half
     assert "authoritative" in c.note
-    me = me_ratio(snap, gs_wide, GAMMA)
+    me = me_ratio(snap, gs_wide)
     assert c.z_sq_boundary == pytest.approx(8.0 * snap.energy * (1.0 - 1.0 / me), rel=1e-12)
 
 
@@ -195,7 +196,7 @@ def test_condition_degenerate_branches(gs_wide):
 
 
 def test_classify_blowup_profile(gs_wide):
-    rep = classify(chirped(gs_wide, 1.1, -0.2), PotentialSpec(kind="zero"), gs_wide, GAMMA)
+    rep = classify(chirped(gs_wide, 1.1, -0.2), PotentialSpec(kind="zero"), gs_wide)
     assert rep.verdict == "BlowUp"
     assert rep.failed_blowup == []
     assert rep.me > 1.0 and rep.x0 > 0.0
@@ -206,9 +207,22 @@ def test_classify_blowup_profile(gs_wide):
     json.dumps(asdict(rep))  # report must serialize as-is
 
 
+def test_classify_reads_gamma_off_the_reference(gs_wide):
+    """gamma is the reference's alone: no classifier function takes one, and the
+    report, its s_c and its ME are the reference's.  classify reads no field of
+    the reference either (validate drops it), so a reference without one serves."""
+    for fn in (classify, me_ratio, variational_defects):
+        assert "gamma" not in inspect.signature(fn).parameters
+    u = chirped(gs_wide, 1.1, -0.2)
+    rep = classify(u, PotentialSpec(kind="zero"), replace(gs_wide, field=None))
+    assert rep.gamma == gs_wide.gamma and rep.s_c == s_crit(gs_wide.gamma)
+    assert rep.me == me_ratio(take_snapshot(u, 0.0, None, None, gs_wide.gamma), gs_wide)
+    assert asdict(rep) == asdict(classify(u, PotentialSpec(kind="zero"), gs_wide))
+
+
 def test_classify_global_profile(gs_wide):
     u = gaussian_data(gs_wide.field.grid, 0.2, 1.5, 0.5)
-    rep = classify(u, PotentialSpec(kind="zero"), gs_wide, GAMMA)
+    rep = classify(u, PotentialSpec(kind="zero"), gs_wide)
     assert rep.verdict == "Global"
     assert rep.failed_global == []
     assert rep.me > 1.0
@@ -218,7 +232,7 @@ def test_classify_global_profile(gs_wide):
 
 def test_classify_negative_energy(gs_wide):
     rep = classify(Field(gs_wide.field.grid, 1.3 * gs_wide.field.values),
-                   PotentialSpec(kind="zero"), gs_wide, GAMMA)
+                   PotentialSpec(kind="zero"), gs_wide)
     assert rep.verdict == "BlowUpNegativeEnergy"
     assert rep.energy < 0.0
     assert math.isnan(rep.me)
@@ -227,7 +241,7 @@ def test_classify_negative_energy(gs_wide):
 
 def test_classify_ground_state_indeterminate(gs_wide):
     # Q sits exactly on every strict inequality, so no hypothesis set closes
-    rep = classify(gs_wide.field, PotentialSpec(kind="zero"), gs_wide, GAMMA)
+    rep = classify(gs_wide.field, PotentialSpec(kind="zero"), gs_wide)
     assert rep.verdict == "Indeterminate"
     assert "me_gt_1" in rep.failed_blowup and "me_gt_1" in rep.failed_global
     assert "mp_product_above" in rep.failed_blowup
@@ -236,8 +250,8 @@ def test_classify_ground_state_indeterminate(gs_wide):
 
 def test_classify_constant_phase_gauge(gs_wide):
     u = chirped(gs_wide, 1.1, -0.2)
-    rep1 = classify(u, PotentialSpec(kind="zero"), gs_wide, GAMMA)
-    rep2 = classify(Field(u.grid, np.exp(1.3j) * u.values), PotentialSpec(kind="zero"), gs_wide, GAMMA)
+    rep1 = classify(u, PotentialSpec(kind="zero"), gs_wide)
+    rep2 = classify(Field(u.grid, np.exp(1.3j) * u.values), PotentialSpec(kind="zero"), gs_wide)
     assert rep2.verdict == rep1.verdict == "BlowUp"
     assert rep2.me == pytest.approx(rep1.me, rel=1e-12)
     assert rep2.x0 == pytest.approx(rep1.x0, rel=1e-12)
@@ -246,7 +260,7 @@ def test_classify_constant_phase_gauge(gs_wide):
 
 def test_classify_sigma_gate(gs48):
     # at half_length 10 the tail of Q itself trips the outer-shell gate
-    rep = classify(gs48.field, PotentialSpec(kind="zero"), gs48, GAMMA)
+    rep = classify(gs48.field, PotentialSpec(kind="zero"), gs48)
     assert not rep.sigma_membership["satisfied"]
     assert "sigma_membership" in rep.failed_blowup
     assert rep.verdict == "Indeterminate"
@@ -256,7 +270,7 @@ def test_classify_sigma_gate(gs48):
 def test_classify_branch_validation(gs_wide):
     well = PotentialSpec(kind="gaussian_bump", amplitude=-0.5, sigma=1.0)
     with pytest.raises(ValueError, match="pinned"):
-        classify(gs_wide.field, well, gs_wide, GAMMA)
+        classify(gs_wide.field, well, gs_wide)
 
 
 def test_classify_pinned_branch(grid48):
@@ -265,8 +279,8 @@ def test_classify_pinned_branch(grid48):
     assert gsp.converged
     # free potential with a pinned reference is rejected
     with pytest.raises(ValueError, match="free"):
-        classify(gsp.field, PotentialSpec(kind="zero"), gsp, GAMMA)
-    rep = classify(gsp.field, well, gsp, GAMMA)
+        classify(gsp.field, PotentialSpec(kind="zero"), gsp)
+    rep = classify(gsp.field, well, gsp)
     assert rep.branch == "pinned"
     assert rep.verdict in VERDICTS
     assert rep.admissibility["admissible"]
@@ -278,7 +292,7 @@ def test_classify_pinned_branch(grid48):
 
 def test_subthreshold_predictions(gs_wide):
     def subthreshold(u):
-        return classify(u, PotentialSpec(kind="zero"), gs_wide, GAMMA).subthreshold
+        return classify(u, PotentialSpec(kind="zero"), gs_wide).subthreshold
 
     rec = subthreshold(Field(gs_wide.field.grid, 0.5 * gs_wide.field.values))
     assert rec["verdict"] == "GlobalScattersPredicted"
@@ -301,7 +315,7 @@ def test_subthreshold_needs_a_nonnegative_potential():
     well = PotentialSpec(kind="gaussian_bump", amplitude=-0.5, sigma=1.0)
     gsp = solve_ground_state(Grid(3, 32, 10.0), well, GAMMA)
     assert gsp.converged
-    rep = classify(Field(gsp.field.grid, 0.5 * gsp.field.values), well, gsp, GAMMA)
+    rep = classify(Field(gsp.field.grid, 0.5 * gsp.field.values), well, gsp)
     assert rep.branch == "pinned" and rep.me < 1.0
     assert rep.subthreshold["verdict"] == "NotApplicable"
     assert rep.subthreshold["notes"] == ["V takes negative values; the sub-threshold result needs V >= 0"]
@@ -309,7 +323,7 @@ def test_subthreshold_needs_a_nonnegative_potential():
 
 def test_subthreshold_embedded_in_dichotomy_report(gs_wide):
     rep = classify(Field(gs_wide.field.grid, 0.5 * gs_wide.field.values),
-                   PotentialSpec(kind="zero"), gs_wide, GAMMA)
+                   PotentialSpec(kind="zero"), gs_wide)
     assert rep.subthreshold["verdict"] == "GlobalScattersPredicted"
     # sub-threshold data cannot satisfy the super-threshold ME hypothesis
     assert rep.verdict == "Indeterminate"

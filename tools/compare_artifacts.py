@@ -5,13 +5,13 @@ usage: python3 tools/compare_artifacts.py PARENT_ROOT CHANGE_ROOT [CONFIG ...] [
 Runs every CONFIG on each checkout and compares the two runs' manifest.json
 file hashes.  A CONFIG is a config file or a preset name, which each
 checkout resolves to its own preset.  By default the CONFIGs are the
-shipped presets and the benchmark's workload configs (bench/workloads.py in
+shipped presets, the benchmark's workload configs (bench/workloads.py in
 CHANGE_ROOT), which are read, written to a scratch directory and left as
-they are.  Each run is a fresh interpreter that imports hartreekit from its
-checkout's src, with one FFT worker, one BLAS thread and seed N (0 by
-default).  Prints each artifact whose hash differs and, for a JSON report,
-its differing keys; exits 1 on any difference, 0 when every artifact is
-identical.
+they are, and three 32^3 pipelines with V != 0 (_V_PIPELINES).  Each run
+is a fresh interpreter that imports hartreekit from its checkout's src,
+with one FFT worker, one BLAS thread and seed N (0 by default).  Prints
+each artifact whose hash differs and, for a JSON report, its differing
+keys; exits 1 on any difference, 0 when every artifact is identical.
 """
 
 from __future__ import annotations
@@ -38,9 +38,52 @@ sys.exit(run(parse_config(resolve_config_arg(config_arg), overrides=overrides)))
 """
 _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
+# the sampled V of the grid_sampled pipeline, -0.3 e^{-r^2/2} + 0.05 e^{-|x - e_1|^2},
+# written once by CHANGE_ROOT so that both checkouts read the same bytes
+_DUMP = """\
+import sys
+import numpy as np
+from hartreekit.fieldio import dump_field
+from hartreekit.spectral import Field, Grid
+grid = Grid(3, 32, 10.0)
+v = -0.3 * np.exp(-grid.r_sq / 2.0) + 0.05 * np.exp(-(grid.r_sq - 2.0 * grid.coords[0] + 1.0))
+dump_field(sys.argv[2], Field(grid, v), {})
+"""
+
+# pipelines with V != 0, which no preset or workload runs: a pinned well (the
+# Richardson solve on the octant), a ball on the free branch (the flagged
+# e-term) and an off-centre sampled V (weight_band_error, and the periodic
+# basis in the solve and in evolve)
+_V_PIPELINE = """\
+[run]
+mode = full_pipeline
+
+[grid]
+dim = 3
+points = 32
+half_length = 10.0
+
+[potential]
+{potential}
+[initial_data]
+kind = gaussian
+amplitude = 0.3
+width = 1.5
+lambda = -0.05
+
+[evolve]
+t_max = 0.1
+"""
+_V_PIPELINES = {
+    "well": "kind = gaussian_bump\namplitude = -0.5\nsigma = 1.0\n",
+    "ball": "kind = ball_indicator\namplitude = 0.4\nradius = 2.0\n",
+    "sampled": "kind = grid_sampled\nfile = {file}\n",
+}
+
 
 def default_configs(change_root: str, workdir: str, seed: int) -> list:
-    """The shipped presets' names, then each benchmark workload's config written to workdir at seed."""
+    """The shipped presets' names, then each benchmark workload's config written to workdir at seed,
+    then the V != 0 pipelines' configs, with the sampled V's file, written to workdir."""
     presets = os.path.join(change_root, "src", "hartreekit", "presets")
     configs = sorted(name[: -len(".cfg")] for name in os.listdir(presets) if name.endswith(".cfg"))
     workloads = runpy.run_path(os.path.join(change_root, "bench", "workloads.py"))["WORKLOADS"]
@@ -49,15 +92,27 @@ def default_configs(change_root: str, workdir: str, seed: int) -> list:
         with open(path, "w") as fh:
             fh.write(workload.config_text(seed))
         configs.append(path)
+    vfile = os.path.join(workdir, "sampled-v.fld")
+    if _python(change_root, _DUMP, vfile):
+        raise RuntimeError(f"{change_root} could not write the sampled potential {vfile}")
+    for name, potential in _V_PIPELINES.items():
+        path = os.path.join(workdir, f"v-{name}.cfg")
+        with open(path, "w") as fh:
+            fh.write(_V_PIPELINE.format(potential=potential.format(file=vfile)))
+        configs.append(path)
     return configs
+
+
+def _python(root: str, code: str, *args: str) -> int:
+    """code in a fresh interpreter that imports hartreekit from root's src, with argv src, *args; its exit status."""
+    src = os.path.join(os.path.abspath(root), "src")
+    env = {**os.environ, **_ONE_THREAD, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code, src, *args], env=env, stdout=subprocess.DEVNULL).returncode
 
 
 def run_tree(root: str, config: str, out: str, seed: int) -> int:
     """One run of config by the checkout at root, into out; returns its exit status."""
-    src = os.path.join(os.path.abspath(root), "src")
-    env = {**os.environ, **_ONE_THREAD, "PYTHONPATH": src}
-    cmd = [sys.executable, "-c", _CHILD, src, config, out, str(seed)]
-    return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
+    return _python(root, _CHILD, config, out, str(seed))
 
 
 def json_diff(a, b, key: str = "") -> list:
