@@ -192,20 +192,19 @@ def _embedded_step(basis: PeriodicBasis, uhat, dt: float, vvals, gamma: float, l
     return fourth, third
 
 
-def strang_step(u: Field, dt: float, potential: PotentialSpec, gamma: float, linear: bool = False) -> Field:
+def strang_step(u: Field, dt: float, potential: PotentialSpec, gamma: float) -> Field:
     """One Strang step K(dt/2) P K(dt/2) of size dt on the periodic grid (dt < 0 runs time backward).
 
     P is the phase sub-flow over dt and K the kinetic flow.  It is the
     self-contained second-order reference that tests compare evolve's step
-    against, and it costs 6 complex FFTs, 4 in linear mode: fftn(u) in, an
-    ifftn and an fftn around P, a complex pair for its convolution (not a
-    real one as in _embedded_step; bench/test_spans.py pins the six), and an
-    ifftn out."""
+    against, and it costs 6 complex FFTs: fftn(u) in, an ifftn and an fftn
+    around P, a complex pair for its convolution (not a real one as in
+    _embedded_step; bench/test_spans.py pins the six), and an ifftn out."""
     grid = u.grid
     vvals = None if potential.is_zero else eval_potential(potential, grid).values
     kin = _kinetic(grid, 0.5 * dt)
     w = ifftn(kin * fftn(u.values), overwrite_x=True)
-    conv = None if linear else ifftn(grid.riesz_multiplier(gamma) * fftn(abs_sq(w)), overwrite_x=True).real
+    conv = ifftn(grid.riesz_multiplier(gamma) * fftn(abs_sq(w)), overwrite_x=True).real
     uhat = kin * fftn(_phase_step(w, dt, vvals, conv), overwrite_x=True)
     return Field(grid, ifftn(uhat, overwrite_x=True))
 
@@ -398,37 +397,3 @@ def virial_consistency(record: TrajectoryRecord) -> dict:
         "i2_gap": _quadrature_gap(ts, i1, i2),
         "max_snapshot_dt": float(np.max(np.diff(ts))),
     }
-
-
-def monotonicity_probe(record: TrajectoryRecord, verdict: str, f_x0: float | None = None) -> dict:
-    """Empirical z(t) shape diagnostics keyed to the classified branch.
-
-    Derivatives of z = sqrt(I) come from the recorded virial columns,
-    z' = I'/(2z) and z'' = (2 I I'' - I'^2) / (4 I^{3/2}), which are exact
-    at each sample; no finite difference of the sampled z is taken, since it
-    would alias the fast core oscillations near collapse.
-    BlowUp branch: fraction of interior times with z'' < 0.  Global branch:
-    minimum z' against the floor 2 sqrt(f(x0)) (transient-trimmed).  Values
-    are recorded, never judged."""
-    if not (verdict.startswith("BlowUp") or verdict == "Global"):
-        return {}
-    snaps = record.snapshots
-    if len(snaps) < 3:
-        return {}
-    out: dict = {"branch": verdict}
-    if verdict.startswith("BlowUp"):
-        zpp = [
-            (2.0 * s.variance_I * s.virial_I2 - s.virial_I1**2)
-            / (4.0 * max(s.variance_I, 1e-300) ** 1.5)
-            for s in snaps[1:-1]
-        ]
-        out["z2_negative_fraction"] = sum(1 for v in zpp if v < 0) / len(zpp)
-        out["interior_points"] = len(zpp)
-    else:
-        z1 = [s.virial_I1 / (2.0 * max(s.z, 1e-300)) for s in snaps]
-        skip = max(1, len(z1) // 10)  # drop the initial transient
-        out["min_z1"] = min(z1[skip:])
-        out["transient_skipped"] = skip
-        if f_x0 is not None:
-            out["z1_floor"] = 2.0 * math.sqrt(max(f_x0, 0.0))
-    return out

@@ -78,7 +78,7 @@ class GroundState:
     reached the solve tolerance.  transform_basis names the basis the
     iteration ran on (spectral.transform_basis).  A non-converged solve
     still returns a GroundState (converged False) so the caller can inspect
-    residual_history instead of unwinding through an exception."""
+    its residual and iterations instead of unwinding through an exception."""
 
     field: Field
     omega: float
@@ -93,7 +93,6 @@ class GroundState:
     transform_basis: str
     omega_iterations: int = 0
     richardson_iterations: int = 0  # inner Richardson corrections, summed; 0 at V = 0
-    residual_history: list = None  # type: ignore[assignment]
 
     @property
     def mass(self) -> float:
@@ -200,7 +199,7 @@ def _anderson_weights(gram):
     return np.concatenate(([1.0 - coef.sum()], coef))
 
 
-def _petviashvili(basis, vvals, gamma, omega_sq, u0, tol, max_iter, history):
+def _petviashvili(basis, vvals, gamma, omega_sq, u0, tol, max_iter):
     """Anderson-accelerated fixed-omega iteration for u = M_n^{3/2} A^{-1} N(u),
     A = -Lap + V + omega^2, M_n = <u, A u> / <u, N(u)>.
 
@@ -217,10 +216,10 @@ def _petviashvili(basis, vvals, gamma, omega_sq, u0, tol, max_iter, history):
     <u, N(u)> <= 0 has no output; it is dropped with the history, and the
     plain output of the iterate before it is taken instead.
 
-    Convergence is judged on the relative L2 operator residual, appended to
-    history each step.  Returns (profile, iterations, residual, converged,
-    Richardson corrections); stops early when the residual stalls above tol
-    for 40 steps.
+    Convergence is judged on the relative L2 operator residual of each
+    iterate.  Returns (profile, iterations, residual, converged, Richardson
+    corrections); stops early when the residual stalls above tol for 40
+    steps.
 
     With V = 0 the solve A^{-1} is the exact Fourier inverse, so A g is
     M_n^{3/2} N(u) up to rounding; the mix is linear, so the mixed iterate's
@@ -239,7 +238,6 @@ def _petviashvili(basis, vvals, gamma, omega_sq, u0, tol, max_iter, history):
     gram = np.zeros((0, 0))
     for it in range(1, max_iter + 1):
         au, nl, res = _residual(basis, vvals, gamma, omega_sq, u, au)
-        history.append(res)
         if res < tol:
             return u, it, res, True, richardson
         if res < 0.99 * best:
@@ -323,9 +321,8 @@ def solve_ground_state(
 
     omega_sq = opts.omega * opts.omega
     omega_iters = 0
-    history: list = []
     if opts.omega_mode == "fixed":
-        u, iters, resid, ok, richardson = _petviashvili(basis, vvals, gamma, omega_sq, u, tol, max_iter, history)
+        u, iters, resid, ok, richardson = _petviashvili(basis, vvals, gamma, omega_sq, u, tol, max_iter)
     else:
         # Root-find G(w) = (4-gamma) hv / (gamma m) - w on w = omega^2; G = 0 is
         # exactly the update rule's fixed point (equivalently T = 0 by the
@@ -339,7 +336,7 @@ def solve_ground_state(
         w_prev = g_prev = None
         for omega_iters in range(1, 41):
             round_tol = tol if omega_iters <= 25 else tol * 1e-2
-            u, it, resid, ok, corrections = _petviashvili(basis, vvals, gamma, w_cur, u, round_tol, max_iter, history)
+            u, it, resid, ok, corrections = _petviashvili(basis, vvals, gamma, w_cur, u, round_tol, max_iter)
             omega_sq = w_cur
             iters += it
             richardson += corrections
@@ -399,7 +396,6 @@ def solve_ground_state(
         transform_basis=basis.name,
         omega_iterations=omega_iters,
         richardson_iterations=richardson,
-        residual_history=history,
     )
 
 

@@ -154,14 +154,13 @@ def eval_virial_weight(spec: PotentialSpec, grid: Grid) -> Field:
     """Sample 2V + x.grad V (real Field), analytically where the kind allows.
 
     ball_indicator: grad V is a surface distribution; the returned field is
-    the interior value 2V (flagged via spec.xgrad_is_distributional and a
-    warning).  grid_sampled: x.grad V by spectral differentiation.
-    """
+    the interior value 2V, flagged via spec.xgrad_is_distributional and by a
+    warning located here, which Python's default filter shows once per
+    process.  grid_sampled: x.grad V by spectral differentiation."""
     if spec.xgrad_is_distributional:
         warnings.warn(
             "ball_indicator: x.grad V has a surface part the grid cannot carry; "
-            "using the distributional-interior value 2V",
-            stacklevel=2,
+            "using the distributional-interior value 2V"
         )
     return Field(grid, _sample(spec, grid, weight=True))
 

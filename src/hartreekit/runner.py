@@ -22,7 +22,7 @@ import scipy.fft
 from scipy.special import gamma as gamma_fn
 
 from .config import RunConfig
-from .evolve import EvolveConfig, TrajectoryRecord, evolve, monotonicity_probe, virial_consistency
+from .evolve import EvolveConfig, TrajectoryRecord, evolve, virial_consistency
 from .fieldio import load_field, read_json, write_json
 from .functionals import CSV_COLUMNS, _integral, hv_norm_sq, mass, take_snapshot
 from .ground_state import ConvergenceError, GroundState, pohozaev_residuals, save_ground_state, solve_ground_state, summary
@@ -199,6 +199,36 @@ def _consistency(verdict: str, termination_kind: str) -> str:
     return "consistent" if termination_kind == expected else "inconsistent"
 
 
+def monotonicity_probe(record: TrajectoryRecord, verdict: str, f_x0: float) -> dict:
+    """Empirical z(t) shape diagnostics keyed to the classified branch, over every snapshot.
+
+    Derivatives of z = sqrt(I) come from the recorded virial columns,
+    z' = I'/(2z) and z'' = (2 I I'' - I'^2) / (4 I^{3/2}), which are exact
+    at each sample; no finite difference of the sampled z is taken, since it
+    would alias the fast core oscillations near collapse.
+    BlowUp branch: fraction of interior times with z'' < 0.  Global branch:
+    minimum z' from t = 0 (Duyckaerts-Roudenko's bound holds from there) against
+    the floor 2 sqrt(f(x0)) = sqrt(x0/2).  Values are recorded, never judged."""
+    if not (verdict.startswith("BlowUp") or verdict == "Global"):
+        return {}
+    snaps = record.snapshots
+    if len(snaps) < 3:
+        return {}
+    out: dict = {"branch": verdict}
+    if verdict.startswith("BlowUp"):
+        zpp = [
+            (2.0 * s.variance_I * s.virial_I2 - s.virial_I1**2)
+            / (4.0 * max(s.variance_I, 1e-300) ** 1.5)
+            for s in snaps[1:-1]
+        ]
+        out["z2_negative_fraction"] = sum(1 for v in zpp if v < 0) / len(zpp)
+        out["interior_points"] = len(zpp)
+    else:
+        out["min_z1"] = min(s.virial_I1 / (2.0 * max(s.z, 1e-300)) for s in snaps)
+        out["z1_floor"] = 2.0 * math.sqrt(max(f_x0, 0.0))
+    return out
+
+
 def stage_compare(outdir, report, record: TrajectoryRecord):
     prod_gs = report.cond_mp["product_gs"]
     prods = [mp_product(sn.mass, sn.p_value, report.gamma) for sn in record.snapshots]
@@ -212,7 +242,7 @@ def stage_compare(outdir, report, record: TrajectoryRecord):
             f"{side} fails {';'.join(failed)}"
             for side, failed in (("blowup", report.failed_blowup), ("global", report.failed_global))
         )
-    probe = monotonicity_probe(record, verdict=verdict, f_x0=None if math.isnan(report.f_x0) else report.f_x0)
+    probe = monotonicity_probe(record, verdict, report.f_x0)
     below = _side(max(prods) - prod_gs, prod_gs) < 0
     with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
         fh.write("verdict,termination,consistent,note\n")
@@ -394,7 +424,9 @@ def _drift_datum(grid: Grid) -> Field:
 
 
 def run_validate(cfg: RunConfig, outdir) -> int:
-    """Seeded invariant suites; writes a pass/fail table and returns the failure count."""
+    """Seeded invariant suites; writes a pass/fail table and returns the failure count.
+
+    A ground state that does not converge fails its gate and prints its error as run does."""
     tally.clear()
     rng = np.random.default_rng(cfg.run.seed)
     grid, gamma = cfg.grid, cfg.gamma
@@ -422,7 +454,8 @@ def run_validate(cfg: RunConfig, outdir) -> int:
 
     try:
         gs = _solve_gs(cfg, None if cfg.potential.is_zero else eval_potential(cfg.potential, grid))
-    except RunError:
+    except RunError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         gs = None
         check("ground_state_converged", math.nan, 0.0)
     if gs is not None:

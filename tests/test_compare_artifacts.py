@@ -45,6 +45,24 @@ def test_the_checkout_matches_itself_on_a_small_pipeline(tmp_path, capsys):
     assert out.startswith("small.cfg: ") and out.rstrip().endswith("artifacts identical"), out
 
 
+def test_each_run_stderr_is_labelled_under_its_config(tmp_path, capsys):
+    # a Gaussian of width 4 at L 10 reaches the box edge, so both runs stop
+    # in evolve with one error line, and their artifacts still match
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(
+        "[run]\nmode = full_pipeline\n[grid]\npoints = 16\nhalf_length = 10.0\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 4.0\n"
+    )
+    assert tool["main"]([ROOT, ROOT, str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    error = (
+        "    error: evolve: initial data carries 1.02e-03 of its mass in the outer 10% shell "
+        "(limit 1e-08); enlarge the box or narrow the data"
+    )
+    assert lines[0].startswith("edge.cfg: ") and lines[0].endswith("artifacts identical"), lines
+    assert lines[1:] == ["  parent stderr:", error, "  change stderr:", error]
+
+
 def test_default_configs_add_three_pipelines_with_a_potential(tmp_path):
     # the presets and workloads run V = 0 only; the three extra pipelines
     # reach the pinned solve, the flagged e-term and a sampled V off the octant

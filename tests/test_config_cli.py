@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+import subprocess
 import sys
 import warnings
 from types import SimpleNamespace
@@ -915,6 +916,26 @@ def test_evolve_refuses_data_that_reaches_the_box_edge(tmp_path, capsys):
     assert os.listdir(out) == ["manifest.json"]
 
 
+def test_ball_pipeline_warns_once(tmp_path):
+    # classify and evolve both sample a ball's weight; the warning's location
+    # is its own line in potentials, so a fresh interpreter's default filter
+    # shows it once per process, not once per calling line
+    path = write_cfg(
+        tmp_path,
+        "[run]\nmode = full_pipeline\n[grid]\npoints = 16\nhalf_length = 8.0\n"
+        "[potential]\nkind = ball_indicator\namplitude = 0.4\nradius = 2.0\n"
+        "[initial_data]\nkind = gaussian\namplitude = 0.2\nwidth = 1.5\n[evolve]\nt_max = 0.01\n",
+    )
+    src = os.path.dirname(os.path.dirname(runner.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys; from hartreekit.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "pipeline", "--config", path, "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("UserWarning: ball_indicator") == 1, proc.stderr
+
+
 def test_pipeline_reads_a_sampled_potential_from_its_file(tmp_path, capsys):
     # the manifest records a sampled V by its values' hash and shape; a file
     # on another grid is a config violation, reported before anything runs
@@ -1159,12 +1180,16 @@ def test_validate_deterministic_reruns(tmp_path):
     assert rep["failures"] == statuses.count("FAIL")
 
 
-def test_validate_without_a_converged_ground_state(tmp_path):
+def test_validate_without_a_converged_ground_state(tmp_path, capsys):
     # a solve cut at one iteration fails its own gate and takes the six
-    # gates that read the solve with it; the rest of the suite still runs
+    # gates that read the solve with it; the rest of the suite still runs,
+    # and stderr names why the solve failed, as run does for the other modes
     out = str(tmp_path / "v")
     path = write_cfg(tmp_path, "[run]\nmode = validate\n[grid]\npoints = 32\n[groundstate]\nmax_iter = 1\n")
     assert main(["validate", "--config", path, "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: groundstate: iteration did not converge (residual 5.712e-01 after 1 steps)"
+    ]
     table = open(os.path.join(out, "validate_table.csv")).read().strip().split("\n")
     assert "ground_state_converged,FAIL,nan,0.0" in table
     checks = [row.split(",")[0] for row in table[1:]]

@@ -19,12 +19,12 @@ from hartreekit.evolve import (
     TrajectoryRecord,
     detect_blowup,
     evolve,
-    monotonicity_probe,
     strang_step,
     virial_consistency,
 )
 from hartreekit.functionals import CSV_COLUMNS, _grad_sq, take_snapshot
 from hartreekit.potentials import PotentialSpec, eval_potential, eval_virial_weight
+from hartreekit.runner import monotonicity_probe
 from hartreekit.spectral import (
     EvenOctant, Field, Grid, PeriodicBasis, abs_sq, fftn, is_even, shell_fraction, tally,
     transform_basis,
@@ -108,11 +108,11 @@ def test_linear_free_gaussian_oracle(g32):
     # with V = 0 and the nonlinear phase off, each step is the exact kinetic
     # flow; the only deviation from the closed form is grid truncation
     a, k, t_end = 0.45, (0.5, 0.25, 0.0), 0.5
-    f = free_gaussian_reference(g32, a, k, 0.0)
+    uhat = fftn(free_gaussian_reference(g32, a, k, 0.0).values)
     for _ in range(20):
-        f = strang_step(f, t_end / 20, ZERO, GAMMA, linear=True)
+        uhat = _embedded_step(PeriodicBasis(g32), uhat, t_end / 20, None, GAMMA, True)[0]
     ref = free_gaussian_reference(g32, a, k, t_end)
-    dev = np.linalg.norm(f.values - ref.values) / np.linalg.norm(ref.values)
+    dev = np.linalg.norm(np.fft.ifftn(uhat) - ref.values) / np.linalg.norm(ref.values)
     assert dev < 1e-6
 
 
@@ -225,7 +225,7 @@ def test_trajectory_csv_roundtrip(tmp_path, blowup_record):
 
 
 def test_monotonicity_probe_blowup_branch(blowup_record):
-    out = monotonicity_probe(blowup_record, "BlowUp")
+    out = monotonicity_probe(blowup_record, "BlowUp", math.nan)
     assert out["branch"] == "BlowUp"
     assert out["interior_points"] == len(blowup_record.snapshots) - 2
     # focusing collapse: z is concave at essentially every recorded time
@@ -239,28 +239,39 @@ def test_monotonicity_probe_global_branch(g32):
                        record_stride=2, blowup_grad_factor=50.0, blowup_tail_frac=1.0)
     rec = evolve(u0, ZERO, cfg)
     assert rec.termination.kind == "Completed"
-    out = monotonicity_probe(rec, "Global", f_x0=0.04)
+    out = monotonicity_probe(rec, "Global", 0.04)
+    assert sorted(out) == ["branch", "min_z1", "z1_floor"]
     assert out["branch"] == "Global"
-    assert out["transient_skipped"] >= 1
     # outgoing chirp: the variance radius grows monotonically
     assert out["min_z1"] > 0.0
     assert out["z1_floor"] == pytest.approx(0.4, rel=1e-12)
 
 
+def test_monotonicity_probe_reads_z1_from_t0(blowup_record):
+    """The Global floor bounds z' from t = 0 on, so no snapshot is dropped:
+    a record of ten whose z' is least at t = 0 reads that z' as its minimum."""
+    base = blowup_record.snapshots[0]
+    # z = sqrt(I) = 2, so z' = I'/(2z) = I'/4
+    snaps = [replace(base, time=0.1 * i, variance_I=4.0, virial_I1=4.0 * (0.5 + 0.1 * i)) for i in range(10)]
+    rec = TrajectoryRecord(snapshots=snaps, termination=blowup_record.termination, config=blowup_record.config)
+    assert monotonicity_probe(rec, "Global", 0.04)["min_z1"] == 0.5
+
+
 def test_monotonicity_probe_off_branches(blowup_record):
-    # the verdict is required; Indeterminate, on neither branch, gets no
-    # probe on any record, and neither branch gets one on under 3 snapshots
+    # the verdict and f(x0) are required; Indeterminate, on neither branch,
+    # gets no probe on any record, and neither branch gets one on under 3 snapshots
     short = TrajectoryRecord(
         snapshots=blowup_record.snapshots[:2],
         termination=blowup_record.termination,
         config=blowup_record.config,
     )
-    with pytest.raises(TypeError):
-        monotonicity_probe(blowup_record)
+    for args in ((), ("Global",)):
+        with pytest.raises(TypeError):
+            monotonicity_probe(blowup_record, *args)
     for rec in (blowup_record, short):
-        assert monotonicity_probe(rec, "Indeterminate") == {}
-    assert monotonicity_probe(short, "BlowUp") == {}
-    assert monotonicity_probe(short, "Global") == {}
+        assert monotonicity_probe(rec, "Indeterminate", math.nan) == {}
+    assert monotonicity_probe(short, "BlowUp", math.nan) == {}
+    assert monotonicity_probe(short, "Global", 0.04) == {}
 
 
 def test_virial_consistency_nonlinear(g32):

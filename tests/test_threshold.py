@@ -248,6 +248,23 @@ def test_classify_ground_state_indeterminate(gs_wide):
     assert "mp_product_below" in rep.failed_global
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ArithmeticError,
+    reason="on the free reference solved at 32^3, L 10, 1.02 Q reads ME 1.0046 "
+    "from the reference's M and E but x0 -0.0017 from its c_q, on opposite "
+    "sides of the threshold, and classify raises 'ME > 1 and x0 > 0 must "
+    "agree'; at 48^3, L 12 both read below (ME 0.9968, x0 -0.0395). Kept "
+    "strict until an error band on the reference scalars (ROADMAP item 10, "
+    "reference_unresolved) turns the straddle into a verdict.",
+)
+def test_classify_near_q_on_a_coarse_reference_returns_a_verdict(grid32):
+    gs = solve_ground_state(grid32, PotentialSpec(kind="zero"), GAMMA)
+    assert gs.converged
+    rep = classify(Field(grid32, 1.02 * gs.field.values), PotentialSpec(), gs)
+    assert rep.verdict in VERDICTS
+
+
 def test_classify_constant_phase_gauge(gs_wide):
     u = chirped(gs_wide, 1.1, -0.2)
     rep1 = classify(u, PotentialSpec(kind="zero"), gs_wide)
@@ -307,6 +324,23 @@ def test_subthreshold_predictions(gs_wide):
     # ME > 1 likewise
     rec4 = subthreshold(chirped(gs_wide, 1.1, -0.2))
     assert rec4["verdict"] == "NotApplicable"
+    # V >= 0, V != 0 keeps the free reference, and each prediction names the
+    # sign hypothesis that V breaks: the bump's weight V (2 - 2 r^2) changes
+    # sign, and x.grad V > 0 between the origin and the off-centre bump's peak
+    grid = gs_wide.field.grid
+    bump = PotentialSpec(kind="gaussian_bump", amplitude=0.05, sigma=1.0)
+    off = PotentialSpec(kind="grid_sampled", values=0.05 * np.exp(-(grid.r_sq - 2.0 * grid.coords[0] + 1.0)))
+    for potential, scale, verdict, me, note in (
+        (bump, 1.1, "BlowUpPredicted", 0.8465, "gradient growth additionally needs 2V + x.grad V >= 0, "
+         "which fails here; only persistence above the product threshold is predicted"),
+        (off, 0.5, "GlobalScattersPredicted", 0.3526, "scattering additionally needs x.grad V <= 0, "
+         "which fails here; only persistence below the product threshold is predicted"),
+    ):
+        rep = classify(Field(grid, scale * gs_wide.field.values), potential, gs_wide)
+        assert rep.branch == "free"
+        assert rep.me == pytest.approx(me, abs=1e-4)
+        assert rep.subthreshold["verdict"] == verdict
+        assert rep.subthreshold["notes"][0] == note
 
 
 def test_subthreshold_needs_a_nonnegative_potential():

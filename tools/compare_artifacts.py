@@ -11,7 +11,9 @@ they are, and three 32^3 pipelines with V != 0 (_V_PIPELINES).  Each run
 is a fresh interpreter that imports hartreekit from its checkout's src,
 with one FFT worker, one BLAS thread and seed N (0 by default).  Prints
 each artifact whose hash differs and, for a JSON report, its differing
-keys; exits 1 on any difference, 0 when every artifact is identical.
+keys, then each run's stderr, when it is not empty, indented under
+"parent stderr:" or "change stderr:"; exits 1 on any difference, 0 when
+every artifact is identical.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import textwrap
 
 # a child run: argv is the checkout's src, the config, the output directory and the seed
 _CHILD = """\
@@ -93,8 +96,9 @@ def default_configs(change_root: str, workdir: str, seed: int) -> list:
             fh.write(workload.config_text(seed))
         configs.append(path)
     vfile = os.path.join(workdir, "sampled-v.fld")
-    if _python(change_root, _DUMP, vfile):
-        raise RuntimeError(f"{change_root} could not write the sampled potential {vfile}")
+    status, err = _python(change_root, _DUMP, vfile)
+    if status:
+        raise RuntimeError(f"{change_root} could not write the sampled potential {vfile}:\n{err}")
     for name, potential in _V_PIPELINES.items():
         path = os.path.join(workdir, f"v-{name}.cfg")
         with open(path, "w") as fh:
@@ -103,15 +107,17 @@ def default_configs(change_root: str, workdir: str, seed: int) -> list:
     return configs
 
 
-def _python(root: str, code: str, *args: str) -> int:
-    """code in a fresh interpreter that imports hartreekit from root's src, with argv src, *args; its exit status."""
+def _python(root: str, code: str, *args: str) -> tuple:
+    """code in a fresh interpreter that imports hartreekit from root's src, with argv src, *args; its exit status and stderr."""
     src = os.path.join(os.path.abspath(root), "src")
     env = {**os.environ, **_ONE_THREAD, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-c", code, src, *args], env=env, stdout=subprocess.DEVNULL).returncode
+    argv = [sys.executable, "-c", code, src, *args]
+    proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    return proc.returncode, proc.stderr
 
 
-def run_tree(root: str, config: str, out: str, seed: int) -> int:
-    """One run of config by the checkout at root, into out; returns its exit status."""
+def run_tree(root: str, config: str, out: str, seed: int) -> tuple:
+    """One run of config by the checkout at root, into out; returns its exit status and stderr."""
     return _python(root, _CHILD, config, out, str(seed))
 
 
@@ -162,14 +168,19 @@ def main(argv=None) -> int:
         configs = [os.path.abspath(c) if os.path.exists(c) else c for c in args.configs]
         for i, config in enumerate(configs or default_configs(args.change_root, work, args.seed)):
             runs = [os.path.join(work, f"{i}-{side}") for side in ("parent", "change")]
-            status = [run_tree(root, config, out, args.seed) for root, out in zip((args.parent_root, args.change_root), runs)]
+            (status0, err0), (status1, err1) = (
+                run_tree(root, config, out, args.seed) for root, out in zip((args.parent_root, args.change_root), runs)
+            )
             lines = compare_runs(*runs)
-            if status[0] != status[1]:
-                lines.insert(0, f"exit status: {status[0]} -> {status[1]}")
+            if status0 != status1:
+                lines.insert(0, f"exit status: {status0} -> {status1}")
             if not _files(runs[0]):
                 lines.insert(0, "the parent's run wrote no manifest")
             name = os.path.basename(config)
             print(f"{name}: " + ("\n  ".join(["differs"] + lines) if lines else f"{len(_files(runs[0]))} artifacts identical"))
+            for side, err in (("parent", err0), ("change", err1)):
+                if err:
+                    print(f"  {side} stderr:\n" + textwrap.indent(err.rstrip("\n"), "    "))
             differs |= bool(lines)
     return 1 if differs else 0
 
